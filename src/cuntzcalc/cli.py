@@ -282,15 +282,13 @@ def _star_group(model: WModel, simplicial: bool) -> PoGroupModel:
     return PoGroupModel(star.n, cone, ones)
 
 
-def _enum_bound(rank: int, requested: Optional[int]) -> int:
-    if requested:
-        return requested
+def _enum_bound(rank: int) -> int:
     return {1: 12, 2: 8, 3: 6, 4: 4}.get(rank, 3)
 
 
 def _suite_weak_unperforation(group: PoGroupModel, bound: int) -> dict:
     witness = is_weakly_unperforated(
-        group, n_max=bound or 10, enumeration_bound=_enum_bound(group.rank, None)
+        group, n_max=bound or 10, enumeration_bound=_enum_bound(group.rank)
     )
     if witness is None:
         return {"verdict": "holds-on-sample", "failures": []}
@@ -300,7 +298,7 @@ def _suite_weak_unperforation(group: PoGroupModel, bound: int) -> dict:
 
 def _suite_archimedean(group: PoGroupModel, bound: int) -> dict:
     witness = archimedean_witness(
-        group, n_max=bound or 10, enumeration_bound=_enum_bound(group.rank, None)
+        group, n_max=bound or 10, enumeration_bound=_enum_bound(group.rank)
     )
     if witness is None:
         return {"verdict": "none", "failures": []}

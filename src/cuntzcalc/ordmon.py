@@ -563,30 +563,32 @@ def is_weakly_unperforated(model: PoGroupModel, n_max: int, enumeration_bound: i
     return None
 
 
-def archimedean_witness(
-    model: PoGroupModel,
-    n_max: int,
-    enumeration_bound: int,
-    pair_budget: int = 200_000,
-):
+ARCHIMEDEAN_PAIR_BUDGET = 200_000
+
+
+def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound: int):
     """Search for x not below zero and y with nx <= y for every n <= n_max.
 
     A found pair witnesses failure of the Archimedean property at the tested
-    scale.  The sweep covers candidate pairs in increasing max-norm order and
-    stops after ``pair_budget`` pairs, so None means "none found at this
-    scale", nothing stronger.  Checks n = n_max first since it fails fastest.
+    scale.  y keeps its max-norm below n_max, so it cannot dominate n_max x
+    by size alone: on a simplicial cone that would be a false witness.  The
+    sweep covers candidate pairs in increasing max-norm order and stops
+    after ``ARCHIMEDEAN_PAIR_BUDGET`` pairs, so None means "none found at
+    this scale", nothing stronger.  Checks n = n_max first since it fails
+    fastest.
     """
     candidates_x = []
     for x in _int_vectors_by_norm(model.rank, enumeration_bound):
         below_zero = cone_member(model, vneg(x)).definite
         if below_zero is False:
             candidates_x.append(x)
+    y_bound = min(enumeration_bound, n_max - 1)
     tested = 0
     order = [n_max] + list(range(1, n_max))
     for x in candidates_x:
-        for y in _int_vectors_by_norm(model.rank, enumeration_bound):
+        for y in _int_vectors_by_norm(model.rank, y_bound):
             tested += 1
-            if tested > pair_budget:
+            if tested > ARCHIMEDEAN_PAIR_BUDGET:
                 return None
             ok = True
             for n in order:

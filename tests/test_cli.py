@@ -263,6 +263,15 @@ class TestCheckSuites:
         assert code == EXIT_OK
         assert report_of(out)["details"]["verdict"] == "none"
 
+    def test_integers_are_archimedean(self, workspace, run):
+        doc = {"kind": "pogroup", "rank": 1, "cone": {"type": "simplicial"}, "unit": [1]}
+        group = workspace("g.json", doc)
+        code, out, _ = run("check", group, "archimedean")
+        assert code == EXIT_OK
+        report = report_of(out)
+        assert report["passed"] is True
+        assert report["details"] == {"failures": [], "verdict": "none"}
+
     def test_perforated_group_yields_a_counterexample(self, workspace, run):
         # 2x and 3x generate the cone, so 2x is positive while x is not.
         doc = {

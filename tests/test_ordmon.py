@@ -374,6 +374,12 @@ def test_archimedean_clean_on_simplicial():
     assert archimedean_witness(model, n_max=4, enumeration_bound=2) is None
 
 
+def test_archimedean_clean_on_the_integers_above_the_scale():
+    # y up to the enumeration bound 12 would dominate 10 x = 10 by size alone
+    model = PoGroupModel(1, SimplicialCone(), (1,))
+    assert archimedean_witness(model, n_max=10, enumeration_bound=12) is None
+
+
 def test_archimedean_fails_lexicographically():
     model = PoGroupModel(2, LexicographicCone(), (1, 0))
     witness = archimedean_witness(model, n_max=4, enumeration_bound=2)
