@@ -8,148 +8,4 @@ diagonal-element simulator over [0, 1] (``goodearl``), and a JSON-document
 CLI (``cli``).
 """
 
-from .approx import (
-    DecompositionReport,
-    DenseSubgroupSpec,
-    condition_d_check,
-    dyadic_below,
-    first_stage,
-    projection_sup_realization,
-    summable_decomposition,
-)
-from .elliott import (
-    AbelianGroupData,
-    AbelianGroupHom,
-    AugmentedInvariant,
-    ElliottInvariant,
-    InvariantMorphism,
-    WModelMorphism,
-    compose_morphisms,
-    functor_g,
-    functor_g_mor,
-    functor_g_obj,
-    identity_morphism,
-    validate_invariant,
-    validate_morphism,
-)
-from .goodearl import (
-    ClosedSet,
-    DiagonalElement,
-    MeasureSpec,
-    OpenSet,
-    PLFn,
-    RealizationSchedule,
-    StepFn,
-    compare_elements,
-    comparison_lemma_check,
-    cutdown,
-    dim_fn,
-    lebesgue,
-    measure,
-    open_set_of_measure,
-    point_mass,
-    realize,
-    spectrum,
-    spectrum_classify,
-    step_approximant,
-    sublevel,
-)
-from .ordmon import (
-    GeneratedCone,
-    GrothendieckResult,
-    LexicographicCone,
-    Membership,
-    MonoidPresentation,
-    PoGroupModel,
-    SimplicialCone,
-    StrictStateCone,
-    archimedean_witness,
-    cone_member,
-    cone_plusplus_member,
-    check_strict_cone,
-    evaluate_states,
-    grothendieck_group,
-    is_almost_unperforated,
-    is_order_unit_via_states,
-    is_weakly_unperforated,
-    leq,
-)
-from .wmodel import (
-    CuntzClass,
-    K0Model,
-    K0Star,
-    TraceSimplex,
-    WModel,
-    purely_infinite,
-    w_of_z,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AbelianGroupData",
-    "AbelianGroupHom",
-    "AugmentedInvariant",
-    "ClosedSet",
-    "CuntzClass",
-    "DecompositionReport",
-    "DenseSubgroupSpec",
-    "DiagonalElement",
-    "ElliottInvariant",
-    "GeneratedCone",
-    "GrothendieckResult",
-    "InvariantMorphism",
-    "K0Model",
-    "K0Star",
-    "LexicographicCone",
-    "MeasureSpec",
-    "Membership",
-    "MonoidPresentation",
-    "OpenSet",
-    "PLFn",
-    "PoGroupModel",
-    "RealizationSchedule",
-    "SimplicialCone",
-    "StepFn",
-    "StrictStateCone",
-    "TraceSimplex",
-    "WModel",
-    "WModelMorphism",
-    "archimedean_witness",
-    "check_strict_cone",
-    "compare_elements",
-    "comparison_lemma_check",
-    "compose_morphisms",
-    "condition_d_check",
-    "cone_member",
-    "cone_plusplus_member",
-    "cutdown",
-    "dim_fn",
-    "dyadic_below",
-    "evaluate_states",
-    "first_stage",
-    "functor_g",
-    "functor_g_mor",
-    "functor_g_obj",
-    "grothendieck_group",
-    "identity_morphism",
-    "is_almost_unperforated",
-    "is_order_unit_via_states",
-    "is_weakly_unperforated",
-    "lebesgue",
-    "leq",
-    "measure",
-    "open_set_of_measure",
-    "point_mass",
-    "projection_sup_realization",
-    "purely_infinite",
-    "realize",
-    "spectrum",
-    "spectrum_classify",
-    "step_approximant",
-    "sublevel",
-    "summable_decomposition",
-    "validate_invariant",
-    "validate_morphism",
-    "w_of_z",
-]

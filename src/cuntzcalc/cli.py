@@ -25,7 +25,6 @@ from .approx import (
 )
 from .documents import DocumentError
 from .elliott import (
-    ElliottInvariant,
     functor_g_mor,
     functor_g_obj,
     validate_invariant,

@@ -111,15 +111,31 @@ def _field(payload: dict, key: str):
 # Per-kind encoders and decoders
 
 
+def _encode_k0(k0: K0Model) -> dict:
+    return {
+        "rank": k0.rank,
+        "states": [_rationals(row) for row in k0.state_matrix],
+        "unit": list(k0.unit),
+    }
+
+
+def _decode_k0(k0_doc: dict, labels) -> tuple[K0Model, TraceSimplex]:
+    """K0 data and the trace simplex its state rows pair with."""
+    k0 = K0Model(
+        parse_int(_field(k0_doc, "rank")),
+        _parse_matrix(_field(k0_doc, "states")),
+        _parse_int_vector(_field(k0_doc, "unit")),
+    )
+    return k0, TraceSimplex(k0.trace_count, tuple(labels) if labels else None)
+
+
 def encode_wmodel(model: WModel) -> dict:
     if model.variant == PURELY_INFINITE:
         return {"kind": "wmodel", "variant": PURELY_INFINITE}
     return {
         "kind": "wmodel",
         "variant": FINITE,
-        "rank": model.k0.rank,
-        "states": [_rationals(row) for row in model.k0.state_matrix],
-        "unit": list(model.k0.unit),
+        **_encode_k0(model.k0),
         "trace_labels": list(model.traces.labels),
     }
 
@@ -130,14 +146,7 @@ def decode_wmodel(payload: dict) -> WModel:
         return purely_infinite()
     if variant != FINITE:
         raise DocumentError(f"unknown wmodel variant {variant!r}")
-    k0 = K0Model(
-        parse_int(_field(payload, "rank")),
-        _parse_matrix(_field(payload, "states")),
-        _parse_int_vector(_field(payload, "unit")),
-    )
-    labels = payload.get("trace_labels")
-    traces = TraceSimplex(k0.trace_count, tuple(labels) if labels else None)
-    return WModel(k0, traces, FINITE)
+    return WModel(*_decode_k0(payload, payload.get("trace_labels")), FINITE)
 
 
 def encode_pogroup(model: PoGroupModel) -> dict:
@@ -204,25 +213,14 @@ def _decode_group(payload: dict) -> AbelianGroupData:
 def encode_invariant(inv: ElliottInvariant) -> dict:
     return {
         "kind": "invariant",
-        "k0": {
-            "rank": inv.k0.rank,
-            "states": [_rationals(row) for row in inv.k0.state_matrix],
-            "unit": list(inv.k0.unit),
-        },
+        "k0": _encode_k0(inv.k0),
         "k1": _encode_group(inv.k1),
         "trace_labels": list(inv.traces.labels),
     }
 
 
 def decode_invariant(payload: dict) -> ElliottInvariant:
-    k0_doc = _field(payload, "k0")
-    k0 = K0Model(
-        parse_int(_field(k0_doc, "rank")),
-        _parse_matrix(_field(k0_doc, "states")),
-        _parse_int_vector(_field(k0_doc, "unit")),
-    )
-    labels = payload.get("trace_labels")
-    traces = TraceSimplex(k0.trace_count, tuple(labels) if labels else None)
+    k0, traces = _decode_k0(_field(payload, "k0"), payload.get("trace_labels"))
     return ElliottInvariant(k0, _decode_group(_field(payload, "k1")), traces)
 
 

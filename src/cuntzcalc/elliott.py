@@ -14,18 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .linalg import (
-    identity,
-    int_matrix,
-    int_vector,
-    matmul,
-    matrix,
-    matvec,
-    transpose,
-    vector,
-)
+from .linalg import identity, int_matrix, matmul, matrix, matvec, transpose
 from .wmodel import FINITE, CuntzClass, K0Model, TraceSimplex, WModel
 
 
@@ -260,19 +250,3 @@ def compose_w_morphisms(later: WModelMorphism, first: WModelMorphism) -> WModelM
         matmul(later.theta0, first.theta0),
         matmul(first.gamma, later.gamma),
     )
-
-
-def apply_w_morphism(mor: WModelMorphism, x: CuntzClass) -> CuntzClass:
-    return mor.apply(x)
-
-
-@dataclass(frozen=True)
-class AugmentedInvariant:
-    """The model paired with the invariant it came from, K1 included."""
-
-    model: WModel
-    invariant: ElliottInvariant
-
-
-def functor_g(inv: ElliottInvariant) -> AugmentedInvariant:
-    return AugmentedInvariant(functor_g_obj(inv), inv)

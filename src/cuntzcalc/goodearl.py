@@ -189,11 +189,6 @@ class PLFn:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
 
-    def with_breakpoints(self, points) -> "PLFn":
-        """The same function on a refined grid."""
-        merged = _merge_sorted(self.breakpoints, tuple(frac(p) for p in points))
-        return PLFn(merged, tuple(self(p) for p in merged))
-
     def _common_grid(self, other: "PLFn") -> tuple[Fraction, ...]:
         return _merge_sorted(self.breakpoints, other.breakpoints)
 

@@ -16,16 +16,14 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .linalg import (
     all_nonnegative,
     all_positive,
-    frac,
     identity,
-    int_matrix,
     int_vector,
     is_zero,
     matrix,
@@ -34,7 +32,6 @@ from .linalg import (
     vneg,
     vscale,
     vsub,
-    zeros,
 )
 
 
@@ -70,16 +67,38 @@ BOUND_EXCEEDED = Membership.BOUND_EXCEEDED
 # Positive cones
 
 
+class PositiveCone:
+    """A positive cone in Z^rank that decides its own membership.
+
+    ``width`` is the rank the cone needs; None means it fits every rank.
+    ``member`` takes an integer vector of that rank.
+    """
+
+    width: Optional[int] = None
+
+    def member(self, x: tuple[int, ...]) -> Membership:
+        raise NotImplementedError
+
+    def check_unit(self, unit: tuple[int, ...]) -> None:
+        """Raise ValueError unless ``unit`` can be the order unit."""
+        if self.member(unit) is not YES:
+            raise ValueError("order unit must lie in the positive cone")
+
+
 @dataclass(frozen=True)
-class SimplicialCone:
+class SimplicialCone(PositiveCone):
     """Coordinatewise non-negative vectors."""
 
+    def member(self, x):
+        return YES if all_nonnegative(x) else NO
+
 
 @dataclass(frozen=True)
-class StrictStateCone:
+class StrictStateCone(PositiveCone):
     """Zero together with the vectors on which every listed state is positive.
 
-    ``states`` has one row per state; rows are exact rationals.
+    ``states`` has one row per state; rows are exact rationals.  Every
+    state must take the value 1 on the order unit.
     """
 
     states: tuple[tuple[Fraction, ...], ...]
@@ -89,9 +108,21 @@ class StrictStateCone:
         if not self.states:
             raise ValueError("a strict-state cone needs at least one state")
 
+    @property
+    def width(self) -> int:
+        return len(self.states[0])
+
+    def member(self, x):
+        return YES if is_zero(x) or all_positive(matvec(self.states, x)) else NO
+
+    def check_unit(self, unit):
+        # a unit on which every state is 1 lies in the cone
+        if any(v != 1 for v in matvec(self.states, unit)):
+            raise ValueError("every state must take the value 1 on the order unit")
+
 
 @dataclass(frozen=True)
-class GeneratedCone:
+class GeneratedCone(PositiveCone):
     """Non-negative integer span of finitely many integer generators.
 
     Membership is decided by exhaustive search over coefficient vectors with
@@ -115,13 +146,51 @@ class GeneratedCone:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "coeff_bound", int(coeff_bound))
 
+    @property
+    def width(self) -> int:
+        return len(self.generators[0])
+
+    def member(self, x):
+        gens = self.generators
+        bound = self.coeff_bound
+        nonneg = all(all_nonnegative(g) for g in gens)
+
+        def search(target, idx, budget):
+            if is_zero(target):
+                return True
+            if idx == len(gens) or budget == 0:
+                return False
+            if nonneg and any(t < 0 for t in target):
+                return False
+            g = gens[idx]
+            # try coefficients for generator idx from high to low
+            for c in range(budget, -1, -1):
+                rest = tuple(t - c * gi for t, gi in zip(target, g))
+                if search(rest, idx + 1, budget - c):
+                    return True
+            return False
+
+        if search(x, 0, bound):
+            return YES
+        sums = [sum(g) for g in gens]
+        if min(sums) >= 1 and (bound + 1) * min(sums) > sum(x):
+            # any combination longer than the bound has coordinate sum
+            # exceeding the target's, so the exhaustive part was complete
+            return NO
+        return BOUND_EXCEEDED
+
 
 @dataclass(frozen=True)
-class LexicographicCone:
+class LexicographicCone(PositiveCone):
     """Lexicographically non-negative vectors of rank 2 (control cone)."""
 
+    width = 2
 
-Cone = Union[SimplicialCone, StrictStateCone, GeneratedCone, LexicographicCone]
+    def member(self, x):
+        for entry in x:
+            if entry != 0:
+                return YES if entry > 0 else NO
+        return YES
 
 
 @dataclass(frozen=True)
@@ -129,10 +198,10 @@ class PoGroupModel:
     """A partially ordered abelian group Z^rank with a stock positive cone."""
 
     rank: int
-    cone: Cone
+    cone: PositiveCone
     order_unit: tuple[int, ...]
 
-    def __init__(self, rank: int, cone: Cone, order_unit):
+    def __init__(self, rank: int, cone: PositiveCone, order_unit):
         rank = int(rank)
         if rank < 1:
             raise ValueError("rank must be at least 1")
@@ -141,54 +210,12 @@ class PoGroupModel:
             raise ValueError("order unit has the wrong rank")
         if is_zero(unit):
             raise ValueError("order unit must be nonzero")
-        if isinstance(cone, LexicographicCone) and rank != 2:
-            raise ValueError("lexicographic cone is only provided at rank 2")
-        if isinstance(cone, StrictStateCone) and any(
-            len(row) != rank for row in cone.states
-        ):
-            raise ValueError("state matrix width must equal the rank")
-        if isinstance(cone, GeneratedCone) and len(cone.generators[0]) != rank:
-            raise ValueError("cone generators must have the model rank")
+        if cone.width not in (None, rank):
+            raise ValueError(f"the cone needs rank {cone.width}, not {rank}")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "cone", cone)
         object.__setattr__(self, "order_unit", unit)
-        member = cone_member(self, unit)
-        if member is not YES:
-            raise ValueError("order unit must lie in the positive cone")
-        if isinstance(cone, StrictStateCone):
-            values = matvec(cone.states, unit)
-            if any(v != 1 for v in values):
-                raise ValueError("every state must take the value 1 on the order unit")
-
-
-def _generated_member(cone: GeneratedCone, x: tuple[int, ...]) -> Membership:
-    gens = cone.generators
-    bound = cone.coeff_bound
-    nonneg = all(all_nonnegative(g) for g in gens)
-
-    def search(target, idx, budget):
-        if is_zero(target):
-            return True
-        if idx == len(gens) or budget == 0:
-            return False
-        if nonneg and any(t < 0 for t in target):
-            return False
-        g = gens[idx]
-        # try coefficients for generator idx from high to low
-        for c in range(budget, -1, -1):
-            rest = tuple(t - c * gi for t, gi in zip(target, g))
-            if search(rest, idx + 1, budget - c):
-                return True
-        return False
-
-    if search(x, 0, bound):
-        return YES
-    sums = [sum(g) for g in gens]
-    if min(sums) >= 1 and (bound + 1) * min(sums) > sum(x):
-        # any combination longer than the bound has coordinate sum
-        # exceeding the target's, so the exhaustive part was complete
-        return NO
-    return BOUND_EXCEEDED
+        cone.check_unit(unit)
 
 
 def cone_member(model: PoGroupModel, x) -> Membership:
@@ -196,25 +223,7 @@ def cone_member(model: PoGroupModel, x) -> Membership:
     x = int_vector(x)
     if len(x) != model.rank:
         raise ValueError("vector has the wrong rank")
-    cone = model.cone
-    if isinstance(cone, SimplicialCone):
-        return YES if all_nonnegative(x) else NO
-    if isinstance(cone, StrictStateCone):
-        if is_zero(x):
-            return YES
-        return YES if all_positive(matvec(cone.states, x)) else NO
-    if isinstance(cone, LexicographicCone):
-        if is_zero(x):
-            return YES
-        for entry in x:
-            if entry != 0:
-                return YES if entry > 0 else NO
-        return YES
-    if isinstance(cone, GeneratedCone):
-        if is_zero(x):
-            return YES
-        return _generated_member(cone, x)
-    raise TypeError(f"unknown cone {cone!r}")
+    return model.cone.member(x)
 
 
 def leq(model: PoGroupModel, x, y) -> Membership:

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .elliott import ElliottInvariant, WModelMorphism
 from .linalg import identity, matmul, transpose
-from .ordmon import PoGroupModel, SimplicialCone, StrictStateCone
 from .wmodel import FINITE, CuntzClass, K0Model, TraceSimplex, WModel
 
 
@@ -107,17 +106,3 @@ def random_collapse_morphism(
     target_k0 = K0Model(source.k0.rank, state_matrix, source.k0.unit)
     target = WModel(target_k0, TraceSimplex(target_traces), FINITE)
     return WModelMorphism(source, target, identity(source.k0.rank), gamma)
-
-
-def random_pogroup(rng: random.Random, max_rank: int = 3) -> PoGroupModel:
-    """A simplicial or strict-state ordered group with a positive unit."""
-    rank = rng.randint(1, max_rank)
-    unit = tuple(rng.randint(1, 3) for _ in range(rank))
-    if rng.random() < 0.5:
-        return PoGroupModel(rank, SimplicialCone(), unit)
-    rows = []
-    for _ in range(rng.randint(1, 2)):
-        weights = [Fraction(rng.randint(1, 5)) for _ in range(rank)]
-        scale = sum(w * u for w, u in zip(weights, unit))
-        rows.append(tuple(w / scale for w in weights))
-    return PoGroupModel(rank, StrictStateCone(tuple(rows)), unit)

@@ -20,20 +20,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .linalg import (
     all_positive,
     frac,
     int_vector,
     is_zero,
-    matrix,
-    matvec,
+    matvec,  # unused here; perfbench/tracing.py wraps this module's binding
     vadd,
     vector,
     vsub,
     zeros,
 )
+from .ordmon import YES, PoGroupModel, StrictStateCone, cone_member, evaluate_states
 
 FINITE = "finite"
 PURELY_INFINITE = "purely-infinite"
@@ -60,49 +60,36 @@ class TraceSimplex:
 
 
 @dataclass(frozen=True)
-class K0Model:
+class K0Model(PoGroupModel):
     """K0 lattice Z^rank paired with traces through a state matrix.
 
-    ``state_matrix`` has one row per trace; it must send the order unit to
-    the all-ones vector.  The positive cone is zero together with the
-    vectors on which every row is strictly positive.
+    This is the ordered group of ``ordmon`` with the strict-state cone of
+    ``state_matrix``: one row per trace, each sending the order unit to 1.
+    The positive cone is zero together with the vectors on which every row
+    is strictly positive.
     """
 
-    rank: int
-    state_matrix: tuple[tuple[Fraction, ...], ...]
-    unit: tuple[int, ...]
-
     def __init__(self, rank: int, state_matrix, unit):
-        rank = int(rank)
-        if rank < 1:
-            raise ValueError("K0 rank must be at least 1")
-        mat = matrix(state_matrix)
-        if not mat or any(len(row) != rank for row in mat):
-            raise ValueError("state matrix must be n x rank with n >= 1")
-        u = int_vector(unit)
-        if len(u) != rank:
-            raise ValueError("unit has the wrong rank")
-        if any(v != 1 for v in matvec(mat, u)):
-            raise ValueError("state matrix must send the unit to all ones")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "state_matrix", mat)
-        object.__setattr__(self, "unit", u)
+        super().__init__(rank, StrictStateCone(state_matrix), unit)
+
+    @property
+    def state_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self.cone.states
+
+    @property
+    def unit(self) -> tuple[int, ...]:
+        return self.order_unit
 
     @property
     def trace_count(self) -> int:
-        return len(self.state_matrix)
+        return len(self.cone.states)
 
     def states(self, v) -> tuple[Fraction, ...]:
-        v = int_vector(v)
-        if len(v) != self.rank:
-            raise ValueError("vector has the wrong K0 rank")
-        return tuple(matvec(self.state_matrix, v))
+        return evaluate_states(self, v)
 
     def cone_member(self, v) -> bool:
-        v = int_vector(v)
-        if len(v) != self.rank:
-            raise ValueError("vector has the wrong K0 rank")
-        return is_zero(v) or all_positive(matvec(self.state_matrix, v))
+        """``ordmon.cone_member`` as a bool: strict-state membership is definite."""
+        return cone_member(self, v) is YES
 
     @classmethod
     def simplicial(cls, unit) -> "K0Model":
@@ -355,10 +342,6 @@ class WModel:
         if all_positive(diff):
             return CuntzClass.soft(diff)
         return None
-
-    def is_projection_class(self, x: CuntzClass) -> bool:
-        self.validate_class(x)
-        return x.is_proj
 
     def gamma(self, x: CuntzClass) -> tuple[Fraction, ...]:
         """Image of a class in the enveloping group Q^n."""

@@ -12,7 +12,6 @@ from cuntzcalc.elliott import (
     WModelMorphism,
     compose_morphisms,
     compose_w_morphisms,
-    functor_g,
     functor_g_mor,
     functor_g_obj,
     identity_morphism,
@@ -175,9 +174,6 @@ def test_functor_on_objects_keeps_k0_and_traces():
     assert model.k0 == inv.k0
     assert model.traces == inv.traces
     assert model.variant == "finite"
-    augmented = functor_g(inv)
-    assert augmented.model == model
-    assert augmented.invariant.k1 == inv.k1
 
 
 def _collapsed_invariant(k1) -> ElliottInvariant:
