@@ -61,6 +61,11 @@ SUITES = (
     "oracle-agreement",
 )
 
+# Largest --bound (the multiplier n_max) of the weak-unperforation and
+# archimedean searches; the archimedean search keeps n_max multiples of
+# every candidate x.
+SEARCH_BOUND_CAP = 1000
+
 
 def _rat(q) -> str:
     return docs.rational_str(q)
@@ -320,9 +325,18 @@ def _suite_oracle_agreement(model: WModel, rng, bound: int) -> dict:
 def cmd_check(args) -> tuple[dict, Optional[dict]]:
     if args.suite not in SUITES:
         raise DocumentError(f"unknown suite {args.suite!r}")
+    bound = args.bound
+    if bound is None:
+        bound = 0  # each suite's default
+    elif bound < 1:
+        raise DocumentError("--bound must be at least 1")
+    elif bound > SEARCH_BOUND_CAP and args.suite in (
+        "weak-unperforation",
+        "archimedean",
+    ):
+        raise DocumentError(f"{args.suite} takes --bound at most {SEARCH_BOUND_CAP}")
     target = _read(args.model, "wmodel", "pogroup")
     rng = rng_for(args.seed)
-    bound = args.bound or 0
     if isinstance(target, PoGroupModel):
         if args.suite == "weak-unperforation":
             details = _suite_weak_unperforation(target, bound)

@@ -24,14 +24,15 @@ def vector(values: Iterable) -> tuple[Fraction, ...]:
 def int_vector(values: Iterable) -> tuple[int, ...]:
     out = []
     for v in values:
-        if isinstance(v, bool):
-            raise TypeError("bool is not a vector entry")
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                raise ValueError(f"expected an integer entry, got {v}")
-            v = int(v)
-        if not isinstance(v, int):
-            raise TypeError(f"expected an integer entry, got {v!r}")
+        if type(v) is not int:  # plain ints, the common case, skip the checks
+            if isinstance(v, bool):
+                raise TypeError("bool is not a vector entry")
+            if isinstance(v, Fraction):
+                if v.denominator != 1:
+                    raise ValueError(f"expected an integer entry, got {v}")
+                v = int(v)
+            if not isinstance(v, int):
+                raise TypeError(f"expected an integer entry, got {v!r}")
         out.append(v)
     return tuple(out)
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .linalg import (
@@ -98,22 +100,39 @@ class StrictStateCone(PositiveCone):
     """Zero together with the vectors on which every listed state is positive.
 
     ``states`` has one row per state; rows are exact rationals.  Every
-    state must take the value 1 on the order unit.
+    state must take the value 1 on the order unit.  Each row is also kept
+    as integers, multiplied by the lcm of its denominators, with that lcm
+    (``int_rows``): a positive scale keeps every sign, so membership is a
+    run of integer dot products.
     """
 
     states: tuple[tuple[Fraction, ...], ...]
+    int_rows: tuple[tuple[tuple[int, ...], int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __init__(self, states):
-        object.__setattr__(self, "states", matrix(states))
-        if not self.states:
+        states = matrix(states)
+        if not states:
             raise ValueError("a strict-state cone needs at least one state")
+        int_rows = []
+        for row in states:
+            scale = math.lcm(*(q.denominator for q in row))
+            int_rows.append(
+                (tuple(q.numerator * (scale // q.denominator) for q in row), scale)
+            )
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "int_rows", tuple(int_rows))
 
     @property
     def width(self) -> int:
         return len(self.states[0])
 
     def member(self, x):
-        return YES if is_zero(x) or all_positive(matvec(self.states, x)) else NO
+        for row, _ in self.int_rows:
+            if sum(map(mul, row, x)) <= 0:
+                return NO if any(x) else YES
+        return YES
 
     def check_unit(self, unit):
         # a unit on which every state is 1 lies in the cone
@@ -561,13 +580,11 @@ def is_weakly_unperforated(model: PoGroupModel, n_max: int, enumeration_bound: i
     membership answers make the pair inconclusive and it is skipped.
     """
     for x in _int_vectors_by_norm(model.rank, enumeration_bound):
-        x_in = cone_member(model, x).definite
-        if x_in is not False:
+        if cone_member(model, x).definite is not False:
             continue
+        # x is nonzero, so every nx is too
         for n in range(1, n_max + 1):
-            nx = vscale(n, x)
-            nx_in = cone_member(model, nx).definite
-            if nx_in is True and not is_zero(nx):
+            if cone_member(model, vscale(n, x)).definite is True:
                 return (x, n)
     return None
 
@@ -591,21 +608,18 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound: int)
         below_zero = cone_member(model, vneg(x)).definite
         if below_zero is False:
             candidates_x.append(x)
-    y_bound = min(enumeration_bound, n_max - 1)
-    tested = 0
+    ys = list(_int_vectors_by_norm(model.rank, min(enumeration_bound, n_max - 1)))
     order = [n_max] + list(range(1, n_max))
+    tested = 0
     for x in candidates_x:
-        for y in _int_vectors_by_norm(model.rank, y_bound):
+        multiples = [vscale(n, x) for n in order]
+        for y in ys:
             tested += 1
             if tested > ARCHIMEDEAN_PAIR_BUDGET:
                 return None
-            ok = True
-            for n in order:
-                inside = cone_member(model, vsub(y, vscale(n, x))).definite
-                if inside is not True:
-                    ok = False
-                    break
-            if ok:
+            if all(
+                cone_member(model, vsub(y, nx)).definite is True for nx in multiples
+            ):
                 return (x, y)
     return None
 
@@ -617,7 +631,9 @@ def evaluate_states(model: PoGroupModel, x) -> tuple[Fraction, ...]:
     x = int_vector(x)
     if len(x) != model.rank:
         raise ValueError("vector has the wrong rank")
-    return tuple(matvec(model.cone.states, x))
+    return tuple(
+        Fraction(sum(map(mul, row, x)), scale) for row, scale in model.cone.int_rows
+    )
 
 
 def is_order_unit_via_states(model: PoGroupModel, x) -> bool:

@@ -12,7 +12,14 @@ from fractions import Fraction
 import pytest
 
 from cuntzcalc import documents as docs
-from cuntzcalc.cli import DEFAULT_SEED, EXIT_INVALID, EXIT_OK, main
+from cuntzcalc.cli import (
+    DEFAULT_SEED,
+    EXIT_INVALID,
+    EXIT_OK,
+    SEARCH_BOUND_CAP,
+    SUITES,
+    main,
+)
 from cuntzcalc.elliott import (
     AbelianGroupData,
     AbelianGroupHom,
@@ -307,6 +314,25 @@ class TestCheckSuites:
         assert report["details"]["verdict"] == "witness"
         # (0, 1) stays below (1, 1) at every multiple yet is not below zero.
         assert report["details"]["failures"] == [{"x": [0, 1], "y": [1, 1]}]
+
+    @pytest.mark.parametrize("suite", SUITES)
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_bound_below_one_is_refused(self, workspace, run, suite, bound):
+        model = workspace("m.json", docs.encode_wmodel(two_trace_model()))
+        code, out, err = run("check", model, suite, "--bound", bound)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "--bound must be at least 1" in err
+
+    @pytest.mark.parametrize("suite", ["weak-unperforation", "archimedean"])
+    def test_search_bound_is_capped(self, workspace, run, suite):
+        # refused before any search starts; the capped search itself never runs
+        model = workspace("m.json", docs.encode_wmodel(two_trace_model()))
+        too_big = str(SEARCH_BOUND_CAP + 1)
+        code, out, err = run("check", model, suite, "--bound", too_big)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert f"at most {SEARCH_BOUND_CAP}" in err
 
     def test_group_documents_only_take_group_suites(self, workspace, run):
         doc = {

@@ -40,6 +40,13 @@ def test_int_vector_rejects_bools_and_proper_fractions():
         int_vector([True, 0])
     with pytest.raises((TypeError, ValueError)):
         int_vector([Fraction(1, 2)])
+    # the plain-int entries before them do not let later entries through
+    with pytest.raises(TypeError):
+        int_vector([0, 1, True])
+    with pytest.raises(ValueError):
+        int_vector([3, Fraction(1, 2)])
+    with pytest.raises(TypeError):
+        int_vector([3, "4"])
 
 
 def test_vector_coerces_everything_to_fraction():

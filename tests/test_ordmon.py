@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import pytest
 
+from cuntzcalc import ordmon
+from cuntzcalc.linalg import identity
 from cuntzcalc.ordmon import (
     BOUND_EXCEEDED,
     NO,
@@ -380,6 +382,38 @@ def test_archimedean_clean_on_the_integers_above_the_scale():
     assert archimedean_witness(model, n_max=10, enumeration_bound=12) is None
 
 
+@pytest.fixture()
+def count_cone_member(monkeypatch):
+    """Count the searches' calls of ``ordmon.cone_member``."""
+    calls = []
+
+    def counting(model, x):
+        calls.append(x)
+        return real(model, x)
+
+    real = ordmon.cone_member
+    monkeypatch.setattr(ordmon, "cone_member", counting)
+    return calls
+
+
+def test_archimedean_search_work_is_pinned(count_cone_member):
+    # the simplicial search stops at the pair budget with nothing found
+    simplicial = PoGroupModel(3, SimplicialCone(), (1, 1, 1))
+    assert archimedean_witness(simplicial, n_max=10, enumeration_bound=6) is None
+    assert len(count_cone_member) == 202_196
+    count_cone_member.clear()
+    lex = PoGroupModel(2, LexicographicCone(), (1, 0))
+    witness = archimedean_witness(lex, n_max=20, enumeration_bound=8)
+    assert witness == ((0, 1), (1, 1))
+    assert len(count_cone_member) == 1_172
+
+
+def test_weak_unperforation_search_work_is_pinned(count_cone_member):
+    model = PoGroupModel(4, StrictStateCone(identity(4)), (1, 1, 1, 1))
+    assert is_weakly_unperforated(model, n_max=10, enumeration_bound=4) is None
+    assert len(count_cone_member) == 69_600
+
+
 def test_archimedean_fails_lexicographically():
     model = PoGroupModel(2, LexicographicCone(), (1, 0))
     witness = archimedean_witness(model, n_max=4, enumeration_bound=2)
@@ -400,6 +434,49 @@ def test_evaluate_states_exactly():
     model = PoGroupModel(2, StrictStateCone(states), (1, 1))
     assert evaluate_states(model, (1, -1)) == (Fraction(0), Fraction(-1, 2))
     assert evaluate_states(model, (2, 0)) == (Fraction(1), Fraction(1, 2))
+
+
+def _reference_states(rows, x):
+    """Exact state values by plain Fraction arithmetic."""
+    return tuple(sum((q * c for q, c in zip(row, x)), Fraction(0)) for row in rows)
+
+
+def _random_state_model(rng, rank):
+    """A strict-state group with random rational rows normalized on a unit."""
+    unit = tuple(rng.randint(1, 9) for _ in range(rank))
+    big = [2**61 - 1, 10**12 + 39, 3**25, 999_999_937]
+    count = rng.randint(1, 4)
+    rows = []
+    while len(rows) < count:
+        row = [
+            Fraction(rng.randint(-50, 50), rng.choice([1, 2, 3, 7, 11, *big]))
+            for _ in range(rank)
+        ]
+        on_unit = sum(q * u for q, u in zip(row, unit))
+        if on_unit != 0:
+            rows.append(tuple(q / on_unit for q in row))
+    return PoGroupModel(rank, StrictStateCone(rows), unit), rows
+
+
+def test_integer_state_kernel_matches_fraction_reference():
+    rng = random.Random(20061)
+    for rank in range(1, 6):
+        for _ in range(40):
+            model, rows = _random_state_model(rng, rank)
+            cone = model.cone
+            probes = [(0,) * rank, model.order_unit]
+            probes += [
+                tuple(rng.randint(-30, 30) for _ in range(rank)) for _ in range(25)
+            ]
+            if rank > 1:
+                # on the boundary of the first state: it is exactly 0 there
+                ints, _ = cone.int_rows[0]
+                probes.append((ints[1], -ints[0]) + (0,) * (rank - 2))
+            for x in probes:
+                want = _reference_states(rows, x)
+                assert evaluate_states(model, x) == want
+                inside = not any(x) or all(v > 0 for v in want)
+                assert cone.member(x) is (YES if inside else NO)
 
 
 def test_order_unit_detection_via_states():
