@@ -138,6 +138,7 @@ CASES = {
     "compare-proj-proj": ["compare", "@m2", "@p10", "@p21"],
     "compare-z": ["compare", "@z", "@z1", "@z_soft"],
     "compare-pi": ["compare", "@pi", "@pi0", "@pi1"],
+    "compare-pi-unit-zero": ["compare", "@pi", "@pi1", "@pi0"],
     "compare-table": ["compare", "@m2", "@s_big", "@p11", "--format", "table"],
     "compare-wrong-kind": ["compare", "@p10", "@p10", "@p10"],
     "compare-zero": ["compare", "@z", "@pi0", "@z1", "--seed", "3"],
@@ -146,8 +147,10 @@ CASES = {
     "add-mixed-out": ["add", "@m2", "@p10", "@s_big", "--out", "@out"],
     "add-proj": ["add", "@m2", "@p10", "@p11"],
     "add-pi": ["add", "@pi", "@pi1", "@pi1"],
+    "add-pi-zero": ["add", "@pi", "@pi0", "@pi0"],
     "scale-out": ["scale", "@m2", "@s_big", "2/3", "--out", "@out"],
     "scale-proj": ["scale", "@m2", "@p11", "2"],
+    "scale-pi": ["scale", "@pi", "@pi1", "2"],
     "soften-out": ["soften", "@m2", "@p21", "--out", "@out"],
     "soften-pi": ["soften", "@pi", "@pi1"],
     "complement-proj": ["complement", "@m2", "@p10", "@p21"],
@@ -155,12 +158,14 @@ CASES = {
     "complement-table": ["complement", "@m2", "@p10", "@s_big", "--format", "table"],
     "complement-not-below": ["complement", "@m2", "@p21", "@p10"],
     "complement-pi": ["complement", "@pi", "@pi0", "@pi1"],
+    "complement-pi-not-below": ["complement", "@pi", "@pi1", "@pi0"],
     "k0star": ["k0star", "@m2"],
     "k0star-pi": ["k0star", "@pi"],
     "order-unit": ["order-unit", "@m2", "1/2,1/3"],
     "order-unit-zero-entry": ["order-unit", "@m2", "0,1"],
     "order-unit-negative": ["order-unit", "@m2", "0,-1"],
     "order-unit-table": ["order-unit", "@z", "1/7", "--format", "table"],
+    "order-unit-pi": ["order-unit", "@pi", "1"],
     "functor": ["functor", "@inv"],
     "functor-morphism-out": ["functor", "@inv", "@mor", "--out", "@out"],
     "functor-wrong-source": ["functor", "@m2", "@mor"],
