@@ -45,7 +45,7 @@ from .ordmon import (
     is_weakly_unperforated,
 )
 from .sampling import random_class, rng_for
-from .wmodel import FINITE, PURELY_INFINITE, CuntzClass, WModel
+from .wmodel import CuntzClass, PurelyInfiniteModel, WModel
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -65,6 +65,18 @@ SUITES = (
 # archimedean searches; the archimedean search keeps n_max multiples of
 # every candidate x.
 SEARCH_BOUND_CAP = 1000
+
+# Largest --bound of the sampling suites (order-axioms, strict-cone,
+# oracle-agreement): each draws or compares about --bound classes, and
+# order-axioms keeps all of them in memory.
+SAMPLE_BOUND_CAP = 100_000
+
+# Largest matrix size of a step realization's stages (dyadic sizes double per
+# stage, so --stages 12 without a schedule); realize time doubles with it.
+STEP_SIZE_CAP = 4096
+
+# Largest --stages of a vector realization.
+VECTOR_STAGES_CAP = 1000
 
 
 def _rat(q) -> str:
@@ -88,7 +100,7 @@ def _read(path: str, *kinds: str):
 
 
 def _rule_label(model: WModel, x: CuntzClass, y: CuntzClass) -> str:
-    if model.variant == PURELY_INFINITE:
+    if isinstance(model, PurelyInfiniteModel):
         return "purely-infinite"
     if x.is_proj and y.is_proj:
         return "proj-proj (cone difference)"
@@ -107,8 +119,6 @@ def _oracle_leq(model: WModel, x: CuntzClass, y: CuntzClass) -> bool:
     comparing trace vectors with the strictness dictated by which side is
     the projection.
     """
-    if model.variant == PURELY_INFINITE:
-        return x.is_zero or not y.is_zero
     rows = model.k0.state_matrix
 
     def states(v):
@@ -226,7 +236,7 @@ def cmd_order_unit(args) -> tuple[dict, Optional[dict]]:
         "d": _rats(d),
         "is_order_unit": verdict,
     }
-    if verdict and d:
+    if verdict:
         report["epsilon"] = _rat(min(d))
     return report, None
 
@@ -237,7 +247,7 @@ def cmd_order_unit(args) -> tuple[dict, Optional[dict]]:
 
 def _class_pool(model: WModel, rng, count: int) -> list[CuntzClass]:
     pool = [model.zero_class, model.unit_class]
-    if model.variant == FINITE:
+    if not isinstance(model, PurelyInfiniteModel):
         pool.extend(random_class(rng, model) for _ in range(count))
     return pool
 
@@ -256,15 +266,15 @@ def _suite_order_axioms(model: WModel, rng, bound: int) -> dict:
         x, y, z = rng.choice(pool), rng.choice(pool), rng.choice(pool)
         if model.compare(x, y) and model.compare(y, z) and not model.compare(x, z):
             failures.append(f"transitivity: {x!r}, {y!r}, {z!r}")
-        if model.variant == FINITE and model.compare(x, y):
+        if model.compare(x, y):
             if not model.compare(model.add(x, z), model.add(y, z)):
                 failures.append(f"add-compatibility: {x!r}, {y!r}, {z!r}")
     return {"checked": len(pool), "failures": failures[:5]}
 
 
 def _suite_strict_cone(model: WModel, rng, bound: int) -> dict:
-    if model.variant != FINITE:
-        raise DocumentError("strict-cone needs a finite-variant model")
+    if isinstance(model, PurelyInfiniteModel):
+        raise DocumentError("strict-cone needs a finite model")
     star = model.k0star()
     violations = []
     for _ in range(bound or 500):
@@ -311,8 +321,8 @@ def _suite_archimedean(group: PoGroupModel, bound: int) -> dict:
 
 
 def _suite_oracle_agreement(model: WModel, rng, bound: int) -> dict:
-    if model.variant != FINITE:
-        raise DocumentError("oracle-agreement needs a finite-variant model")
+    if isinstance(model, PurelyInfiniteModel):
+        raise DocumentError("oracle-agreement needs a finite model")
     pool = _class_pool(model, rng, 30)
     mismatches = []
     for _ in range(bound or 2000):
@@ -326,15 +336,14 @@ def cmd_check(args) -> tuple[dict, Optional[dict]]:
     if args.suite not in SUITES:
         raise DocumentError(f"unknown suite {args.suite!r}")
     bound = args.bound
+    searches = ("weak-unperforation", "archimedean")
+    cap = SEARCH_BOUND_CAP if args.suite in searches else SAMPLE_BOUND_CAP
     if bound is None:
         bound = 0  # each suite's default
     elif bound < 1:
         raise DocumentError("--bound must be at least 1")
-    elif bound > SEARCH_BOUND_CAP and args.suite in (
-        "weak-unperforation",
-        "archimedean",
-    ):
-        raise DocumentError(f"{args.suite} takes --bound at most {SEARCH_BOUND_CAP}")
+    elif bound > cap:
+        raise DocumentError(f"{args.suite} takes --bound at most {cap}")
     target = _read(args.model, "wmodel", "pogroup")
     rng = rng_for(args.seed)
     if isinstance(target, PoGroupModel):
@@ -413,6 +422,8 @@ def cmd_morphism_check(args) -> tuple[dict, Optional[dict]]:
 def _vector_realize_report(profile, schedule, stages: int) -> dict:
     if isinstance(schedule, RealizationSchedule):
         raise DocumentError("vector targets take a denominator schedule")
+    if stages > VECTOR_STAGES_CAP:
+        raise DocumentError(f"vector targets take --stages at most {VECTOR_STAGES_CAP}")
     if isinstance(schedule, DenseSubgroupSpec):
         levels = projection_sup_realization(profile, schedule, stages)
         rows = []
@@ -455,9 +466,13 @@ def _vector_realize_report(profile, schedule, stages: int) -> dict:
 def _step_realize_report(f: StepFn, schedule, stages: int, command: str) -> dict:
     if isinstance(schedule, DenseSubgroupSpec):
         raise DocumentError("step targets take a sizes schedule")
-    if schedule is None:
-        schedule = RealizationSchedule.dyadic(stages)
-    result = realize(f, schedule, stages)
+    if schedule is None:  # dyadic sizes 2, 4, ..., 2**stages
+        largest = 2 ** min(stages, STEP_SIZE_CAP.bit_length())
+    else:
+        largest = max(schedule.sizes[:stages])
+    if largest > STEP_SIZE_CAP:
+        raise DocumentError(f"{command} takes stage sizes at most {STEP_SIZE_CAP}")
+    result = realize(f, schedule or RealizationSchedule.dyadic(stages), stages)
     grid = [Fraction(j, 40) for j in range(41)]
     bad = dimension_discrepancies(result, grid)
     rows = []
@@ -605,9 +620,6 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, out_doc = args.func(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -28,10 +28,9 @@ from .ordmon import (
     StrictStateCone,
 )
 from .wmodel import (
-    FINITE,
-    PURELY_INFINITE,
     CuntzClass,
     K0Model,
+    PurelyInfiniteModel,
     TraceSimplex,
     WModel,
     purely_infinite,
@@ -130,23 +129,23 @@ def _decode_k0(k0_doc: dict, labels) -> tuple[K0Model, TraceSimplex]:
 
 
 def encode_wmodel(model: WModel) -> dict:
-    if model.variant == PURELY_INFINITE:
-        return {"kind": "wmodel", "variant": PURELY_INFINITE}
+    if isinstance(model, PurelyInfiniteModel):
+        return {"kind": "wmodel", "variant": "purely-infinite"}
     return {
         "kind": "wmodel",
-        "variant": FINITE,
+        "variant": "finite",
         **_encode_k0(model.k0),
         "trace_labels": list(model.traces.labels),
     }
 
 
 def decode_wmodel(payload: dict) -> WModel:
-    variant = payload.get("variant", FINITE)
-    if variant == PURELY_INFINITE:
+    variant = payload.get("variant", "finite")
+    if variant == "purely-infinite":
         return purely_infinite()
-    if variant != FINITE:
+    if variant != "finite":
         raise DocumentError(f"unknown wmodel variant {variant!r}")
-    return WModel(*_decode_k0(payload, payload.get("trace_labels")), FINITE)
+    return WModel(*_decode_k0(payload, payload.get("trace_labels")))
 
 
 def encode_pogroup(model: PoGroupModel) -> dict:

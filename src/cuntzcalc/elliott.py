@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import identity, int_matrix, matmul, matrix, matvec, transpose
-from .wmodel import FINITE, CuntzClass, K0Model, TraceSimplex, WModel
+from .wmodel import CuntzClass, K0Model, TraceSimplex, WModel
 
 
 @dataclass(frozen=True)
@@ -223,11 +223,11 @@ class WModelMorphism:
 
 
 def functor_g_obj(inv: ElliottInvariant) -> WModel:
-    """Model of an invariant: its K0 data over its traces, finite variant."""
+    """Model of an invariant: the finite model of its K0 data over its traces."""
     problems = validate_invariant(inv)
     if problems:
         raise ValueError("; ".join(problems))
-    return WModel(inv.k0, inv.traces, FINITE)
+    return WModel(inv.k0, inv.traces)
 
 
 def functor_g_mor(

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .elliott import ElliottInvariant, WModelMorphism
 from .linalg import identity, matmul, transpose
-from .wmodel import FINITE, CuntzClass, K0Model, TraceSimplex, WModel
+from .wmodel import CuntzClass, K0Model, TraceSimplex, WModel
 
 
 def rng_for(seed: int) -> random.Random:
@@ -47,7 +47,7 @@ def random_wmodel(
     rng: random.Random, max_rank: int = 3, max_traces: int = 3
 ) -> WModel:
     k0 = random_k0model(rng, max_rank, max_traces)
-    return WModel(k0, TraceSimplex(k0.trace_count), FINITE)
+    return WModel(k0, TraceSimplex(k0.trace_count))
 
 
 def random_soft_class(rng: random.Random, model: WModel) -> CuntzClass:
@@ -104,5 +104,5 @@ def random_collapse_morphism(
     )
     state_matrix = matmul(transpose(gamma), source.k0.state_matrix)
     target_k0 = K0Model(source.k0.rank, state_matrix, source.k0.unit)
-    target = WModel(target_k0, TraceSimplex(target_traces), FINITE)
+    target = WModel(target_k0, TraceSimplex(target_traces))
     return WModelMorphism(source, target, identity(source.k0.rank), gamma)

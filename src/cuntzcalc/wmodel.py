@@ -12,8 +12,9 @@ and non-strict comparisons:
 * a projection class sits below a soft class only when its trace vector is
   strictly below the soft profile at every trace.
 
-The purely infinite model is the two-element degenerate semigroup whose
-nonzero class absorbs addition and whose scaled K0 group is zero.
+``WModel`` is the finite model.  ``PurelyInfiniteModel`` is the
+two-element degenerate semigroup {0, <1>} of a purely infinite algebra,
+whose nonzero class absorbs addition and whose enveloping group is zero.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ from .linalg import (
     zeros,
 )
 from .ordmon import YES, PoGroupModel, StrictStateCone, cone_member, evaluate_states
-
-FINITE = "finite"
-PURELY_INFINITE = "purely-infinite"
 
 
 @dataclass(frozen=True)
@@ -209,22 +207,16 @@ class K0Star:
 
 @dataclass(frozen=True)
 class WModel:
-    """A Cuntz semigroup model: K0 data, traces, and a variant tag."""
+    """The finite Cuntz semigroup model of K0 data paired with traces."""
 
     k0: K0Model
     traces: TraceSimplex
-    variant: str = FINITE
 
-    def __init__(self, k0: K0Model, traces: TraceSimplex, variant: str = FINITE):
-        if variant not in (FINITE, PURELY_INFINITE):
-            raise ValueError(f"unknown variant {variant!r}")
+    def __init__(self, k0: K0Model, traces: TraceSimplex):
         if k0.trace_count != traces.n:
             raise ValueError("state matrix rows must match the trace count")
-        if variant == PURELY_INFINITE and (k0.rank != 1 or traces.n != 1):
-            raise ValueError("the purely infinite model uses the rank-1 placeholder K0")
         object.__setattr__(self, "k0", k0)
         object.__setattr__(self, "traces", traces)
-        object.__setattr__(self, "variant", variant)
 
     # -- element plumbing ---------------------------------------------------
 
@@ -239,12 +231,6 @@ class WModel:
     def validate_class(self, x: CuntzClass) -> CuntzClass:
         if not isinstance(x, CuntzClass):
             raise TypeError("expected a CuntzClass")
-        if self.variant == PURELY_INFINITE:
-            if x.is_soft or x.values not in ((0,), (1,)):
-                raise ValueError(
-                    "the purely infinite model has exactly the classes 0 and <1>"
-                )
-            return x
         if x.is_proj:
             if len(x.values) != self.k0.rank:
                 raise ValueError("projection payload has the wrong K0 rank")
@@ -259,8 +245,6 @@ class WModel:
 
     def hat(self, v) -> tuple[Fraction, ...]:
         """Trace vector of a nonzero K0 cone element."""
-        if self.variant == PURELY_INFINITE:
-            raise ValueError("the purely infinite model has no trace pairing")
         v = int_vector(v)
         if is_zero(v) or not self.k0.cone_member(v):
             raise ValueError("hat expects a nonzero element of the K0 cone")
@@ -269,11 +253,6 @@ class WModel:
     def add(self, x: CuntzClass, y: CuntzClass) -> CuntzClass:
         self.validate_class(x)
         self.validate_class(y)
-        if self.variant == PURELY_INFINITE:
-            # the nonzero class is idempotent and absorbing
-            if x.is_zero and y.is_zero:
-                return self.zero_class
-            return self.unit_class
         if x.is_proj and y.is_proj:
             return CuntzClass.proj(vadd(x.values, y.values))
         fx = x.values if x.is_soft else self.k0.states(x.values)
@@ -284,8 +263,6 @@ class WModel:
         """Decide x <= y in the model order."""
         self.validate_class(x)
         self.validate_class(y)
-        if self.variant == PURELY_INFINITE:
-            return x.is_zero or not y.is_zero
         if x.is_proj and y.is_proj:
             return self.k0.cone_member(vsub(y.values, x.values))
         if x.is_soft and y.is_soft:
@@ -310,8 +287,6 @@ class WModel:
 
     def soften(self, x: CuntzClass) -> CuntzClass:
         """Replace a nonzero projection class by the soft class of its traces."""
-        if self.variant == PURELY_INFINITE:
-            raise ValueError("soften needs the finite variant")
         self.validate_class(x)
         if x.is_soft:
             return x
@@ -329,8 +304,6 @@ class WModel:
         """
         if not self.compare(x, y):
             raise ValueError("complement expects x <= y")
-        if self.variant == PURELY_INFINITE:
-            return y if x.is_zero else self.zero_class
         if x.is_proj and y.is_proj:
             return CuntzClass.proj(vsub(y.values, x.values))
         if x.is_proj:  # proj below soft, gap is strict at every trace
@@ -345,17 +318,47 @@ class WModel:
 
     def gamma(self, x: CuntzClass) -> tuple[Fraction, ...]:
         """Image of a class in the enveloping group Q^n."""
-        if self.variant == PURELY_INFINITE:
-            raise ValueError("the purely infinite model envelops to the zero group")
         self.validate_class(x)
         if x.is_soft:
             return x.values
         return self.k0.states(x.values)
 
     def k0star(self) -> K0Star:
-        if self.variant == PURELY_INFINITE:
-            return K0Star(0)
         return K0Star(self.traces.n)
+
+
+class PurelyInfiniteModel(WModel):
+    """The degenerate two-element model {0, <1>} with <1> + <1> = <1>.
+
+    ``purely_infinite()`` builds it on the rank-1 placeholder K0 = Z with one
+    trace, where 0 and <1> are the projections (0) and (1).  On that K0, and
+    only there, the inherited ``compare``, ``complement``, ``scale``,
+    ``zero_class`` and ``unit_class`` already give the degenerate answers.
+    """
+
+    def validate_class(self, x: CuntzClass) -> CuntzClass:
+        if not isinstance(x, CuntzClass):
+            raise TypeError("expected a CuntzClass")
+        if x.is_soft or x.values not in ((0,), (1,)):
+            raise ValueError("the purely infinite model has only the classes 0 and <1>")
+        return x
+
+    def hat(self, v) -> tuple[Fraction, ...]:
+        raise ValueError("the purely infinite model has no trace pairing")
+
+    def add(self, x: CuntzClass, y: CuntzClass) -> CuntzClass:
+        self.validate_class(x)
+        self.validate_class(y)
+        return y if x.is_zero else x  # <1> is idempotent and absorbing
+
+    def soften(self, x: CuntzClass) -> CuntzClass:
+        raise ValueError("soften needs a finite model")
+
+    def gamma(self, x: CuntzClass) -> tuple[Fraction, ...]:
+        raise ValueError("the purely infinite model envelops to the zero group")
+
+    def k0star(self) -> K0Star:
+        return K0Star(0)
 
 
 def w_of_z() -> WModel:
@@ -363,6 +366,6 @@ def w_of_z() -> WModel:
     return WModel(K0Model(1, ((1,),), (1,)), TraceSimplex(1))
 
 
-def purely_infinite() -> WModel:
+def purely_infinite() -> PurelyInfiniteModel:
     """The degenerate two-element model {0, <1>} with <1> + <1> = <1>."""
-    return WModel(K0Model(1, ((1,),), (1,)), TraceSimplex(1), PURELY_INFINITE)
+    return PurelyInfiniteModel(K0Model(1, ((1,),), (1,)), TraceSimplex(1))

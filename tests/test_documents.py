@@ -91,6 +91,12 @@ def test_purely_infinite_wmodel_roundtrip():
     assert roundtrip(doc) == model
 
 
+def test_unknown_wmodel_variant_is_refused():
+    doc = dict(encode_wmodel(two_trace_model()), variant="bogus")
+    with pytest.raises(DocumentError, match="bogus"):
+        load_document(dump_document(doc))
+
+
 def test_pogroup_roundtrip_for_every_cone():
     models = [
         PoGroupModel(2, SimplicialCone(), (1, 1)),
