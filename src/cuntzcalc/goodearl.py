@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -181,6 +183,32 @@ class PLFn:
             return v0
         return v0 + (v1 - v0) * (x - bp[lo]) / (bp[hi] - bp[lo])
 
+    def on_grid(self, grid: Sequence[Fraction]) -> list[Fraction]:
+        """Values at the points of a sorted grid in [0, 1], in one sweep.
+
+        A moving breakpoint index replaces the binary search of
+        ``__call__``; the values are the same, point for point.
+        """
+        bp, vals = self.breakpoints, self.values
+        if grid and grid[-1] > 1:
+            raise ValueError("grid must be sorted within [0, 1]")
+        out, i, prev = [], 0, 0
+        for x in grid:
+            if x < prev:
+                raise ValueError("grid must be sorted within [0, 1]")
+            prev = x
+            while bp[i] < x:
+                i += 1
+            if bp[i] == x:
+                out.append(vals[i])
+                continue
+            v0, v1 = vals[i - 1], vals[i]
+            if v0 == v1:
+                out.append(v0)
+            else:
+                out.append(v0 + (v1 - v0) * (x - bp[i - 1]) / (bp[i] - bp[i - 1]))
+        return out
+
     @property
     def sup(self) -> Fraction:
         return max(self.values)
@@ -193,16 +221,22 @@ class PLFn:
         return _merge_sorted(self.breakpoints, other.breakpoints)
 
     def pointwise_max(self, other: "PLFn") -> "PLFn":
-        grid = list(self._common_grid(other))
-        # insert crossing points so the maximum stays piecewise linear
-        extra = []
-        for p, q in zip(grid, grid[1:]):
-            d0 = self(p) - other(p)
-            d1 = self(q) - other(q)
+        grid = self._common_grid(other)
+        mine, theirs = self.on_grid(grid), other.on_grid(grid)
+        pts, vals = [grid[0]], [max(mine[0], theirs[0])]
+        for j in range(1, len(grid)):
+            # insert crossing points so the maximum stays piecewise linear;
+            # both functions are linear between grid points, so at a crossing
+            # either one's interpolated value is the maximum
+            d0 = mine[j - 1] - theirs[j - 1]
+            d1 = mine[j] - theirs[j]
             if (d0 > 0 > d1) or (d0 < 0 < d1):
-                extra.append(p + (q - p) * d0 / (d0 - d1))
-        pts = _merge_sorted(grid, extra)
-        return PLFn(pts, tuple(max(self(x), other(x)) for x in pts))
+                t = d0 / (d0 - d1)
+                pts.append(grid[j - 1] + (grid[j] - grid[j - 1]) * t)
+                vals.append(mine[j - 1] + (mine[j] - mine[j - 1]) * t)
+            pts.append(grid[j])
+            vals.append(max(mine[j], theirs[j]))
+        return PLFn(pts, vals)
 
     def minus_clamped(self, eps) -> "PLFn":
         """The function (self - eps) clamped below at zero, exactly."""
@@ -216,7 +250,7 @@ class PLFn:
             if (d0 > 0 > d1) or (d0 < 0 < d1):
                 extra.append(bp[i] + (bp[i + 1] - bp[i]) * d0 / (d0 - d1))
         pts = _merge_sorted(bp, extra)
-        return PLFn(pts, tuple(max(self(x) - eps, Fraction(0)) for x in pts))
+        return PLFn(pts, tuple(max(v - eps, Fraction(0)) for v in self.on_grid(pts)))
 
     def cozero(self) -> OpenSet:
         """The exact set where the function is positive.
@@ -253,11 +287,11 @@ class PLFn:
 
     def leq(self, other: "PLFn") -> bool:
         grid = self._common_grid(other)
-        return all(self(x) <= other(x) for x in grid)
+        return all(a <= b for a, b in zip(self.on_grid(grid), other.on_grid(grid)))
 
     def sup_abs_diff(self, other: "PLFn") -> Fraction:
         grid = self._common_grid(other)
-        return max(abs(self(x) - other(x)) for x in grid)
+        return max(abs(a - b) for a, b in zip(self.on_grid(grid), other.on_grid(grid)))
 
 
 @lru_cache(maxsize=None)
@@ -363,6 +397,25 @@ class StepFn:
 def common_refinement(f: StepFn, g: StepFn) -> tuple[StepFn, StepFn]:
     pts = set(f.partition) | set(g.partition)
     return f.refine(pts), g.refine(pts)
+
+
+def step_witnesses(f: StepFn, g: StepFn, holds) -> list[Fraction]:
+    """Points of [0, 1] where ``holds(f(x), g(x))`` fails, one per failing piece.
+
+    Both functions are constant on each open piece of their common
+    refinement, so checking every partition point and every piece decides
+    the relation on all of [0, 1]; a failing piece is witnessed by its
+    midpoint.
+    """
+    f, g = common_refinement(f, g)
+    part = f.partition
+    out = []
+    for i, p in enumerate(part):
+        if not holds(f.point_values[i], g.point_values[i]):
+            out.append(p)
+        if i + 1 < len(part) and not holds(f.interval_values[i], g.interval_values[i]):
+            out.append((p + part[i + 1]) / 2)
+    return out
 
 
 def sublevel(f: StepFn, q) -> ClosedSet:
@@ -546,6 +599,37 @@ def dim_fn(a: DiagonalElement, mu: MeasureSpec) -> Fraction:
     """Dimension value: average measure of the entries' cozero sets."""
     total = sum((measure(mu, coz(e)) for e in a.entries), Fraction(0))
     return total / a.size
+
+
+def dim_profile(a: DiagonalElement) -> StepFn:
+    """The dimension function at every point mass, as an exact step function.
+
+    Each distinct entry's cozero set is read once, weighted by the number
+    of slots holding that entry object; one difference-array sweep over the
+    union of the interval endpoints then counts the nonzero entries on every
+    open piece and at every partition point.  Cozero sets are relatively
+    open, so the result is lower semicontinuous.
+    """
+    distinct = {id(e): e for e in a.entries}
+    weight = Counter(id(e) for e in a.entries)
+    cozeros = [(coz(e), weight[key]) for key, e in distinct.items()]
+    ends = {
+        x for opens, _ in cozeros for iv in opens.intervals for x in (iv.left, iv.right)
+    }
+    part = sorted(ends | {Fraction(0), Fraction(1)})
+    index = {x: i for i, x in enumerate(part)}
+    # position 2i is partition point i, position 2i + 1 the open piece after it
+    diff = [0] * (2 * len(part))
+    for opens, w in cozeros:
+        for iv in opens.intervals:
+            lo, hi = 2 * index[iv.left], 2 * index[iv.right]
+            diff[lo if iv.left_closed else lo + 1] += w
+            diff[hi + 1 if iv.right_closed else hi] -= w
+    counts, acc = [], 0
+    for d in diff[:-1]:
+        acc += d
+        counts.append(Fraction(acc, a.size))
+    return StepFn(part, counts[1::2], counts[::2])
 
 
 def cutdown(a: DiagonalElement, eps) -> DiagonalElement:
@@ -740,21 +824,21 @@ def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> Realizatio
     return RealizationResult(f, tuple(records))
 
 
-def dimension_discrepancies(
-    result: RealizationResult, points: Sequence
-) -> list[tuple[int, Fraction]]:
-    """Grid points where a stage's dimension value misses the approximant.
+def dimension_discrepancies(result: RealizationResult) -> list[tuple[int, Fraction]]:
+    """Points of [0, 1] where a stage's dimension function misses the approximant.
 
-    Returns (stage index, point) pairs; the construction promises an empty
-    list at every rational point, not just small error.
+    Compares each stage's exact ``dim_profile`` with its approximant on
+    every partition point and open piece, so an empty list means equality
+    at every point of [0, 1].  Returns (stage index, witness) pairs: a bad
+    partition point, or the midpoint of a bad open piece.
     """
-    bad = []
-    for stage in result.stages:
-        for p in points:
-            p = frac(p)
-            if dim_fn(stage.element, point_mass(p)) != stage.approximant(p):
-                bad.append((stage.index, p))
-    return bad
+    return [
+        (stage.index, p)
+        for stage in result.stages
+        for p in step_witnesses(
+            dim_profile(stage.element), stage.approximant, operator.eq
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,7 @@ def test_sampling_bound_above_the_cap_is_refused(stubbed, put, run, suite):
     assert code == EXIT_INVALID
     assert out == ""
     assert f"at most {SAMPLE_BOUND_CAP}" in err
+    assert STUB_MESSAGE not in err
 
 
 @pytest.mark.parametrize("suite", SAMPLING_SUITES)
@@ -101,6 +102,7 @@ def test_dyadic_step_stages_past_the_size_cap_are_refused(
     assert code == EXIT_INVALID
     assert out == ""
     assert f"stage sizes at most {STEP_SIZE_CAP}" in err
+    assert STUB_MESSAGE not in err
 
 
 @pytest.mark.parametrize("command", ["realize", "goodearl"])
@@ -111,6 +113,7 @@ def test_sizes_schedule_past_the_size_cap_is_refused(stubbed, put, run, command)
     assert code == EXIT_INVALID
     assert out == ""
     assert f"stage sizes at most {STEP_SIZE_CAP}" in err
+    assert STUB_MESSAGE not in err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Diagonal elements over C[0,1]: exact cozero sets, dimension values,
 and the stagewise realization of step targets."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,10 +14,12 @@ from cuntzcalc.goodearl import (
     MeasureSpec,
     OpenSet,
     PLFn,
+    RealizationResult,
     RealizationSchedule,
     SpectrumKind,
     StepDensity,
     StepFn,
+    _merge_slots,
     bump_on,
     common_refinement,
     compare_elements,
@@ -25,6 +28,7 @@ from cuntzcalc.goodearl import (
     coz,
     cutdown,
     dim_fn,
+    dim_profile,
     dimension_discrepancies,
     lebesgue,
     measure,
@@ -198,6 +202,63 @@ class TestPLFn:
         b = full_tent()
         assert a is not b
         assert coz(a) is coz(b)
+
+
+def random_plfn(rng: random.Random) -> PLFn:
+    """Random breakpoints over mixed denominators; zero stretches are common."""
+    den = rng.choice((4, 6, 7, 12))
+    count = rng.randint(0, 4)
+    inner = sorted({Fraction(rng.randint(1, den - 1), den) for _ in range(count)})
+    points = (Fraction(0), *inner, Fraction(1))
+    values = [Fraction(rng.randint(0, 3), rng.randint(1, 4)) for _ in points]
+    return PLFn(points, values)
+
+
+def crossing_points(g: PLFn, h: PLFn, grid) -> list[Fraction]:
+    out = []
+    for p, q in zip(grid, grid[1:]):
+        d0, d1 = g(p) - h(p), g(q) - h(q)
+        if (d0 > 0 > d1) or (d0 < 0 < d1):
+            out.append(p + (q - p) * d0 / (d0 - d1))
+    return out
+
+
+def test_grid_sweep_matches_pointwise_evaluation():
+    rng = random.Random(604)
+    for _ in range(200):
+        g = random_plfn(rng)
+        between = {Fraction(rng.randint(0, 83), 83) for _ in range(6)}
+        grid = sorted(set(g.breakpoints) | between | {fr(0), fr(1)})
+        assert g.on_grid(grid) == [g(x) for x in grid]
+        assert g.on_grid(sorted(between)) == [g(x) for x in sorted(between)]
+    g = full_tent()
+    assert g.on_grid([fr(0), fr(0), fr("1/2"), fr("1/2"), fr(1)]) == [0, 0, 1, 1, 0]
+    with pytest.raises(ValueError):
+        g.on_grid([fr("1/2"), fr("1/4")])
+    with pytest.raises(ValueError):
+        g.on_grid([fr(0), fr(2)])
+
+
+def test_swept_operations_match_the_pointwise_reference():
+    rng = random.Random(605)
+    for _ in range(150):
+        g, h = random_plfn(rng), random_plfn(rng)
+        grid = sorted(set(g.breakpoints) | set(h.breakpoints))
+        pts = sorted(set(grid) | set(crossing_points(g, h, grid)))
+        m = g.pointwise_max(h)
+        assert m.breakpoints == tuple(pts)
+        assert m.values == tuple(max(g(x), h(x)) for x in pts)
+        for lo, hi in ((g, h), (g, m), (h, m), (m, g), (g, g)):
+            common = sorted(set(lo.breakpoints) | set(hi.breakpoints))
+            assert lo.leq(hi) == all(lo(x) <= hi(x) for x in common)
+            assert lo.sup_abs_diff(hi) == max(abs(lo(x) - hi(x)) for x in common)
+        eps = Fraction(rng.randint(0, 4), rng.randint(1, 4))
+        level = PLFn.constant(eps)
+        roots = crossing_points(g, level, g.breakpoints)
+        cut_pts = sorted(set(g.breakpoints) | set(roots))
+        cut = g.minus_clamped(eps)
+        assert cut.breakpoints == tuple(cut_pts)
+        assert cut.values == tuple(max(g(x) - eps, fr(0)) for x in cut_pts)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +548,7 @@ class TestRealize:
     def test_constant_one_target(self):
         result = realize(StepFn.constant(1), RealizationSchedule.dyadic(3), 3)
         assert [s.size for s in result.stages] == [2, 4, 8]
-        grid = [Fraction(j, 8) for j in range(9)]
-        assert dimension_discrepancies(result, grid) == []
+        assert dimension_discrepancies(result) == []
         for stage in result.stages:
             want = Fraction(2**stage.index - 1, 2**stage.index)
             assert dim_fn(stage.element, lebesgue()) == want
@@ -503,7 +563,7 @@ class TestRealize:
 
     def test_two_level_dimensions_match_exactly(self):
         result = realize(two_level(), RealizationSchedule.dyadic(3), 3)
-        assert dimension_discrepancies(result, GRID_12) == []
+        assert dimension_discrepancies(result) == []
 
     def test_stagewise_increments_and_monotonicity(self):
         result = realize(two_level(), RealizationSchedule.dyadic(4), 4)
@@ -513,7 +573,7 @@ class TestRealize:
 
     def test_non_dyadic_schedule(self):
         result = realize(two_level(), RealizationSchedule((3, 6)), 2)
-        assert dimension_discrepancies(result, GRID_12) == []
+        assert dimension_discrepancies(result) == []
         stage = result.stages[0]
         assert dim_fn(stage.element, point_mass("1/4")) == fr("1/3")
         assert dim_fn(stage.element, point_mass("3/4")) == fr("2/3")
@@ -530,6 +590,56 @@ class TestRealize:
             realize(StepFn.constant("3/2"), RealizationSchedule.dyadic(2), 2)
         with pytest.raises(ValueError):
             realize(two_level(), RealizationSchedule.dyadic(2), 0)
+
+
+def random_step_target(rng: random.Random) -> StepFn:
+    """Lower semicontinuous, values in [0, 1], some point values dropped to 0."""
+    den = rng.choice((12, 20, 36))
+    count = rng.randint(1, 3)
+    cuts = sorted({Fraction(rng.randint(1, den - 1), den) for _ in range(count)})
+    part = (fr(0), *cuts, fr(1))
+    ivals = [Fraction(rng.randint(1, 8), 8) for _ in range(len(part) - 1)]
+    pvals = [ivals[0]]
+    for i in range(1, len(part) - 1):
+        pvals.append(min(ivals[i - 1], ivals[i]) if rng.random() < 0.7 else fr(0))
+    pvals.append(ivals[-1])
+    return StepFn(part, ivals, pvals)
+
+
+def test_dim_profile_matches_point_mass_dimensions():
+    rng = random.Random(606)
+    schedules = (RealizationSchedule.dyadic(4), RealizationSchedule((3, 6, 12)))
+    for _ in range(8):
+        f = random_step_target(rng)
+        for schedule in schedules:
+            result = realize(f, schedule, len(schedule.sizes))
+            assert dimension_discrepancies(result) == []
+            for stage in result.stages:
+                # the merged slots of the next stage share entry objects
+                shared = _merge_slots(stage.element.entries, 2 * stage.size)
+                for a in (stage.element, DiagonalElement(2 * stage.size, shared)):
+                    profile = dim_profile(a)
+                    part = sorted(set(profile.partition) | set(f.partition))
+                    mids = [(p + q) / 2 for p, q in zip(part, part[1:])]
+                    for x in part + mids:
+                        assert profile(x) == dim_fn(a, point_mass(x))
+
+
+def test_exact_check_finds_what_the_grid_misses():
+    result = realize(two_level(), RealizationSchedule.dyadic(5), 5)
+    last = result.stages[-1]
+    entries = list(last.element.entries)
+    slot = next(k for k, e in enumerate(entries) if e.is_zero)
+    narrow = OpenSet(((fr("1/81"), fr("2/81"), False, False),))
+    entries[slot] = bump_on(narrow, fr("1/64"))
+    planted = dataclasses.replace(last, element=DiagonalElement(last.size, entries))
+    broken = RealizationResult(result.target, result.stages[:-1] + (planted,))
+    [(index, witness)] = dimension_discrepancies(broken)
+    assert index == 5
+    assert fr("1/81") < witness < fr("2/81")
+    grid = [Fraction(j, 40) for j in range(41)]
+    element, approximant = planted.element, planted.approximant
+    assert [p for p in grid if dim_fn(element, point_mass(p)) != approximant(p)] == []
 
 
 def test_schedule_validation():
