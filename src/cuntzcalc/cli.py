@@ -200,8 +200,6 @@ def cmd_complement(args) -> tuple[dict, Optional[dict]]:
     model = _read(args.model, "wmodel")
     x = model.validate_class(_read(args.x, "class"))
     y = model.validate_class(_read(args.y, "class"))
-    if not model.compare(x, y):
-        raise DocumentError("complement requires x ≤ y")
     z = model.complement(x, y)
     if z is None:
         return {"command": "complement", "verdict": "none"}, None

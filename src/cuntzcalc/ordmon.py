@@ -1,10 +1,9 @@
 """Ordered abelian monoids and groups with exact, bounded-scale order checkers.
 
-This module provides finitely presented abelian monoids with an optional
-order oracle, their enveloping (Grothendieck) groups computed by integer
-Smith reduction, partially ordered group models with a few stock positive
-cones, and falsifiers for order properties (almost unperforation, weak
-unperforation, the Archimedean property, order units detected by states).
+This module provides positive cones in Z^rank that decide their own
+membership, partially ordered group models built on them, integer Smith
+reduction, and falsifiers for order properties (almost unperforation of a
+sampled ordered monoid, weak unperforation, the Archimedean property).
 
 The checkers are bounded-scale falsifiers, not provers: a counterexample is
 definitive, while "holds on sample" only says the search space was clean.
@@ -24,13 +23,11 @@ from typing import Callable, Optional, Sequence
 
 from .linalg import (
     all_nonnegative,
-    all_positive,
     identity,
     int_vector,
     is_zero,
     matrix,
     matvec,
-    vadd,
     vneg,
     vscale,
     vsub,
@@ -251,56 +248,7 @@ def leq(model: PoGroupModel, x, y) -> Membership:
 
 
 # ---------------------------------------------------------------------------
-# Finitely presented abelian monoids and their enveloping groups
-
-
-OrderOracle = Callable[[tuple[int, ...], tuple[int, ...]], bool]
-
-
-@dataclass(frozen=True)
-class MonoidPresentation:
-    """An abelian monoid given by generators and pairs of identified words.
-
-    Elements are coefficient vectors over the generators.  ``order_oracle``
-    is an optional decision procedure for the monoid order, called as
-    ``oracle(x, y)`` meaning x <= y.
-    """
-
-    generator_count: int
-    relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
-    order_oracle: Optional[OrderOracle] = None
-
-    def __init__(self, generator_count: int, relations=(), order_oracle=None):
-        m = int(generator_count)
-        if m < 1:
-            raise ValueError("need at least one generator")
-        rels = []
-        for lhs, rhs in relations:
-            lhs = int_vector(lhs)
-            rhs = int_vector(rhs)
-            if len(lhs) != m or len(rhs) != m:
-                raise ValueError("relation words must have one entry per generator")
-            if any(c < 0 for c in lhs + rhs):
-                raise ValueError("relation words must have non-negative coefficients")
-            rels.append((lhs, rhs))
-        object.__setattr__(self, "generator_count", m)
-        object.__setattr__(self, "relations", tuple(rels))
-        object.__setattr__(self, "order_oracle", order_oracle)
-
-    def elements(self, max_coeff_sum: int):
-        """All coefficient vectors with coefficient sum up to the bound."""
-        m = self.generator_count
-        out = []
-        for total in range(max_coeff_sum + 1):
-            for split in itertools.combinations(range(total + m - 1), m - 1):
-                prev = -1
-                word = []
-                for s in split:
-                    word.append(s - prev - 1)
-                    prev = s
-                word.append(total + m - 2 - prev)
-                out.append(tuple(word))
-        return out
+# Integer Smith reduction
 
 
 def smith_diagonal(columns: Sequence[Sequence[int]], m: int):
@@ -308,7 +256,7 @@ def smith_diagonal(columns: Sequence[Sequence[int]], m: int):
 
     Returns ``(diag, U)`` where U is a unimodular m x m matrix and
     U @ B @ V is diagonal with d1 | d2 | ... for some unimodular V.
-    Plain exact elimination; fine at presentation scale.
+    Plain exact elimination; fine at these ranks.
     """
     r = len(columns)
     b = [[int(col[i]) for col in columns] for i in range(m)]
@@ -386,136 +334,6 @@ def smith_diagonal(columns: Sequence[Sequence[int]], m: int):
 
     diag = [b[i][i] for i in range(min(m, r))]
     return diag, tuple(tuple(row) for row in u)
-
-
-@dataclass(frozen=True)
-class GrothendieckResult:
-    """Enveloping group of a presented monoid, in invariant-factor form.
-
-    Group elements are coordinate tuples: torsion coordinates first (reduced
-    modulo the matching invariant factor), then free coordinates.
-    ``gamma_images[g]`` is the class of generator g.
-    """
-
-    free_rank: int
-    torsion: tuple[int, ...]
-    gamma_images: tuple[tuple[int, ...], ...]
-    moduli: tuple[int, ...]
-    transform: tuple[tuple[int, ...], ...]
-    kept_rows: tuple[int, ...]
-
-    def reduce(self, coords) -> tuple[int, ...]:
-        coords = int_vector(coords)
-        if len(coords) != len(self.moduli):
-            raise ValueError("coordinate vector has the wrong length")
-        return tuple(
-            c % d if d > 1 else c for c, d in zip(coords, self.moduli)
-        )
-
-    def gamma(self, word) -> tuple[int, ...]:
-        """Class of a monoid element given by its coefficient vector."""
-        word = int_vector(word)
-        if len(word) != len(self.gamma_images):
-            raise ValueError("word has the wrong number of generator coefficients")
-        acc = [0] * len(self.moduli)
-        for coeff, image in zip(word, self.gamma_images):
-            for i, entry in enumerate(image):
-                acc[i] += coeff * entry
-        return self.reduce(acc)
-
-    def subtract(self, a, b) -> tuple[int, ...]:
-        return self.reduce(vsub(int_vector(a), int_vector(b)))
-
-    def negate(self, a) -> tuple[int, ...]:
-        return self.reduce(vneg(int_vector(a)))
-
-    @property
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * len(self.moduli)
-
-
-def grothendieck_group(pres: MonoidPresentation) -> GrothendieckResult:
-    """Enveloping group of the presented monoid via Smith reduction."""
-    m = pres.generator_count
-    columns = [vsub(lhs, rhs) for lhs, rhs in pres.relations]
-    diag, u = smith_diagonal(columns, m)
-    moduli_full = [diag[i] if i < len(diag) else 0 for i in range(m)]
-    kept = tuple(i for i in range(m) if moduli_full[i] != 1)
-    moduli = tuple(moduli_full[i] for i in kept)
-    torsion = tuple(d for d in moduli if d > 1)
-    images = []
-    for g in range(m):
-        col = tuple(u[i][g] for i in kept)
-        images.append(tuple(c % d if d > 1 else c for c, d in zip(col, moduli)))
-    return GrothendieckResult(
-        free_rank=sum(1 for d in moduli if d == 0),
-        torsion=torsion,
-        gamma_images=tuple(images),
-        moduli=moduli,
-        transform=u,
-        kept_rows=kept,
-    )
-
-
-def cone_plusplus_member(
-    pres: MonoidPresentation,
-    d,
-    search_bound: int,
-    group: Optional[GrothendieckResult] = None,
-) -> Membership:
-    """Search for x, y in the monoid with gamma(x) - gamma(y) = d and y <= x.
-
-    The difference cone of the enveloping group consists exactly of such
-    classes.  A witness gives a definite YES; exhaustion of the bounded
-    search cannot certify absence, so it reports BOUND_EXCEEDED.
-    """
-    if pres.order_oracle is None:
-        raise ValueError("presentation has no order oracle")
-    g = group if group is not None else grothendieck_group(pres)
-    d = g.reduce(d)
-    words = pres.elements(search_bound)
-    by_class: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for w in words:
-        by_class.setdefault(g.gamma(w), []).append(w)
-    for y in words:
-        want = g.reduce(vadd(g.gamma(y), d))
-        for x in by_class.get(want, ()):
-            if pres.order_oracle(y, x):
-                return YES
-    return BOUND_EXCEEDED
-
-
-@dataclass(frozen=True)
-class StrictConeReport:
-    violations: tuple
-    inconclusive: tuple
-    checked: int
-
-
-def check_strict_cone(
-    pres: MonoidPresentation, samples: Sequence, search_bound: int = 6
-) -> StrictConeReport:
-    """Check that no nonzero class sits in the difference cone both ways.
-
-    A violation needs definite YES on both d and -d; searches that run out
-    of budget are reported as inconclusive, never as violations.
-    """
-    g = grothendieck_group(pres)
-    violations = []
-    inconclusive = []
-    checked = 0
-    for d in samples:
-        d = g.reduce(d)
-        if d == g.zero:
-            continue
-        checked += 1
-        fwd = cone_plusplus_member(pres, d, search_bound, group=g)
-        bwd = cone_plusplus_member(pres, g.negate(d), search_bound, group=g)
-        if fwd is YES and bwd is YES:
-            violations.append(d)
-        elif BOUND_EXCEEDED in (fwd, bwd):
-            inconclusive.append(d)
-    return StrictConeReport(tuple(violations), tuple(inconclusive), checked)
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +452,3 @@ def evaluate_states(model: PoGroupModel, x) -> tuple[Fraction, ...]:
     return tuple(
         Fraction(sum(map(mul, row, x)), scale) for row, scale in model.cone.int_rows
     )
-
-
-def is_order_unit_via_states(model: PoGroupModel, x) -> bool:
-    """x is an order unit iff every state is strictly positive on it."""
-    return all_positive(evaluate_states(model, x))

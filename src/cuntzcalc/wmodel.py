@@ -157,12 +157,11 @@ class CuntzClass:
 
 @dataclass(frozen=True)
 class K0Star:
-    """Enveloping group Q^n of a finite model, with its two cones.
+    """Enveloping group Q^n of a finite model, with its difference cone.
 
     ``cone_plusplus`` (classes of differences y <= x) is the coordinatewise
-    non-negative cone; ``cone_plus`` (images of actual classes) is zero
-    together with the strictly positive vectors.  n = 0 encodes the zero
-    group of a purely infinite model.
+    non-negative cone.  n = 0 encodes the zero group of a purely infinite
+    model.
     """
 
     n: int
@@ -178,10 +177,6 @@ class K0Star:
         if len(d) != self.n:
             raise ValueError("vector has the wrong length for this group")
         return d
-
-    def cone_plus(self, d) -> bool:
-        d = self._check(d)
-        return is_zero(d) or all_positive(d)
 
     def cone_plusplus(self, d) -> bool:
         d = self._check(d)
@@ -303,7 +298,7 @@ class WModel:
         strongest identity available there.
         """
         if not self.compare(x, y):
-            raise ValueError("complement expects x <= y")
+            raise ValueError("complement requires x ≤ y")
         if x.is_proj and y.is_proj:
             return CuntzClass.proj(vsub(y.values, x.values))
         if x.is_proj:  # proj below soft, gap is strict at every trace

@@ -1,8 +1,7 @@
-"""Ordered monoids: cones, enveloping groups, and order falsifiers.
+"""Ordered groups: cones, Smith reduction, states and order falsifiers.
 
 The Smith reduction is cross-checked against an independent oracle built
-from determinantal divisors (gcds of k x k minors), so the frozen group
-shapes below are verified twice over.
+from determinantal divisors (gcds of k x k minors).
 """
 
 import itertools
@@ -20,19 +19,14 @@ from cuntzcalc.ordmon import (
     YES,
     GeneratedCone,
     LexicographicCone,
-    MonoidPresentation,
     OrderStructure,
     PoGroupModel,
     SimplicialCone,
     StrictStateCone,
     archimedean_witness,
-    check_strict_cone,
     cone_member,
-    cone_plusplus_member,
     evaluate_states,
-    grothendieck_group,
     is_almost_unperforated,
-    is_order_unit_via_states,
     is_weakly_unperforated,
     leq,
     smith_diagonal,
@@ -115,21 +109,7 @@ def test_model_validation():
 
 
 # ---------------------------------------------------------------------------
-# presentations and Smith reduction
-
-
-def test_presentation_elements_enumeration():
-    pres = MonoidPresentation(2)
-    words = pres.elements(2)
-    assert len(words) == len(set(words)) == 6
-    assert set(words) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
-
-
-def test_presentation_rejects_bad_relations():
-    with pytest.raises(ValueError):
-        MonoidPresentation(2, relations=(((1,), (0, 1)),))
-    with pytest.raises(ValueError):
-        MonoidPresentation(1, relations=(((-1,), (0,)),))
+# Smith reduction
 
 
 def _det(mat):
@@ -194,145 +174,6 @@ def test_smith_matches_oracle_on_seeded_matrices():
         assert _det([list(row) for row in u]) in (1, -1)
 
 
-def test_grothendieck_of_free_monoid():
-    g = grothendieck_group(MonoidPresentation(1))
-    assert g.free_rank == 1
-    assert g.torsion == ()
-    assert g.gamma((1,)) == (1,)
-
-
-def test_grothendieck_collapse_to_trivial_group():
-    # 2g = g forces g = 0 in the enveloping group
-    pres = MonoidPresentation(1, relations=(((2,), (1,)),))
-    g = grothendieck_group(pres)
-    assert g.free_rank == 0
-    assert g.torsion == ()
-    assert g.gamma((5,)) == ()
-
-
-def test_grothendieck_with_inverse_pair():
-    # g1 + g2 = 0 leaves one free generator with g2 = -g1
-    pres = MonoidPresentation(2, relations=(((1, 1), (0, 0)),))
-    g = grothendieck_group(pres)
-    assert g.free_rank == 1
-    assert g.torsion == ()
-    assert g.gamma((1, 1)) == g.zero
-    assert abs(g.gamma((1, 0))[0]) == 1
-
-
-def test_grothendieck_torsion():
-    # 3g = g gives the cyclic group of order two
-    pres = MonoidPresentation(1, relations=(((3,), (1,)),))
-    g = grothendieck_group(pres)
-    assert g.free_rank == 0
-    assert g.torsion == (2,)
-    assert g.gamma((1,)) == (1,)
-    assert g.gamma((2,)) == (0,)
-    assert g.subtract((0,), (1,)) == (1,)
-
-
-def test_gamma_respects_relations_on_seeded_presentations():
-    rng = random.Random(7)
-    for _ in range(20):
-        m = rng.randint(1, 3)
-        rels = []
-        for _ in range(rng.randint(0, 2)):
-            lhs = tuple(rng.randint(0, 3) for _ in range(m))
-            rhs = tuple(rng.randint(0, 3) for _ in range(m))
-            rels.append((lhs, rhs))
-        pres = MonoidPresentation(m, relations=tuple(rels))
-        g = grothendieck_group(pres)
-        for lhs, rhs in pres.relations:
-            assert g.gamma(lhs) == g.gamma(rhs)
-        w1 = tuple(rng.randint(0, 3) for _ in range(m))
-        w2 = tuple(rng.randint(0, 3) for _ in range(m))
-        total = tuple(a + b for a, b in zip(w1, w2))
-        assert g.gamma(total) == g.reduce(
-            tuple(a + b for a, b in zip(g.gamma(w1), g.gamma(w2)))
-        )
-
-
-# ---------------------------------------------------------------------------
-# the difference cone of the integers-plus-halfline model
-
-
-def _halfline_oracle():
-    model = w_of_z()
-
-    def to_class(word):
-        a, b = word
-        if b == 0:
-            return CuntzClass.proj((a,))
-        return CuntzClass.soft((Fraction(a + b),))
-
-    def oracle(x, y):
-        return model.compare(to_class(x), to_class(y))
-
-    return oracle
-
-
-def _integer_halfline_presentation() -> MonoidPresentation:
-    """Two generators p (a projection) and s (a soft unit), with p + s = 2s.
-
-    Words map into the one-trace model: (a, b) is a<p> + b<s>, which is the
-    projection class a when b = 0 and the soft class a + b otherwise.  Any
-    projection summand is absorbed into a soft class, which is exactly the
-    single relation, so word equality matches class equality.
-    """
-    return MonoidPresentation(
-        2, relations=(((1, 1), (0, 2)),), order_oracle=_halfline_oracle()
-    )
-
-
-def test_integer_halfline_group_shape():
-    g = grothendieck_group(_integer_halfline_presentation())
-    assert g.free_rank == 1
-    assert g.torsion == ()
-    # p + s = 2s pins gamma(p) = gamma(s), both mapping a word to its total
-    assert g.gamma((1, 0)) == g.gamma((0, 1))
-    assert abs(g.gamma((0, 1))[0]) == 1
-
-
-def test_difference_cone_witness_found():
-    pres = _integer_halfline_presentation()
-    g = grothendieck_group(pres)
-    d = g.subtract(g.gamma((0, 2)), g.gamma((0, 1)))
-    assert d == (1,)
-    assert cone_plusplus_member(pres, d, search_bound=6) is YES
-
-
-def test_difference_cone_cannot_certify_absence():
-    pres = _integer_halfline_presentation()
-    # a class is never below one with strictly smaller image, so the
-    # bounded search exhausts without a witness for d = -1
-    assert cone_plusplus_member(pres, (-1,), search_bound=5) is BOUND_EXCEEDED
-
-
-def test_strict_cone_check_reports_no_violations():
-    pres = _integer_halfline_presentation()
-    report = check_strict_cone(pres, [(1,), (2,), (0,)], search_bound=5)
-    assert report.violations == ()
-    assert report.inconclusive == ((1,), (2,))
-    assert report.checked == 2
-
-
-def test_strict_cone_check_flags_incoherent_presentations():
-    # With only p + s = 3s the group sends (a, b) to 2a + b, which the
-    # order oracle (where p + s = 2s also holds) does not respect: the
-    # words (1, 1) and (0, 2) name the same class but differ in the group.
-    # Both d = 1 and d = -1 then get witnesses, a genuine violation.
-    pres = MonoidPresentation(
-        2, relations=(((1, 1), (0, 3)),), order_oracle=_halfline_oracle()
-    )
-    report = check_strict_cone(pres, [(1,)], search_bound=5)
-    assert report.violations == ((1,),)
-
-
-def test_cone_search_requires_an_oracle():
-    with pytest.raises(ValueError):
-        cone_plusplus_member(MonoidPresentation(1), (1,), search_bound=3)
-
-
 # ---------------------------------------------------------------------------
 # order-property falsifiers
 
@@ -356,6 +197,18 @@ def test_integer_halfline_classes_are_almost_unperforated():
         leq=model.compare,
     )
     assert is_almost_unperforated(structure, n_max=3, enumeration_bound=0) is None
+
+
+def test_almost_unperforation_flags_the_gap_cone():
+    # 3 * 0 <= 2 * 1 as 2 lies in the cone generated by 2 and 3; 0 <= 1 fails
+    model = PoGroupModel(1, GeneratedCone(((2,), (3,))), (2,))
+    structure = OrderStructure(
+        elements=lambda bound: [(k,) for k in range(bound + 1)],
+        add=lambda a, b: tuple(p + q for p, q in zip(a, b)),
+        leq=lambda a, b: leq(model, a, b),
+    )
+    witness = is_almost_unperforated(structure, n_max=3, enumeration_bound=4)
+    assert witness == ((0,), (1,), 2)
 
 
 def test_weak_unperforation_counterexample_in_gap_cone():
@@ -479,11 +332,7 @@ def test_integer_state_kernel_matches_fraction_reference():
                 assert cone.member(x) is (YES if inside else NO)
 
 
-def test_order_unit_detection_via_states():
-    states = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), Fraction(3, 4)))
-    model = PoGroupModel(2, StrictStateCone(states), (1, 1))
-    assert is_order_unit_via_states(model, (2, 0))
-    assert not is_order_unit_via_states(model, (1, -1))
+def test_evaluate_states_needs_a_strict_state_cone():
     simplicial = PoGroupModel(1, SimplicialCone(), (1,))
     with pytest.raises(ValueError):
         evaluate_states(simplicial, (1,))

@@ -207,9 +207,6 @@ class TestPurelyInfinite:
 
 def test_k0star_cones():
     group = K0Star(2)
-    assert group.cone_plus((0, 0))
-    assert group.cone_plus(("1/2", 2))
-    assert not group.cone_plus((0, 1))
     assert group.cone_plusplus((0, 1))
     assert not group.cone_plusplus((-1, 1))
     assert group.unit_image == (Fraction(1), Fraction(1))
@@ -225,7 +222,6 @@ def test_k0star_order_units():
 
 def test_k0star_of_the_degenerate_model_is_trivial():
     group = K0Star(0)
-    assert group.cone_plus(())
     assert group.cone_plusplus(())
     assert group.is_order_unit(())
     assert group.unit_image == ()
