@@ -23,14 +23,17 @@ from .linalg import vector
 from .wmodel import K0Model
 
 
+# Largest denominator of a chain.
+MAX_DENOMINATOR = 2**30
+
+
 @dataclass(frozen=True)
 class DenseSubgroupSpec:
     """A divisibility chain of denominators m_1 | m_2 | ... , increasing."""
 
     denominators: tuple[int, ...]
-    max_denominator: int = 2**30
 
-    def __init__(self, denominators, max_denominator: int = 2**30):
+    def __init__(self, denominators):
         dens = tuple(int(d) for d in denominators)
         if not dens:
             raise ValueError("need at least one denominator")
@@ -39,10 +42,9 @@ class DenseSubgroupSpec:
         for a, b in zip(dens, dens[1:]):
             if b <= a or b % a != 0:
                 raise ValueError("denominators must strictly increase and divide")
-        if dens[-1] > max_denominator:
-            raise ValueError("denominator chain exceeds the configured maximum")
+        if dens[-1] > MAX_DENOMINATOR:
+            raise ValueError(f"denominators must be at most {MAX_DENOMINATOR}")
         object.__setattr__(self, "denominators", dens)
-        object.__setattr__(self, "max_denominator", int(max_denominator))
 
 
 def _positive_profile(f) -> tuple[Fraction, ...]:

@@ -37,11 +37,9 @@ from .goodearl import (
     realize,
     step_witnesses,
 )
-from .linalg import identity
 from .ordmon import (
     PoGroupModel,
     SimplicialCone,
-    StrictStateCone,
     archimedean_witness,
     is_weakly_unperforated,
 )
@@ -66,6 +64,11 @@ SUITES = (
 # archimedean searches; the archimedean search keeps n_max multiples of
 # every candidate x.
 SEARCH_BOUND_CAP = 1000
+
+# Largest search size of those two searches: the nonzero candidates of
+# max-norm at most _enum_bound(rank), times the multiplier n_max.  Rank 5
+# allows --bound up to 119, rank 6 the default bound 10, rank 7 nothing.
+SEARCH_WORK_CAP = 2_000_000
 
 # Largest --bound of the sampling suites (order-axioms, strict-cone,
 # oracle-agreement): each draws or compares about --bound classes, and
@@ -286,22 +289,21 @@ def _suite_strict_cone(model: WModel, rng, bound: int) -> dict:
     return {"checked": bound or 500, "failures": violations[:5]}
 
 
-def _star_group(model: WModel, simplicial: bool) -> PoGroupModel:
-    star = model.k0star()
-    if star.n == 0:
+def _star_group(model: WModel) -> PoGroupModel:
+    """Z^n with the coordinatewise cone of ``K0Star.cone_plusplus``."""
+    n = model.k0star().n
+    if n == 0:
         raise DocumentError("the purely infinite model has a zero group")
-    ones = (1,) * star.n
-    cone = SimplicialCone() if simplicial else StrictStateCone(identity(star.n))
-    return PoGroupModel(star.n, cone, ones)
+    return PoGroupModel(n, SimplicialCone(), (1,) * n)
 
 
 def _enum_bound(rank: int) -> int:
     return {1: 12, 2: 8, 3: 6, 4: 4}.get(rank, 3)
 
 
-def _suite_weak_unperforation(group: PoGroupModel, bound: int) -> dict:
+def _suite_weak_unperforation(group: PoGroupModel, n_max: int) -> dict:
     witness = is_weakly_unperforated(
-        group, n_max=bound or 10, enumeration_bound=_enum_bound(group.rank)
+        group, n_max=n_max, enumeration_bound=_enum_bound(group.rank)
     )
     if witness is None:
         return {"verdict": "holds-on-sample", "failures": []}
@@ -309,9 +311,9 @@ def _suite_weak_unperforation(group: PoGroupModel, bound: int) -> dict:
     return {"verdict": "counterexample", "failures": [{"x": list(x), "n": n}]}
 
 
-def _suite_archimedean(group: PoGroupModel, bound: int) -> dict:
+def _suite_archimedean(group: PoGroupModel, n_max: int) -> dict:
     witness = archimedean_witness(
-        group, n_max=bound or 10, enumeration_bound=_enum_bound(group.rank)
+        group, n_max=n_max, enumeration_bound=_enum_bound(group.rank)
     )
     if witness is None:
         return {"verdict": "none", "failures": []}
@@ -345,24 +347,27 @@ def cmd_check(args) -> tuple[dict, Optional[dict]]:
         raise DocumentError(f"{args.suite} takes --bound at most {cap}")
     target = _read(args.model, "wmodel", "pogroup")
     rng = rng_for(args.seed)
-    if isinstance(target, PoGroupModel):
+    if args.suite in searches:
+        group = target if isinstance(target, PoGroupModel) else _star_group(target)
+        n_max = bound or 10
+        size = ((2 * _enum_bound(group.rank) + 1) ** group.rank - 1) * n_max
+        if size > SEARCH_WORK_CAP:
+            raise DocumentError(
+                f"{args.suite} on rank {group.rank} with --bound {n_max} would "
+                f"search {size} candidate multiples, more than {SEARCH_WORK_CAP}"
+            )
         if args.suite == "weak-unperforation":
-            details = _suite_weak_unperforation(target, bound)
-        elif args.suite == "archimedean":
-            details = _suite_archimedean(target, bound)
+            details = _suite_weak_unperforation(group, n_max)
         else:
-            raise DocumentError(f"suite {args.suite!r} needs a wmodel document")
+            details = _suite_archimedean(group, n_max)
+    elif isinstance(target, PoGroupModel):
+        raise DocumentError(f"suite {args.suite!r} needs a wmodel document")
+    elif args.suite == "order-axioms":
+        details = _suite_order_axioms(target, rng, bound)
+    elif args.suite == "strict-cone":
+        details = _suite_strict_cone(target, rng, bound)
     else:
-        if args.suite == "order-axioms":
-            details = _suite_order_axioms(target, rng, bound)
-        elif args.suite == "strict-cone":
-            details = _suite_strict_cone(target, rng, bound)
-        elif args.suite == "oracle-agreement":
-            details = _suite_oracle_agreement(target, rng, bound)
-        elif args.suite == "weak-unperforation":
-            details = _suite_weak_unperforation(_star_group(target, False), bound)
-        else:
-            details = _suite_archimedean(_star_group(target, True), bound)
+        details = _suite_oracle_agreement(target, rng, bound)
     bad = details.get("failures")
     verdict = details.get("verdict")
     if verdict is None:

@@ -19,7 +19,7 @@ from .elliott import (
     ElliottInvariant,
     InvariantMorphism,
 )
-from .goodearl import MeasureSpec, RealizationSchedule, StepDensity, StepFn
+from .goodearl import RealizationSchedule, StepFn
 from .ordmon import (
     GeneratedCone,
     LexicographicCone,
@@ -43,7 +43,6 @@ KINDS = (
     "morphism",
     "class",
     "target",
-    "measure",
     "schedule",
 )
 
@@ -305,37 +304,6 @@ def decode_target(payload: dict) -> tuple[str, TargetPayload]:
     raise DocumentError(f"unknown target type {ttype!r}")
 
 
-def encode_measure(mu: MeasureSpec) -> dict:
-    doc: dict = {
-        "kind": "measure",
-        "lebesgue_weight": rational_str(mu.lebesgue_weight),
-        "atoms": [[rational_str(p), rational_str(w)] for p, w in mu.atoms],
-    }
-    if mu.density is not None:
-        doc["density"] = {
-            "breakpoints": _rationals(mu.density.breakpoints),
-            "densities": _rationals(mu.density.densities),
-        }
-    return doc
-
-
-def decode_measure(payload: dict) -> MeasureSpec:
-    density = None
-    if "density" in payload:
-        ddoc = payload["density"]
-        density = StepDensity(
-            _parse_vector(_field(ddoc, "breakpoints")),
-            _parse_vector(_field(ddoc, "densities")),
-        )
-    atoms = tuple(
-        (parse_rational(p), parse_rational(w))
-        for p, w in payload.get("atoms", ())
-    )
-    return MeasureSpec(
-        parse_rational(_field(payload, "lebesgue_weight")), atoms, density
-    )
-
-
 def encode_schedule(sched) -> dict:
     if isinstance(sched, RealizationSchedule):
         return {"kind": "schedule", "sizes": list(sched.sizes)}
@@ -361,7 +329,6 @@ _DECODERS = {
     "morphism": decode_morphism,
     "class": decode_class,
     "target": decode_target,
-    "measure": decode_measure,
     "schedule": decode_schedule,
 }
 

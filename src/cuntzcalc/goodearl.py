@@ -3,9 +3,10 @@
 Everything here is exact rational: piecewise-linear functions know their
 cozero sets as finite unions of intervals with explicit endpoint flags
 (sets are relatively open in [0, 1], so an endpoint flag can only be set at
-0 or 1), lower semicontinuous step functions have sublevel sets that are
-finite unions of closed intervals and points, and measures are a
-piecewise-constant density plus finitely many atoms.
+0 or 1), lower semicontinuous step functions have superlevel sets
+{f > q} that are open sets of the same kind, read off the step function in
+one walk, and measures are a piecewise-constant density plus finitely many
+atoms.
 
 The centerpiece is ``realize``: given a step target f with values in
 [0, 1] and a divisibility schedule of matrix sizes, it builds diagonal
@@ -19,10 +20,10 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import frac, vector
@@ -111,22 +112,6 @@ class ClosedSet:
         return any(a <= x <= b for a, b in self.intervals)
 
 
-def complement_open(closed: ClosedSet) -> OpenSet:
-    """[0, 1] minus a closed set, with relative-openness flags."""
-    if closed.is_empty:
-        return OpenSet(((Fraction(0), Fraction(1), True, True),))
-    pieces = []
-    first_a = closed.intervals[0][0]
-    if first_a > 0:
-        pieces.append((Fraction(0), first_a, True, False))
-    for (_, b), (a2, _) in zip(closed.intervals, closed.intervals[1:]):
-        pieces.append((b, a2, False, False))
-    last_b = closed.intervals[-1][1]
-    if last_b < 1:
-        pieces.append((last_b, Fraction(1), False, True))
-    return OpenSet(tuple(pieces))
-
-
 # ---------------------------------------------------------------------------
 # Piecewise-linear functions
 
@@ -169,19 +154,13 @@ class PLFn:
         if not 0 <= x <= 1:
             raise ValueError("argument outside [0, 1]")
         bp = self.breakpoints
-        lo, hi = 0, len(bp) - 1
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if bp[mid] <= x:
-                lo = mid
-            else:
-                hi = mid
-        if x == bp[hi]:
-            return self.values[hi]
-        v0, v1 = self.values[lo], self.values[hi]
+        i = bisect_left(bp, x)
+        if bp[i] == x:
+            return self.values[i]
+        v0, v1 = self.values[i - 1], self.values[i]
         if v0 == v1:
             return v0
-        return v0 + (v1 - v0) * (x - bp[lo]) / (bp[hi] - bp[lo])
+        return v0 + (v1 - v0) * (x - bp[i - 1]) / (bp[i] - bp[i - 1])
 
     def on_grid(self, grid: Sequence[Fraction]) -> list[Fraction]:
         """Values at the points of a sorted grid in [0, 1], in one sweep.
@@ -294,12 +273,6 @@ class PLFn:
         return max(abs(a - b) for a, b in zip(self.on_grid(grid), other.on_grid(grid)))
 
 
-@lru_cache(maxsize=None)
-def coz(g: PLFn) -> OpenSet:
-    """Cached cozero set; realization stages query it repeatedly."""
-    return g.cozero()
-
-
 # ---------------------------------------------------------------------------
 # Lower semicontinuous step functions
 
@@ -353,38 +326,14 @@ class StepFn:
         x = frac(x)
         if not 0 <= x <= 1:
             raise ValueError("argument outside [0, 1]")
-        part = self.partition
-        lo, hi = 0, len(part) - 1
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if part[mid] <= x:
-                lo = mid
-            else:
-                hi = mid
-        if x == part[lo]:
-            return self.point_values[lo]
-        if x == part[hi]:
-            return self.point_values[hi]
-        return self.interval_values[lo]
+        i = bisect_left(self.partition, x)
+        if self.partition[i] == x:
+            return self.point_values[i]
+        return self.interval_values[i - 1]
 
     @property
     def sup(self) -> Fraction:
         return max(self.interval_values)
-
-    def refine(self, points) -> "StepFn":
-        """The same function with extra partition points inserted."""
-        extra = sorted(set(frac(p) for p in points) - set(self.partition))
-        part = list(self.partition)
-        ivals = list(self.interval_values)
-        pvals = list(self.point_values)
-        for p in extra:
-            for i in range(len(part) - 1):
-                if part[i] < p < part[i + 1]:
-                    part.insert(i + 1, p)
-                    pvals.insert(i + 1, ivals[i])
-                    ivals.insert(i + 1, ivals[i])
-                    break
-        return StepFn(tuple(part), tuple(ivals), tuple(pvals))
 
     def map_values(self, phi) -> "StepFn":
         return StepFn(
@@ -394,41 +343,41 @@ class StepFn:
         )
 
 
-def common_refinement(f: StepFn, g: StepFn) -> tuple[StepFn, StepFn]:
-    pts = set(f.partition) | set(g.partition)
-    return f.refine(pts), g.refine(pts)
-
-
 def step_witnesses(f: StepFn, g: StepFn, holds) -> list[Fraction]:
     """Points of [0, 1] where ``holds(f(x), g(x))`` fails, one per failing piece.
 
-    Both functions are constant on each open piece of their common
-    refinement, so checking every partition point and every piece decides
-    the relation on all of [0, 1]; a failing piece is witnessed by its
-    midpoint.
+    Both functions are constant on each open piece between consecutive
+    points of the union of their partitions, so checking every such point
+    and every piece decides the relation on all of [0, 1]; a failing piece
+    is witnessed by its midpoint.
     """
-    f, g = common_refinement(f, g)
-    part = f.partition
-    out = []
-    for i, p in enumerate(part):
-        if not holds(f.point_values[i], g.point_values[i]):
-            out.append(p)
-        if i + 1 < len(part) and not holds(f.interval_values[i], g.interval_values[i]):
-            out.append((p + part[i + 1]) / 2)
-    return out
+    part = sorted(set(f.partition) | set(g.partition))
+    points = [part[0]]
+    for a, b in zip(part, part[1:]):
+        points += [(a + b) / 2, b]
+    return [x for x in points if not holds(f(x), g(x))]
 
 
-def sublevel(f: StepFn, q) -> ClosedSet:
-    """The set where f <= q; closed because f is lower semicontinuous."""
+def superlevel(f: StepFn, q) -> OpenSet:
+    """The set where f > q; relatively open because f is lower semicontinuous.
+
+    A point value never exceeds its neighbouring interval values, so each
+    component starts at the left end of a piece above q (closed only at 0)
+    and runs on to 1 or to the first partition point whose value is at most q.
+    """
     q = frac(q)
-    pieces = []
+    part, pvals = f.partition, f.point_values
+    pieces, start = [], None
     for i, val in enumerate(f.interval_values):
         if val <= q:
-            pieces.append((f.partition[i], f.partition[i + 1]))
-    for i, val in enumerate(f.point_values):
-        if val <= q:
-            pieces.append((f.partition[i], f.partition[i]))
-    return ClosedSet(pieces)
+            continue
+        if start is None:
+            start = part[i]
+        if part[i + 1] == 1 or pvals[i + 1] <= q:
+            closed_left = start == 0 and pvals[0] > q
+            pieces.append((start, part[i + 1], closed_left, pvals[i + 1] > q))
+            start = None
+    return OpenSet(pieces)
 
 
 def step_approximant(f: StepFn, n: int) -> StepFn:
@@ -597,7 +546,7 @@ class DiagonalElement:
 
 def dim_fn(a: DiagonalElement, mu: MeasureSpec) -> Fraction:
     """Dimension value: average measure of the entries' cozero sets."""
-    total = sum((measure(mu, coz(e)) for e in a.entries), Fraction(0))
+    total = sum((measure(mu, e.cozero()) for e in a.entries), Fraction(0))
     return total / a.size
 
 
@@ -612,7 +561,7 @@ def dim_profile(a: DiagonalElement) -> StepFn:
     """
     distinct = {id(e): e for e in a.entries}
     weight = Counter(id(e) for e in a.entries)
-    cozeros = [(coz(e), weight[key]) for key, e in distinct.items()]
+    cozeros = [(e.cozero(), weight[key]) for key, e in distinct.items()]
     ends = {
         x for opens, _ in cozeros for iv in opens.intervals for x in (iv.left, iv.right)
     }
@@ -757,12 +706,12 @@ class RealizationResult:
 def _merge_slots(prev: Sequence[PLFn], n: int) -> list[PLFn]:
     """Distribute the previous entries over n slots so that the slot for
     grid index m only ever receives an entry whose cozero set contains the
-    complement of the sublevel set at (m - 1)/n.
+    superlevel set {f > (m - 1)/n}.
 
     Entry k of the previous stage goes to slots (k-2)r + 2 .. (k-1)r + 1,
     one block lower than naive repetition; the zero entry fills slot 1 and
-    the top r - 1 slots.  This keeps every slot's cozero set equal to the
-    complement of its own sublevel set after merging.
+    the top r - 1 slots.  This keeps every slot's cozero set equal to its
+    own superlevel set after merging.
     """
     n_prev = len(prev)
     r = n // n_prev
@@ -781,8 +730,8 @@ def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> Realizatio
     """Diagonal elements whose pointwise dimension functions walk up to f.
 
     Stage i of size n uses one zero entry plus bumps of height 2^-i whose
-    cozero sets are exactly the complements of the sublevel sets of f at
-    the grid levels (k-1)/n; previous entries merge in by pointwise
+    cozero sets are exactly the superlevel sets {f > (k-1)/n} of f at the
+    grid levels; previous entries merge in by pointwise
     maximum.  Each stage's dimension function at the point mass in x equals
     the stage approximant of f at x, exactly.
     """
@@ -799,7 +748,7 @@ def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> Realizatio
         height = Fraction(1, 2**idx)
         fresh = [PLFn.zero()]
         for k in range(2, n + 1):
-            opens = complement_open(sublevel(f, Fraction(k - 1, n)))
+            opens = superlevel(f, Fraction(k - 1, n))
             fresh.append(PLFn.zero() if opens.is_empty else bump_on(opens, height))
         if prev_entries is None:
             embedded: list[PLFn] = [PLFn.zero()] * n

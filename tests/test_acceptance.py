@@ -33,7 +33,6 @@ from cuntzcalc.goodearl import (
     StepFn,
     _merge_slots,
     comparison_lemma_check,
-    coz,
     dim_fn,
     dimension_discrepancies,
     lebesgue,
@@ -453,7 +452,7 @@ def grid_dimensions(element: DiagonalElement) -> list[Fraction]:
     """
     bump = [0] * (len(GRID) + 1)
     for entry in element.entries:
-        for iv in coz(entry).intervals:
+        for iv in entry.cozero().intervals:
             lo, hi = iv.left * 999, iv.right * 999
             start = 0 if iv.left_closed else math.floor(lo) + 1
             end = 999 if iv.right_closed else math.ceil(hi) - 1

@@ -150,7 +150,7 @@ def test_subgroup_spec_validation():
     with pytest.raises(ValueError):
         DenseSubgroupSpec((0,))
     with pytest.raises(ValueError):
-        DenseSubgroupSpec((2, 4), max_denominator=3)
+        DenseSubgroupSpec((2, 2**31))
 
 
 class TestConditionD:

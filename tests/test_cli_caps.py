@@ -13,6 +13,7 @@ from cuntzcalc import documents as docs
 from cuntzcalc.cli import (
     EXIT_INVALID,
     SAMPLE_BOUND_CAP,
+    SEARCH_WORK_CAP,
     STEP_SIZE_CAP,
     VECTOR_STAGES_CAP,
     main,
@@ -29,6 +30,7 @@ STEP_TARGET = {
 }
 VECTOR_TARGET = {"kind": "target", "type": "vector", "values": ["2/3", "1/5"]}
 SAMPLING_SUITES = ("order-axioms", "strict-cone", "oracle-agreement")
+SEARCH_SUITES = ("weak-unperforation", "archimedean")
 STUB_MESSAGE = "validation passed"
 
 
@@ -41,6 +43,8 @@ def stubbed(monkeypatch):
     """Stub out every routine that does the capped work."""
     for name in (
         "random_class",
+        "is_weakly_unperforated",
+        "archimedean_witness",
         "realize",
         "summable_decomposition",
         "projection_sup_realization",
@@ -153,3 +157,42 @@ def test_vector_stages_at_the_cap_reach_the_decomposition(stubbed, put, run):
     code, _, err = run("realize", target, "--stages", str(VECTOR_STAGES_CAP))
     assert code == EXIT_INVALID
     assert STUB_MESSAGE in err
+
+
+def simplicial_group(rank: int) -> dict:
+    cone = {"type": "simplicial"}
+    return {"kind": "pogroup", "rank": rank, "cone": cone, "unit": [1] * rank}
+
+
+def seven_trace_model() -> dict:
+    """Its K0* group, which both searches run on, has rank 7."""
+    k0 = K0Model(1, ((1,),) * 7, (1,))
+    return docs.encode_wmodel(WModel(k0, TraceSimplex(7)))
+
+
+@pytest.mark.parametrize("suite", SEARCH_SUITES)
+def test_search_size_at_the_work_cap_reaches_the_search(stubbed, put, run, suite):
+    # rank 5 enumerates 7^5 - 1 = 16,806 candidates: 119 multiples fit
+    group = put("g.json", simplicial_group(5))
+    code, _, err = run("check", group, suite, "--bound", "119")
+    assert code == EXIT_INVALID
+    assert STUB_MESSAGE in err
+
+
+@pytest.mark.parametrize("suite", SEARCH_SUITES)
+@pytest.mark.parametrize(
+    "doc, bound",
+    [
+        (simplicial_group(5), ["--bound", "120"]),
+        (simplicial_group(7), []),  # 823,542 candidates at the default bound 10
+        (seven_trace_model(), []),
+    ],
+    ids=["rank-5-bound-120", "rank-7", "seven-traces"],
+)
+def test_search_size_above_the_work_cap_is_refused(stubbed, put, run, suite, doc, bound):
+    model = put("m.json", doc)
+    code, out, err = run("check", model, suite, *bound)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert f"more than {SEARCH_WORK_CAP}" in err
+    assert STUB_MESSAGE not in err

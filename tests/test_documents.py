@@ -11,7 +11,6 @@ from cuntzcalc.documents import (
     dump_document,
     encode_class,
     encode_invariant,
-    encode_measure,
     encode_morphism,
     encode_pogroup,
     encode_schedule,
@@ -29,7 +28,7 @@ from cuntzcalc.elliott import (
     ElliottInvariant,
     InvariantMorphism,
 )
-from cuntzcalc.goodearl import MeasureSpec, RealizationSchedule, StepDensity, StepFn
+from cuntzcalc.goodearl import RealizationSchedule, StepFn
 from cuntzcalc.linalg import identity
 from cuntzcalc.ordmon import (
     GeneratedCone,
@@ -151,13 +150,6 @@ def test_target_roundtrips():
     assert payload == ("step", step)
 
 
-def test_measure_roundtrips():
-    plain = MeasureSpec("1/2", atoms=(("3/4", "1/2"),))
-    assert roundtrip(encode_measure(plain)) == plain
-    dens = MeasureSpec(1, density=StepDensity((0, "1/2", 1), (2, 0)))
-    assert roundtrip(encode_measure(dens)) == dens
-
-
 def test_schedule_roundtrips():
     sizes = RealizationSchedule((2, 4, 8))
     assert roundtrip(encode_schedule(sizes)) == sizes
@@ -179,6 +171,8 @@ def test_floats_are_rejected_everywhere():
 def test_unknown_kind_and_shape_errors():
     with pytest.raises(DocumentError):
         parse_document('{"kind": "mystery"}')
+    with pytest.raises(DocumentError, match="unknown document kind"):
+        parse_document('{"kind": "measure", "lebesgue_weight": "1", "atoms": []}')
     with pytest.raises(DocumentError):
         parse_document("[1, 2]")
     with pytest.raises(DocumentError):
@@ -210,7 +204,6 @@ def test_all_kinds_are_covered_by_tests():
         "morphism",
         "class",
         "target",
-        "measure",
         "schedule",
     }
 

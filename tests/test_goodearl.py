@@ -21,11 +21,8 @@ from cuntzcalc.goodearl import (
     StepFn,
     _merge_slots,
     bump_on,
-    common_refinement,
     compare_elements,
     comparison_lemma_check,
-    complement_open,
-    coz,
     cutdown,
     dim_fn,
     dim_profile,
@@ -38,7 +35,7 @@ from cuntzcalc.goodearl import (
     spectrum,
     spectrum_classify,
     step_approximant,
-    sublevel,
+    superlevel,
 )
 from cuntzcalc.wmodel import CuntzClass, K0Model, TraceSimplex, WModel
 
@@ -107,28 +104,6 @@ class TestClosedSet:
         assert not c.contains("1/2")
 
 
-def test_complement_of_the_empty_set_is_everything():
-    full = complement_open(ClosedSet(()))
-    assert full.intervals == (Iv(fr(0), fr(1), True, True),)
-
-
-def test_complement_around_a_point():
-    c = complement_open(ClosedSet((("1/2", "1/2"),)))
-    assert c.intervals == (
-        Iv(fr(0), fr("1/2"), True, False),
-        Iv(fr("1/2"), fr(1), False, True),
-    )
-
-
-def test_complement_of_everything_is_empty():
-    assert complement_open(ClosedSet(((0, 1),))).is_empty
-
-
-def test_complement_of_a_left_closed_piece():
-    c = complement_open(ClosedSet(((0, "1/2"),)))
-    assert c.intervals == (Iv(fr("1/2"), fr(1), False, True),)
-
-
 # ---------------------------------------------------------------------------
 # piecewise-linear functions
 
@@ -172,7 +147,7 @@ class TestPLFn:
         assert g("3/8") == fr("1/4")
         assert g("1/2") == fr("1/2")
         assert g("7/8") == 0
-        assert coz(g).intervals == (Iv(fr("1/4"), fr("3/4"), False, False),)
+        assert g.cozero().intervals == (Iv(fr("1/4"), fr("3/4"), False, False),)
 
     def test_cozero_of_simple_shapes(self):
         assert PLFn.zero().cozero().is_empty
@@ -196,12 +171,6 @@ class TestPLFn:
         assert small.leq(big)
         assert not big.leq(small)
         assert small.sup_abs_diff(big) == fr("1/2")
-
-    def test_coz_is_cached_per_value(self):
-        a = full_tent()
-        b = full_tent()
-        assert a is not b
-        assert coz(a) is coz(b)
 
 
 def random_plfn(rng: random.Random) -> PLFn:
@@ -280,28 +249,71 @@ class TestStepFn:
         assert f(1) == 1
         assert f.sup == 1
 
-    def test_refine_inherits_interval_values(self):
-        f = two_level().refine(("1/4", "3/4"))
-        assert f.partition == (fr(0), fr("1/4"), fr("1/2"), fr("3/4"), fr(1))
-        for x in GRID_12:
-            assert f(x) == two_level()(x)
 
-    def test_common_refinement(self):
-        f, g = common_refinement(two_level(), StepFn.constant("1/3"))
-        assert f.partition == g.partition
-        for x in GRID_12:
-            assert f(x) == two_level()(x)
-            assert g(x) == fr("1/3")
+# superlevel sets {f > q}: the complements of the sublevel sets {f <= q}
 
 
-class TestSublevel:
+def test_complement_of_the_empty_set_is_everything():
+    full = superlevel(StepFn.constant(1), "1/2")
+    assert full.intervals == (Iv(fr(0), fr(1), True, True),)
+
+
+def test_complement_around_a_point():
+    dip = StepFn((0, "1/2", 1), (1, 1), (1, 0, 1))
+    assert superlevel(dip, "1/2").intervals == (
+        Iv(fr(0), fr("1/2"), True, False),
+        Iv(fr("1/2"), fr(1), False, True),
+    )
+
+
+def test_complement_of_everything_is_empty():
+    assert superlevel(StepFn.constant("1/2"), "1/2").is_empty
+
+
+def test_complement_of_a_left_closed_piece():
+    ramp = StepFn((0, "1/2", 1), (0, 1), (0, 0, 1))
+    assert superlevel(ramp, 0).intervals == (Iv(fr("1/2"), fr(1), False, True),)
+
+
+class TestSuperlevel:
     def test_everything_and_nothing(self):
         f = two_level()
-        assert sublevel(f, 1).intervals == ((fr(0), fr(1)),)
-        assert sublevel(f, "1/4").is_empty
+        assert superlevel(f, 1).is_empty
+        assert superlevel(f, "1/4").intervals == (Iv(fr(0), fr(1), True, True),)
 
     def test_two_level_split(self):
-        assert sublevel(two_level(), "1/2").intervals == ((fr(0), fr("1/2")),)
+        assert superlevel(two_level(), "1/2").intervals == (
+            Iv(fr("1/2"), fr(1), False, True),
+        )
+
+
+def random_lsc_step(rng: random.Random) -> StepFn:
+    """Lower semicontinuous with repeated levels and dropped point values."""
+    den = rng.choice((3, 4, 12))
+    count = rng.randint(0, 4)
+    cuts = sorted({Fraction(rng.randint(1, den - 1), den) for _ in range(count)})
+    part = (fr(0), *cuts, fr(1))
+    levels = [Fraction(rng.randint(0, 4), 4) for _ in range(3)]
+    ivals = [rng.choice(levels) for _ in range(len(part) - 1)]
+    pvals = []
+    for i in range(len(part)):
+        top = min(ivals[j] for j in (i - 1, i) if 0 <= j < len(ivals))
+        low = [v for v in levels if v <= top]
+        pvals.append(top if rng.random() < 0.6 else rng.choice(low))
+    return StepFn(part, ivals, pvals)
+
+
+def test_superlevel_holds_exactly_where_f_exceeds_q():
+    rng = random.Random(818)
+    for _ in range(300):
+        f = random_lsc_step(rng)
+        part = f.partition
+        points = list(part) + [(a + b) / 2 for a, b in zip(part, part[1:])]
+        levels = set(f.interval_values) | set(f.point_values)
+        for q in levels | {Fraction(rng.randint(-1, 9), 8) for _ in range(3)}:
+            opens = superlevel(f, q)
+            for x in points:
+                assert opens.contains(x) == (f(x) > q)
 
 
 class TestStepApproximant:
@@ -442,7 +454,7 @@ class TestCutdown:
 
     def test_half_cut_of_the_full_tent(self):
         cut = cutdown(DiagonalElement(1, (full_tent(),)), "1/2")
-        assert coz(cut.entries[0]).intervals == (
+        assert cut.entries[0].cozero().intervals == (
             Iv(fr("1/4"), fr("3/4"), False, False),
         )
         assert dim_fn(cut, lebesgue()) == fr("1/2")
@@ -515,15 +527,15 @@ class TestBumpOn:
         g = bump_on(opens, "1/2")
         assert g("1/2") == fr("1/2")
         assert g("1/4") == 0
-        assert coz(g).intervals == opens.intervals
+        assert g.cozero().intervals == opens.intervals
 
     def test_half_open_components_get_ramps(self):
         left = bump_on(OpenSet(((0, "1/2", True, False),)), 1)
         assert left(0) == 1 and left("1/2") == 0
-        assert coz(left).intervals == (Iv(fr(0), fr("1/2"), True, False),)
+        assert left.cozero().intervals == (Iv(fr(0), fr("1/2"), True, False),)
         right = bump_on(OpenSet((("1/2", 1, False, True),)), 1)
         assert right(1) == 1 and right("1/2") == 0
-        assert coz(right).intervals == (Iv(fr("1/2"), fr(1), False, True),)
+        assert right.cozero().intervals == (Iv(fr("1/2"), fr(1), False, True),)
 
     def test_full_interval_gives_a_constant(self):
         g = bump_on(OpenSet(((0, 1, True, True),)), "1/4")
@@ -533,7 +545,7 @@ class TestBumpOn:
     def test_multi_component_cozero_is_exact(self):
         opens = OpenSet(((0, "1/4", True, False), ("1/2", 1, False, True)))
         g = bump_on(opens, "1/8")
-        assert coz(g).intervals == opens.intervals
+        assert g.cozero().intervals == opens.intervals
 
     def test_height_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -558,7 +570,7 @@ class TestRealize:
         (stage,) = result.stages
         first, second = stage.element.entries
         assert first.is_zero
-        assert coz(second).intervals == (Iv(fr("1/2"), fr(1), False, True),)
+        assert second.cozero().intervals == (Iv(fr("1/2"), fr(1), False, True),)
         assert second.sup == fr("1/2")
 
     def test_two_level_dimensions_match_exactly(self):
