@@ -61,6 +61,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value.lower():  # Fraction would expand "1e999999999" in full
+            raise DocumentError(f"exponents are not accepted in rationals: {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -117,7 +117,16 @@ class ClosedSet:
 
 
 def _merge_sorted(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(sorted(set(a) | set(b)))
+    """Sorted union of two strictly increasing sequences, in one linear merge."""
+    out, i = [], 0
+    for y in b:
+        while i < len(a) and a[i] < y:
+            out.append(a[i])
+            i += 1
+        out.append(y)
+        if i < len(a) and a[i] == y:
+            i += 1
+    return (*out, *a[i:])
 
 
 @dataclass(frozen=True)
@@ -196,11 +205,8 @@ class PLFn:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
 
-    def _common_grid(self, other: "PLFn") -> tuple[Fraction, ...]:
-        return _merge_sorted(self.breakpoints, other.breakpoints)
-
     def pointwise_max(self, other: "PLFn") -> "PLFn":
-        grid = self._common_grid(other)
+        grid = _merge_sorted(self.breakpoints, other.breakpoints)
         mine, theirs = self.on_grid(grid), other.on_grid(grid)
         pts, vals = [grid[0]], [max(mine[0], theirs[0])]
         for j in range(1, len(grid)):
@@ -263,14 +269,6 @@ class PLFn:
             (min(a, b), max(a, b)) for a, b in zip(self.values, self.values[1:])
         ]
         return ClosedSet(segs)
-
-    def leq(self, other: "PLFn") -> bool:
-        grid = self._common_grid(other)
-        return all(a <= b for a, b in zip(self.on_grid(grid), other.on_grid(grid)))
-
-    def sup_abs_diff(self, other: "PLFn") -> Fraction:
-        grid = self._common_grid(other)
-        return max(abs(a - b) for a, b in zip(self.on_grid(grid), other.on_grid(grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +347,22 @@ def step_witnesses(f: StepFn, g: StepFn, holds) -> list[Fraction]:
     Both functions are constant on each open piece between consecutive
     points of the union of their partitions, so checking every such point
     and every piece decides the relation on all of [0, 1]; a failing piece
-    is witnessed by its midpoint.
+    is witnessed by its midpoint.  One walk reads both values off each piece.
     """
-    part = sorted(set(f.partition) | set(g.partition))
-    points = [part[0]]
-    for a, b in zip(part, part[1:]):
-        points += [(a + b) / 2, b]
-    return [x for x in points if not holds(f(x), g(x))]
+    fp, gp = f.partition, g.partition
+    out, i, j = [], 0, 0
+    while True:
+        x = min(fp[i], gp[j])
+        at_f, at_g = fp[i] == x, gp[j] == x
+        fx = f.point_values[i] if at_f else f.interval_values[i - 1]
+        gx = g.point_values[j] if at_g else g.interval_values[j - 1]
+        if not holds(fx, gx):
+            out.append(x)
+        if x == 1:
+            return out
+        i, j = i + at_f, j + at_g  # the open piece after x ends at fp[i] or gp[j]
+        if not holds(f.interval_values[i - 1], g.interval_values[j - 1]):
+            out.append((x + min(fp[i], gp[j])) / 2)
 
 
 def superlevel(f: StepFn, q) -> OpenSet:
@@ -755,10 +762,12 @@ def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> Realizatio
         else:
             embedded = _merge_slots(prev_entries, n)
         entries = [e.pointwise_max(b) for e, b in zip(embedded, fresh)]
-        increment = max(
-            new.sup_abs_diff(old) for new, old in zip(entries, embedded)
-        )
-        monotone = all(old.leq(new) for new, old in zip(entries, embedded))
+        increment, monotone = Fraction(0), True
+        for new, old in zip(entries, embedded):
+            # new's breakpoints contain old's, so both are linear between them
+            for was, now in zip(old.on_grid(new.breakpoints), new.values):
+                increment = max(increment, abs(now - was))
+                monotone = monotone and was <= now
         records.append(
             RealizationStage(
                 index=idx,

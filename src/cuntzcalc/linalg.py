@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 def frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not accepted, use int or Fraction")
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)  # immutable: no copy needed
 
 
 def vector(values: Iterable) -> tuple[Fraction, ...]:

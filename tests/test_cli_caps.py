@@ -1,7 +1,7 @@
 """Size caps of the command-line front end, checked before any work starts.
 
 Every case here is refused (or let through) by validation alone: the
-sampling, realization and decomposition routines are replaced by stubs that
+sampling, search, realization and decomposition routines are replaced by stubs that
 fail the test if a refused request reaches them, so no capped computation
 ever runs.
 """
@@ -19,6 +19,7 @@ from cuntzcalc.cli import (
     main,
 )
 from cuntzcalc.goodearl import RealizationSchedule
+from cuntzcalc.ordmon import COEFF_VECTORS_CAP
 from cuntzcalc.wmodel import K0Model, TraceSimplex, WModel
 
 STEP_TARGET = {
@@ -195,4 +196,47 @@ def test_search_size_above_the_work_cap_is_refused(stubbed, put, run, suite, doc
     assert code == EXIT_INVALID
     assert out == ""
     assert f"more than {SEARCH_WORK_CAP}" in err
+    assert STUB_MESSAGE not in err
+
+
+def generated_group(generators, coeff_bound: int) -> dict:
+    cone = {"type": "generated", "generators": generators, "coeff_bound": coeff_bound}
+    unit = [sum(column) for column in zip(*generators)]  # in the cone
+    return {"kind": "pogroup", "rank": len(unit), "cone": cone, "unit": unit}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        generated_group([[1]], COEFF_VECTORS_CAP - 1),  # exactly the cap
+        generated_group([[2], [3]], 24),  # 325 vectors
+        generated_group([[1, -1], [0, 1], [2, 1]], 27),  # 4,060 vectors
+    ],
+    ids=["one-generator-at-cap", "two-three-at-24", "three-generators-at-27"],
+)
+def test_generated_cone_within_the_vector_cap_reaches_the_search(stubbed, put, run, doc):
+    group = put("g.json", doc)
+    code, _, err = run("check", group, "weak-unperforation")
+    assert code == EXIT_INVALID
+    assert STUB_MESSAGE in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        generated_group([[1]], COEFF_VECTORS_CAP),  # cap + 1
+        generated_group([[1, -1], [0, 1], [2, 1]], 28),  # 4,495 vectors
+        generated_group([[1, -1], [0, 1], [2, 1]], 60),  # took 24 s uncapped
+        generated_group([[1]] * 3, 10**18),
+        generated_group([[1]], -1),
+    ],
+    ids=["one-generator-past-cap", "three-generators-at-28", "three-generators-at-60",
+         "huge-bound", "negative-bound"],
+)
+def test_generated_cone_past_the_vector_cap_is_refused(stubbed, put, run, doc):
+    group = put("g.json", doc)
+    code, out, err = run("check", group, "weak-unperforation")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert f"at most {COEFF_VECTORS_CAP} coefficient vectors" in err
     assert STUB_MESSAGE not in err

@@ -1,8 +1,13 @@
 """JSON document round-trips and the no-floats rule."""
 
+import copy
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cli_golden import DOCS
 
 from cuntzcalc.approx import DenseSubgroupSpec
 from cuntzcalc.documents import (
@@ -67,6 +72,15 @@ def test_parse_rational_rejects_bools_floats_and_garbage():
             parse_rational(bad)
     # decimal strings are exact, so they are allowed
     assert parse_rational("0.5") == Fraction(1, 2)
+
+
+def test_parse_rational_refuses_exponents():
+    # "1e10000000" alone took 12 s to expand; the refusal needs no expansion
+    for bad in ("1e400", "2E-3", "1.5e1", "3/4e2"):
+        with pytest.raises(DocumentError, match="exponents"):
+            parse_rational(bad)
+    with pytest.raises(DocumentError):
+        load_document('{"kind": "class", "type": "soft", "values": ["1e999999999"]}')
 
 
 def test_rational_str_is_lowest_terms():
@@ -216,3 +230,56 @@ def test_dump_is_deterministic():
     # key order is canonical regardless of construction order
     shuffled = dict(reversed(list(doc.items())))
     assert dump_document(shuffled) == once
+
+
+# ---------------------------------------------------------------------------
+# the decoder on mutated golden documents
+
+# small values only, so that no mutation asks for a large construction
+RETYPES = (None, True, 0, -1, 3, "", "x", "1/0", "2/3", "1e400", [], {},
+           [[1, "1/2"]], {"type": "simplicial"})
+
+
+def _paths(node, path=()):
+    """Every position in a document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _paths(node[key], (*path, key))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, (*path, index))
+
+
+def _mutate(doc, path, op: str, value):
+    """Drop, retype, turn into a float or nest in a list the node at path."""
+    if not path:
+        return {"drop": {}, "retype": value, "float": 0.5, "nest": [doc]}[op]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if op == "drop":
+        del parent[key]
+    elif op == "retype":
+        parent[key] = value
+    elif op == "float":
+        parent[key] = 0.5
+    else:
+        parent[key] = [parent[key]]
+    return doc
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.data())
+def test_mutated_golden_documents_decode_or_raise_document_errors(data):
+    doc = copy.deepcopy(DOCS[data.draw(st.sampled_from(sorted(DOCS)))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        op = data.draw(st.sampled_from(("drop", "retype", "float", "nest")))
+        value = copy.deepcopy(data.draw(st.sampled_from(RETYPES)))
+        doc = _mutate(doc, path, op, value)
+    try:
+        load_document(json.dumps(doc))
+    except ValueError:  # DocumentError is one
+        pass

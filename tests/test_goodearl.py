@@ -2,6 +2,7 @@
 and the stagewise realization of step targets."""
 
 import dataclasses
+import operator
 import random
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from cuntzcalc.goodearl import (
     spectrum,
     spectrum_classify,
     step_approximant,
+    step_witnesses,
     superlevel,
 )
 from cuntzcalc.wmodel import CuntzClass, K0Model, TraceSimplex, WModel
@@ -166,12 +168,6 @@ class TestPLFn:
         assert full_tent().range_pieces().intervals == ((fr(0), fr(1)),)
         assert PLFn.constant(1).range_pieces().intervals == ((fr(1), fr(1)),)
 
-    def test_leq_and_sup_abs_diff(self):
-        small, big = full_tent("1/2"), full_tent(1)
-        assert small.leq(big)
-        assert not big.leq(small)
-        assert small.sup_abs_diff(big) == fr("1/2")
-
 
 def random_plfn(rng: random.Random) -> PLFn:
     """Random breakpoints over mixed denominators; zero stretches are common."""
@@ -217,10 +213,6 @@ def test_swept_operations_match_the_pointwise_reference():
         m = g.pointwise_max(h)
         assert m.breakpoints == tuple(pts)
         assert m.values == tuple(max(g(x), h(x)) for x in pts)
-        for lo, hi in ((g, h), (g, m), (h, m), (m, g), (g, g)):
-            common = sorted(set(lo.breakpoints) | set(hi.breakpoints))
-            assert lo.leq(hi) == all(lo(x) <= hi(x) for x in common)
-            assert lo.sup_abs_diff(hi) == max(abs(lo(x) - hi(x)) for x in common)
         eps = Fraction(rng.randint(0, 4), rng.randint(1, 4))
         level = PLFn.constant(eps)
         roots = crossing_points(g, level, g.breakpoints)
@@ -314,6 +306,25 @@ def test_superlevel_holds_exactly_where_f_exceeds_q():
             opens = superlevel(f, q)
             for x in points:
                 assert opens.contains(x) == (f(x) > q)
+
+
+def test_step_witnesses_match_evaluation_at_points_and_midpoints():
+    rng = random.Random(819)
+    relations = (operator.eq, operator.le, operator.lt, operator.ge)
+    for _ in range(300):
+        f, g = random_lsc_step(rng), random_lsc_step(rng)
+        part = sorted(set(f.partition) | set(g.partition))
+        points = [part[0]]
+        for a, b in zip(part, part[1:]):
+            points += [(a + b) / 2, b]
+        for holds in relations:
+            want = [x for x in points if not holds(f(x), g(x))]
+            assert step_witnesses(f, g, holds) == want
+    assert step_witnesses(two_level(), two_level(), operator.eq) == []
+    assert step_witnesses(two_level(), StepFn.constant("1/2"), operator.eq) == [
+        fr("3/4"),
+        fr(1),
+    ]
 
 
 class TestStepApproximant:
@@ -635,6 +646,30 @@ def test_dim_profile_matches_point_mass_dimensions():
                     mids = [(p + q) / 2 for p, q in zip(part, part[1:])]
                     for x in part + mids:
                         assert profile(x) == dim_fn(a, point_mass(x))
+
+
+def test_stage_increments_and_monotonicity_match_pointwise_evaluation():
+    rng = random.Random(607)
+    schedules = (RealizationSchedule.dyadic(4), RealizationSchedule((3, 6, 12)))
+    for _ in range(6):
+        f = random_step_target(rng)
+        for schedule in schedules:
+            result = realize(f, schedule, len(schedule.sizes))
+            previous = None
+            for stage in result.stages:
+                entries = stage.element.entries
+                if previous is None:
+                    olds = [PLFn.zero()] * stage.size
+                else:
+                    olds = _merge_slots(previous.element.entries, stage.size)
+                diffs, below = [], []
+                for old, new in zip(olds, entries):
+                    common = sorted(set(old.breakpoints) | set(new.breakpoints))
+                    diffs += [abs(new(x) - old(x)) for x in common]
+                    below += [old(x) <= new(x) for x in common]
+                assert stage.sup_increment == max(diffs)
+                assert stage.monotone == all(below)
+                previous = stage
 
 
 def test_exact_check_finds_what_the_grid_misses():

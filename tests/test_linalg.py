@@ -55,6 +55,16 @@ def test_vector_coerces_everything_to_fraction():
     assert all(isinstance(x, Fraction) for x in v)
 
 
+def test_vector_passes_fractions_through_unchanged():
+    given = [Fraction(2, 3), Fraction(-5, 7)]
+    v = vector([*given, 4, "3/8"])
+    assert all(x is y for x, y in zip(v, given))
+    assert v[2:] == (Fraction(4), Fraction(3, 8))
+    assert all(type(x) is Fraction for x in v)
+    with pytest.raises(TypeError):
+        vector([Fraction(1, 2), 0.5])
+
+
 def test_vector_ops_and_predicates():
     assert vadd((1, 2), (3, 4)) == (4, 6)
     assert vsub((1, 2), (3, 4)) == (-2, -2)
