@@ -4,6 +4,8 @@ This module provides positive cones in Z^rank that decide their own
 membership, partially ordered group models built on them, integer Smith
 reduction, and falsifiers for order properties (almost unperforation of a
 sampled ordered monoid, weak unperforation, the Archimedean property).
+Simplicial and strict-state cones are integer half-spaces, so the two
+searches decide each of their tests from a candidate's image R·x.
 
 The checkers are bounded-scale falsifiers, not provers: a counterexample is
 definitive, while "holds on sample" only says the search space was clean.
@@ -18,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import ge, mul
 from typing import Callable, Optional, Sequence
 
 from .linalg import (
@@ -84,52 +86,71 @@ class PositiveCone:
             raise ValueError("order unit must lie in the positive cone")
 
 
-@dataclass(frozen=True)
-class SimplicialCone(PositiveCone):
-    """Coordinatewise non-negative vectors."""
+def _image(rows, x) -> tuple[int, ...]:
+    return tuple(sum(map(mul, row, x)) for row in rows)
+
+
+class HalfSpaceCone(PositiveCone):
+    """An intersection of integer half-spaces: R·x >= 0 in every row of R.
+
+    With ``strict`` it is zero and the x with R·x > 0; on integers > 0 is
+    >= 1, so a nonzero x lies in the cone iff min(R·x) >= strict.
+    """
+
+    strict = False
+
+    def rows(self, rank: int) -> tuple[tuple[int, ...], ...]:
+        raise NotImplementedError
 
     def member(self, x):
-        return YES if all_nonnegative(x) else NO
+        strict = self.strict
+        for row in self.rows(len(x)):
+            if sum(map(mul, row, x)) < strict:
+                return NO if any(x) else YES
+        return YES
 
 
 @dataclass(frozen=True)
-class StrictStateCone(PositiveCone):
+class SimplicialCone(HalfSpaceCone):
+    """Coordinatewise non-negative vectors: the identity rows."""
+
+    def rows(self, rank):
+        return identity(rank)
+
+
+@dataclass(frozen=True)
+class StrictStateCone(HalfSpaceCone):
     """Zero together with the vectors on which every listed state is positive.
 
     ``states`` has one row per state; rows are exact rationals.  Every
     state must take the value 1 on the order unit.  Each row is also kept
-    as integers, multiplied by the lcm of its denominators, with that lcm
-    (``int_rows``): a positive scale keeps every sign, so membership is a
-    run of integer dot products.
+    as integers (``int_rows``), multiplied by the lcm of its denominators
+    (``scales``): a positive scale keeps every sign, so the integer rows
+    are the cone's strict half-spaces.
     """
 
     states: tuple[tuple[Fraction, ...], ...]
-    int_rows: tuple[tuple[tuple[int, ...], int], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    int_rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    scales: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    strict = True
 
     def __init__(self, states):
         states = matrix(states)
         if not states:
             raise ValueError("a strict-state cone needs at least one state")
-        int_rows = []
-        for row in states:
-            scale = math.lcm(*(q.denominator for q in row))
-            int_rows.append(
-                (tuple(q.numerator * (scale // q.denominator) for q in row), scale)
-            )
+        scales = tuple(math.lcm(*(q.denominator for q in row)) for row in states)
+        ints = tuple(tuple(q.numerator * (s // q.denominator) for q in row)
+                     for row, s in zip(states, scales))
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "int_rows", tuple(int_rows))
+        object.__setattr__(self, "int_rows", ints)
+        object.__setattr__(self, "scales", scales)
 
     @property
     def width(self) -> int:
         return len(self.states[0])
 
-    def member(self, x):
-        for row, _ in self.int_rows:
-            if sum(map(mul, row, x)) <= 0:
-                return NO if any(x) else YES
-        return YES
+    def rows(self, rank):
+        return self.int_rows
 
     def check_unit(self, unit):
         # a unit on which every state is 1 lies in the cone
@@ -389,29 +410,33 @@ def is_almost_unperforated(
     return None
 
 
-def _int_vectors_by_norm(rank: int, bound: int):
-    """Nonzero integer vectors ordered by max-norm, positives first."""
-    for m in range(1, bound + 1):
-        layer = [
-            v
-            for v in itertools.product(range(m, -m - 1, -1), repeat=rank)
-            if max(abs(c) for c in v) == m
-        ]
-        yield from layer
+def _int_vectors_by_norm(rank: int, bound: int) -> list[tuple[int, ...]]:
+    """Nonzero integer vectors of max-norm at most ``bound``, by max-norm.
+
+    Box order (positives first) stands within a norm: smaller bounds give prefixes."""
+    box = itertools.product(range(bound, -bound - 1, -1), repeat=rank)
+    return sorted((v for v in box if any(v)), key=lambda v: max(map(abs, v)))
 
 
 def is_weakly_unperforated(model: PoGroupModel, n_max: int, enumeration_bound: int):
     """Search for x and n with nx in the cone minus zero but x outside.
 
     Returns None when the sample is clean, else ``(x, n)``.  Bound-exceeded
-    membership answers make the pair inconclusive and it is skipped.
+    membership answers make the pair inconclusive and it is skipped.  On a
+    half-space cone x's image decides every n: min(n·R·x) = n·min(R·x).
     """
+    cone = model.cone
+    rows = cone.rows(model.rank) if isinstance(cone, HalfSpaceCone) else None
     for x in _int_vectors_by_norm(model.rank, enumeration_bound):
-        if cone_member(model, x).definite is not False:
-            continue
         # x is nonzero, so every nx is too
+        if rows is None:
+            inside = lambda n: cone_member(model, vscale(n, x)).definite
+        else:
+            inside = lambda n, low=min(_image(rows, x)): n * low >= cone.strict
+        if inside(1) is not False:
+            continue
         for n in range(1, n_max + 1):
-            if cone_member(model, vscale(n, x)).definite is True:
+            if inside(n) is True:
                 return (x, n)
     return None
 
@@ -427,23 +452,39 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound: int)
     by size alone: on a simplicial cone that would be a false witness.  The
     sweep covers candidate pairs in increasing max-norm order and stops
     after ``ARCHIMEDEAN_PAIR_BUDGET`` pairs, so None means "none found at
-    this scale", nothing stronger.  Checks n = n_max first since it fails
-    fastest.
+    this scale", nothing stronger.  Half-space cones decide pairs from R·x and
+    R·y; other cones ask ``cone_member`` for each n, n_max first (fastest to fail).
     """
-    candidates_x = []
-    for x in _int_vectors_by_norm(model.rank, enumeration_bound):
-        below_zero = cone_member(model, vneg(x)).definite
-        if below_zero is False:
-            candidates_x.append(x)
-    ys = list(_int_vectors_by_norm(model.rank, min(enumeration_bound, n_max - 1)))
-    order = [n_max] + list(range(1, n_max))
+    cone = model.cone
+    box = _int_vectors_by_norm(model.rank, enumeration_bound)
+    # y runs over the prefix of the box of max-norm below n_max
+    ys = box[: (2 * max(0, min(enumeration_bound, n_max - 1)) + 1) ** model.rank - 1]
     tested = 0
+    if isinstance(cone, HalfSpaceCone):
+        rows, strict = cone.rows(model.rank), cone.strict
+        images = [_image(rows, x) for x in box]
+        for x, image in zip(box, images):
+            if max(image) <= -strict:  # -x lies in the cone
+                continue
+            # R·y - n·R·x is linear in n, so every n <= n_max passes the rule
+            # iff n = 1 and n = n_max do.  It misjudges only a zero difference
+            # y - n·x = 0 on a strict cone, never part of a witness: ||y|| < n_max
+            # forces n < n_max, and y - n_max·x is a positive multiple of -x, outside.
+            limits = [max(v, n_max * v) + strict for v in image]
+            for y, y_image in zip(ys, images):
+                if tested == ARCHIMEDEAN_PAIR_BUDGET:
+                    return None
+                tested += 1
+                if all(map(ge, y_image, limits)):
+                    return (x, y)
+        return None
+    candidates_x = [x for x in box if cone_member(model, vneg(x)).definite is False]
     for x in candidates_x:
-        multiples = [vscale(n, x) for n in order]
+        multiples = [vscale(n, x) for n in (n_max, *range(1, n_max))]
         for y in ys:
-            tested += 1
-            if tested > ARCHIMEDEAN_PAIR_BUDGET:
+            if tested == ARCHIMEDEAN_PAIR_BUDGET:
                 return None
+            tested += 1
             if all(
                 cone_member(model, vsub(y, nx)).definite is True for nx in multiples
             ):
@@ -458,6 +499,5 @@ def evaluate_states(model: PoGroupModel, x) -> tuple[Fraction, ...]:
     x = int_vector(x)
     if len(x) != model.rank:
         raise ValueError("vector has the wrong rank")
-    return tuple(
-        Fraction(sum(map(mul, row, x)), scale) for row, scale in model.cone.int_rows
-    )
+    dots = (sum(map(mul, row, x)) for row in model.cone.int_rows)
+    return tuple(map(Fraction, dots, model.cone.scales))

@@ -41,6 +41,7 @@ from cuntzcalc.goodearl import (
 )
 from cuntzcalc.linalg import identity, matmul, transpose, vneg, vscale, vsub
 from cuntzcalc.ordmon import (
+    ARCHIMEDEAN_PAIR_BUDGET,
     GeneratedCone,
     LexicographicCone,
     PoGroupModel,
@@ -227,12 +228,17 @@ def test_criterion_05_weak_unperforation():
 
 def test_criterion_06_archimedean():
     clean = True
+    whole, budgeted = [], []
     for n in range(1, 6):
         group = PoGroupModel(n, SimplicialCone(), (1,) * n)
         witness = archimedean_witness(
             group, n_max=20, enumeration_bound=ENUM_BOUNDS[n]
         )
         clean = clean and witness is None
+        # candidate pairs: x with a positive coordinate, y of max-norm < 20
+        b = ENUM_BOUNDS[n]
+        pairs = ((2 * b + 1) ** n - (b + 1) ** n) * ((2 * min(b, 19) + 1) ** n - 1)
+        (whole if pairs <= ARCHIMEDEAN_PAIR_BUDGET else budgeted).append(n)
     lex = PoGroupModel(2, LexicographicCone(), (1, 1))
     found = archimedean_witness(lex, n_max=20, enumeration_bound=8)
     control = found is not None
@@ -245,8 +251,9 @@ def test_criterion_06_archimedean():
     verdict(
         6,
         clean and control,
-        "no witness at ranks 1..5, scale 20; the lexicographic control "
-        "yields a verified witness",
+        f"no witness at ranks 1..5, scale 20 (whole candidate box at ranks "
+        f"{whole}, stopped at the {ARCHIMEDEAN_PAIR_BUDGET:,}-pair budget at "
+        f"ranks {budgeted}); the lexicographic control yields a verified witness",
     )
 
 

@@ -4,14 +4,19 @@ The Smith reduction is cross-checked against an independent oracle built
 from determinantal divisors (gcds of k x k minors).
 """
 
+import inspect
 import itertools
 import math
 import random
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from cuntzcalc import ordmon
+from cuntzcalc.cli import _enum_bound
 from cuntzcalc.linalg import identity
 from cuntzcalc.ordmon import (
     BOUND_EXCEEDED,
@@ -21,6 +26,7 @@ from cuntzcalc.ordmon import (
     LexicographicCone,
     OrderStructure,
     PoGroupModel,
+    PositiveCone,
     SimplicialCone,
     StrictStateCone,
     archimedean_witness,
@@ -249,22 +255,163 @@ def count_cone_member(monkeypatch):
     return calls
 
 
-def test_archimedean_search_work_is_pinned(count_cone_member):
-    # the simplicial search stops at the pair budget with nothing found
+@pytest.fixture()
+def count_candidates(monkeypatch):
+    """The number of vectors each ``_int_vectors_by_norm`` call yields."""
+    sizes = []
+
+    def counting(rank, bound):
+        vectors = real(rank, bound)
+        sizes.append(len(vectors))
+        return vectors
+
+    real = ordmon._int_vectors_by_norm
+    monkeypatch.setattr(ordmon, "_int_vectors_by_norm", counting)
+    return sizes
+
+
+def _pairs_examined(search):
+    """Run ``search()`` and count the archimedean pair loop's iterations.
+
+    Counts the runs of every ``tested += 1`` line of ``archimedean_witness``
+    (one per examined pair on either path) with a line tracer on its frames.
+    """
+    code = archimedean_witness.__code__
+    lines, first = inspect.getsourcelines(archimedean_witness)
+    counted = {first + i for i, line in enumerate(lines) if "tested += 1" in line}
+    assert counted
+    runs = 0
+
+    def local(frame, event, arg):
+        nonlocal runs
+        if event == "line" and frame.f_lineno in counted:
+            runs += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        result = search()
+    finally:
+        sys.settrace(previous)
+    return result, runs
+
+
+@dataclass(frozen=True)
+class Delegating(PositiveCone):
+    """The inner cone's membership without its half-space form, so the
+    searches take the generic per-n ``cone_member`` loop."""
+
+    inner: PositiveCone
+
+    def member(self, x):
+        return self.inner.member(x)
+
+
+def test_archimedean_search_work_is_pinned(count_cone_member, count_candidates):
+    # the simplicial search stops at the pair budget with nothing found:
+    # 13^3 - 1 = 2,196 candidates, all of them ys too (max-norm 6 < 10)
     simplicial = PoGroupModel(3, SimplicialCone(), (1, 1, 1))
-    assert archimedean_witness(simplicial, n_max=10, enumeration_bound=6) is None
-    assert len(count_cone_member) == 202_196
-    count_cone_member.clear()
+    search = partial(archimedean_witness, simplicial, n_max=10, enumeration_bound=6)
+    assert _pairs_examined(search) == (None, 200_000)
+    assert count_candidates == [2_196]
+    assert count_cone_member == []  # the images decide every pair
+    # the lexicographic control stays on the generic loop: 3 candidate rows
+    # of 288 pairs, then the witness at the first y of the fourth
+    count_candidates.clear()
     lex = PoGroupModel(2, LexicographicCone(), (1, 0))
-    witness = archimedean_witness(lex, n_max=20, enumeration_bound=8)
-    assert witness == ((0, 1), (1, 1))
+    search = partial(archimedean_witness, lex, n_max=20, enumeration_bound=8)
+    assert _pairs_examined(search) == (((0, 1), (1, 1)), 865)
+    assert count_candidates == [288]
     assert len(count_cone_member) == 1_172
 
 
-def test_weak_unperforation_search_work_is_pinned(count_cone_member):
+def test_weak_unperforation_search_work_is_pinned(count_cone_member, count_candidates):
+    # 9^4 - 1 = 6,560 candidates, each decided from its image alone
     model = PoGroupModel(4, StrictStateCone(identity(4)), (1, 1, 1, 1))
     assert is_weakly_unperforated(model, n_max=10, enumeration_bound=4) is None
+    assert count_candidates == [6_560]
+    assert count_cone_member == []
+    generic = PoGroupModel(4, Delegating(model.cone), (1, 1, 1, 1))
+    assert is_weakly_unperforated(generic, n_max=10, enumeration_bound=4) is None
+    assert count_candidates == [6_560, 6_560]
     assert len(count_cone_member) == 69_600
+
+
+def _random_half_space_model(rng, rank):
+    """A simplicial or strict-state group; states have signed integer
+    weights and are often rank-deficient (fewer states than the rank, or a
+    repeated row)."""
+    unit = tuple(rng.randint(1, 4) for _ in range(rank))
+    if rng.random() < 0.25:
+        return PoGroupModel(rank, SimplicialCone(), unit)
+    rows = []
+    while len(rows) < rng.randint(1, 3):
+        if rows and rng.random() < 0.3:
+            row = rng.choice(rows)
+        else:
+            weights = [rng.randint(-6, 6) for _ in range(rank)]
+            on_unit = sum(w * u for w, u in zip(weights, unit))
+            if on_unit == 0:
+                continue
+            row = tuple(Fraction(w, on_unit) for w in weights)
+        rows.append(row)
+    return PoGroupModel(rank, StrictStateCone(rows), unit)
+
+
+def test_half_space_searches_match_the_generic_loop(monkeypatch):
+    rng = random.Random(20061010)
+    witnesses = 0
+    for _ in range(160):
+        rank = rng.randint(1, 3)
+        model = _random_half_space_model(rng, rank)
+        generic = PoGroupModel(rank, Delegating(model.cone), model.order_unit)
+        n_max = rng.choice((1, 2, 3, 5, 10))
+        bound = rng.randint(1, 4)
+        monkeypatch.setattr(ordmon, "ARCHIMEDEAN_PAIR_BUDGET", rng.randint(1, 3000))
+        found = archimedean_witness(model, n_max, bound)
+        assert found == archimedean_witness(generic, n_max, bound), model
+        witnesses += found is not None
+        assert is_weakly_unperforated(model, n_max, bound) is None
+        assert is_weakly_unperforated(generic, n_max, bound) is None
+    assert witnesses >= 20  # the comparison is not all None
+
+
+def test_half_space_archimedean_at_n_max_one():
+    # y needs max-norm below n_max = 1, so no pair is examined at all
+    model = PoGroupModel(2, StrictStateCone([(5, -1)]), (1, 4))
+    generic = PoGroupModel(2, Delegating(model.cone), (1, 4))
+    for group in (model, generic):
+        search = partial(archimedean_witness, group, n_max=1, enumeration_bound=3)
+        assert _pairs_examined(search) == (None, 0)
+        assert is_weakly_unperforated(group, n_max=1, enumeration_bound=3) is None
+
+
+def test_pair_budget_running_out_at_the_end_of_a_row(monkeypatch):
+    # state 5a - b: candidates (1,1), (1,0), (1,-1) have no witness among the
+    # 24 ys of max-norm <= 2, and (0,-1) meets its first y, (1,1), at n <= 3
+    model = PoGroupModel(2, StrictStateCone([(5, -1)]), (1, 4))
+    generic = PoGroupModel(2, Delegating(model.cone), (1, 4))
+    for budget, want in ((72, None), (73, ((0, -1), (1, 1)))):
+        monkeypatch.setattr(ordmon, "ARCHIMEDEAN_PAIR_BUDGET", budget)
+        for group in (model, generic):
+            search = partial(archimedean_witness, group, n_max=3, enumeration_bound=2)
+            assert _pairs_examined(search) == (want, budget)
+
+
+def _layered_vectors_by_norm(rank, bound):
+    """The enumeration as one layer per max-norm m, each generated apart."""
+    for m in range(1, bound + 1):
+        for v in itertools.product(range(m, -m - 1, -1), repeat=rank):
+            if max(abs(c) for c in v) == m:
+                yield v
+
+
+def test_vectors_by_norm_keep_the_layered_order():
+    for rank in range(1, 5):
+        for bound in range(_enum_bound(rank) + 1):
+            want = list(_layered_vectors_by_norm(rank, bound))
+            assert ordmon._int_vectors_by_norm(rank, bound) == want
 
 
 def test_archimedean_fails_lexicographically():
@@ -323,7 +470,7 @@ def test_integer_state_kernel_matches_fraction_reference():
             ]
             if rank > 1:
                 # on the boundary of the first state: it is exactly 0 there
-                ints, _ = cone.int_rows[0]
+                ints = cone.int_rows[0]
                 probes.append((ints[1], -ints[0]) + (0,) * (rank - 2))
             for x in probes:
                 want = _reference_states(rows, x)
