@@ -120,6 +120,25 @@ DOCS = {
         ["0", "1/4", "2/3", "1"], ["1", "3/5", "7/8"], ["3/4", "0", "1/2", "7/8"]
     ),
     "not_a_doc": {"kind": "nonsense"},
+    "m3": {
+        "kind": "wmodel",
+        "variant": "finite",
+        "rank": 3,
+        "states": [["1/2", "1/2", "0"], ["1/3", "1/3", "1/3"], ["-1/4", "1/2", "3/4"]],
+        "unit": [1, 1, 1],
+    },
+    "m4": {
+        "kind": "wmodel",
+        "variant": "finite",
+        "rank": 4,
+        "states": [
+            ["1/4", "1/4", "1/4", "1/4"],
+            ["1/2", "1/4", "1/4", "0"],
+            ["0", "1/3", "1/3", "1/3"],
+            ["2/5", "-1/5", "2/5", "2/5"],
+        ],
+        "unit": [1, 1, 1, 1],
+    },
 }
 
 SUITES = (
@@ -199,6 +218,11 @@ CASES["check-z-archimedean"] = ["check", "@z", "archimedean"]
 CASES["check-m2-order-axioms-default"] = ["check", "@m2", "order-axioms", "--seed", "5"]
 CASES["check-m2-oracle-agreement-default"] = ["check", "@m2", "oracle-agreement"]
 CASES["check-pogroup-order-axioms"] = ["check", "@simp2", "order-axioms"]
+# larger models: pools that mix projections the rank-3 cone rejects with soft classes
+CASES["check-m3-order-axioms"] = ["check", "@m3", "order-axioms", "--seed", "11"]
+CASES["check-m4-oracle-agreement"] = [
+    "check", "@m4", "oracle-agreement", "--bound", "2000", "--seed", "12",
+]
 
 
 def run_case(argv, workdir: Path) -> dict:
