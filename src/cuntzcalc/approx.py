@@ -8,9 +8,6 @@ Two constructions on positive rational n-vectors:
 * a sup-realization by vectors over a fixed divisibility chain of
   denominators, non-decreasing and strictly below f with gap at most
   2 / m_i at stage i.
-
-Plus a density heuristic for whether a denominator chain can reach every
-state value within a prescribed margin.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import vector
-from .wmodel import K0Model
 
 
 # Largest denominator of a chain.
@@ -149,37 +145,3 @@ def projection_sup_realization(
         out.append(raw)
         prev = raw
     return tuple(out)
-
-
-PLAUSIBLE = "plausible"
-REFUTED = "refuted"
-
-
-def condition_d_check(k0: K0Model, subgroup: DenseSubgroupSpec, eps) -> str:
-    """Heuristic density check for a denominator chain against state values.
-
-    Collects the state values of a small deterministic cone sample together
-    with the top-denominator grid {k / m_L} and measures how far a point of
-    [0, 1] can sit from that set.  Returns ``refuted`` when the covering
-    radius exceeds eps, else ``plausible``.  A refutation at this scale is
-    genuine; plausibility is only sample-deep.
-    """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    m_last = subgroup.denominators[-1]
-    values = {Fraction(k, m_last) for k in range(m_last + 1)}
-    samples = [tuple(k0.unit)]
-    for i in range(k0.rank):
-        e = tuple(1 if j == i else 0 for j in range(k0.rank))
-        if k0.cone_member(e):
-            samples.append(e)
-    for v in samples:
-        for s in k0.states(v):
-            if 0 <= s <= 1:
-                values.add(Fraction(s))
-    points = sorted(values)
-    radius = max(points[0] - 0, 1 - points[-1])
-    for a, b in zip(points, points[1:]):
-        radius = max(radius, (b - a) / 2)
-    return REFUTED if radius > eps else PLAUSIBLE

@@ -10,6 +10,7 @@ that reports stay byte-identical for identical inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -115,30 +116,30 @@ def _rule_label(model: WModel, x: CuntzClass, y: CuntzClass) -> str:
     return "proj-soft (strict pointwise)"
 
 
-def _oracle_leq(model: WModel, x: CuntzClass, y: CuntzClass) -> bool:
+def _oracle_states(model: WModel, v) -> list[Fraction]:
+    """Trace vector of a projection payload, read off the raw state matrix."""
+    return [sum(r * c for r, c in zip(row, v)) for row in model.k0.state_matrix]
+
+
+def _oracle_leq(x: CuntzClass, y: CuntzClass, sx, sy) -> bool:
     """Rule-unrolling order oracle, coded separately from the model method.
 
-    Works from the raw state matrix: projection payloads are compared by
-    membership of the difference in the strict-state cone, mixed pairs by
-    comparing trace vectors with the strictness dictated by which side is
-    the projection.
+    ``sx`` and ``sy`` are the ``_oracle_states`` of x and y where they are
+    projections.  Projection payloads are compared by membership of the
+    difference in the strict-state cone, whose states are sy - sx by
+    linearity; mixed pairs by comparing trace vectors with the strictness
+    dictated by which side is the projection.
     """
-    rows = model.k0.state_matrix
-
-    def states(v):
-        return [sum(r * c for r, c in zip(row, v)) for row in rows]
-
     if x.is_proj and y.is_proj:
-        diff = [b - a for a, b in zip(x.values, y.values)]
-        if all(d == 0 for d in diff):
+        if x.values == y.values:
             return True
-        return all(s > 0 for s in states(diff))
+        return all(b - a > 0 for a, b in zip(sx, sy))
     if x.is_proj:  # strict rule
         if all(v == 0 for v in x.values):
             return True
-        return all(s < f for s, f in zip(states(x.values), y.values))
+        return all(s < f for s, f in zip(sx, y.values))
     if y.is_proj:  # non-strict rule
-        return all(f <= s for f, s in zip(x.values, states(y.values)))
+        return all(f <= s for f, s in zip(x.values, sy))
     return all(f <= g for f, g in zip(x.values, y.values))
 
 
@@ -255,21 +256,27 @@ def _class_pool(model: WModel, rng, count: int) -> list[CuntzClass]:
 
 
 def _suite_order_axioms(model: WModel, rng, bound: int) -> dict:
+    # draws are pool indices (rng.choice draws the same index either way),
+    # so each pool pair is compared and each pool sum is formed once
     pool = _class_pool(model, rng, bound or 24)
+    leq = functools.cache(lambda i, j: model.compare(pool[i], pool[j]))
+    add = functools.cache(lambda i, k: model.add(pool[i], pool[k]))
+    indices = range(len(pool))
     failures: list[str] = []
-    for x in pool:
-        if not model.compare(x, x):
+    for i, x in enumerate(pool):
+        if not leq(i, i):
             failures.append(f"not reflexive at {x!r}")
     for _ in range(400):
-        x, y = rng.choice(pool), rng.choice(pool)
-        if model.compare(x, y) and model.compare(y, x) and x != y:
-            failures.append(f"antisymmetry: {x!r} vs {y!r}")
+        i, j = rng.choice(indices), rng.choice(indices)
+        if leq(i, j) and leq(j, i) and pool[i] != pool[j]:
+            failures.append(f"antisymmetry: {pool[i]!r} vs {pool[j]!r}")
     for _ in range(1200):
-        x, y, z = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-        if model.compare(x, y) and model.compare(y, z) and not model.compare(x, z):
+        i, j, k = rng.choice(indices), rng.choice(indices), rng.choice(indices)
+        x, y, z = pool[i], pool[j], pool[k]
+        if leq(i, j) and leq(j, k) and not leq(i, k):
             failures.append(f"transitivity: {x!r}, {y!r}, {z!r}")
-        if model.compare(x, y):
-            if not model.compare(model.add(x, z), model.add(y, z)):
+        if leq(i, j):
+            if not model.compare(add(i, k), add(j, k)):
                 failures.append(f"add-compatibility: {x!r}, {y!r}, {z!r}")
     return {"checked": len(pool), "failures": failures[:5]}
 
@@ -325,11 +332,19 @@ def _suite_oracle_agreement(model: WModel, rng, bound: int) -> dict:
     if isinstance(model, PurelyInfiniteModel):
         raise DocumentError("oracle-agreement needs a finite model")
     pool = _class_pool(model, rng, 30)
+    states = [_oracle_states(model, c.values) if c.is_proj else None for c in pool]
+
+    @functools.cache
+    def agree(i, j):
+        x, y = pool[i], pool[j]
+        return model.compare(x, y) == _oracle_leq(x, y, states[i], states[j])
+
+    indices = range(len(pool))
     mismatches = []
     for _ in range(bound or 2000):
-        x, y = rng.choice(pool), rng.choice(pool)
-        if model.compare(x, y) != _oracle_leq(model, x, y):
-            mismatches.append([repr(x), repr(y)])
+        i, j = rng.choice(indices), rng.choice(indices)
+        if not agree(i, j):
+            mismatches.append([repr(pool[i]), repr(pool[j])])
     return {"checked": bound or 2000, "failures": mismatches[:5]}
 
 

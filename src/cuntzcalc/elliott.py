@@ -146,9 +146,13 @@ def validate_invariant(inv: ElliottInvariant) -> list[str]:
 def validate_morphism(
     mor: InvariantMorphism, source: ElliottInvariant, target: ElliottInvariant
 ) -> list[str]:
-    """Check shapes, unit, convexity, the state square, and cone positivity.
+    """Check shapes, unit, convexity and the state square.
 
-    Returns a list of human-readable violations; empty means valid.
+    Returns a list of human-readable violations; empty means valid.  These
+    checks imply that theta0 is positive: for a nonzero x in the source cone,
+    R_t theta0 x = gamma^T R_s x, and each convex column of gamma averages the
+    entries of R_s x > 0, so R_t theta0 x > 0 and theta0 x lies in the target
+    cone.
     """
     problems = []
     ka, kb = source.k0.rank, target.k0.rank
@@ -173,17 +177,6 @@ def validate_morphism(
     rhs = matmul(target.k0.state_matrix, mor.theta0)
     if lhs != rhs:
         problems.append("state square fails: gamma^T R_source != R_target theta0")
-    # positivity on a deterministic cone sample
-    samples = [tuple(source.k0.unit)]
-    for i in range(ka):
-        e = tuple(1 if j == i else 0 for j in range(ka))
-        if source.k0.cone_member(e):
-            samples.append(e)
-        samples.append(tuple(u + ei for u, ei in zip(source.k0.unit, e)))
-    for v in samples:
-        if source.k0.cone_member(v) and not target.k0.cone_member(matvec(mor.theta0, v)):
-            problems.append(f"theta0 maps cone element {v} outside the target cone")
-            break
     return problems
 
 

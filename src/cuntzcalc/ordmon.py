@@ -86,7 +86,8 @@ class PositiveCone:
             raise ValueError("order unit must lie in the positive cone")
 
 
-def _image(rows, x) -> tuple[int, ...]:
+def row_image(rows, x) -> tuple[int, ...]:
+    """R·x for integer rows R."""
     return tuple(sum(map(mul, row, x)) for row in rows)
 
 
@@ -432,7 +433,7 @@ def is_weakly_unperforated(model: PoGroupModel, n_max: int, enumeration_bound: i
         if rows is None:
             inside = lambda n: cone_member(model, vscale(n, x)).definite
         else:
-            inside = lambda n, low=min(_image(rows, x)): n * low >= cone.strict
+            inside = lambda n, low=min(row_image(rows, x)): n * low >= cone.strict
         if inside(1) is not False:
             continue
         for n in range(1, n_max + 1):
@@ -462,7 +463,7 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound: int)
     tested = 0
     if isinstance(cone, HalfSpaceCone):
         rows, strict = cone.rows(model.rank), cone.strict
-        images = [_image(rows, x) for x in box]
+        images = [row_image(rows, x) for x in box]
         for x, image in zip(box, images):
             if max(image) <= -strict:  # -x lies in the cone
                 continue

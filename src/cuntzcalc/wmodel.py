@@ -12,6 +12,14 @@ and non-strict comparisons:
 * a projection class sits below a soft class only when its trace vector is
   strictly below the soft profile at every trace.
 
+``compare`` and ``add`` decide these rules from one integer image per
+operand.  A projection x has the image R·x over the K0 cone's integer rows
+R (state row i times its scale s_i), so its trace at i is (R·x)_i / s_i.
+x lies in the K0 cone iff x = 0 or min(R·x) >= 1, and y - x does iff y = x
+or min(R·y - R·x) >= 1.  A soft value a = p/q against a projection's trace
+b/s is an integer comparison: a <= b/s iff p·s <= b·q, and b/s < a iff
+b·q < p·s.
+
 ``WModel`` is the finite model.  ``PurelyInfiniteModel`` is the
 two-element degenerate semigroup {0, <1>} of a purely infinite algebra,
 whose nonzero class absorbs addition and whose enveloping group is zero.
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Optional
 
 from .linalg import (
@@ -34,7 +43,14 @@ from .linalg import (
     vsub,
     zeros,
 )
-from .ordmon import YES, PoGroupModel, StrictStateCone, cone_member, evaluate_states
+from .ordmon import (
+    YES,
+    PoGroupModel,
+    StrictStateCone,
+    cone_member,
+    evaluate_states,
+    row_image,
+)
 
 
 @dataclass(frozen=True)
@@ -224,17 +240,27 @@ class WModel:
         return CuntzClass.proj(self.k0.unit)
 
     def validate_class(self, x: CuntzClass) -> CuntzClass:
+        self._image(x)
+        return x
+
+    def _image(self, x: CuntzClass) -> tuple:
+        """Validate x; return R·x for a projection, the profile for a soft class."""
         if not isinstance(x, CuntzClass):
             raise TypeError("expected a CuntzClass")
-        if x.is_proj:
-            if len(x.values) != self.k0.rank:
-                raise ValueError("projection payload has the wrong K0 rank")
-            if not self.k0.cone_member(x.values):
-                raise ValueError("projection payload must lie in the K0 cone")
-        else:
+        if x.is_soft:
             if len(x.values) != self.traces.n:
                 raise ValueError("soft payload must have one value per trace")
-        return x
+            return x.values
+        if len(x.values) != self.k0.rank:
+            raise ValueError("projection payload has the wrong K0 rank")
+        image = row_image(self.k0.cone.int_rows, x.values)
+        if min(image) < 1 and any(x.values):
+            raise ValueError("projection payload must lie in the K0 cone")
+        return image
+
+    def _profile(self, x: CuntzClass, image: tuple) -> tuple[Fraction, ...]:
+        """Trace vector of x from its image."""
+        return image if x.is_soft else tuple(map(Fraction, image, self.k0.cone.scales))
 
     # -- operations ---------------------------------------------------------
 
@@ -246,28 +272,25 @@ class WModel:
         return self.k0.states(v)
 
     def add(self, x: CuntzClass, y: CuntzClass) -> CuntzClass:
-        self.validate_class(x)
-        self.validate_class(y)
+        ix, iy = self._image(x), self._image(y)
         if x.is_proj and y.is_proj:
             return CuntzClass.proj(vadd(x.values, y.values))
-        fx = x.values if x.is_soft else self.k0.states(x.values)
-        fy = y.values if y.is_soft else self.k0.states(y.values)
-        return CuntzClass.soft(vadd(fx, fy))
+        return CuntzClass.soft(vadd(self._profile(x, ix), self._profile(y, iy)))
 
     def compare(self, x: CuntzClass, y: CuntzClass) -> bool:
         """Decide x <= y in the model order."""
-        self.validate_class(x)
-        self.validate_class(y)
+        ix, iy = self._image(x), self._image(y)
         if x.is_proj and y.is_proj:
-            return self.k0.cone_member(vsub(y.values, x.values))
+            return x.values == y.values or min(map(sub, iy, ix)) >= 1
         if x.is_soft and y.is_soft:
-            return all(a <= b for a, b in zip(x.values, y.values, strict=True))
+            return all(a <= b for a, b in zip(ix, iy, strict=True))
+        scales = self.k0.cone.scales
         if x.is_soft:  # soft below projection: non-strict
-            p_hat = self.k0.states(y.values)
-            return all(a <= b for a, b in zip(x.values, p_hat, strict=True))
+            return all(a.numerator * s <= b * a.denominator
+                       for a, b, s in zip(ix, iy, scales))
         # projection below soft: strict at every trace
-        p_hat = self.k0.states(x.values)
-        return all(a < b for a, b in zip(p_hat, y.values, strict=True))
+        return all(a * b.denominator < b.numerator * s
+                   for a, b, s in zip(ix, iy, scales))
 
     def scale(self, x: CuntzClass, factor) -> CuntzClass:
         """Scale a soft class by a positive rational."""
@@ -282,12 +305,10 @@ class WModel:
 
     def soften(self, x: CuntzClass) -> CuntzClass:
         """Replace a nonzero projection class by the soft class of its traces."""
-        self.validate_class(x)
-        if x.is_soft:
-            return x
+        image = self._image(x)
         if x.is_zero:
             raise ValueError("the zero class has no soft counterpart")
-        return CuntzClass.soft(self.k0.states(x.values))
+        return CuntzClass.soft(self._profile(x, image))
 
     def complement(self, x: CuntzClass, y: CuntzClass) -> Optional[CuntzClass]:
         """A class z with x + z = y, when one exists below y.
@@ -313,10 +334,7 @@ class WModel:
 
     def gamma(self, x: CuntzClass) -> tuple[Fraction, ...]:
         """Image of a class in the enveloping group Q^n."""
-        self.validate_class(x)
-        if x.is_soft:
-            return x.values
-        return self.k0.states(x.values)
+        return self._profile(x, self._image(x))
 
     def k0star(self) -> K0Star:
         return K0Star(self.traces.n)
@@ -337,6 +355,9 @@ class PurelyInfiniteModel(WModel):
         if x.is_soft or x.values not in ((0,), (1,)):
             raise ValueError("the purely infinite model has only the classes 0 and <1>")
         return x
+
+    def _image(self, x: CuntzClass) -> tuple:
+        return self.validate_class(x).values  # R = ((1,),) on the placeholder K0
 
     def hat(self, v) -> tuple[Fraction, ...]:
         raise ValueError("the purely infinite model has no trace pairing")

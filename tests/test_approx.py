@@ -7,16 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuntzcalc.approx import (
-    PLAUSIBLE,
-    REFUTED,
     DenseSubgroupSpec,
-    condition_d_check,
     dyadic_below,
     first_stage,
     projection_sup_realization,
     summable_decomposition,
 )
-from cuntzcalc.wmodel import K0Model
 
 
 def test_first_stage_waits_for_positivity():
@@ -151,34 +147,3 @@ def test_subgroup_spec_validation():
         DenseSubgroupSpec((0,))
     with pytest.raises(ValueError):
         DenseSubgroupSpec((2, 2**31))
-
-
-class TestConditionD:
-    def test_dyadic_chain_is_plausible_at_an_eighth(self):
-        k0 = K0Model(1, ((1,),), (1,))
-        spec = DenseSubgroupSpec((2, 4, 8, 16))
-        assert condition_d_check(k0, spec, Fraction(1, 8)) == PLAUSIBLE
-
-    def test_halves_alone_are_refuted_at_an_eighth(self):
-        k0 = K0Model(1, ((1,),), (1,))
-        spec = DenseSubgroupSpec((2,))
-        assert condition_d_check(k0, spec, Fraction(1, 8)) == REFUTED
-
-    def test_integer_grid_is_refuted_below_a_half(self):
-        k0 = K0Model(1, ((1,),), (1,))
-        spec = DenseSubgroupSpec((1,))
-        assert condition_d_check(k0, spec, Fraction(1, 4)) == REFUTED
-        assert condition_d_check(k0, spec, Fraction(1, 2)) == PLAUSIBLE
-
-    def test_state_values_can_fill_grid_gaps(self):
-        # basis states at 1/4 and 3/4 cut the byte-sized gaps of {0,1/2,1}
-        k0 = K0Model(2, ((Fraction(1, 4), Fraction(3, 4)),), (1, 1))
-        spec = DenseSubgroupSpec((2,))
-        assert condition_d_check(k0, spec, Fraction(1, 8)) == PLAUSIBLE
-        plain = K0Model(1, ((1,),), (1,))
-        assert condition_d_check(plain, spec, Fraction(1, 8)) == REFUTED
-
-    def test_eps_must_be_positive(self):
-        k0 = K0Model(1, ((1,),), (1,))
-        with pytest.raises(ValueError):
-            condition_d_check(k0, DenseSubgroupSpec((2,)), 0)

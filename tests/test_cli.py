@@ -249,6 +249,56 @@ class TestCheckSuites:
         assert report["passed"] is True
         assert report["details"]["checked"] == 300
 
+    def test_oracle_agreement_catches_a_non_strict_proj_soft_rule(
+        self, workspace, run, monkeypatch
+    ):
+        strict = WModel.compare
+
+        def lax(self, x, y):
+            if x.is_proj and y.is_soft:
+                traces = self.k0.states(x.values)
+                return all(a <= b for a, b in zip(traces, y.values))
+            return strict(self, x, y)
+
+        monkeypatch.setattr(WModel, "compare", lax)
+        model = workspace("m.json", docs.encode_wmodel(w_of_z()))
+        code, out, _ = run("check", model, "oracle-agreement")
+        assert code == EXIT_OK
+        report = report_of(out)
+        assert report["passed"] is False
+        assert report["details"]["verdict"] == "fail"
+        assert report["details"]["failures"]
+        for x, y in report["details"]["failures"]:
+            assert x.startswith("Proj(") and y.startswith("Soft(")
+
+    def test_order_axioms_catch_a_total_relation(self, workspace, run, monkeypatch):
+        monkeypatch.setattr(WModel, "compare", lambda self, x, y: True)
+        model = workspace("m.json", docs.encode_wmodel(w_of_z()))
+        code, out, _ = run("check", model, "order-axioms")
+        assert code == EXIT_OK
+        report = report_of(out)
+        assert report["passed"] is False
+        assert report["details"]["failures"]
+        assert report["details"]["failures"][0].startswith("antisymmetry: ")
+
+    def test_order_axioms_compare_each_pool_pair_once(self, workspace, run, monkeypatch):
+        # at most one call per pair of the 26 pool classes, plus one per
+        # add-compatibility draw, whose sums lie outside the pool
+        calls = []
+        compare = WModel.compare
+
+        def counted(self, x, y):
+            calls.append((x, y))
+            return compare(self, x, y)
+
+        monkeypatch.setattr(WModel, "compare", counted)
+        model = workspace("m.json", docs.encode_wmodel(w_of_z()))
+        code, out, _ = run("check", model, "order-axioms")
+        assert code == EXIT_OK
+        details = report_of(out)["details"]
+        assert details == {"checked": 26, "failures": [], "verdict": "pass"}
+        assert len(calls) <= 26**2 + 1200
+
     def test_strict_cone_suite_needs_the_finite_variant(self, workspace, run):
         finite = workspace("m.json", docs.encode_wmodel(two_trace_model()))
         code, out, _ = run("check", finite, "strict-cone")

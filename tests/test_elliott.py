@@ -148,6 +148,24 @@ def test_gamma_columns_must_be_convex():
     )
 
 
+def test_non_convex_column_is_flagged_where_theta0_leaves_the_cone():
+    # gamma^T R_s = R_t theta0 holds, but the column (-1/2, 3/2) is not convex:
+    # (4, -1) lies in the source cone, yet the target state is -3/8 on it
+    inv = two_trace_invariant()
+    target = ElliottInvariant(
+        K0Model(2, (("1/8", "7/8"),), (1, 1)), inv.k1, TraceSimplex(1)
+    )
+    mor = InvariantMorphism(
+        identity(2),
+        AbelianGroupHom.identity_on(inv.k1),
+        ((Fraction(-1, 2),), (Fraction(3, 2),)),
+    )
+    assert inv.k0.cone_member((4, -1)) and not target.k0.cone_member((4, -1))
+    assert validate_morphism(mor, inv, target) == [
+        "gamma column 0 has a negative coefficient"
+    ]
+
+
 def test_theta1_endpoints_are_checked():
     inv = two_trace_invariant()
     wrong = AbelianGroupHom.identity_on(AbelianGroupData(2))

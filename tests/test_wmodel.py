@@ -108,6 +108,24 @@ def test_validate_class_rejects_malformed_payloads():
         CuntzClass.soft((0, 1))
 
 
+@pytest.mark.parametrize("op", ["compare", "add"])
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        (proj(1, 0, 0), ValueError, "wrong K0 rank"),
+        (proj(2, -1), ValueError, "K0 cone"),
+        (proj(3, -1), ValueError, "K0 cone"),  # the second state vanishes on it
+        (soft(1), ValueError, "one value per trace"),
+        ("not a class", TypeError, "CuntzClass"),
+    ],
+)
+def test_compare_and_add_validate_each_operand(op, bad, error, message):
+    method = getattr(two_trace_model(), op)
+    for x, y in ((bad, proj(1, 1)), (soft(1, 1), bad)):
+        with pytest.raises(error, match=message):
+            method(x, y)
+
+
 # ---------------------------------------------------------------------------
 # scaling, softening, complements
 
@@ -186,6 +204,13 @@ class TestPurelyInfinite:
         assert model.compare(zero, one)
         assert model.compare(one, one)
         assert not model.compare(one, zero)
+
+    def test_compare_refuses_the_finite_classes(self):
+        model = purely_infinite()
+        for bad in (proj(2), soft(1)):
+            for x, y in ((bad, model.unit_class), (model.zero_class, bad)):
+                with pytest.raises(ValueError, match="only the classes"):
+                    model.compare(x, y)
 
     def test_no_trace_pairing(self):
         model = purely_infinite()
@@ -330,3 +355,18 @@ def test_compare_matches_the_unrolled_rules_on_a_grid():
     for x in grid:
         for y in grid:
             assert model.compare(x, y) == _oracle(model, x, y), (x, y)
+
+
+def two_trace_classes():
+    projections = st.tuples(st.integers(0, 3), st.integers(-1, 3)).filter(
+        lambda v: two_trace_model().k0.cone_member(v)
+    )
+    profiles = st.tuples(small_fractions(5, 8), small_fractions(5, 8))
+    return st.one_of(projections.map(CuntzClass.proj), profiles.map(CuntzClass.soft))
+
+
+@given(two_trace_classes(), two_trace_classes())
+def test_integer_rules_match_the_fraction_rules(x, y):
+    # trace scales 2 and 4, so the mixed rules cross-multiply by each
+    model = two_trace_model()
+    assert model.compare(x, y) == _oracle(model, x, y)
