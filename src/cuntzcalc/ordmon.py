@@ -4,8 +4,9 @@ This module provides positive cones in Z^rank that decide their own
 membership, partially ordered group models built on them, integer Smith
 reduction, and falsifiers for order properties (almost unperforation of a
 sampled ordered monoid, weak unperforation, the Archimedean property).
-Simplicial and strict-state cones are integer half-spaces, so the two
-searches decide each of their tests from a candidate's image R·x.
+Simplicial and strict-state cones are integer half-spaces: weak unperforation
+holds on them without a search, and the archimedean search settles each
+candidate from row bounds on its image R·x.
 
 The checkers are bounded-scale falsifiers, not provers: a counterexample is
 definitive, while "holds on sample" only says the search space was clean.
@@ -20,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import ge, mul
+from operator import ge, gt, mul
 from typing import Callable, Optional, Sequence
 
 from .linalg import (
@@ -423,21 +424,19 @@ def is_weakly_unperforated(model: PoGroupModel, n_max: int, enumeration_bound: i
     """Search for x and n with nx in the cone minus zero but x outside.
 
     Returns None when the sample is clean, else ``(x, n)``.  Bound-exceeded
-    membership answers make the pair inconclusive and it is skipped.  On a
-    half-space cone x's image decides every n: min(n·R·x) = n·min(R·x).
+    membership answers make the pair inconclusive and it is skipped.  A
+    half-space cone has no such pair: a nonzero x lies outside iff
+    min(R·x) < strict ∈ {0, 1}, so min(R·x) < 0, or min(R·x) = 0 < strict = 1;
+    either way n·min(R·x) < strict for every n >= 1, and nx lies outside too.
     """
-    cone = model.cone
-    rows = cone.rows(model.rank) if isinstance(cone, HalfSpaceCone) else None
+    if isinstance(model.cone, HalfSpaceCone):
+        return None
     for x in _int_vectors_by_norm(model.rank, enumeration_bound):
         # x is nonzero, so every nx is too
-        if rows is None:
-            inside = lambda n: cone_member(model, vscale(n, x)).definite
-        else:
-            inside = lambda n, low=min(row_image(rows, x)): n * low >= cone.strict
-        if inside(1) is not False:
+        if cone_member(model, x).definite is not False:
             continue
         for n in range(1, n_max + 1):
-            if inside(n) is True:
+            if cone_member(model, vscale(n, x)).definite is True:
                 return (x, n)
     return None
 
@@ -455,16 +454,22 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound: int)
     after ``ARCHIMEDEAN_PAIR_BUDGET`` pairs, so None means "none found at
     this scale", nothing stronger.  Half-space cones decide pairs from R·x and
     R·y; other cones ask ``cone_member`` for each n, n_max first (fastest to fail).
+    Every y has max-norm at most m, so row k of R·y is at most m·Σ|r_k|: a
+    candidate whose limit passes that top in some row has no witness, and its
+    pairs are counted untested (on a simplicial cone n_max·x_k > m for all).
     """
     cone = model.cone
     box = _int_vectors_by_norm(model.rank, enumeration_bound)
-    # y runs over the prefix of the box of max-norm below n_max
-    ys = box[: (2 * max(0, min(enumeration_bound, n_max - 1)) + 1) ** model.rank - 1]
+    # y runs over the prefix of the box of max-norm at most m < n_max
+    m = max(0, min(enumeration_bound, n_max - 1))
+    ys = box[: (2 * m + 1) ** model.rank - 1]
     tested = 0
     if isinstance(cone, HalfSpaceCone):
         rows, strict = cone.rows(model.rank), cone.strict
-        images = [row_image(rows, x) for x in box]
-        for x, image in zip(box, images):
+        tops = [m * sum(map(abs, row)) for row in rows]
+        y_images = None
+        for x in box:
+            image = row_image(rows, x)
             if max(image) <= -strict:  # -x lies in the cone
                 continue
             # R·y - n·R·x is linear in n, so every n <= n_max passes the rule
@@ -472,7 +477,14 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound: int)
             # y - n·x = 0 on a strict cone, never part of a witness: ||y|| < n_max
             # forces n < n_max, and y - n_max·x is a positive multiple of -x, outside.
             limits = [max(v, n_max * v) + strict for v in image]
-            for y, y_image in zip(ys, images):
+            if any(map(gt, limits, tops)):
+                tested += len(ys)
+                if tested > ARCHIMEDEAN_PAIR_BUDGET:
+                    return None
+                continue
+            if y_images is None:
+                y_images = [row_image(rows, y) for y in ys]
+            for y, y_image in zip(ys, y_images):
                 if tested == ARCHIMEDEAN_PAIR_BUDGET:
                     return None
                 tested += 1

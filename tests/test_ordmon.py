@@ -4,7 +4,6 @@ The Smith reduction is cross-checked against an independent oracle built
 from determinantal divisors (gcds of k x k minors).
 """
 
-import inspect
 import itertools
 import math
 import random
@@ -235,10 +234,14 @@ def test_archimedean_clean_on_simplicial():
     assert archimedean_witness(model, n_max=4, enumeration_bound=2) is None
 
 
-def test_archimedean_clean_on_the_integers_above_the_scale():
+def test_archimedean_clean_on_the_integers_above_the_scale(count_images):
     # y up to the enumeration bound 12 would dominate 10 x = 10 by size alone
     model = PoGroupModel(1, SimplicialCone(), (1,))
     assert archimedean_witness(model, n_max=10, enumeration_bound=12) is None
+    # m = n_max - 1 = 9 is the tightest top: every candidate x = k > 0 has
+    # the limit 10k > 9, so each of the 24 vectors is imaged once, in order,
+    # and no y image is built
+    assert count_images == ordmon._int_vectors_by_norm(1, 12)
 
 
 @pytest.fixture()
@@ -270,31 +273,56 @@ def count_candidates(monkeypatch):
     return sizes
 
 
-def _pairs_examined(search):
-    """Run ``search()`` and count the archimedean pair loop's iterations.
+@pytest.fixture()
+def count_images(monkeypatch):
+    """The vectors, in order, whose image ``ordmon.row_image`` computes."""
+    vectors = []
 
-    Counts the runs of every ``tested += 1`` line of ``archimedean_witness``
-    (one per examined pair on either path) with a line tracer on its frames.
-    """
+    def counting(rows, x):
+        vectors.append(x)
+        return real(rows, x)
+
+    real = ordmon.row_image
+    monkeypatch.setattr(ordmon, "row_image", counting)
+    return vectors
+
+
+def _pairs_counted(search):
+    """Run ``search()`` and read ``archimedean_witness``'s ``tested`` as it
+    returns: the pairs it tested, plus the pairs of every candidate row it
+    counted without testing."""
     code = archimedean_witness.__code__
-    lines, first = inspect.getsourcelines(archimedean_witness)
-    counted = {first + i for i, line in enumerate(lines) if "tested += 1" in line}
-    assert counted
-    runs = 0
+    counts = []
 
     def local(frame, event, arg):
-        nonlocal runs
-        if event == "line" and frame.f_lineno in counted:
-            runs += 1
+        if event == "return":
+            counts.append(frame.f_locals["tested"])
+        return local
+
+    def start(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        frame.f_trace_lines = False
         return local
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    sys.settrace(start)
     try:
         result = search()
     finally:
         sys.settrace(previous)
-    return result, runs
+    assert len(counts) == 1
+    return result, counts[0]
+
+
+def _pairs_examined(search):
+    """Run ``search()`` and count the pairs it examined before it returned.
+
+    A row counted in bulk can carry the count past the budget; the pair
+    walk it stands for stops at the budget, so the count is capped there.
+    """
+    result, tested = _pairs_counted(search)
+    return result, min(tested, ordmon.ARCHIMEDEAN_PAIR_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -308,7 +336,9 @@ class Delegating(PositiveCone):
         return self.inner.member(x)
 
 
-def test_archimedean_search_work_is_pinned(count_cone_member, count_candidates):
+def test_archimedean_search_work_is_pinned(
+    count_cone_member, count_candidates, count_images
+):
     # the simplicial search stops at the pair budget with nothing found:
     # 13^3 - 1 = 2,196 candidates, all of them ys too (max-norm 6 < 10)
     simplicial = PoGroupModel(3, SimplicialCone(), (1, 1, 1))
@@ -316,6 +346,12 @@ def test_archimedean_search_work_is_pinned(count_cone_member, count_candidates):
     assert _pairs_examined(search) == (None, 200_000)
     assert count_candidates == [2_196]
     assert count_cone_member == []  # the images decide every pair
+    # every row is counted in bulk, and the 92nd is the first whose end
+    # passes the budget; the first 109 vectors (17 of them below zero) are
+    # imaged once each as candidates, and no y image is built
+    count_images.clear()
+    assert _pairs_counted(search) == (None, 92 * 2_196)
+    assert count_images == ordmon._int_vectors_by_norm(3, 6)[:109]
     # the lexicographic control stays on the generic loop: 3 candidate rows
     # of 288 pairs, then the witness at the first y of the fourth
     count_candidates.clear()
@@ -327,14 +363,16 @@ def test_archimedean_search_work_is_pinned(count_cone_member, count_candidates):
 
 
 def test_weak_unperforation_search_work_is_pinned(count_cone_member, count_candidates):
-    # 9^4 - 1 = 6,560 candidates, each decided from its image alone
+    # a half-space cone is weakly unperforated by its docstring's theorem:
+    # no candidate is enumerated and no membership asked
     model = PoGroupModel(4, StrictStateCone(identity(4)), (1, 1, 1, 1))
     assert is_weakly_unperforated(model, n_max=10, enumeration_bound=4) is None
-    assert count_candidates == [6_560]
+    assert count_candidates == []
     assert count_cone_member == []
+    # the generic loop still walks 9^4 - 1 = 6,560 candidates
     generic = PoGroupModel(4, Delegating(model.cone), (1, 1, 1, 1))
     assert is_weakly_unperforated(generic, n_max=10, enumeration_bound=4) is None
-    assert count_candidates == [6_560, 6_560]
+    assert count_candidates == [6_560]
     assert len(count_cone_member) == 69_600
 
 
@@ -375,6 +413,26 @@ def test_half_space_searches_match_the_generic_loop(monkeypatch):
         assert is_weakly_unperforated(model, n_max, bound) is None
         assert is_weakly_unperforated(generic, n_max, bound) is None
     assert witnesses >= 20  # the comparison is not all None
+    # budgets one below, at and one past the end of the k-th candidate row,
+    # where rows counted in bulk meet the pair walk's budget exit
+    rng = random.Random(20061018)
+    witnesses = 0
+    for _ in range(50):
+        rank = rng.randint(1, 4)
+        model = _random_half_space_model(rng, rank)
+        generic = PoGroupModel(rank, Delegating(model.cone), model.order_unit)
+        n_max = rng.choice((2, 3, 5, 10))
+        bound = rng.randint(1, (4, 4, 3, 2)[rank - 1])
+        row = (2 * min(bound, n_max - 1) + 1) ** rank - 1  # the ys
+        k = rng.randint(1, 2)
+        for budget in (k * row - 1, k * row, k * row + 1):
+            monkeypatch.setattr(ordmon, "ARCHIMEDEAN_PAIR_BUDGET", budget)
+            found = _pairs_examined(partial(archimedean_witness, model, n_max, bound))
+            want = _pairs_examined(partial(archimedean_witness, generic, n_max, bound))
+            assert found == want, (model, budget)
+            witnesses += found[0] is not None
+        assert is_weakly_unperforated(generic, n_max, bound) is None
+    assert witnesses >= 20
 
 
 def test_half_space_archimedean_at_n_max_one():
@@ -397,6 +455,13 @@ def test_pair_budget_running_out_at_the_end_of_a_row(monkeypatch):
         for group in (model, generic):
             search = partial(archimedean_witness, group, n_max=3, enumeration_bound=2)
             assert _pairs_examined(search) == (want, budget)
+    # no simplicial candidate has a witness, so each row of 24 ys is counted
+    # in bulk, and a budget that ends at a row still counts the next one
+    simplicial = PoGroupModel(2, SimplicialCone(), (1, 1))
+    for budget, counted in ((47, 48), (48, 72), (49, 72)):
+        monkeypatch.setattr(ordmon, "ARCHIMEDEAN_PAIR_BUDGET", budget)
+        search = partial(archimedean_witness, simplicial, n_max=3, enumeration_bound=2)
+        assert _pairs_counted(search) == (None, counted)
 
 
 def _layered_vectors_by_norm(rank, bound):
