@@ -575,65 +575,62 @@ def _render_table(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--bound", type=int, default=None)
-    common.add_argument("--stages", type=int, default=None)
-    common.add_argument("--out", type=str, default=None)
-    common.add_argument("--format", choices=("json", "table"), default="json")
+_OPTIONAL = {"nargs": "?", "default": None}
 
+# command -> (handler, positionals as (name, add_argument keywords))
+COMMANDS = {
+    "compare": (cmd_compare, (("model", {}), ("x", {}), ("y", {}))),
+    "add": (cmd_add, (("model", {}), ("x", {}), ("y", {}))),
+    "scale": (cmd_scale, (("model", {}), ("x", {}), ("factor", {}))),
+    "soften": (cmd_soften, (("model", {}), ("x", {}))),
+    "complement": (cmd_complement, (("model", {}), ("x", {}), ("y", {}))),
+    "k0star": (cmd_k0star, (("model", {}),)),
+    "order-unit": (
+        cmd_order_unit,
+        (("model", {}), ("values", {"help": "comma-separated rationals, e.g. 3/10,0"})),
+    ),
+    "check": (cmd_check, (("model", {}), ("suite", {"choices": SUITES}))),
+    "functor": (cmd_functor, (("invariant", {}), ("morphism", _OPTIONAL))),
+    "morphism-check": (cmd_morphism_check, (("morphism", {}),)),
+    "realize": (cmd_realize, (("target", {}), ("schedule", _OPTIONAL))),
+    "goodearl": (cmd_goodearl, (("target", {}), ("schedule", _OPTIONAL))),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser, with only the subparser of ``command`` if it names one.
+
+    Otherwise (no arguments, ``--help``, an unknown command, an option before
+    the command) every subparser is added.  The one-command parser still
+    names every command in its usage line, so its errors read the same.
+    """
     parser = argparse.ArgumentParser(
         prog="cuntzcalc",
         description="Exact computations in ordered-semigroup models.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, *positionals):
-        p = sub.add_parser(name, parents=[common])
+    one = command in COMMANDS
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar="{%s}" % ",".join(COMMANDS) if one else None,
+    )
+    for name in (command,) if one else COMMANDS:
+        func, positionals = COMMANDS[name]
+        p = sub.add_parser(name)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--bound", type=int, default=None)
+        p.add_argument("--stages", type=int, default=None)
+        p.add_argument("--out", type=str, default=None)
+        p.add_argument("--format", choices=("json", "table"), default="json")
         for pos, kwargs in positionals:
             p.add_argument(pos, **kwargs)
         p.set_defaults(func=func)
-        return p
-
-    add("compare", cmd_compare, ("model", {}), ("x", {}), ("y", {}))
-    add("add", cmd_add, ("model", {}), ("x", {}), ("y", {}))
-    add("scale", cmd_scale, ("model", {}), ("x", {}), ("factor", {}))
-    add("soften", cmd_soften, ("model", {}), ("x", {}))
-    add("complement", cmd_complement, ("model", {}), ("x", {}), ("y", {}))
-    add("k0star", cmd_k0star, ("model", {}))
-    add(
-        "order-unit",
-        cmd_order_unit,
-        ("model", {}),
-        ("values", {"help": "comma-separated rationals, e.g. 3/10,0"}),
-    )
-    add("check", cmd_check, ("model", {}), ("suite", {"choices": SUITES}))
-    add(
-        "functor",
-        cmd_functor,
-        ("invariant", {}),
-        ("morphism", {"nargs": "?", "default": None}),
-    )
-    add("morphism-check", cmd_morphism_check, ("morphism", {}))
-    add(
-        "realize",
-        cmd_realize,
-        ("target", {}),
-        ("schedule", {"nargs": "?", "default": None}),
-    )
-    add(
-        "goodearl",
-        cmd_goodearl,
-        ("target", {}),
-        ("schedule", {"nargs": "?", "default": None}),
-    )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     started = time.perf_counter()
     try:
         report, out_doc = args.func(args)

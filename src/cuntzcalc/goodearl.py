@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -740,7 +740,8 @@ def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> Realizatio
     cozero sets are exactly the superlevel sets {f > (k-1)/n} of f at the
     grid levels; previous entries merge in by pointwise
     maximum.  Each stage's dimension function at the point mass in x equals
-    the stage approximant of f at x, exactly.
+    the stage approximant of f at x, exactly.  Slots share their immutable
+    entries: each distinct bump and each distinct merge is built once.
     """
     if stages < 1:
         raise ValueError("need at least one stage")
@@ -748,26 +749,39 @@ def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> Realizatio
         raise ValueError("schedule is shorter than the requested stages")
     if f.sup > 1 or max(f.point_values) > 1:
         raise ValueError("realization targets take values in [0, 1]")
+    levels = sorted(set(f.interval_values) | set(f.point_values))
     records = []
     prev_entries: Optional[list[PLFn]] = None
     for idx in range(1, stages + 1):
         n = schedule.sizes[idx - 1]
         height = Fraction(1, 2**idx)
-        fresh = [PLFn.zero()]
+        zero = PLFn.zero()
+        # {f > q} is fixed by the values of f above q: one bump per open set
+        bumps: dict[int, PLFn] = {}
+        fresh = [zero]
         for k in range(2, n + 1):
-            opens = superlevel(f, Fraction(k - 1, n))
-            fresh.append(PLFn.zero() if opens.is_empty else bump_on(opens, height))
+            q = Fraction(k - 1, n)
+            key = bisect_right(levels, q)
+            if key not in bumps:
+                opens = superlevel(f, q)
+                bumps[key] = zero if opens.is_empty else bump_on(opens, height)
+            fresh.append(bumps[key])
         if prev_entries is None:
-            embedded: list[PLFn] = [PLFn.zero()] * n
+            embedded: list[PLFn] = [zero] * n
         else:
             embedded = _merge_slots(prev_entries, n)
-        entries = [e.pointwise_max(b) for e, b in zip(embedded, fresh)]
-        increment, monotone = Fraction(0), True
-        for new, old in zip(entries, embedded):
-            # new's breakpoints contain old's, so both are linear between them
-            for was, now in zip(old.on_grid(new.breakpoints), new.values):
-                increment = max(increment, abs(now - was))
-                monotone = monotone and was <= now
+        # slots share entries, so each distinct (old, bump) pair is merged once
+        merged: dict[tuple[int, int], PLFn] = {}
+        entries, increment, monotone = [], Fraction(0), True
+        for old, bump in zip(embedded, fresh):
+            key = id(old), id(bump)
+            if key not in merged:
+                new = merged[key] = old.pointwise_max(bump)
+                # new's breakpoints contain old's, so both are linear between them
+                for was, now in zip(old.on_grid(new.breakpoints), new.values):
+                    increment = max(increment, abs(now - was))
+                    monotone = monotone and was <= now
+            entries.append(merged[key])
         records.append(
             RealizationStage(
                 index=idx,

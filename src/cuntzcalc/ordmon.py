@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import ge, gt, mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .linalg import (
     all_nonnegative,
@@ -412,12 +412,15 @@ def is_almost_unperforated(
     return None
 
 
-def _int_vectors_by_norm(rank: int, bound: int) -> list[tuple[int, ...]]:
+def _int_vectors_by_norm(rank: int, bound: int) -> Iterator[tuple[int, ...]]:
     """Nonzero integer vectors of max-norm at most ``bound``, by max-norm.
 
-    Box order (positives first) stands within a norm: smaller bounds give prefixes."""
-    box = itertools.product(range(bound, -bound - 1, -1), repeat=rank)
-    return sorted((v for v in box if any(v)), key=lambda v: max(map(abs, v)))
+    Generated lazily, one shell of max-norm k at a time in box order
+    (positives first), so smaller bounds give prefixes."""
+    for k in range(1, bound + 1):
+        for v in itertools.product(range(k, -k - 1, -1), repeat=rank):
+            if k in v or -k in v:
+                yield v
 
 
 def is_weakly_unperforated(model: PoGroupModel, n_max: int, enumeration_bound: int):
@@ -462,7 +465,7 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound: int)
     box = _int_vectors_by_norm(model.rank, enumeration_bound)
     # y runs over the prefix of the box of max-norm at most m < n_max
     m = max(0, min(enumeration_bound, n_max - 1))
-    ys = box[: (2 * m + 1) ** model.rank - 1]
+    n_ys = (2 * m + 1) ** model.rank - 1
     tested = 0
     if isinstance(cone, HalfSpaceCone):
         rows, strict = cone.rows(model.rank), cone.strict
@@ -478,11 +481,12 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound: int)
             # forces n < n_max, and y - n_max·x is a positive multiple of -x, outside.
             limits = [max(v, n_max * v) + strict for v in image]
             if any(map(gt, limits, tops)):
-                tested += len(ys)
+                tested += n_ys
                 if tested > ARCHIMEDEAN_PAIR_BUDGET:
                     return None
                 continue
             if y_images is None:
+                ys = list(_int_vectors_by_norm(model.rank, m))
                 y_images = [row_image(rows, y) for y in ys]
             for y, y_image in zip(ys, y_images):
                 if tested == ARCHIMEDEAN_PAIR_BUDGET:
@@ -491,6 +495,8 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound: int)
                 if all(map(ge, y_image, limits)):
                     return (x, y)
         return None
+    box = list(box)
+    ys = box[:n_ys]
     candidates_x = [x for x in box if cone_member(model, vneg(x)).definite is False]
     for x in candidates_x:
         multiples = [vscale(n, x) for n in (n_max, *range(1, n_max))]

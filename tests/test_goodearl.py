@@ -672,6 +672,82 @@ def test_stage_increments_and_monotonicity_match_pointwise_evaluation():
                 previous = stage
 
 
+def _unshared_stages(f: StepFn, sizes) -> list:
+    """The realization built slot by slot, without sharing: every slot takes
+    its own superlevel set, bump and merge, and the increment and
+    monotonicity are read by pointwise evaluation.  Returns, per stage, the
+    entries, the sup increment, monotonicity and the number of distinct
+    (previous entry, bump) pairs by value."""
+    out, prev = [], None
+    for idx, n in enumerate(sizes, start=1):
+        fresh = [PLFn.zero()]
+        for k in range(2, n + 1):
+            opens = superlevel(f, Fraction(k - 1, n))
+            fresh.append(PLFn.zero() if opens.is_empty else bump_on(opens, fr(1) / 2**idx))
+        olds = [PLFn.zero() for _ in range(n)] if prev is None else _merge_slots(prev, n)
+        entries = [old.pointwise_max(bump) for old, bump in zip(olds, fresh)]
+        diffs = [
+            new(x) - old(x) for old, new in zip(olds, entries) for x in new.breakpoints
+        ]
+        pairs = {(old.breakpoints, old.values, b.breakpoints, b.values)
+                 for old, b in zip(olds, fresh)}
+        out.append((entries, max(map(abs, diffs)), min(diffs) >= 0, len(pairs)))
+        prev = entries
+    return out
+
+
+@pytest.fixture()
+def merges(monkeypatch):
+    """The (self, other) pair of every ``PLFn.pointwise_max`` call, kept
+    alive so that ``id`` tells distinct operands apart."""
+    calls = []
+    real = PLFn.pointwise_max
+
+    def counting(self, other):
+        calls.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(PLFn, "pointwise_max", counting)
+    return calls
+
+
+def test_shared_entries_match_the_slot_by_slot_construction(merges):
+    rng = random.Random(608)
+    schedules = (RealizationSchedule.dyadic(5), RealizationSchedule((3, 6, 12, 24)))
+    for _ in range(6):
+        f = random_step_target(rng)
+        for schedule in schedules:
+            merges.clear()
+            result = realize(f, schedule, len(schedule.sizes))
+            # one merge per distinct (embedded entry, bump) pair of objects
+            calls = len(merges)
+            assert calls == len({(id(a), id(b)) for a, b in merges})
+            assert calls < sum(schedule.sizes)
+            want = _unshared_stages(f, schedule.sizes)
+            assert sum(pairs for *_, pairs in want) == calls
+            for stage, (entries, increment, monotone, _) in zip(result.stages, want):
+                got = stage.element.entries
+                assert [(e.breakpoints, e.values) for e in got] == [
+                    (e.breakpoints, e.values) for e in entries
+                ]
+                assert stage.sup_increment == increment
+                assert stage.monotone == monotone
+                assert dim_profile(stage.element) == dim_profile(
+                    DiagonalElement(stage.size, entries)
+                )
+
+
+def test_realize_merges_each_distinct_pair_once(merges):
+    f = StepFn((0, "1/3", "3/5", 1), ("1/4", "7/8", "1/2"), ("1/4", "1/4", "1/2", "1/2"))
+    realize(f, RealizationSchedule.dyadic(5), 5)
+    # 62 slots over the five stages, but only 33 distinct pairs to merge
+    assert len({(id(a), id(b)) for a, b in merges}) == len(merges) == 33
+    merges.clear()
+    unshared = _unshared_stages(f, (2, 4, 8, 16, 32))
+    assert len(merges) == 62
+    assert [pairs for *_, pairs in unshared] == [2, 4, 6, 9, 12]
+
+
 def test_exact_check_finds_what_the_grid_misses():
     result = realize(two_level(), RealizationSchedule.dyadic(5), 5)
     last = result.stages[-1]

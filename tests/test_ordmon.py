@@ -241,7 +241,7 @@ def test_archimedean_clean_on_the_integers_above_the_scale(count_images):
     # m = n_max - 1 = 9 is the tightest top: every candidate x = k > 0 has
     # the limit 10k > 9, so each of the 24 vectors is imaged once, in order,
     # and no y image is built
-    assert count_images == ordmon._int_vectors_by_norm(1, 12)
+    assert count_images == list(ordmon._int_vectors_by_norm(1, 12))
 
 
 @pytest.fixture()
@@ -260,13 +260,13 @@ def count_cone_member(monkeypatch):
 
 @pytest.fixture()
 def count_candidates(monkeypatch):
-    """The number of vectors each ``_int_vectors_by_norm`` call yields."""
+    """The size of the enumeration each ``_int_vectors_by_norm`` call opens;
+    the search draws from it lazily and may stop early."""
     sizes = []
 
     def counting(rank, bound):
-        vectors = real(rank, bound)
-        sizes.append(len(vectors))
-        return vectors
+        sizes.append(sum(1 for _ in real(rank, bound)))
+        return real(rank, bound)
 
     real = ordmon._int_vectors_by_norm
     monkeypatch.setattr(ordmon, "_int_vectors_by_norm", counting)
@@ -348,10 +348,13 @@ def test_archimedean_search_work_is_pinned(
     assert count_cone_member == []  # the images decide every pair
     # every row is counted in bulk, and the 92nd is the first whose end
     # passes the budget; the first 109 vectors (17 of them below zero) are
-    # imaged once each as candidates, and no y image is built
+    # imaged once each as candidates, and no y image is built: the box is
+    # drawn only that far, and the ys are never enumerated
     count_images.clear()
+    count_candidates.clear()
     assert _pairs_counted(search) == (None, 92 * 2_196)
-    assert count_images == ordmon._int_vectors_by_norm(3, 6)[:109]
+    assert count_candidates == [2_196]
+    assert count_images == list(ordmon._int_vectors_by_norm(3, 6))[:109]
     # the lexicographic control stays on the generic loop: 3 candidate rows
     # of 288 pairs, then the witness at the first y of the fourth
     count_candidates.clear()
@@ -476,7 +479,7 @@ def test_vectors_by_norm_keep_the_layered_order():
     for rank in range(1, 5):
         for bound in range(_enum_bound(rank) + 1):
             want = list(_layered_vectors_by_norm(rank, bound))
-            assert ordmon._int_vectors_by_norm(rank, bound) == want
+            assert list(ordmon._int_vectors_by_norm(rank, bound)) == want
 
 
 def test_archimedean_fails_lexicographically():
