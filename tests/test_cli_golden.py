@@ -139,6 +139,21 @@ DOCS = {
         ],
         "unit": [1, 1, 1, 1],
     },
+    # trace scales 6, 10 and 4, against soft denominators 7, 11 and 13
+    "m6": {
+        "kind": "wmodel",
+        "variant": "finite",
+        "rank": 2,
+        "states": [["1/2", "1/3"], ["1/2", "-1/5"], ["1/2", "1/4"]],
+        "unit": [2, 0],
+    },
+    "m6_p11": proj(1, 1),
+    "m6_above": soft("6/7", "4/13", "10/13"),
+    "m6_below": soft("5/7", "3/11", "9/13"),
+    # one trace at scale 6
+    "z6": {"kind": "wmodel", "variant": "finite", "rank": 1, "states": [["1/6"]], "unit": [6]},
+    "s_seventh": soft("1/7"),
+    "s_fifth": soft("1/5"),
 }
 
 SUITES = (
@@ -223,6 +238,18 @@ CASES["check-m3-order-axioms"] = ["check", "@m3", "order-axioms", "--seed", "11"
 CASES["check-m4-oracle-agreement"] = [
     "check", "@m4", "oracle-agreement", "--bound", "2000", "--seed", "12",
 ]
+# soft denominators coprime to the trace scales
+CASES["compare-coprime-proj-below-soft"] = ["compare", "@m6", "@m6_p11", "@m6_above"]
+CASES["compare-coprime-soft-below-proj"] = ["compare", "@m6", "@m6_p11", "@m6_below"]
+CASES["compare-coprime-soft-soft"] = ["compare", "@m6", "@m6_above", "@m6_below"]
+CASES["compare-seventh-below-sixth"] = ["compare", "@z6", "@s_seventh", "@z1"]
+CASES["compare-sixth-below-fifth"] = ["compare", "@z6", "@z1", "@s_fifth"]
+CASES["add-coprime-proj-soft"] = ["add", "@m6", "@m6_p11", "@m6_above"]
+CASES["add-coprime-soft-soft"] = ["add", "@m6", "@m6_above", "@m6_below"]
+CASES["add-seventh-sixth"] = ["add", "@z6", "@z1", "@s_seventh"]
+CASES["check-m6-order-axioms"] = ["check", "@m6", "order-axioms", "--bound", "60"]
+CASES["check-m6-strict-cone"] = ["check", "@m6", "strict-cone", "--bound", "60"]
+CASES["check-m6-oracle-agreement"] = ["check", "@m6", "oracle-agreement", "--bound", "600"]
 
 
 def run_case(argv, workdir: Path) -> dict:
