@@ -45,7 +45,7 @@ from .ordmon import (
     is_weakly_unperforated,
 )
 from .sampling import random_class, rng_for
-from .wmodel import CuntzClass, PurelyInfiniteModel, WModel
+from .wmodel import CuntzClass, PurelyInfiniteModel, WModel, element_leq
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -256,11 +256,13 @@ def _class_pool(model: WModel, rng, count: int) -> list[CuntzClass]:
 
 
 def _suite_order_axioms(model: WModel, rng, bound: int) -> dict:
-    # draws are pool indices (rng.choice draws the same index either way),
-    # so each pool pair is compared and each pool sum is formed once
+    # draws are pool indices (rng.choice draws the same index either way):
+    # the pool is converted to elements once, and each pool pair is compared
+    # and each pool sum formed once, on integers
     pool = _class_pool(model, rng, bound or 24)
-    leq = functools.cache(lambda i, j: model.compare(pool[i], pool[j]))
-    add = functools.cache(lambda i, k: model.add(pool[i], pool[k]))
+    _, elements = model.elements(pool)
+    leq = functools.cache(lambda i, j: element_leq(elements[i], elements[j]))
+    add = functools.cache(lambda i, k: model.element_sum(elements[i], elements[k]))
     indices = range(len(pool))
     failures: list[str] = []
     for i, x in enumerate(pool):
@@ -276,7 +278,7 @@ def _suite_order_axioms(model: WModel, rng, bound: int) -> dict:
         if leq(i, j) and leq(j, k) and not leq(i, k):
             failures.append(f"transitivity: {x!r}, {y!r}, {z!r}")
         if leq(i, j):
-            if not model.compare(add(i, k), add(j, k)):
+            if not element_leq(add(i, k), add(j, k)):
                 failures.append(f"add-compatibility: {x!r}, {y!r}, {z!r}")
     return {"checked": len(pool), "failures": failures[:5]}
 
@@ -290,9 +292,11 @@ def _suite_strict_cone(model: WModel, rng, bound: int) -> dict:
         x = random_class(rng, model)
         y = random_class(rng, model)
         d = tuple(a - b for a, b in zip(model.gamma(x), model.gamma(y)))
-        if any(v != 0 for v in d):
-            if star.cone_plusplus(d) and star.cone_plusplus(tuple(-v for v in d)):
-                violations.append(_rats(d))
+        in_cone = star.cone_plusplus(d)
+        if not in_cone and model.compare(y, x):  # gamma must preserve the order
+            violations.append(_rats(d))
+        elif in_cone and any(d) and star.cone_plusplus(tuple(-v for v in d)):
+            violations.append(_rats(d))
     return {"checked": bound or 500, "failures": violations[:5]}
 
 
@@ -332,12 +336,13 @@ def _suite_oracle_agreement(model: WModel, rng, bound: int) -> dict:
     if isinstance(model, PurelyInfiniteModel):
         raise DocumentError("oracle-agreement needs a finite model")
     pool = _class_pool(model, rng, 30)
+    _, elements = model.elements(pool)
     states = [_oracle_states(model, c.values) if c.is_proj else None for c in pool]
 
     @functools.cache
     def agree(i, j):
-        x, y = pool[i], pool[j]
-        return model.compare(x, y) == _oracle_leq(x, y, states[i], states[j])
+        leq = element_leq(elements[i], elements[j])
+        return leq == _oracle_leq(pool[i], pool[j], states[i], states[j])
 
     indices = range(len(pool))
     mismatches = []

@@ -2,23 +2,27 @@
 
 A finite model is the disjoint union of a projection part (integer vectors
 in a K0 lattice with a strict-state positive cone) and a soft part (strictly
-positive rational vectors indexed by the traces).  The order mixes strict
-and non-strict comparisons:
+positive rational vectors indexed by the traces).  As in the paper's
+embedding of W(A) in V(A) ⊔ LAff_b(T(A))^{++}, a class is its trace vector
+gamma(x) plus a flag that says whether it is a projection, and the order is
+one rule:
 
-* projection vs projection goes through the K0 cone,
-* soft vs soft is pointwise non-strict,
-* a soft class sits below a projection class when its profile is pointwise
-  at most the projection's trace vector,
-* a projection class sits below a soft class only when its trace vector is
-  strictly below the soft profile at every trace.
+    x <= y  iff  x = y, or gamma(x) <= gamma(y) at every trace, with
+    strict inequality at every trace when x is a projection.
 
-``compare`` and ``add`` decide these rules from one integer image per
-operand.  A projection x has the image R·x over the K0 cone's integer rows
-R (state row i times its scale s_i), so its trace at i is (R·x)_i / s_i.
-x lies in the K0 cone iff x = 0 or min(R·x) >= 1, and y - x does iff y = x
-or min(R·y - R·x) >= 1.  A soft value a = p/q against a projection's trace
-b/s is an integer comparison: a <= b/s iff p·s <= b·q, and b/s < a iff
-b·q < p·s.
+Between two projections the strict rule is membership of y - x in the K0
+cone, whose states are the traces.
+
+``elements`` validates classes once and gives each its element: the pair
+(K0 vector, or None for a soft class; D·gamma(x) as integers), at one scale
+D for all the classes converted together, the lcm of the K0 cone's row
+``scales`` and of their soft denominators.  A projection x has the image
+R·x over the cone's integer rows R (state row i times its scale s_i), so
+D·gamma(x)_i = (R·x)_i · D/s_i; a soft value p/q becomes p · D/q.
+``element_leq`` is the rule on elements and ``WModel.element_sum`` the
+addition: trace vectors add, and K0 vectors too when both operands are
+projections.  ``compare`` and ``add`` convert their two operands at their
+own scale and apply these.
 
 ``WModel`` is the finite model.  ``PurelyInfiniteModel`` is the
 two-element degenerate semigroup {0, <1>} of a purely infinite algebra,
@@ -27,9 +31,10 @@ whose nonzero class absorbs addition and whose enveloping group is zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import le, lt, mul
 from typing import Optional
 
 from .linalg import (
@@ -216,6 +221,15 @@ class K0Star:
         return min(d) > 0
 
 
+def element_leq(x: tuple, y: tuple) -> bool:
+    """x <= y on elements at one scale: x = y, or D·gamma(x) <= D·gamma(y)
+    at every trace, strictly at every trace when x is a projection."""
+    (kx, gx), (ky, gy) = x, y
+    if kx is None:
+        return all(map(le, gx, gy))
+    return kx == ky or all(map(lt, gx, gy))
+
+
 @dataclass(frozen=True)
 class WModel:
     """The finite Cuntz semigroup model of K0 data paired with traces."""
@@ -258,9 +272,23 @@ class WModel:
             raise ValueError("projection payload must lie in the K0 cone")
         return image
 
-    def _profile(self, x: CuntzClass, image: tuple) -> tuple[Fraction, ...]:
-        """Trace vector of x from its image."""
-        return image if x.is_soft else tuple(map(Fraction, image, self.k0.cone.scales))
+    def elements(self, classes) -> tuple[int, list[tuple]]:
+        """Validate each class once; return the common scale D and their elements."""
+        images = [self._image(x) for x in classes]
+        scales = self.k0.cone.scales
+        d = math.lcm(*scales, *[q.denominator for x in classes if x.is_soft
+                                for q in x.values])
+        per_row = [d // s for s in scales]
+        return d, [
+            (None, tuple([q.numerator * (d // q.denominator) for q in image]))
+            if x.is_soft else (x.values, tuple(map(mul, image, per_row)))
+            for x, image in zip(classes, images)
+        ]
+
+    def element_sum(self, x: tuple, y: tuple) -> tuple:
+        """x + y on elements at one scale."""
+        (kx, gx), (ky, gy) = x, y
+        return None if kx is None or ky is None else vadd(kx, ky), vadd(gx, gy)
 
     # -- operations ---------------------------------------------------------
 
@@ -272,25 +300,15 @@ class WModel:
         return self.k0.states(v)
 
     def add(self, x: CuntzClass, y: CuntzClass) -> CuntzClass:
-        ix, iy = self._image(x), self._image(y)
-        if x.is_proj and y.is_proj:
-            return CuntzClass.proj(vadd(x.values, y.values))
-        return CuntzClass.soft(vadd(self._profile(x, ix), self._profile(y, iy)))
+        d, (ex, ey) = self.elements((x, y))
+        k0, trace = self.element_sum(ex, ey)
+        if k0 is not None:
+            return CuntzClass.proj(k0)
+        return CuntzClass.soft(tuple(Fraction(g, d) for g in trace))
 
     def compare(self, x: CuntzClass, y: CuntzClass) -> bool:
         """Decide x <= y in the model order."""
-        ix, iy = self._image(x), self._image(y)
-        if x.is_proj and y.is_proj:
-            return x.values == y.values or min(map(sub, iy, ix)) >= 1
-        if x.is_soft and y.is_soft:
-            return all(a <= b for a, b in zip(ix, iy, strict=True))
-        scales = self.k0.cone.scales
-        if x.is_soft:  # soft below projection: non-strict
-            return all(a.numerator * s <= b * a.denominator
-                       for a, b, s in zip(ix, iy, scales))
-        # projection below soft: strict at every trace
-        return all(a * b.denominator < b.numerator * s
-                   for a, b, s in zip(ix, iy, scales))
+        return element_leq(*self.elements((x, y))[1])
 
     def scale(self, x: CuntzClass, factor) -> CuntzClass:
         """Scale a soft class by a positive rational."""
@@ -305,10 +323,10 @@ class WModel:
 
     def soften(self, x: CuntzClass) -> CuntzClass:
         """Replace a nonzero projection class by the soft class of its traces."""
-        image = self._image(x)
+        profile = self.gamma(x)
         if x.is_zero:
             raise ValueError("the zero class has no soft counterpart")
-        return CuntzClass.soft(self._profile(x, image))
+        return CuntzClass.soft(profile)
 
     def complement(self, x: CuntzClass, y: CuntzClass) -> Optional[CuntzClass]:
         """A class z with x + z = y, when one exists below y.
@@ -334,7 +352,8 @@ class WModel:
 
     def gamma(self, x: CuntzClass) -> tuple[Fraction, ...]:
         """Image of a class in the enveloping group Q^n."""
-        return self._profile(x, self._image(x))
+        image = self._image(x)
+        return image if x.is_soft else tuple(map(Fraction, image, self.k0.cone.scales))
 
     def k0star(self) -> K0Star:
         return K0Star(self.traces.n)
@@ -345,8 +364,9 @@ class PurelyInfiniteModel(WModel):
 
     ``purely_infinite()`` builds it on the rank-1 placeholder K0 = Z with one
     trace, where 0 and <1> are the projections (0) and (1).  On that K0, and
-    only there, the inherited ``compare``, ``complement``, ``scale``,
-    ``zero_class`` and ``unit_class`` already give the degenerate answers.
+    only there, the inherited ``elements``, ``compare``, ``complement``,
+    ``scale``, ``zero_class`` and ``unit_class`` already give the degenerate
+    answers; the inherited ``add`` adds through the absorbing ``element_sum``.
     """
 
     def validate_class(self, x: CuntzClass) -> CuntzClass:
@@ -362,10 +382,8 @@ class PurelyInfiniteModel(WModel):
     def hat(self, v) -> tuple[Fraction, ...]:
         raise ValueError("the purely infinite model has no trace pairing")
 
-    def add(self, x: CuntzClass, y: CuntzClass) -> CuntzClass:
-        self.validate_class(x)
-        self.validate_class(y)
-        return y if x.is_zero else x  # <1> is idempotent and absorbing
+    def element_sum(self, x: tuple, y: tuple) -> tuple:
+        return x if any(x[0]) else y  # <1> is idempotent and absorbing
 
     def soften(self, x: CuntzClass) -> CuntzClass:
         raise ValueError("soften needs a finite model")

@@ -8,11 +8,16 @@ Each test prints ``criterion NN PASS/FAIL: ...`` so a plain test run
 reads as a checklist.
 """
 
+import json
 import math
 import time
 from fractions import Fraction
 
+import pytest
+
 from cuntzcalc.approx import first_stage, summable_decomposition
+from cuntzcalc.cli import main
+from cuntzcalc.documents import dump_document, encode_wmodel
 from cuntzcalc.elliott import (
     AbelianGroupHom,
     ElliottInvariant,
@@ -63,6 +68,7 @@ from cuntzcalc.wmodel import (
     K0Model,
     K0Star,
     TraceSimplex,
+    WModel,
     w_of_z,
 )
 
@@ -150,12 +156,13 @@ def test_criterion_02_random_models_agree_with_rule_oracle():
 
 
 # ---------------------------------------------------------------------------
-# 3. The difference cone meets its negation only at zero
+# 3. The group map is order-preserving, into a cone that meets its negation
+#    only at zero
 
 
 def test_criterion_03_difference_cone_strictness():
     rng = rng_for(SEED + 3)
-    violations = 0
+    unordered = violations = 0
     for _ in range(20):
         model = random_wmodel(rng, max_rank=4, max_traces=4)
         star = model.k0star()
@@ -164,14 +171,38 @@ def test_criterion_03_difference_cone_strictness():
         for _ in range(500):
             x, y = rng.choice(pool), rng.choice(pool)
             d = vsub(model.gamma(x), model.gamma(y))
+            if model.compare(y, x) and not star.cone_plusplus(d):
+                unordered += 1
             if any(v != 0 for v in d):
                 if star.cone_plusplus(d) and star.cone_plusplus(vneg(d)):
                     violations += 1
     verdict(
         3,
-        violations == 0,
-        "no nonzero difference lies in the cone together with its negation",
+        unordered == 0 and violations == 0,
+        "y <= x puts gamma(x) - gamma(y) in the difference cone, and no nonzero "
+        "difference lies in the cone together with its negation",
     )
+
+
+def test_criterion_03_and_the_strict_cone_suite_catch_a_broken_gamma(
+    monkeypatch, tmp_path, capsys
+):
+    gamma = WModel.gamma
+
+    def broken(self, x):
+        image = gamma(self, x)
+        return vscale(2, image) if x.is_soft else vneg(image)
+
+    monkeypatch.setattr(WModel, "gamma", broken)
+    with pytest.raises(AssertionError, match="criterion 03 FAIL"):
+        test_criterion_03_difference_cone_strictness()
+    path = tmp_path / "m.json"
+    path.write_text(dump_document(encode_wmodel(random_wmodel(rng_for(SEED)))))
+    capsys.readouterr()
+    assert main(["check", str(path), "strict-cone"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert report["details"]["failures"]
 
 
 # ---------------------------------------------------------------------------

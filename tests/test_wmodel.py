@@ -1,5 +1,6 @@
 """Order, addition, and the enveloping group of the two-part models."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from cuntzcalc.wmodel import (
     K0Star,
     TraceSimplex,
     WModel,
+    element_leq,
     purely_infinite,
     w_of_z,
 )
@@ -220,6 +222,13 @@ class TestPurelyInfinite:
         with pytest.raises(ValueError):
             model.soften(model.unit_class)
 
+    def test_unit_absorbs_itself_on_elements(self):
+        model = purely_infinite()
+        _, (zero, one) = model.elements((model.zero_class, model.unit_class))
+        assert model.element_sum(one, one) == one
+        assert model.element_sum(zero, one) == model.element_sum(one, zero) == one
+        assert model.element_sum(zero, zero) == zero
+
     def test_complement_is_trivial(self):
         model = purely_infinite()
         assert model.complement(model.zero_class, model.unit_class) == model.unit_class
@@ -357,16 +366,65 @@ def test_compare_matches_the_unrolled_rules_on_a_grid():
             assert model.compare(x, y) == _oracle(model, x, y), (x, y)
 
 
-def two_trace_classes():
-    projections = st.tuples(st.integers(0, 3), st.integers(-1, 3)).filter(
-        lambda v: two_trace_model().k0.cone_member(v)
+def _fraction_add(model, x, y):
+    """The old addition: K0 vectors add, anything else adds trace vectors."""
+    mat = model.k0.state_matrix
+
+    def profile(c):
+        if c.is_soft:
+            return c.values
+        return tuple(sum(r * v for r, v in zip(row, c.values)) for row in mat)
+
+    if x.is_proj and y.is_proj:
+        return CuntzClass.proj(tuple(a + b for a, b in zip(x.values, y.values)))
+    return CuntzClass.soft(tuple(a + b for a, b in zip(profile(x), profile(y))))
+
+
+@st.composite
+def models_with_pools(draw):
+    """A model of rank 1-4 with 1-4 traces, and 2-6 of its classes.
+
+    Soft denominators run up to 30 and are coprime to the trace scales, so
+    every mixed comparison needs the common scale.
+    """
+    rank, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    unit = draw(st.tuples(*[st.integers(1, 4)] * rank))
+    rows = []
+    for _ in range(n):
+        weights = draw(
+            st.tuples(*[st.integers(-2, 6)] * rank).filter(
+                lambda w: sum(a * u for a, u in zip(w, unit)) > 0
+            )
+        )
+        total = sum(a * u for a, u in zip(weights, unit))
+        rows.append(tuple(Fraction(a, total) for a in weights))
+    model = WModel(K0Model(rank, rows, unit), TraceSimplex(n))
+    scale = math.lcm(*model.k0.cone.scales)
+
+    def into_cone(v):
+        # each state is 1 on the unit, so v + k·unit lies in the cone for k large
+        k = max(0, math.floor(-min(model.k0.states(v))) + 1)
+        return tuple(a + k * u for a, u in zip(v, unit))
+
+    denominators = st.integers(1, 30).filter(lambda q: math.gcd(q, scale) == 1)
+    softs = st.tuples(*[st.builds(Fraction, st.integers(1, 40), denominators)] * n)
+    projs = st.tuples(*[st.integers(-2, 4)] * rank).map(into_cone)
+    classes = st.one_of(
+        st.just(model.zero_class),
+        projs.map(CuntzClass.proj),
+        softs.map(CuntzClass.soft),
     )
-    profiles = st.tuples(small_fractions(5, 8), small_fractions(5, 8))
-    return st.one_of(projections.map(CuntzClass.proj), profiles.map(CuntzClass.soft))
+    return model, draw(st.lists(classes, min_size=2, max_size=6))
 
 
-@given(two_trace_classes(), two_trace_classes())
-def test_integer_rules_match_the_fraction_rules(x, y):
-    # trace scales 2 and 4, so the mixed rules cross-multiply by each
-    model = two_trace_model()
-    assert model.compare(x, y) == _oracle(model, x, y)
+@given(models_with_pools())
+def test_integer_rules_match_the_fraction_rules(model_pool):
+    model, pool = model_pool
+    _, elements = model.elements(pool)
+    for x, ex in zip(pool, elements):
+        for y, ey in zip(pool, elements):
+            leq = model.compare(x, y)
+            assert leq == _oracle(model, x, y), (x, y)
+            assert model.add(x, y) == _fraction_add(model, x, y), (x, y)
+            # the pool's shared scale answers as the pair's own scale does
+            assert element_leq(ex, ey) == leq, (x, y)
