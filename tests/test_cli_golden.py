@@ -154,6 +154,9 @@ DOCS = {
     "z6": {"kind": "wmodel", "variant": "finite", "rank": 1, "states": [["1/6"]], "unit": [6]},
     "s_seventh": soft("1/7"),
     "s_fifth": soft("1/5"),
+    # soft profiles that meet another class's profile at some trace
+    "s_one": soft("1", "1"),
+    "s_half_up": soft("1/2", "4/5"),
 }
 
 SUITES = (
@@ -250,6 +253,13 @@ CASES["add-seventh-sixth"] = ["add", "@z6", "@z1", "@s_seventh"]
 CASES["check-m6-order-axioms"] = ["check", "@m6", "order-axioms", "--bound", "60"]
 CASES["check-m6-strict-cone"] = ["check", "@m6", "strict-cone", "--bound", "60"]
 CASES["check-m6-oracle-agreement"] = ["check", "@m6", "oracle-agreement", "--bound", "600"]
+# complement in every mixed and soft branch, with zero and touching gaps
+CASES["complement-proj-below-soft"] = ["complement", "@m2", "@p10", "@s_big"]
+CASES["complement-soft-soft"] = ["complement", "@m2", "@s_small", "@s_big"]
+CASES["complement-soft-equals-proj"] = ["complement", "@m2", "@s_one", "@p11"]
+CASES["complement-soft-soft-touching"] = ["complement", "@m2", "@s_half", "@s_half_up"]
+CASES["complement-coprime-proj-below-soft"] = ["complement", "@m6", "@m6_p11", "@m6_above"]
+CASES["complement-coprime-soft-below-proj"] = ["complement", "@m6", "@m6_below", "@m6_p11"]
 
 
 def run_case(argv, workdir: Path) -> dict:
