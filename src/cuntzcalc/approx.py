@@ -65,13 +65,15 @@ def dyadic_below(f, i: int) -> tuple[Fraction, ...]:
     """Stage i of the dyadic staircase under f.
 
     Coordinates are (floor(2^i f_j) - 1) / 2^i; requires i at or past the
-    first stage with all coordinates positive.
+    first stage with all coordinates positive.  floor(2^i f_j) does not
+    decrease in i, so that is the same as every coordinate being positive.
     """
-    prof = _positive_profile(f)
-    if i < first_stage(prof):
+    scale = 1 << max(i, 0)
+    level = tuple(Fraction(math.floor(scale * v) - 1, scale)
+                  for v in _positive_profile(f))
+    if i < 0 or min(level) <= 0:
         raise ValueError(f"stage {i} is below the first positive stage")
-    scale = 1 << i
-    return tuple(Fraction(math.floor(scale * v) - 1, scale) for v in prof)
+    return level
 
 
 @dataclass(frozen=True)

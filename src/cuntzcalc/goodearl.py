@@ -17,7 +17,6 @@ at most 2^-i.
 
 from __future__ import annotations
 
-import enum
 import math
 import operator
 from bisect import bisect_left, bisect_right
@@ -80,9 +79,6 @@ class OpenSet:
                 return True
         return False
 
-    def total_length(self) -> Fraction:
-        return sum((iv.right - iv.left for iv in self.intervals), Fraction(0))
-
 
 @dataclass(frozen=True)
 class ClosedSet:
@@ -102,10 +98,6 @@ class ClosedSet:
             else:
                 merged.append([a, b])
         object.__setattr__(self, "intervals", tuple((a, b) for a, b in merged))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
 
     def contains(self, x) -> bool:
         x = frac(x)
@@ -162,20 +154,13 @@ class PLFn:
         x = frac(x)
         if not 0 <= x <= 1:
             raise ValueError("argument outside [0, 1]")
-        bp = self.breakpoints
-        i = bisect_left(bp, x)
-        if bp[i] == x:
-            return self.values[i]
-        v0, v1 = self.values[i - 1], self.values[i]
-        if v0 == v1:
-            return v0
-        return v0 + (v1 - v0) * (x - bp[i - 1]) / (bp[i] - bp[i - 1])
+        return self.on_grid((x,))[0]
 
     def on_grid(self, grid: Sequence[Fraction]) -> list[Fraction]:
         """Values at the points of a sorted grid in [0, 1], in one sweep.
 
-        A moving breakpoint index replaces the binary search of
-        ``__call__``; the values are the same, point for point.
+        A moving breakpoint index walks the breakpoints once for the whole
+        grid; values between breakpoints are linearly interpolated.
         """
         bp, vals = self.breakpoints, self.values
         if grid and grid[-1] > 1:
@@ -436,10 +421,6 @@ class StepDensity:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "densities", dens)
 
-    @classmethod
-    def uniform(cls) -> "StepDensity":
-        return cls((0, 1), (1,))
-
     def cdf(self, t) -> Fraction:
         t = frac(t)
         if not 0 <= t <= 1:
@@ -546,10 +527,6 @@ class DiagonalElement:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def sup(self) -> Fraction:
-        return max(e.sup for e in self.entries)
-
 
 def dim_fn(a: DiagonalElement, mu: MeasureSpec) -> Fraction:
     """Dimension value: average measure of the entries' cozero sets."""
@@ -599,39 +576,6 @@ def spectrum(a: DiagonalElement) -> ClosedSet:
     for e in a.entries:
         pieces.extend(e.range_pieces().intervals)
     return ClosedSet(pieces)
-
-
-class SpectrumKind(enum.Enum):
-    PROJECTION_LIKE = "projection-like"
-    PURELY_POSITIVE = "purely-positive"
-
-
-def spectrum_classify(a: DiagonalElement) -> SpectrumKind:
-    """Projection-like iff 0 is isolated in the spectrum."""
-    for lo, hi in spectrum(a).intervals:
-        if lo == 0 and hi > 0:
-            return SpectrumKind.PURELY_POSITIVE
-    return SpectrumKind.PROJECTION_LIKE
-
-
-def compare_elements(
-    a: DiagonalElement, b: DiagonalElement, traces: Sequence[MeasureSpec]
-) -> bool:
-    """Decide a below b from dimension values over the given traces.
-
-    A purely positive a needs non-strict inequality everywhere; a
-    projection-like a below a purely positive b needs strict inequality at
-    every trace; two projection-like elements compare non-strictly.
-    """
-    if not traces:
-        raise ValueError("need at least one trace")
-    da = [dim_fn(a, mu) for mu in traces]
-    db = [dim_fn(b, mu) for mu in traces]
-    if spectrum_classify(a) is SpectrumKind.PROJECTION_LIKE and (
-        spectrum_classify(b) is SpectrumKind.PURELY_POSITIVE
-    ):
-        return all(x < y for x, y in zip(da, db))
-    return all(x <= y for x, y in zip(da, db))
 
 
 # ---------------------------------------------------------------------------
@@ -837,29 +781,3 @@ def comparison_lemma_check(a: DiagonalElement, eps, eta, delta, mu: MeasureSpec)
     if not mu.full_support:
         raise ValueError("measure must have full support")
     return dim_fn(cutdown(a, delta), mu) < dim_fn(cutdown(a, eps), mu)
-
-
-def open_set_of_measure(mu: MeasureSpec, lam) -> OpenSet:
-    """The left-anchored open interval (0, t) of prescribed measure.
-
-    Needs an atom-free measure so the distribution function is continuous
-    and the inverse image is exact; zero-density stretches are skipped by
-    the walk, the returned right endpoint always sits where mass accrues.
-    """
-    lam = frac(lam)
-    if not 0 < lam <= 1:
-        raise ValueError("the measure value must lie in (0, 1]")
-    if not mu.atom_free:
-        raise ValueError("measure must be atom-free")
-    if mu.lebesgue_weight <= 0:
-        raise ValueError("measure must have a continuous part")
-    density = mu.density or StepDensity.uniform()
-    target = lam / mu.lebesgue_weight
-    acc = Fraction(0)
-    for d, a, b in zip(density.densities, density.breakpoints, density.breakpoints[1:]):
-        chunk = d * (b - a)
-        if acc + chunk >= target:
-            t = a + (target - acc) / d
-            return OpenSet(((Fraction(0), t, False, False),))
-        acc += chunk
-    raise ValueError("measure exhausted before reaching the target")

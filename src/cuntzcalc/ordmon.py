@@ -509,14 +509,3 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound: int)
             ):
                 return (x, y)
     return None
-
-
-def evaluate_states(model: PoGroupModel, x) -> tuple[Fraction, ...]:
-    """Exact values of every state on x (strict-state cones only)."""
-    if not isinstance(model.cone, StrictStateCone):
-        raise ValueError("state evaluation needs a strict-state cone")
-    x = int_vector(x)
-    if len(x) != model.rank:
-        raise ValueError("vector has the wrong rank")
-    dots = (sum(map(mul, row, x)) for row in model.cone.int_rows)
-    return tuple(map(Fraction, dots, model.cone.scales))

@@ -53,7 +53,6 @@ from .ordmon import (
     PoGroupModel,
     StrictStateCone,
     cone_member,
-    evaluate_states,
     row_image,
 )
 
@@ -104,7 +103,11 @@ class K0Model(PoGroupModel):
         return len(self.cone.states)
 
     def states(self, v) -> tuple[Fraction, ...]:
-        return evaluate_states(self, v)
+        """Exact value of every state on the lattice vector v: (R·v)_i / s_i."""
+        v = int_vector(v)
+        if len(v) != self.rank:
+            raise ValueError("vector has the wrong rank")
+        return tuple(map(Fraction, row_image(self.cone.int_rows, v), self.cone.scales))
 
     def cone_member(self, v) -> bool:
         """``ordmon.cone_member`` as a bool: strict-state membership is definite."""
@@ -292,13 +295,6 @@ class WModel:
 
     # -- operations ---------------------------------------------------------
 
-    def hat(self, v) -> tuple[Fraction, ...]:
-        """Trace vector of a nonzero K0 cone element."""
-        v = int_vector(v)
-        if is_zero(v) or not self.k0.cone_member(v):
-            raise ValueError("hat expects a nonzero element of the K0 cone")
-        return self.k0.states(v)
-
     def add(self, x: CuntzClass, y: CuntzClass) -> CuntzClass:
         d, (ex, ey) = self.elements((x, y))
         k0, trace = self.element_sum(ex, ey)
@@ -331,19 +327,19 @@ class WModel:
     def complement(self, x: CuntzClass, y: CuntzClass) -> Optional[CuntzClass]:
         """A class z with x + z = y, when one exists below y.
 
-        For a soft x below a projection y the summand is reported at the
-        level of trace profiles: the model's addition lands in the soft part,
-        so the returned z satisfies gamma(x + z) = gamma(y) and that is the
-        strongest identity available there.
+        Outside the proj-proj case z is the soft class of the gap
+        gamma(y) - gamma(x), the zero class when the gap vanishes, and None
+        when it touches zero at some traces only.  For a soft x below a
+        projection y the summand is reported at the level of trace profiles:
+        the model's addition lands in the soft part, so the returned z
+        satisfies gamma(x + z) = gamma(y) and that is the strongest identity
+        available there.
         """
         if not self.compare(x, y):
             raise ValueError("complement requires x ≤ y")
         if x.is_proj and y.is_proj:
             return CuntzClass.proj(vsub(y.values, x.values))
-        if x.is_proj:  # proj below soft, gap is strict at every trace
-            return CuntzClass.soft(vsub(y.values, self.k0.states(x.values)))
-        fy = y.values if y.is_soft else self.k0.states(y.values)
-        diff = vsub(fy, x.values)
+        diff = vsub(self.gamma(y), self.gamma(x))
         if is_zero(diff):
             return self.zero_class
         if all_positive(diff):
@@ -378,9 +374,6 @@ class PurelyInfiniteModel(WModel):
 
     def _image(self, x: CuntzClass) -> tuple:
         return self.validate_class(x).values  # R = ((1,),) on the placeholder K0
-
-    def hat(self, v) -> tuple[Fraction, ...]:
-        raise ValueError("the purely infinite model has no trace pairing")
 
     def element_sum(self, x: tuple, y: tuple) -> tuple:
         return x if any(x[0]) else y  # <1> is idempotent and absorbing

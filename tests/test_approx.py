@@ -49,6 +49,15 @@ def positive_profiles():
     return st.lists(coords, min_size=1, max_size=3).map(tuple)
 
 
+@given(positive_profiles(), st.integers(-2, 12))
+def test_dyadic_below_refuses_exactly_the_stages_before_the_first(f, i):
+    if i < first_stage(f):
+        with pytest.raises(ValueError, match="below the first positive stage"):
+            dyadic_below(f, i)
+    else:
+        assert min(dyadic_below(f, i)) > 0
+
+
 class TestSummableDecomposition:
     def test_telescoping_on_the_reference_target(self):
         report = summable_decomposition((1,), 5)

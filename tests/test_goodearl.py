@@ -17,12 +17,10 @@ from cuntzcalc.goodearl import (
     PLFn,
     RealizationResult,
     RealizationSchedule,
-    SpectrumKind,
     StepDensity,
     StepFn,
     _merge_slots,
     bump_on,
-    compare_elements,
     comparison_lemma_check,
     cutdown,
     dim_fn,
@@ -30,16 +28,14 @@ from cuntzcalc.goodearl import (
     dimension_discrepancies,
     lebesgue,
     measure,
-    open_set_of_measure,
     point_mass,
     realize,
     spectrum,
-    spectrum_classify,
     step_approximant,
     step_witnesses,
     superlevel,
 )
-from cuntzcalc.wmodel import CuntzClass, K0Model, TraceSimplex, WModel
+from cuntzcalc.wmodel import CuntzClass, K0Model, TraceSimplex, WModel, w_of_z
 
 
 def fr(x) -> Fraction:
@@ -88,8 +84,10 @@ class TestOpenSet:
         assert not o.contains("1/2")
 
     def test_total_length(self):
+        # the total length of an open set is its Lebesgue measure
         o = OpenSet(((0, "1/4", True, False), ("1/2", 1, False, True)))
-        assert o.total_length() == fr("3/4")
+        assert measure(lebesgue(), o) == fr("3/4")
+        assert measure(lebesgue(), OpenSet(())) == 0
         assert OpenSet(()).is_empty
 
 
@@ -488,44 +486,48 @@ class TestCutdown:
             )
 
 
+def zero_is_isolated(a: DiagonalElement) -> bool:
+    """0 is an isolated point of the spectrum: a is projection-like."""
+    return spectrum(a).intervals[0] == (0, 0)
+
+
 class TestSpectrum:
     def test_projection_like_when_zero_is_isolated(self):
         a = DiagonalElement(2, (PLFn.constant(1), PLFn.zero()))
         assert spectrum(a).intervals == ((fr(0), fr(0)), (fr(1), fr(1)))
-        assert spectrum_classify(a) is SpectrumKind.PROJECTION_LIKE
 
     def test_full_tent_is_purely_positive(self):
         a = DiagonalElement(1, (full_tent(),))
         assert spectrum(a).intervals == ((fr(0), fr(1)),)
-        assert spectrum_classify(a) is SpectrumKind.PURELY_POSITIVE
 
     def test_entries_bounded_away_from_zero_stay_projection_like(self):
         high = PLFn((0, "1/2", 1), ("1/2", 1, "3/4"))
         a = DiagonalElement(2, (high, PLFn.zero()))
-        assert spectrum_classify(a) is SpectrumKind.PROJECTION_LIKE
+        assert spectrum(a).intervals == ((fr(0), fr(0)), (fr("1/2"), fr(1)))
 
 
 class TestCompareElements:
+    """1 x 1 diagonal elements compared in the model ``w_of_z``, through
+    the classes they define under Lebesgue measure."""
+
+    def compare(self, a: DiagonalElement, b: DiagonalElement) -> bool:
+        return w_of_z().compare(_as_class(a, [lebesgue()]), _as_class(b, [lebesgue()]))
+
     def test_equal_elements_compare(self):
         a = DiagonalElement(1, (full_tent(),))
-        assert compare_elements(a, a, [lebesgue()])
+        assert self.compare(a, a)
 
     def test_projection_below_full_support_needs_strict_room(self):
         p = DiagonalElement(1, (PLFn.constant(1),))
         b = DiagonalElement(1, (full_tent(),))
         # both dimension values are 1, so the strict rule refuses
         assert dim_fn(p, lebesgue()) == dim_fn(b, lebesgue()) == 1
-        assert not compare_elements(p, b, [lebesgue()])
+        assert not self.compare(p, b)
 
     def test_purely_positive_allows_equality(self):
         a = DiagonalElement(1, (full_tent(),))
         b = DiagonalElement(1, (PLFn.constant(1),))
-        assert compare_elements(a, b, [lebesgue()])
-
-    def test_needs_a_trace(self):
-        a = DiagonalElement(1, (full_tent(),))
-        with pytest.raises(ValueError):
-            compare_elements(a, a, [])
+        assert self.compare(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +606,8 @@ class TestRealize:
     def test_stages_are_purely_positive_for_gentle_targets(self):
         result = realize(two_level(), RealizationSchedule.dyadic(2), 2)
         for stage in result.stages:
-            assert spectrum_classify(stage.element) is SpectrumKind.PURELY_POSITIVE
+            lo, hi = spectrum(stage.element).intervals[0]
+            assert lo == 0 < hi
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -805,40 +808,36 @@ class TestComparisonLemma:
 
 
 class TestOpenSetOfMeasure:
+    """Left-anchored open intervals (0, t) and their exact measures."""
+
     def test_uniform_cases(self):
-        third = open_set_of_measure(lebesgue(), "1/3")
-        assert third.intervals == (Iv(fr(0), fr("1/3"), False, False),)
-        everything = open_set_of_measure(lebesgue(), 1)
-        assert everything.intervals == (Iv(fr(0), fr(1), False, False),)
+        third = OpenSet(((0, "1/3", False, False),))
+        assert measure(lebesgue(), third) == fr("1/3")
+        everything = OpenSet(((0, 1, False, False),))
+        assert measure(lebesgue(), everything) == 1
 
     def test_inverse_cdf_through_a_denser_stretch(self):
         mu = MeasureSpec(1, density=StepDensity((0, "1/2", 1), (2, 0)))
-        got = open_set_of_measure(mu, "1/2")
-        assert got.intervals == (Iv(fr(0), fr("1/4"), False, False),)
+        got = OpenSet(((0, "1/4", False, False),))
+        assert measure(mu, got) == fr("1/2")
 
     def test_walk_skips_zero_density_chunks(self):
         dens = StepDensity((0, "1/4", "3/4", 1), (2, 0, 2))
         mu = MeasureSpec(1, density=dens)
-        got = open_set_of_measure(mu, "3/4")
-        assert got.intervals == (Iv(fr(0), fr("7/8"), False, False),)
+        # the zero-density stretch (1/4, 3/4) adds no mass
+        for t in ("1/4", "1/2", "3/4"):
+            assert measure(mu, OpenSet(((0, t, False, False),))) == fr("1/2")
+        got = OpenSet(((0, "7/8", False, False),))
         assert measure(mu, got) == fr("3/4")
 
     def test_measure_round_trip(self):
         for lam in (fr("1/8"), fr("1/2"), fr("5/6"), fr(1)):
-            got = open_set_of_measure(lebesgue(), lam)
+            got = OpenSet(((0, lam, False, False),))
             assert measure(lebesgue(), got) == lam
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            open_set_of_measure(point_mass("1/2"), "1/2")
-        with pytest.raises(ValueError):
-            open_set_of_measure(lebesgue(), 0)
-        with pytest.raises(ValueError):
-            open_set_of_measure(lebesgue(), 2)
 
     def test_bump_on_the_result_has_the_prescribed_dimension(self):
         lam = fr("2/5")
-        opens = open_set_of_measure(lebesgue(), lam)
+        opens = OpenSet(((0, lam, False, False),))
         a = DiagonalElement(1, (bump_on(opens, 1),))
         assert dim_fn(a, lebesgue()) == lam
 
@@ -848,10 +847,24 @@ class TestOpenSetOfMeasure:
 
 
 def _as_class(a: DiagonalElement, traces) -> CuntzClass:
-    if spectrum_classify(a) is SpectrumKind.PROJECTION_LIKE:
+    if zero_is_isolated(a):
         count = sum(1 for e in a.entries if not e.is_zero)
         return CuntzClass.proj((count,))
     return CuntzClass.soft(tuple(dim_fn(a, mu) for mu in traces))
+
+
+def _dimension_leq(a: DiagonalElement, b: DiagonalElement, traces) -> bool:
+    """Reference order from dimension values over the traces.
+
+    A purely positive a needs non-strict inequality everywhere; a
+    projection-like a below a purely positive b needs strict inequality at
+    every trace; two projection-like elements compare non-strictly.
+    """
+    da = [dim_fn(a, mu) for mu in traces]
+    db = [dim_fn(b, mu) for mu in traces]
+    if zero_is_isolated(a) and not zero_is_isolated(b):
+        return all(x < y for x, y in zip(da, db))
+    return all(x <= y for x, y in zip(da, db))
 
 
 def test_model_comparison_agrees_with_dimension_comparison():
@@ -872,6 +885,6 @@ def test_model_comparison_agrees_with_dimension_comparison():
     ]
     for a in pool:
         for b in pool:
-            lhs = compare_elements(a, b, traces)
+            lhs = _dimension_leq(a, b, traces)
             rhs = model.compare(_as_class(a, traces), _as_class(b, traces))
             assert lhs == rhs, (a, b)

@@ -30,13 +30,12 @@ from cuntzcalc.ordmon import (
     StrictStateCone,
     archimedean_witness,
     cone_member,
-    evaluate_states,
     is_almost_unperforated,
     is_weakly_unperforated,
     leq,
     smith_diagonal,
 )
-from cuntzcalc.wmodel import CuntzClass, w_of_z
+from cuntzcalc.wmodel import CuntzClass, K0Model, w_of_z
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +498,11 @@ def test_archimedean_fails_lexicographically():
 
 def test_evaluate_states_exactly():
     states = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), Fraction(3, 4)))
-    model = PoGroupModel(2, StrictStateCone(states), (1, 1))
-    assert evaluate_states(model, (1, -1)) == (Fraction(0), Fraction(-1, 2))
-    assert evaluate_states(model, (2, 0)) == (Fraction(1), Fraction(1, 2))
+    model = K0Model(2, states, (1, 1))
+    assert model.states((1, -1)) == (Fraction(0), Fraction(-1, 2))
+    assert model.states((2, 0)) == (Fraction(1), Fraction(1, 2))
+    with pytest.raises(ValueError):
+        model.states((1, 0, 0))
 
 
 def _reference_states(rows, x):
@@ -510,7 +511,7 @@ def _reference_states(rows, x):
 
 
 def _random_state_model(rng, rank):
-    """A strict-state group with random rational rows normalized on a unit."""
+    """A K0 lattice with random rational state rows normalized on a unit."""
     unit = tuple(rng.randint(1, 9) for _ in range(rank))
     big = [2**61 - 1, 10**12 + 39, 3**25, 999_999_937]
     count = rng.randint(1, 4)
@@ -523,7 +524,7 @@ def _random_state_model(rng, rank):
         on_unit = sum(q * u for q, u in zip(row, unit))
         if on_unit != 0:
             rows.append(tuple(q / on_unit for q in row))
-    return PoGroupModel(rank, StrictStateCone(rows), unit), rows
+    return K0Model(rank, rows, unit), rows
 
 
 def test_integer_state_kernel_matches_fraction_reference():
@@ -542,12 +543,6 @@ def test_integer_state_kernel_matches_fraction_reference():
                 probes.append((ints[1], -ints[0]) + (0,) * (rank - 2))
             for x in probes:
                 want = _reference_states(rows, x)
-                assert evaluate_states(model, x) == want
+                assert model.states(x) == want
                 inside = not any(x) or all(v > 0 for v in want)
                 assert cone.member(x) is (YES if inside else NO)
-
-
-def test_evaluate_states_needs_a_strict_state_cone():
-    simplicial = PoGroupModel(1, SimplicialCone(), (1,))
-    with pytest.raises(ValueError):
-        evaluate_states(simplicial, (1,))

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cuntzcalc.cli import _class_pool
+from cuntzcalc.sampling import random_wmodel, rng_for
 from cuntzcalc.wmodel import (
     CuntzClass,
     K0Model,
@@ -66,17 +68,36 @@ class TestIntegerHalfline:
 
 
 def test_hat_pairs_k0_with_traces():
+    # on projections gamma is the pairing of K0 with the traces
     model = two_trace_model()
-    assert model.hat((2, 0)) == (Fraction(1), Fraction(1, 2))
-    assert model.hat((1, 1)) == (Fraction(1), Fraction(1))
+    assert model.gamma(proj(2, 0)) == (Fraction(1), Fraction(1, 2))
+    assert model.gamma(proj(1, 1)) == (Fraction(1), Fraction(1))
 
 
 def test_hat_rejects_zero_and_non_cone_elements():
     model = two_trace_model()
+    assert model.gamma(proj(0, 0)) == (0, 0)
     with pytest.raises(ValueError):
-        model.hat((0, 0))
+        model.soften(proj(0, 0))  # zero has no soft counterpart
     with pytest.raises(ValueError):
-        model.hat((1, -1))
+        model.gamma(proj(1, -1))
+    with pytest.raises(ValueError):
+        model.soften(proj(1, -1))
+
+
+def test_gamma_of_a_projection_is_its_k0_states():
+    rng = rng_for(15)
+    # a state with a negative entry, at scales 6, 10 and 4
+    signed = WModel(
+        K0Model(2, (("1/2", "1/3"), ("1/2", "-1/5"), ("1/2", "1/4")), (2, 0)),
+        TraceSimplex(3),
+    )
+    models = [random_wmodel(rng, max_rank=4, max_traces=4) for _ in range(40)]
+    for model in [signed, *models]:
+        pool = [x for x in _class_pool(model, rng, 12) if x.is_proj]
+        assert pool
+        for x in pool:
+            assert model.gamma(x) == model.k0.states(x.values)
 
 
 def test_incomparable_pair_across_the_parts():
