@@ -53,12 +53,19 @@ def _positive_profile(f) -> tuple[Fraction, ...]:
 
 
 def first_stage(f) -> int:
-    """Least i such that every coordinate of the dyadic stage is positive."""
-    prof = _positive_profile(f)
-    i = 0
-    while any(math.floor((1 << i) * v) < 2 for v in prof):
-        i += 1
-    return i
+    """Least i such that every coordinate of the dyadic stage is positive.
+
+    That is the least i with floor(2^i·p/q) >= 2, i.e. p·2^i >= 2q, at
+    every coordinate p/q.  Per coordinate it is k = max(0, (2q).bit_length()
+    - p.bit_length()) or k + 1, because for k > 0 the number p·2^k has the
+    bit length of 2q; so no stage is tried one by one.
+    """
+    def least(v: Fraction) -> int:
+        p, q2 = v.numerator, 2 * v.denominator
+        k = max(0, q2.bit_length() - p.bit_length())
+        return k if p << k >= q2 else k + 1
+
+    return max(map(least, _positive_profile(f)))
 
 
 def dyadic_below(f, i: int) -> tuple[Fraction, ...]:
@@ -91,10 +98,6 @@ class DecompositionReport:
     target: tuple[Fraction, ...]
     stages: tuple[DecompositionStage, ...]
     increment_norm_total: Fraction
-
-    @property
-    def final_level(self) -> tuple[Fraction, ...]:
-        return self.stages[-1].level
 
 
 def summable_decomposition(f, i_max: int) -> DecompositionReport:

@@ -149,10 +149,9 @@ def _oracle_leq(x: CuntzClass, y: CuntzClass, sx, sy) -> bool:
 
 def cmd_compare(args) -> tuple[dict, Optional[dict]]:
     model = _read(args.model, "wmodel")
-    x = model.validate_class(_read(args.x, "class"))
-    y = model.validate_class(_read(args.y, "class"))
-    fwd = model.compare(x, y)
-    bwd = model.compare(y, x)
+    x, y = _read(args.x, "class"), _read(args.y, "class")
+    _, (ex, ey) = model.elements((x, y))
+    fwd, bwd = element_leq(ex, ey), element_leq(ey, ex)
     verdict = {
         (True, True): "≤ and ≥",
         (True, False): "≤ only",
@@ -176,8 +175,7 @@ def cmd_compare(args) -> tuple[dict, Optional[dict]]:
 
 def cmd_add(args) -> tuple[dict, Optional[dict]]:
     model = _read(args.model, "wmodel")
-    x = model.validate_class(_read(args.x, "class"))
-    y = model.validate_class(_read(args.y, "class"))
+    x, y = _read(args.x, "class"), _read(args.y, "class")
     result = model.add(x, y)
     out = docs.encode_class(result)
     return {"command": "add", "result": out}, out
@@ -202,8 +200,7 @@ def cmd_soften(args) -> tuple[dict, Optional[dict]]:
 
 def cmd_complement(args) -> tuple[dict, Optional[dict]]:
     model = _read(args.model, "wmodel")
-    x = model.validate_class(_read(args.x, "class"))
-    y = model.validate_class(_read(args.y, "class"))
+    x, y = _read(args.x, "class"), _read(args.y, "class")
     z = model.complement(x, y)
     if z is None:
         return {"command": "complement", "verdict": "none"}, None

@@ -149,33 +149,6 @@ def decode_wmodel(payload: dict) -> WModel:
     return WModel(*_decode_k0(payload, payload.get("trace_labels")))
 
 
-def encode_pogroup(model: PoGroupModel) -> dict:
-    cone = model.cone
-    if isinstance(cone, SimplicialCone):
-        cone_doc: dict = {"type": "simplicial"}
-    elif isinstance(cone, StrictStateCone):
-        cone_doc = {
-            "type": "strict-states",
-            "states": [_rationals(row) for row in cone.states],
-        }
-    elif isinstance(cone, GeneratedCone):
-        cone_doc = {
-            "type": "generated",
-            "generators": [list(g) for g in cone.generators],
-            "coeff_bound": cone.coeff_bound,
-        }
-    elif isinstance(cone, LexicographicCone):
-        cone_doc = {"type": "lexicographic"}
-    else:
-        raise DocumentError(f"unknown cone {cone!r}")
-    return {
-        "kind": "pogroup",
-        "rank": model.rank,
-        "cone": cone_doc,
-        "unit": list(model.order_unit),
-    }
-
-
 def decode_pogroup(payload: dict) -> PoGroupModel:
     cone_doc = _field(payload, "cone")
     ctype = _field(cone_doc, "type")
@@ -224,23 +197,6 @@ def decode_invariant(payload: dict) -> ElliottInvariant:
     return ElliottInvariant(k0, _decode_group(_field(payload, "k1")), traces)
 
 
-def encode_morphism(
-    mor: InvariantMorphism, source: ElliottInvariant, target: ElliottInvariant
-) -> dict:
-    return {
-        "kind": "morphism",
-        "source": encode_invariant(source),
-        "target": encode_invariant(target),
-        "theta0": [list(row) for row in mor.theta0],
-        "theta1": {
-            "source": _encode_group(mor.theta1.source),
-            "target": _encode_group(mor.theta1.target),
-            "matrix": [list(row) for row in mor.theta1.mat],
-        },
-        "gamma": [_rationals(row) for row in mor.gamma],
-    }
-
-
 def decode_morphism(
     payload: dict,
 ) -> tuple[InvariantMorphism, ElliottInvariant, ElliottInvariant]:
@@ -276,20 +232,6 @@ def decode_class(payload: dict) -> CuntzClass:
     raise DocumentError(f"unknown class type {ctype!r}")
 
 
-def encode_target_vector(values) -> dict:
-    return {"kind": "target", "type": "vector", "values": _rationals(values)}
-
-
-def encode_target_step(f: StepFn) -> dict:
-    return {
-        "kind": "target",
-        "type": "step",
-        "partition": _rationals(f.partition),
-        "interval_values": _rationals(f.interval_values),
-        "point_values": _rationals(f.point_values),
-    }
-
-
 TargetPayload = Union[tuple[Fraction, ...], StepFn]
 
 
@@ -304,14 +246,6 @@ def decode_target(payload: dict) -> tuple[str, TargetPayload]:
             _parse_vector(_field(payload, "point_values")),
         )
     raise DocumentError(f"unknown target type {ttype!r}")
-
-
-def encode_schedule(sched) -> dict:
-    if isinstance(sched, RealizationSchedule):
-        return {"kind": "schedule", "sizes": list(sched.sizes)}
-    if isinstance(sched, DenseSubgroupSpec):
-        return {"kind": "schedule", "denominators": list(sched.denominators)}
-    raise DocumentError(f"not a schedule: {sched!r}")
 
 
 def decode_schedule(payload: dict):

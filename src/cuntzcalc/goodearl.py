@@ -182,14 +182,6 @@ class PLFn:
                 out.append(v0 + (v1 - v0) * (x - bp[i - 1]) / (bp[i] - bp[i - 1]))
         return out
 
-    @property
-    def sup(self) -> Fraction:
-        return max(self.values)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
-
     def pointwise_max(self, other: "PLFn") -> "PLFn":
         grid = _merge_sorted(self.breakpoints, other.breakpoints)
         mine, theirs = self.on_grid(grid), other.on_grid(grid)

@@ -274,11 +274,6 @@ def cone_member(model: PoGroupModel, x) -> Membership:
     return model.cone.member(x)
 
 
-def leq(model: PoGroupModel, x, y) -> Membership:
-    """Order relation induced by the cone: x <= y iff y - x is positive."""
-    return cone_member(model, vsub(int_vector(y), int_vector(x)))
-
-
 # ---------------------------------------------------------------------------
 # Integer Smith reduction
 

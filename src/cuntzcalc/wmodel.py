@@ -21,8 +21,8 @@ R·x over the cone's integer rows R (state row i times its scale s_i), so
 D·gamma(x)_i = (R·x)_i · D/s_i; a soft value p/q becomes p · D/q.
 ``element_leq`` is the rule on elements and ``WModel.element_sum`` the
 addition: trace vectors add, and K0 vectors too when both operands are
-projections.  ``compare`` and ``add`` convert their two operands at their
-own scale and apply these.
+projections.  ``compare``, ``add`` and ``complement`` convert their two
+operands at their own scale and apply these.
 
 ``WModel`` is the finite model.  ``PurelyInfiniteModel`` is the
 two-element degenerate semigroup {0, <1>} of a purely infinite algebra,
@@ -112,23 +112,6 @@ class K0Model(PoGroupModel):
     def cone_member(self, v) -> bool:
         """``ordmon.cone_member`` as a bool: strict-state membership is definite."""
         return cone_member(self, v) is YES
-
-    @classmethod
-    def simplicial(cls, unit) -> "K0Model":
-        """Simplicial cone normalized through its induced extreme states.
-
-        For Z^k ordered coordinatewise with unit u the extreme states are
-        the scaled coordinate functionals x -> x_i / u_i.
-        """
-        u = int_vector(unit)
-        if any(c <= 0 for c in u):
-            raise ValueError("a simplicial order unit must be strictly positive")
-        k = len(u)
-        rows = [
-            [Fraction(1, u[i]) if j == i else Fraction(0) for j in range(k)]
-            for i in range(k)
-        ]
-        return cls(k, rows, u)
 
 
 PROJ = "proj"
@@ -327,23 +310,26 @@ class WModel:
     def complement(self, x: CuntzClass, y: CuntzClass) -> Optional[CuntzClass]:
         """A class z with x + z = y, when one exists below y.
 
-        Outside the proj-proj case z is the soft class of the gap
-        gamma(y) - gamma(x), the zero class when the gap vanishes, and None
-        when it touches zero at some traces only.  For a soft x below a
-        projection y the summand is reported at the level of trace profiles:
-        the model's addition lands in the soft part, so the returned z
-        satisfies gamma(x + z) = gamma(y) and that is the strongest identity
-        available there.
+        x <= y and the gap are read off one conversion of the pair.  Between
+        projections z is the difference of the K0 vectors.  Otherwise z is
+        the soft class of the gap gamma(y) - gamma(x), the zero class when
+        the gap vanishes, and None when it touches zero at some traces only.
+        For a soft x below a projection y the summand is reported at the
+        level of trace profiles: the model's addition lands in the soft
+        part, so the returned z satisfies gamma(x + z) = gamma(y) and that
+        is the strongest identity available there.
         """
-        if not self.compare(x, y):
+        d, (ex, ey) = self.elements((x, y))
+        if not element_leq(ex, ey):
             raise ValueError("complement requires x ≤ y")
-        if x.is_proj and y.is_proj:
-            return CuntzClass.proj(vsub(y.values, x.values))
-        diff = vsub(self.gamma(y), self.gamma(x))
-        if is_zero(diff):
+        (kx, gx), (ky, gy) = ex, ey
+        if kx is not None and ky is not None:
+            return CuntzClass.proj(vsub(ky, kx))
+        gap = vsub(gy, gx)
+        if not any(gap):
             return self.zero_class
-        if all_positive(diff):
-            return CuntzClass.soft(diff)
+        if min(gap) > 0:
+            return CuntzClass.soft(Fraction(g, d) for g in gap)
         return None
 
     def gamma(self, x: CuntzClass) -> tuple[Fraction, ...]:

@@ -1,5 +1,6 @@
 """Dyadic staircases, summable decompositions, and projection suprema."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,26 @@ def test_first_stage_waits_for_positivity():
     assert first_stage((1,)) == 1
     assert first_stage((Fraction(1, 3), 1)) == 3
     assert first_stage((4,)) == 0
+
+
+def _first_stage_by_steps(f) -> int:
+    """The stage-by-stage search that ``first_stage`` computes in closed form."""
+    i = 0
+    while any(math.floor((1 << i) * v) < 2 for v in f):
+        i += 1
+    return i
+
+
+# numerators and denominators near powers of two, where the bit-length
+# estimate is off by one
+_near_powers = st.builds(lambda k, d: max(1, 2**k + d), st.integers(0, 40),
+                         st.integers(-2, 2))
+_sides = st.one_of(st.integers(1, 10**12), _near_powers)
+
+
+@given(st.lists(st.builds(Fraction, _sides, _sides), min_size=1, max_size=4))
+def test_first_stage_matches_the_stage_by_stage_search(f):
+    assert first_stage(f) == _first_stage_by_steps(f)
 
 
 def test_first_stage_rejects_bad_profiles():
@@ -70,7 +91,7 @@ class TestSummableDecomposition:
             (Fraction(31, 32),),
         ]
         assert report.increment_norm_total == Fraction(31, 32)
-        assert report.final_level == (Fraction(31, 32),)
+        assert report.stages[-1].level == (Fraction(31, 32),)
 
     def test_rejects_stages_before_positivity(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,9 @@ from captured stdout.  Timing noise lives on stderr by contract, so
 stdout must be byte-identical across runs with the same inputs.
 """
 
+import collections
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,9 +25,7 @@ from cuntzcalc.cli import (
 )
 from cuntzcalc.elliott import (
     AbelianGroupData,
-    AbelianGroupHom,
     ElliottInvariant,
-    InvariantMorphism,
     functor_g_obj,
 )
 from cuntzcalc.wmodel import (
@@ -180,6 +180,33 @@ class TestPointwiseCommands:
         assert report["verdict"] == "found"
         assert report["z"] == soft_doc("1/2")
         assert report["recovers_y"] is True
+
+    def test_complement_and_compare_convert_each_operand_once(
+        self, workspace, run, monkeypatch
+    ):
+        # complement reads x <= y and the gap off one conversion of (x, y);
+        # only the recovers_y check, an add of x and z, converts x again
+        converted = collections.Counter()
+        image = WModel._image
+
+        def counted(self, c):
+            converted[c] += 1
+            return image(self, c)
+
+        monkeypatch.setattr(WModel, "_image", counted)
+        model = workspace("m.json", docs.encode_wmodel(two_trace_model()))
+        x = workspace("x.json", proj_doc(1, 0))
+        y = workspace("y.json", soft_doc("3/4", "4/5"))
+        code, out, _ = run("complement", model, x, y)
+        assert code == EXIT_OK
+        assert report_of(out)["z"] == soft_doc("1/4", "11/20")
+        px, sy = CuntzClass.proj((1, 0)), CuntzClass.soft(("3/4", "4/5"))
+        assert converted == {px: 2, sy: 1, CuntzClass.soft(("1/4", "11/20")): 1}
+        converted.clear()
+        code, out, _ = run("compare", model, x, y)
+        assert code == EXIT_OK
+        assert report_of(out)["verdict"] == "≤ only"
+        assert converted == {px: 1, sy: 1}
 
     def test_complement_none_when_the_gap_touches_zero(self, workspace, run):
         # Gap (0, 1/4) is neither zero nor strictly positive.
@@ -428,23 +455,28 @@ def integers_invariant() -> ElliottInvariant:
     return ElliottInvariant(k0, AbelianGroupData(0), TraceSimplex(1))
 
 
-def collapse_pair():
-    """Two-trace source, one-trace target, traces averaged evenly."""
-    source = ElliottInvariant(
-        K0Model(2, (("1/2", "1/2"), ("1/4", "3/4")), (1, 1)),
-        AbelianGroupData(0),
-        TraceSimplex(2),
-    )
-    target = ElliottInvariant(
-        K0Model(2, (("3/8", "5/8"),), (1, 1)),
-        AbelianGroupData(0),
-        TraceSimplex(1),
-    )
-    theta1 = AbelianGroupHom(AbelianGroupData(0), AbelianGroupData(0), ())
-    mor = InvariantMorphism(
-        ((1, 0), (0, 1)), theta1, (("1/2",), ("1/2",))
-    )
-    return mor, source, target
+def collapse_pair() -> dict:
+    """A morphism document: two-trace source, one-trace target, traces
+    averaged evenly."""
+    k1 = {"free_rank": 0, "torsion": []}
+    return {
+        "kind": "morphism",
+        "source": {
+            "kind": "invariant",
+            "k0": {"rank": 2, "states": [["1/2", "1/2"], ["1/4", "3/4"]], "unit": [1, 1]},
+            "k1": k1,
+            "trace_labels": ["tau1", "tau2"],
+        },
+        "target": {
+            "kind": "invariant",
+            "k0": {"rank": 2, "states": [["3/8", "5/8"]], "unit": [1, 1]},
+            "k1": k1,
+            "trace_labels": ["tau1"],
+        },
+        "theta0": [[1, 0], [0, 1]],
+        "theta1": {"source": k1, "target": k1, "matrix": []},
+        "gamma": [["1/2"], ["1/2"]],
+    }
 
 
 class TestFunctor:
@@ -460,35 +492,28 @@ class TestFunctor:
         assert written == w_of_z()
 
     def test_morphism_induces_a_map_of_models(self, workspace, run):
-        mor, source, target = collapse_pair()
-        inv = workspace("inv.json", docs.encode_invariant(source))
-        mor_path = workspace(
-            "mor.json", docs.encode_morphism(mor, source, target)
-        )
+        doc = collapse_pair()
+        inv = workspace("inv.json", doc["source"])
+        mor_path = workspace("mor.json", doc)
         code, out, _ = run("functor", inv, mor_path)
         assert code == EXIT_OK
         induced = report_of(out)["induced"]
         assert induced["theta0"] == [[1, 0], [0, 1]]
         assert induced["gamma"] == [["1/2"], ["1/2"]]
         assert induced["target_model"] == docs.encode_wmodel(
-            functor_g_obj(target)
+            functor_g_obj(docs.decode_invariant(doc["target"]))
         )
 
     def test_morphism_source_must_match_the_invariant(self, workspace, run):
-        mor, source, target = collapse_pair()
-        other = workspace("inv.json", docs.encode_invariant(target))
-        mor_path = workspace(
-            "mor.json", docs.encode_morphism(mor, source, target)
-        )
+        doc = collapse_pair()
+        other = workspace("inv.json", doc["target"])
+        mor_path = workspace("mor.json", doc)
         code, _, err = run("functor", other, mor_path)
         assert code == EXIT_INVALID
         assert "differs" in err
 
     def test_morphism_check_valid(self, workspace, run):
-        mor, source, target = collapse_pair()
-        mor_path = workspace(
-            "mor.json", docs.encode_morphism(mor, source, target)
-        )
+        mor_path = workspace("mor.json", collapse_pair())
         code, out, _ = run("morphism-check", mor_path)
         assert code == EXIT_OK
         report = report_of(out)
@@ -496,8 +521,7 @@ class TestFunctor:
         assert report["problems"] == []
 
     def test_morphism_check_flags_non_convex_trace_map(self, workspace, run):
-        mor, source, target = collapse_pair()
-        doc = docs.encode_morphism(mor, source, target)
+        doc = collapse_pair()
         doc["gamma"] = [["1/2"], ["1/4"]]
         mor_path = workspace("mor.json", doc)
         code, out, _ = run("morphism-check", mor_path)
@@ -531,6 +555,20 @@ class TestRealize:
             [2, "3/4", "1/4", "1/4"],
             [3, "7/8", "1/8", "1/8"],
         ]
+
+    def test_tiny_vector_coordinate_is_refused_promptly(self, workspace, run):
+        # the first positive stage of 1/10^4250 is 14120; it comes from bit
+        # lengths; stepping through 14,120 stages of 201 coordinates took 30 s
+        values = ["1"] * 200 + ["1/1" + "0" * 4250]
+        target = workspace(
+            "t.json", {"kind": "target", "type": "vector", "values": values}
+        )
+        started = time.perf_counter()
+        code, out, err = run("realize", target, "--stages", "6")
+        assert time.perf_counter() - started < 5
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "error: need at least stage 14120 for this target" in err
 
     def test_vector_target_with_denominator_schedule(self, workspace, run):
         target = workspace(

@@ -1,4 +1,10 @@
-"""JSON document round-trips and the no-floats rule."""
+"""JSON documents: decoding, round-trips and the no-floats rule.
+
+The CLI writes only wmodel, invariant and class documents, so only those
+have encoders and round-trip through them.  Every other kind is decoded
+from literal documents, most of them the golden corpus's, and compared
+field by field with objects built by hand.
+"""
 
 import copy
 import json
@@ -16,11 +22,6 @@ from cuntzcalc.documents import (
     dump_document,
     encode_class,
     encode_invariant,
-    encode_morphism,
-    encode_pogroup,
-    encode_schedule,
-    encode_target_step,
-    encode_target_vector,
     encode_wmodel,
     load_document,
     parse_document,
@@ -31,7 +32,6 @@ from cuntzcalc.elliott import (
     AbelianGroupData,
     AbelianGroupHom,
     ElliottInvariant,
-    InvariantMorphism,
 )
 from cuntzcalc.goodearl import RealizationSchedule, StepFn
 from cuntzcalc.linalg import identity
@@ -111,14 +111,25 @@ def test_unknown_wmodel_variant_is_refused():
 
 
 def test_pogroup_roundtrip_for_every_cone():
-    models = [
-        PoGroupModel(2, SimplicialCone(), (1, 1)),
-        PoGroupModel(2, StrictStateCone((("1/2", "1/2"),)), (1, 1)),
-        PoGroupModel(1, GeneratedCone(((2,), (3,)), coeff_bound=12), (2,)),
-        PoGroupModel(2, LexicographicCone(), (1, 0)),
-    ]
-    for model in models:
-        assert roundtrip(encode_pogroup(model)) == model
+    expected = {
+        "simp2": PoGroupModel(2, SimplicialCone(), (1, 2)),
+        "states2": PoGroupModel(
+            2, StrictStateCone((("1/3", "1/3"), ("1/4", "1/2"))), (2, 1)
+        ),
+        "gen23": PoGroupModel(1, GeneratedCone(((2,), (3,)), coeff_bound=24), (2,)),
+        "lex": PoGroupModel(2, LexicographicCone(), (1, 0)),
+    }
+    for name, model in expected.items():
+        assert roundtrip(DOCS[name]) == model
+
+
+def test_pogroup_coeff_bound_is_read_and_defaults_to_24():
+    cone = {"type": "generated", "generators": [[2], [3]], "coeff_bound": 12}
+    got = roundtrip(dict(DOCS["gen23"], cone=cone))
+    assert got.cone.generators == ((2,), (3,))
+    assert got.cone.coeff_bound == 12
+    del cone["coeff_bound"]
+    assert roundtrip(dict(DOCS["gen23"], cone=cone)).cone.coeff_bound == 24
 
 
 def _invariant() -> ElliottInvariant:
@@ -131,21 +142,40 @@ def test_invariant_roundtrip():
 
 
 def test_morphism_roundtrip_carries_its_endpoints():
-    source = _invariant()
+    k1 = AbelianGroupData(1, (2,))
+    source = ElliottInvariant(
+        K0Model(2, (("1/2", "1/2"), ("1/4", "3/4")), (1, 1)), k1, TraceSimplex(2, ("a", "b"))
+    )
     target = ElliottInvariant(
-        K0Model(2, (("3/8", "5/8"),), (1, 1)),
-        source.k1,
-        TraceSimplex(1),
+        K0Model(2, (("3/8", "5/8"),), (1, 1)), k1, TraceSimplex(1)
     )
-    mor = InvariantMorphism(
-        identity(2),
-        AbelianGroupHom.identity_on(source.k1),
-        (("1/2",), ("1/2",)),
-    )
-    got_mor, got_source, got_target = roundtrip(encode_morphism(mor, source, target))
+    got_mor, got_source, got_target = roundtrip(DOCS["mor"])
     assert got_source == source
     assert got_target == target
-    assert got_mor == mor
+    assert got_mor.theta0 == identity(2)
+    assert got_mor.theta1 == AbelianGroupHom.identity_on(k1)
+    assert got_mor.gamma == ((Fraction(1, 2),), (Fraction(1, 2),))
+
+
+def test_morphism_fields_are_read_in_place():
+    # theta1 between different groups, a theta0 that is not its own
+    # transpose and a gamma with distinct entries: a swapped field shows
+    doc = dict(
+        DOCS["mor"],
+        theta0=[[1, 2], [0, 1]],
+        theta1={
+            "source": {"free_rank": 1, "torsion": [2]},
+            "target": {"free_rank": 2},
+            "matrix": [[0, 1], [0, 3]],
+        },
+        gamma=[["1/3"], ["2/3"]],
+    )
+    mor, _, _ = roundtrip(doc)
+    assert mor.theta0 == ((1, 2), (0, 1))
+    assert mor.theta1.source == AbelianGroupData(1, (2,))
+    assert mor.theta1.target == AbelianGroupData(2)
+    assert mor.theta1.mat == ((0, 1), (0, 3))
+    assert mor.gamma == ((Fraction(1, 3),), (Fraction(2, 3),))
 
 
 def test_class_roundtrip():
@@ -155,20 +185,19 @@ def test_class_roundtrip():
 
 
 def test_target_roundtrips():
-    kind, payload = load_document(
-        dump_document(encode_target_vector((Fraction(1, 3), 1)))
+    kind, payload = load_document(dump_document(DOCS["vec"]))
+    assert kind == "target"
+    assert payload == ("vector", (Fraction(2, 3), Fraction(1, 5), Fraction(1)))
+    kind, payload = load_document(dump_document(DOCS["step2"]))
+    assert kind == "target"
+    assert payload == (
+        "step", StepFn((0, "1/3", 1), ("3/4", "5/8"), (0, "1/2", "5/8"))
     )
-    assert payload == ("vector", (Fraction(1, 3), Fraction(1)))
-    step = StepFn((0, "1/2", 1), ("1/2", 1), ("1/2", "1/2", 1))
-    kind, payload = load_document(dump_document(encode_target_step(step)))
-    assert payload == ("step", step)
 
 
 def test_schedule_roundtrips():
-    sizes = RealizationSchedule((2, 4, 8))
-    assert roundtrip(encode_schedule(sizes)) == sizes
-    denoms = DenseSubgroupSpec((3, 6))
-    assert roundtrip(encode_schedule(denoms)) == denoms
+    assert roundtrip(DOCS["sizes"]) == RealizationSchedule((3, 6, 12))
+    assert roundtrip(DOCS["denoms"]) == DenseSubgroupSpec((2, 6, 30))
 
 
 # ---------------------------------------------------------------------------

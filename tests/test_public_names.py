@@ -1,0 +1,112 @@
+"""Every public name of the package has a caller in the package.
+
+This parses ``src/cuntzcalc/*.py`` and lists every top-level function and
+class and every public method of a top-level class.  Each must be
+referenced somewhere in ``src/cuntzcalc/`` or ``perfbench/`` outside its own
+definition: as a name, an attribute, an imported name, or a string that is
+a name or a dotted path of names (``perfbench/tracing.py`` binds functions
+by such strings).  Prose in docstrings and messages does not count.  A
+name that only tests call must be on ``ALLOWED``, with the reason it stays.
+
+The check is by name, so it is a floor, not the full rule: a method whose
+name is also used for something else counts as called.  It could not have
+caught ``ordmon.leq``, ``K0Model.simplicial``, ``PLFn.sup`` or
+``PLFn.is_zero``, which had only test callers while ``leq``, ``simplicial``,
+``sup`` and ``is_zero`` were used elsewhere.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cuntzcalc"
+CALLER_DIRS = (PACKAGE, ROOT / "perfbench")
+
+# public names without a package caller -> why they stay
+ALLOWED = {
+    "ordmon.smith_diagonal": "isomorphism lattices (ROADMAP direction 5)",
+    "ordmon.is_almost_unperforated": "almost-unperforation check (ROADMAP direction 3)",
+    "elliott.identity_morphism": "functor laws (criterion 08) and iso certificates (direction 5)",
+    "elliott.compose_morphisms": "functor laws (criterion 08) and iso certificates (direction 5)",
+    "elliott.compose_w_morphisms": "functor laws (criterion 08) and iso certificates (direction 5)",
+    "elliott.WModelMorphism.apply": "the induced map's action on classes",
+    "wmodel.w_of_z": "the integer model of criterion 01",
+    "goodearl.point_mass": "measures of criteria 10 and 11",
+    "goodearl.lebesgue": "measures of criteria 10 and 11",
+    "goodearl.comparison_lemma_check": "the comparison lemma of criterion 11",
+    "sampling.random_wmodel": "seeded models of the acceptance criteria",
+    "sampling.random_invariant": "seeded invariants of the acceptance criteria",
+    "sampling.random_collapse_morphism": "seeded morphisms for apply in test_elliott",
+}
+
+_PATH = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def public_definitions():
+    """(qualified name, bare name, file, first line, last line) of each."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in _parse(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            yield (f"{module}.{node.name}", node.name, path,
+                   node.lineno, node.end_lineno)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield (f"{module}.{node.name}.{item.name}", item.name,
+                               path, item.lineno, item.end_lineno)
+
+
+def references():
+    """Bare name -> [(file, line)] of every use in the package and perfbench."""
+    found: dict[str, list] = {}
+    for folder in CALLER_DIRS:
+        for path in sorted(folder.glob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Name):
+                    words = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    words = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    words = [alias.name for alias in node.names]
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    if not _PATH.fullmatch(node.value):
+                        continue
+                    words = node.value.split(".")
+                else:
+                    continue
+                for word in words:
+                    found.setdefault(word, []).append((path, node.lineno))
+    return found
+
+
+def uncalled() -> set[str]:
+    refs = references()
+    return {
+        qualified
+        for qualified, name, path, first, last in public_definitions()
+        if not any(
+            not (where == path and first <= line <= last)
+            for where, line in refs.get(name, ())
+        )
+    }
+
+
+def test_every_public_name_has_a_package_caller_or_a_reason():
+    missing = sorted(uncalled() - set(ALLOWED))
+    assert not missing, f"public names with only test callers: {missing}"
+
+
+def test_every_allowed_name_is_defined_and_still_uncalled():
+    # a name that gains a caller, or goes, leaves the list
+    defined = {qualified for qualified, *_ in public_definitions()}
+    assert set(ALLOWED) <= defined
+    assert set(ALLOWED) <= uncalled()

@@ -111,7 +111,8 @@ def test_incomparable_pair_across_the_parts():
 
 
 def test_simplicial_k0_uses_scaled_coordinate_states():
-    k0 = K0Model.simplicial((2, 3))
+    # Z^2 with unit (2, 3): the extreme states are x -> x_i / u_i
+    k0 = K0Model(2, (("1/2", 0), (0, "1/3")), (2, 3))
     assert k0.states((2, 3)) == (Fraction(1), Fraction(1))
     assert k0.cone_member((1, 1))
     # the cone is zero plus strict positivity, so a vanishing coordinate
