@@ -84,14 +84,6 @@ STEP_SIZE_CAP = 4096
 VECTOR_STAGES_CAP = 1000
 
 
-def _rat(q) -> str:
-    return docs.rational_str(q)
-
-
-def _rats(values) -> list[str]:
-    return [docs.rational_str(q) for q in values]
-
-
 def _read(path: str, *kinds: str):
     text = Path(path).read_text(encoding="utf-8")
     kind, obj = docs.load_document(text)
@@ -183,17 +175,16 @@ def cmd_add(args) -> tuple[dict, Optional[dict]]:
 
 def cmd_scale(args) -> tuple[dict, Optional[dict]]:
     model = _read(args.model, "wmodel")
-    x = model.validate_class(_read(args.x, "class"))
+    x = _read(args.x, "class")
     factor = docs.parse_rational(args.factor)
     result = model.scale(x, factor)
     out = docs.encode_class(result)
-    return {"command": "scale", "factor": _rat(factor), "result": out}, out
+    return {"command": "scale", "factor": docs.rational_str(factor), "result": out}, out
 
 
 def cmd_soften(args) -> tuple[dict, Optional[dict]]:
     model = _read(args.model, "wmodel")
-    x = model.validate_class(_read(args.x, "class"))
-    result = model.soften(x)
+    result = model.soften(_read(args.x, "class"))
     out = docs.encode_class(result)
     return {"command": "soften", "result": out}, out
 
@@ -221,7 +212,7 @@ def cmd_k0star(args) -> tuple[dict, Optional[dict]]:
     report = {
         "command": "k0star",
         "n": star.n,
-        "unit_image": _rats(star.unit_image),
+        "unit_image": docs.rationals(star.unit_image),
     }
     return report, None
 
@@ -233,11 +224,11 @@ def cmd_order_unit(args) -> tuple[dict, Optional[dict]]:
     verdict = star.is_order_unit(d)
     report = {
         "command": "order-unit",
-        "d": _rats(d),
+        "d": docs.rationals(d),
         "is_order_unit": verdict,
     }
     if verdict:
-        report["epsilon"] = _rat(min(d))
+        report["epsilon"] = docs.rational_str(min(d))
     return report, None
 
 
@@ -291,9 +282,9 @@ def _suite_strict_cone(model: WModel, rng, bound: int) -> dict:
         d = tuple(a - b for a, b in zip(model.gamma(x), model.gamma(y)))
         in_cone = star.cone_plusplus(d)
         if not in_cone and model.compare(y, x):  # gamma must preserve the order
-            violations.append(_rats(d))
+            violations.append(docs.rationals(d))
         elif in_cone and any(d) and star.cone_plusplus(tuple(-v for v in d)):
-            violations.append(_rats(d))
+            violations.append(docs.rationals(d))
     return {"checked": bound or 500, "failures": violations[:5]}
 
 
@@ -351,8 +342,6 @@ def _suite_oracle_agreement(model: WModel, rng, bound: int) -> dict:
 
 
 def cmd_check(args) -> tuple[dict, Optional[dict]]:
-    if args.suite not in SUITES:
-        raise DocumentError(f"unknown suite {args.suite!r}")
     bound = args.bound
     searches = ("weak-unperforation", "archimedean")
     cap = SEARCH_BOUND_CAP if args.suite in searches else SAMPLE_BOUND_CAP
@@ -417,7 +406,7 @@ def cmd_functor(args) -> tuple[dict, Optional[dict]]:
         induced = functor_g_mor(mor, source, target)
         report["induced"] = {
             "theta0": [list(r) for r in induced.theta0],
-            "gamma": [_rats(r) for r in induced.gamma],
+            "gamma": [docs.rationals(r) for r in induced.gamma],
             "target_model": docs.encode_wmodel(induced.target),
         }
     return report, model_doc
@@ -451,11 +440,11 @@ def _vector_realize_report(profile, schedule, stages: int) -> dict:
         for i, level in enumerate(levels, start=1):
             m = schedule.denominators[i - 1]
             gap = max(a - b for a, b in zip(profile, level))
-            rows.append([i, m, ",".join(_rats(level)), _rat(gap)])
+            rows.append([i, m, ",".join(docs.rationals(level)), docs.rational_str(gap)])
         return {
             "command": "realize",
             "mode": "projection-sup",
-            "target": _rats(profile),
+            "target": docs.rationals(profile),
             "table": {
                 "columns": ["stage", "denominator", "level", "sup_gap"],
                 "rows": rows,
@@ -467,16 +456,16 @@ def _vector_realize_report(profile, schedule, stages: int) -> dict:
         rows.append(
             [
                 st.index,
-                ",".join(_rats(st.level)),
-                ",".join(_rats(st.increment)),
-                _rat(st.sup_gap),
+                ",".join(docs.rationals(st.level)),
+                ",".join(docs.rationals(st.increment)),
+                docs.rational_str(st.sup_gap),
             ]
         )
     return {
         "command": "realize",
         "mode": "dyadic",
-        "target": _rats(report.target),
-        "increment_norm_total": _rat(report.increment_norm_total),
+        "target": docs.rationals(report.target),
+        "increment_norm_total": docs.rational_str(report.increment_norm_total),
         "table": {
             "columns": ["stage", "level", "increment", "sup_gap"],
             "rows": rows,
@@ -510,7 +499,7 @@ def _step_realize_report(f: StepFn, schedule, stages: int, command: str) -> dict
             [
                 stage.index,
                 stage.size,
-                _rat(stage.sup_increment),
+                docs.rational_str(stage.sup_increment),
                 str(increment_ok).lower(),
                 str(stage.monotone).lower(),
                 str(gap_ok).lower(),
@@ -537,24 +526,16 @@ def _step_realize_report(f: StepFn, schedule, stages: int, command: str) -> dict
     }
 
 
-def cmd_realize(args) -> tuple[dict, Optional[dict]]:
+def cmd_realize(args) -> tuple[dict, Optional[dict]]:  # goodearl: step targets only
     ttype, payload = _read(args.target, "target")
-    schedule = _read(args.schedule, "schedule") if args.schedule else None
-    if args.stages is None or args.stages < 1:
-        raise DocumentError("realize needs --stages >= 1")
-    if ttype == "vector":
-        return _vector_realize_report(payload, schedule, args.stages), None
-    return _step_realize_report(payload, schedule, args.stages, "realize"), None
-
-
-def cmd_goodearl(args) -> tuple[dict, Optional[dict]]:
-    ttype, payload = _read(args.target, "target")
-    if ttype != "step":
+    if ttype != "step" and args.command == "goodearl":
         raise DocumentError("goodearl needs a step target")
     schedule = _read(args.schedule, "schedule") if args.schedule else None
     if args.stages is None or args.stages < 1:
-        raise DocumentError("goodearl needs --stages >= 1")
-    return _step_realize_report(payload, schedule, args.stages, "goodearl"), None
+        raise DocumentError(f"{args.command} needs --stages >= 1")
+    if ttype == "vector":
+        return _vector_realize_report(payload, schedule, args.stages), None
+    return _step_realize_report(payload, schedule, args.stages, args.command), None
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +576,7 @@ COMMANDS = {
     "functor": (cmd_functor, (("invariant", {}), ("morphism", _OPTIONAL))),
     "morphism-check": (cmd_morphism_check, (("morphism", {}),)),
     "realize": (cmd_realize, (("target", {}), ("schedule", _OPTIONAL))),
-    "goodearl": (cmd_goodearl, (("target", {}), ("schedule", _OPTIONAL))),
+    "goodearl": (cmd_realize, (("target", {}), ("schedule", _OPTIONAL))),
 }
 
 

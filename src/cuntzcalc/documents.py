@@ -81,7 +81,7 @@ def rational_str(q) -> str:
     return str(Fraction(q))
 
 
-def _rationals(values) -> list[str]:
+def rationals(values) -> list[str]:
     return [rational_str(q) for q in values]
 
 
@@ -114,7 +114,7 @@ def _field(payload: dict, key: str):
 def _encode_k0(k0: K0Model) -> dict:
     return {
         "rank": k0.rank,
-        "states": [_rationals(row) for row in k0.state_matrix],
+        "states": [rationals(row) for row in k0.state_matrix],
         "unit": list(k0.unit),
     }
 
@@ -219,7 +219,7 @@ def decode_morphism(
 def encode_class(x: CuntzClass) -> dict:
     if x.is_proj:
         return {"kind": "class", "type": "proj", "values": list(x.values)}
-    return {"kind": "class", "type": "soft", "values": _rationals(x.values)}
+    return {"kind": "class", "type": "soft", "values": rationals(x.values)}
 
 
 def decode_class(payload: dict) -> CuntzClass:

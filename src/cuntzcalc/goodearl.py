@@ -201,18 +201,12 @@ class PLFn:
         return PLFn(pts, vals)
 
     def minus_clamped(self, eps) -> "PLFn":
-        """The function (self - eps) clamped below at zero, exactly."""
+        """(self - eps) clamped below at zero, exactly: max(self, eps) - eps."""
         eps = frac(eps)
         if eps < 0:
             raise ValueError("eps must be non-negative")
-        extra = []
-        bp, vals = self.breakpoints, self.values
-        for i in range(len(bp) - 1):
-            d0, d1 = vals[i] - eps, vals[i + 1] - eps
-            if (d0 > 0 > d1) or (d0 < 0 < d1):
-                extra.append(bp[i] + (bp[i + 1] - bp[i]) * d0 / (d0 - d1))
-        pts = _merge_sorted(bp, extra)
-        return PLFn(pts, tuple(max(v - eps, Fraction(0)) for v in self.on_grid(pts)))
+        top = self.pointwise_max(PLFn.constant(eps))
+        return PLFn(top.breakpoints, tuple(v - eps for v in top.values))
 
     def cozero(self) -> OpenSet:
         """The exact set where the function is positive.
@@ -293,10 +287,6 @@ class StepFn:
         object.__setattr__(self, "interval_values", ivals)
         object.__setattr__(self, "point_values", pvals)
 
-    @classmethod
-    def constant(cls, c) -> "StepFn":
-        return cls((0, 1), (c,), (c, c))
-
     def __call__(self, x) -> Fraction:
         x = frac(x)
         if not 0 <= x <= 1:
@@ -373,7 +363,7 @@ def step_approximant(f: StepFn, n: int) -> StepFn:
     n = int(n)
     if n < 1:
         raise ValueError("grid size must be positive")
-    if f.sup > 1 or max(f.point_values) > 1:
+    if f.sup > 1:  # lower semicontinuity keeps every point value at or below the sup
         raise ValueError("approximation targets take values in [0, 1]")
 
     def phi(t: Fraction) -> Fraction:
@@ -438,8 +428,8 @@ class MeasureSpec:
     """
 
     lebesgue_weight: Fraction
-    atoms: tuple[tuple[Fraction, Fraction], ...] = ()
-    density: Optional[StepDensity] = None
+    atoms: tuple[tuple[Fraction, Fraction], ...]
+    density: StepDensity
 
     def __init__(self, lebesgue_weight, atoms=(), density=None):
         lw = frac(lebesgue_weight)
@@ -460,7 +450,7 @@ class MeasureSpec:
             raise ValueError(f"total mass must be 1, got {mass}")
         object.__setattr__(self, "lebesgue_weight", lw)
         object.__setattr__(self, "atoms", ats)
-        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "density", density or StepDensity((0, 1), (1,)))
 
     @property
     def atom_free(self) -> bool:
@@ -468,14 +458,7 @@ class MeasureSpec:
 
     @property
     def full_support(self) -> bool:
-        if self.lebesgue_weight <= 0:
-            return False
-        return self.density is None or self.density.everywhere_positive
-
-    def _cdf(self, t) -> Fraction:
-        if self.density is None:
-            return frac(t)
-        return self.density.cdf(t)
+        return self.lebesgue_weight > 0 and self.density.everywhere_positive
 
 
 def lebesgue() -> MeasureSpec:
@@ -491,7 +474,8 @@ def measure(mu: MeasureSpec, opens: OpenSet) -> Fraction:
     total = Fraction(0)
     if mu.lebesgue_weight > 0:
         for iv in opens.intervals:
-            total += mu.lebesgue_weight * (mu._cdf(iv.right) - mu._cdf(iv.left))
+            right, left = mu.density.cdf(iv.right), mu.density.cdf(iv.left)
+            total += mu.lebesgue_weight * (right - left)
     for p, w in mu.atoms:
         if opens.contains(p):
             total += w
@@ -582,26 +566,16 @@ def bump_on(opens: OpenSet, height) -> PLFn:
     if height <= 0:
         raise ValueError("height must be positive")
     knots: dict[Fraction, Fraction] = {Fraction(0): Fraction(0), Fraction(1): Fraction(0)}
-
-    def put(x, v):
-        old = knots.get(x)
-        if old is not None and old != v and x not in (0, 1):
-            raise ValueError("conflicting bump knots")
-        knots[x] = v
-
+    # Components are disjoint and sorted, so a knot written twice is an endpoint
+    # shared by two components: inside (0, 1), where endpoint flags are illegal,
+    # so both writes are 0.  Midpoints lie strictly inside their component.
     for iv in opens.intervals:
         if iv.left_closed and iv.right_closed:
             return PLFn.constant(height)
-        if iv.left_closed:
-            put(iv.left, height)
-            put(iv.right, Fraction(0))
-        elif iv.right_closed:
-            put(iv.left, Fraction(0))
-            put(iv.right, height)
-        else:
-            put(iv.left, Fraction(0))
-            put((iv.left + iv.right) / 2, height)
-            put(iv.right, Fraction(0))
+        knots[iv.left] = height if iv.left_closed else Fraction(0)
+        knots[iv.right] = height if iv.right_closed else Fraction(0)
+        if not (iv.left_closed or iv.right_closed):
+            knots[(iv.left + iv.right) / 2] = height
     points = tuple(sorted(knots))
     return PLFn(points, tuple(knots[p] for p in points))
 
@@ -651,22 +625,13 @@ def _merge_slots(prev: Sequence[PLFn], n: int) -> list[PLFn]:
     grid index m only ever receives an entry whose cozero set contains the
     superlevel set {f > (m - 1)/n}.
 
-    Entry k of the previous stage goes to slots (k-2)r + 2 .. (k-1)r + 1,
-    one block lower than naive repetition; the zero entry fills slot 1 and
-    the top r - 1 slots.  This keeps every slot's cozero set equal to its
-    own superlevel set after merging.
+    With r = n / len(prev), entry k of the previous stage fills slots
+    (k-2)r + 2 .. (k-1)r + 1, one block lower than naive repetition; the
+    zero entry fills slot 1 and the top r - 1 slots.  This keeps every
+    slot's cozero set equal to its own superlevel set after merging.
     """
-    n_prev = len(prev)
-    r = n // n_prev
-    slots: list[Optional[PLFn]] = [None] * n
-    slots[0] = prev[0]
-    for k in range(2, n_prev + 1):
-        for m in range((k - 2) * r + 2, (k - 1) * r + 2):
-            slots[m - 1] = prev[k - 1]
-    for m in range((n_prev - 1) * r + 2, n + 1):
-        slots[m - 1] = prev[0]
-    assert all(s is not None for s in slots)
-    return slots  # type: ignore[return-value]
+    r = n // len(prev)
+    return [prev[0], *(e for e in prev[1:] for _ in range(r)), *[prev[0]] * (r - 1)]
 
 
 def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> RealizationResult:
@@ -683,7 +648,7 @@ def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> Realizatio
         raise ValueError("need at least one stage")
     if stages > len(schedule.sizes):
         raise ValueError("schedule is shorter than the requested stages")
-    if f.sup > 1 or max(f.point_values) > 1:
+    if f.sup > 1:  # bounds the point values too, as in step_approximant
         raise ValueError("realization targets take values in [0, 1]")
     levels = sorted(set(f.interval_values) | set(f.point_values))
     records = []

@@ -335,7 +335,7 @@ class WModel:
     def gamma(self, x: CuntzClass) -> tuple[Fraction, ...]:
         """Image of a class in the enveloping group Q^n."""
         image = self._image(x)
-        return image if x.is_soft else tuple(map(Fraction, image, self.k0.cone.scales))
+        return image if x.is_soft else self.k0.states(x.values)
 
     def k0star(self) -> K0Star:
         return K0Star(self.traces.n)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuntzcalc import cli
+from cuntzcalc import cli, wmodel
 from cuntzcalc import documents as docs
 from cuntzcalc.cli import (
     DEFAULT_SEED,
@@ -309,6 +309,47 @@ class TestCheckSuites:
         assert report["details"]["failures"]
         assert report["details"]["failures"][0].startswith("antisymmetry: ")
 
+    @pytest.mark.parametrize(
+        "owner, name, broken, kind",
+        [
+            # the strict model order: never x <= x
+            (
+                cli,
+                "element_leq",
+                lambda x, y: x != y and wmodel.element_leq(x, y),
+                "not reflexive at ",
+            ),
+            # the model order cut to y <= 2x: reflexive and antisymmetric, not
+            # transitive
+            (
+                cli,
+                "element_leq",
+                lambda x, y: wmodel.element_leq(x, y)
+                and all(b <= 2 * a for a, b in zip(x[1], y[1])),
+                "transitivity: ",
+            ),
+            # z - x in place of x + z reverses the order of the sums
+            (
+                WModel,
+                "element_sum",
+                lambda self, x, y: (None, tuple(b - a for a, b in zip(x[1], y[1]))),
+                "add-compatibility: ",
+            ),
+        ],
+    )
+    def test_order_axioms_catch_each_broken_axiom(
+        self, workspace, run, monkeypatch, owner, name, broken, kind
+    ):
+        monkeypatch.setattr(owner, name, broken)
+        model = workspace("m.json", docs.encode_wmodel(w_of_z()))
+        code, out, _ = run("check", model, "order-axioms")
+        assert code == EXIT_OK
+        report = report_of(out)
+        assert report["passed"] is False
+        assert report["details"]["verdict"] == "fail"
+        failures = report["details"]["failures"]
+        assert failures and all(f.startswith(kind) for f in failures)
+
     def test_order_axioms_compare_each_pool_pair_once(self, workspace, run, monkeypatch):
         # one conversion of the 26 pool classes, then at most one rule
         # evaluation per pool pair plus one per add-compatibility draw, whose
@@ -520,6 +561,16 @@ class TestFunctor:
         assert report["verdict"] == "valid"
         assert report["problems"] == []
 
+    def test_morphism_check_flags_a_gamma_of_the_wrong_shape(self, workspace, run):
+        doc = collapse_pair()
+        doc["gamma"] = [["1/2"]]  # one source trace row, the source has two
+        mor_path = workspace("mor.json", doc)
+        code, out, _ = run("morphism-check", mor_path)
+        assert code == EXIT_OK
+        report = report_of(out)
+        assert report["verdict"] == "invalid"
+        assert report["problems"] == ["gamma must be (source traces) x (target traces)"]
+
     def test_morphism_check_flags_non_convex_trace_map(self, workspace, run):
         doc = collapse_pair()
         doc["gamma"] = [["1/2"], ["1/4"]]
@@ -628,12 +679,17 @@ class TestRealize:
         code, _, err = run("goodearl", target, "--stages", "3")
         assert code == EXIT_INVALID
         assert "step target" in err
+        # before the schedule is read
+        code, _, err = run("goodearl", target, "/nonexistent/s.json", "--stages", "3")
+        assert code == EXIT_INVALID
+        assert err.splitlines()[0] == "error: goodearl needs a step target"
 
     def test_stages_flag_is_required(self, workspace, run):
         target = workspace("t.json", TWO_LEVEL_TARGET)
-        code, _, err = run("realize", target)
-        assert code == EXIT_INVALID
-        assert "--stages" in err
+        for command in ("realize", "goodearl"):
+            code, _, err = run(command, target)
+            assert code == EXIT_INVALID
+            assert err.splitlines()[0] == f"error: {command} needs --stages >= 1"
 
 
 class TestOutputPlumbing:
@@ -688,3 +744,115 @@ class TestOutputPlumbing:
         code, _, err = run("compare", model, "/nonexistent/x.json", model)
         assert code == EXIT_INVALID
         assert "error:" in err
+
+
+TWO_TRACE_DOC = {
+    "kind": "wmodel",
+    "variant": "finite",
+    "rank": 2,
+    "states": [["1/2", "1/2"], ["1/4", "3/4"]],
+    "unit": [1, 1],
+    "trace_labels": ["a", "b"],
+}
+
+
+def generated_group(generators) -> dict:
+    return {
+        "kind": "pogroup",
+        "rank": 2,
+        "unit": [1, 1],
+        "cone": {"type": "generated", "generators": generators},
+    }
+
+
+def simplicial_group(rank: int, unit) -> dict:
+    return {"kind": "pogroup", "rank": rank, "unit": unit, "cone": {"type": "simplicial"}}
+
+
+def step_target(partition, interval_values, point_values) -> dict:
+    return {
+        "kind": "target",
+        "type": "step",
+        "partition": partition,
+        "interval_values": interval_values,
+        "point_values": point_values,
+    }
+
+
+# (argv with "DOC" for the document, document, the first stderr line)
+DOCUMENT_CHECKS = {
+    "non-integer-unit": (
+        ("k0star", "DOC"),
+        {**TWO_TRACE_DOC, "unit": ["1/2", 1]},
+        "error: expected an integer, got 1/2",
+    ),
+    "repeated-trace-labels": (
+        ("k0star", "DOC"),
+        {**TWO_TRACE_DOC, "trace_labels": ["a", "a"]},
+        "error: invalid wmodel document: labels must be distinct and match the "
+        "trace count",
+    ),
+    "no-generators": (
+        ("check", "DOC", "archimedean"),
+        generated_group([]),
+        "error: invalid pogroup document: a generated cone needs at least one "
+        "generator",
+    ),
+    "generators-of-mixed-rank": (
+        ("check", "DOC", "archimedean"),
+        generated_group([[1, 0], [1]]),
+        "error: invalid pogroup document: generators of mixed rank",
+    ),
+    "zero-generator": (
+        ("check", "DOC", "archimedean"),
+        generated_group([[1, 0], [0, 0]]),
+        "error: invalid pogroup document: zero generator is redundant, drop it",
+    ),
+    "rank-zero-group": (
+        ("check", "DOC", "archimedean"),
+        simplicial_group(0, []),
+        "error: invalid pogroup document: rank must be at least 1",
+    ),
+    "zero-unit-group": (
+        ("check", "DOC", "archimedean"),
+        simplicial_group(2, [0, 0]),
+        "error: invalid pogroup document: order unit must be nonzero",
+    ),
+    "partition-short-of-one": (
+        ("realize", "DOC", "--stages", "2"),
+        step_target(["0", "1/2", "3/4"], ["1/2", "1"], ["1/2", "1/2", "1"]),
+        "error: invalid target document: partition must run from 0 to 1",
+    ),
+    "partition-repeats-a-point": (
+        ("realize", "DOC", "--stages", "2"),
+        step_target(
+            ["0", "1/2", "1/2", "1"], ["1/2", "1", "1"], ["1/2", "1/2", "1", "1"]
+        ),
+        "error: invalid target document: partition must strictly increase",
+    ),
+    "negative-step-value": (
+        ("realize", "DOC", "--stages", "2"),
+        step_target(["0", "1/2", "1"], ["-1/2", "1"], ["-1/2", "-1/2", "1"]),
+        "error: invalid target document: values must be non-negative",
+    ),
+    "zero-size": (
+        ("realize", "TARGET", "DOC", "--stages", "2"),
+        {"kind": "schedule", "sizes": [0, 2]},
+        "error: invalid schedule document: sizes must be positive",
+    ),
+    "step-target-with-denominators": (
+        ("realize", "TARGET", "DOC", "--stages", "2"),
+        {"kind": "schedule", "denominators": [2, 4]},
+        "error: step targets take a sizes schedule",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOCUMENT_CHECKS))
+def test_document_input_checks_exit_2(workspace, run, case):
+    argv, doc, message = DOCUMENT_CHECKS[case]
+    paths = {"DOC": workspace("doc.json", doc), "TARGET": workspace("t.json", TWO_LEVEL_TARGET)}
+    code, out, err = run(*(paths.get(a, a) for a in argv))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.splitlines()[0] == message

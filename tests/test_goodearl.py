@@ -54,6 +54,10 @@ def left_tent(lam, height=1) -> PLFn:
     return PLFn((0, lam / 2, lam, 1), (0, height, 0, 0))
 
 
+def constant_step(c) -> StepFn:
+    return StepFn((0, 1), (c,), (c, c))
+
+
 def two_level() -> StepFn:
     return StepFn((0, "1/2", 1), ("1/2", 1), ("1/2", "1/2", 1))
 
@@ -244,7 +248,7 @@ class TestStepFn:
 
 
 def test_complement_of_the_empty_set_is_everything():
-    full = superlevel(StepFn.constant(1), "1/2")
+    full = superlevel(constant_step(1), "1/2")
     assert full.intervals == (Iv(fr(0), fr(1), True, True),)
 
 
@@ -257,7 +261,7 @@ def test_complement_around_a_point():
 
 
 def test_complement_of_everything_is_empty():
-    assert superlevel(StepFn.constant("1/2"), "1/2").is_empty
+    assert superlevel(constant_step("1/2"), "1/2").is_empty
 
 
 def test_complement_of_a_left_closed_piece():
@@ -319,7 +323,7 @@ def test_step_witnesses_match_evaluation_at_points_and_midpoints():
             want = [x for x in points if not holds(f(x), g(x))]
             assert step_witnesses(f, g, holds) == want
     assert step_witnesses(two_level(), two_level(), operator.eq) == []
-    assert step_witnesses(two_level(), StepFn.constant("1/2"), operator.eq) == [
+    assert step_witnesses(two_level(), constant_step("1/2"), operator.eq) == [
         fr("3/4"),
         fr(1),
     ]
@@ -329,7 +333,7 @@ class TestStepApproximant:
     def test_constant_one_target(self):
         for i in (1, 2, 3):
             n = 2**i
-            fi = step_approximant(StepFn.constant(1), n)
+            fi = step_approximant(constant_step(1), n)
             want = Fraction(n - 1, n)
             assert all(v == want for v in fi.interval_values)
             assert all(v == want for v in fi.point_values)
@@ -343,12 +347,12 @@ class TestStepApproximant:
         assert f1(1) == fr("1/2")
 
     def test_grid_constant_steps_down(self):
-        fi = step_approximant(StepFn.constant("3/4"), 4)
+        fi = step_approximant(constant_step("3/4"), 4)
         assert all(v == fr("1/2") for v in fi.interval_values)
 
     def test_rejects_targets_above_one(self):
         with pytest.raises(ValueError):
-            step_approximant(StepFn.constant("3/2"), 2)
+            step_approximant(constant_step("3/2"), 2)
 
     def test_gap_and_refinement_monotonicity(self):
         rng = random.Random(91)
@@ -571,7 +575,7 @@ class TestBumpOn:
 
 class TestRealize:
     def test_constant_one_target(self):
-        result = realize(StepFn.constant(1), RealizationSchedule.dyadic(3), 3)
+        result = realize(constant_step(1), RealizationSchedule.dyadic(3), 3)
         assert [s.size for s in result.stages] == [2, 4, 8]
         assert dimension_discrepancies(result) == []
         for stage in result.stages:
@@ -613,7 +617,7 @@ class TestRealize:
         with pytest.raises(ValueError):
             realize(two_level(), RealizationSchedule.dyadic(2), 3)
         with pytest.raises(ValueError):
-            realize(StepFn.constant("3/2"), RealizationSchedule.dyadic(2), 2)
+            realize(constant_step("3/2"), RealizationSchedule.dyadic(2), 2)
         with pytest.raises(ValueError):
             realize(two_level(), RealizationSchedule.dyadic(2), 0)
 

@@ -6,13 +6,18 @@ referenced somewhere in ``src/cuntzcalc/`` or ``perfbench/`` outside its own
 definition: as a name, an attribute, an imported name, or a string that is
 a name or a dotted path of names (``perfbench/tracing.py`` binds functions
 by such strings).  Prose in docstrings and messages does not count.  A
-name that only tests call must be on ``ALLOWED``, with the reason it stays.
+method that is not a property is held to less: it counts as called only by
+a ``.name(`` call in ``src/cuntzcalc/`` or a string in
+``perfbench/tracing.py``, so a document field or a perfbench call of the
+same name does not hide it.  A name that only tests call must be on
+``ALLOWED``, with the reason it stays.
 
-The check is by name, so it is a floor, not the full rule: a method whose
-name is also used for something else counts as called.  It could not have
-caught ``ordmon.leq``, ``K0Model.simplicial``, ``PLFn.sup`` or
-``PLFn.is_zero``, which had only test callers while ``leq``, ``simplicial``,
-``sup`` and ``is_zero`` were used elsewhere.
+The check is by name, so it is a floor, not the full rule: a name that is
+also used for something else counts as called.  It could not have caught
+``ordmon.leq``, ``K0Model.simplicial``, ``PLFn.sup``, ``PLFn.is_zero`` or
+``StepFn.constant``, which had only test callers while ``leq``,
+``simplicial``, ``sup``, ``is_zero`` and ``PLFn.constant`` were used
+elsewhere.
 """
 
 import ast
@@ -22,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cuntzcalc"
 CALLER_DIRS = (PACKAGE, ROOT / "perfbench")
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 # public names without a package caller -> why they stay
 ALLOWED = {
@@ -47,8 +53,14 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _is_property(node: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property"
+               for d in node.decorator_list)
+
+
 def public_definitions():
-    """(qualified name, bare name, file, first line, last line) of each."""
+    """(qualified name, bare name, file, first line, last line, is a method
+    that is not a property) of each."""
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         for node in _parse(path).body:
@@ -57,12 +69,13 @@ def public_definitions():
             if node.name.startswith("_"):
                 continue
             yield (f"{module}.{node.name}", node.name, path,
-                   node.lineno, node.end_lineno)
+                   node.lineno, node.end_lineno, False)
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         yield (f"{module}.{node.name}.{item.name}", item.name,
-                               path, item.lineno, item.end_lineno)
+                               path, item.lineno, item.end_lineno,
+                               not _is_property(item))
 
 
 def references():
@@ -88,14 +101,30 @@ def references():
     return found
 
 
+def method_calls():
+    """Bare name -> [(file, line)] of every ``.name(`` call in the package and
+    every string in ``perfbench/tracing.py`` that is a name or dotted path."""
+    found: dict[str, list] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                found.setdefault(node.func.attr, []).append((path, node.lineno))
+    for node in ast.walk(_parse(TRACING)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if _PATH.fullmatch(node.value):
+                for word in node.value.split("."):
+                    found.setdefault(word, []).append((TRACING, node.lineno))
+    return found
+
+
 def uncalled() -> set[str]:
-    refs = references()
+    refs, calls = references(), method_calls()
     return {
         qualified
-        for qualified, name, path, first, last in public_definitions()
+        for qualified, name, path, first, last, method in public_definitions()
         if not any(
             not (where == path and first <= line <= last)
-            for where, line in refs.get(name, ())
+            for where, line in (calls if method else refs).get(name, ())
         )
     }
 
