@@ -31,19 +31,8 @@ from .wmodel import (
     CuntzClass,
     K0Model,
     PurelyInfiniteModel,
-    TraceSimplex,
     WModel,
     purely_infinite,
-)
-
-KINDS = (
-    "wmodel",
-    "pogroup",
-    "invariant",
-    "morphism",
-    "class",
-    "target",
-    "schedule",
 )
 
 
@@ -119,14 +108,15 @@ def _encode_k0(k0: K0Model) -> dict:
     }
 
 
-def _decode_k0(k0_doc: dict, labels) -> tuple[K0Model, TraceSimplex]:
-    """K0 data and the trace simplex its state rows pair with."""
-    k0 = K0Model(
+def _decode_k0(k0_doc: dict, labels) -> K0Model:
+    """K0 data, with ``labels`` naming the traces its state rows pair with
+    (the defaults tau1, ..., taun when absent or empty)."""
+    return K0Model(
         parse_int(_field(k0_doc, "rank")),
         _parse_matrix(_field(k0_doc, "states")),
         _parse_int_vector(_field(k0_doc, "unit")),
+        labels,
     )
-    return k0, TraceSimplex(k0.trace_count, tuple(labels) if labels else None)
 
 
 def encode_wmodel(model: WModel) -> dict:
@@ -136,7 +126,7 @@ def encode_wmodel(model: WModel) -> dict:
         "kind": "wmodel",
         "variant": "finite",
         **_encode_k0(model.k0),
-        "trace_labels": list(model.traces.labels),
+        "trace_labels": list(model.k0.labels),
     }
 
 
@@ -146,7 +136,7 @@ def decode_wmodel(payload: dict) -> WModel:
         return purely_infinite()
     if variant != "finite":
         raise DocumentError(f"unknown wmodel variant {variant!r}")
-    return WModel(*_decode_k0(payload, payload.get("trace_labels")))
+    return WModel(_decode_k0(payload, payload.get("trace_labels")))
 
 
 def decode_pogroup(payload: dict) -> PoGroupModel:
@@ -188,13 +178,15 @@ def encode_invariant(inv: ElliottInvariant) -> dict:
         "kind": "invariant",
         "k0": _encode_k0(inv.k0),
         "k1": _encode_group(inv.k1),
-        "trace_labels": list(inv.traces.labels),
+        "trace_labels": list(inv.k0.labels),
     }
 
 
 def decode_invariant(payload: dict) -> ElliottInvariant:
-    k0, traces = _decode_k0(_field(payload, "k0"), payload.get("trace_labels"))
-    return ElliottInvariant(k0, _decode_group(_field(payload, "k1")), traces)
+    return ElliottInvariant(
+        _decode_k0(_field(payload, "k0"), payload.get("trace_labels")),
+        _decode_group(_field(payload, "k1")),
+    )
 
 
 def decode_morphism(
@@ -267,6 +259,7 @@ _DECODERS = {
     "target": decode_target,
     "schedule": decode_schedule,
 }
+KINDS = tuple(_DECODERS)
 
 
 def parse_document(text: str) -> tuple[str, dict]:

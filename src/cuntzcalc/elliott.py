@@ -1,10 +1,10 @@
 """Elliott invariants at finite trace resolution and the induced model maps.
 
-An invariant bundles ordered K0 data with its trace pairing, a K1 group
-carried along untouched, and the trace simplex.  A morphism is a triple
-(theta0, theta1, gamma): a K0 lattice map, a K1 homomorphism, and a map of
-trace simplices given on extreme points by convex coefficients.  The
-compatibility square ties gamma^T against the state matrices.
+An invariant bundles ordered K0 data with its trace pairing, one state row
+per extreme trace, and a K1 group carried along untouched.  A morphism is
+a triple (theta0, theta1, gamma): a K0 lattice map, a K1 homomorphism, and
+a map of trace simplices given on extreme points by convex coefficients.
+The compatibility square ties gamma^T against the state matrices.
 
 The functor G sends an invariant to its Cuntz semigroup model and a
 morphism to the pair (projection part theta0, soft part gamma^T).
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import identity, int_matrix, matmul, matrix, matvec, transpose
-from .wmodel import CuntzClass, K0Model, TraceSimplex, WModel
+from .wmodel import CuntzClass, K0Model, WModel
 
 
 @dataclass(frozen=True)
@@ -98,18 +98,10 @@ class AbelianGroupHom:
 
 @dataclass(frozen=True)
 class ElliottInvariant:
-    """Ordered K0 with trace pairing, K1, and the trace simplex."""
+    """Ordered K0 with its trace pairing (one extreme trace per state row), and K1."""
 
     k0: K0Model
     k1: AbelianGroupData
-    traces: TraceSimplex
-
-    def __init__(self, k0: K0Model, k1: AbelianGroupData, traces: TraceSimplex):
-        if k0.trace_count != traces.n:
-            raise ValueError("trace pairing rows must match the trace count")
-        object.__setattr__(self, "k0", k0)
-        object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "traces", traces)
 
 
 @dataclass(frozen=True)
@@ -156,7 +148,7 @@ def validate_morphism(
     """
     problems = []
     ka, kb = source.k0.rank, target.k0.rank
-    na, nb = source.traces.n, target.traces.n
+    na, nb = source.k0.trace_count, target.k0.trace_count
     if len(mor.theta0) != kb or any(len(r) != ka for r in mor.theta0):
         problems.append("theta0 must be (target K0 rank) x (source K0 rank)")
         return problems
@@ -184,7 +176,7 @@ def identity_morphism(inv: ElliottInvariant) -> InvariantMorphism:
     return InvariantMorphism(
         identity(inv.k0.rank),
         AbelianGroupHom.identity_on(inv.k1),
-        identity(inv.traces.n),
+        identity(inv.k0.trace_count),
     )
 
 
@@ -220,7 +212,7 @@ def functor_g_obj(inv: ElliottInvariant) -> WModel:
     problems = validate_invariant(inv)
     if problems:
         raise ValueError("; ".join(problems))
-    return WModel(inv.k0, inv.traces)
+    return WModel(inv.k0)
 
 
 def functor_g_mor(

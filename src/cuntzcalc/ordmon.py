@@ -247,13 +247,13 @@ class PoGroupModel:
 
     rank: int
     cone: PositiveCone
-    order_unit: tuple[int, ...]
+    unit: tuple[int, ...]
 
-    def __init__(self, rank: int, cone: PositiveCone, order_unit):
+    def __init__(self, rank: int, cone: PositiveCone, unit):
         rank = int(rank)
         if rank < 1:
             raise ValueError("rank must be at least 1")
-        unit = int_vector(order_unit)
+        unit = int_vector(unit)
         if len(unit) != rank:
             raise ValueError("order unit has the wrong rank")
         if is_zero(unit):
@@ -262,7 +262,7 @@ class PoGroupModel:
             raise ValueError(f"the cone needs rank {cone.width}, not {rank}")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "cone", cone)
-        object.__setattr__(self, "order_unit", unit)
+        object.__setattr__(self, "unit", unit)
         cone.check_unit(unit)
 
 

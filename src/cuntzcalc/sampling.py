@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .elliott import ElliottInvariant, WModelMorphism
 from .linalg import identity, matmul, transpose
-from .wmodel import CuntzClass, K0Model, TraceSimplex, WModel
+from .wmodel import CuntzClass, K0Model, WModel
 
 
 def rng_for(seed: int) -> random.Random:
@@ -46,12 +46,11 @@ def random_k0model(
 def random_wmodel(
     rng: random.Random, max_rank: int = 3, max_traces: int = 3
 ) -> WModel:
-    k0 = random_k0model(rng, max_rank, max_traces)
-    return WModel(k0, TraceSimplex(k0.trace_count))
+    return WModel(random_k0model(rng, max_rank, max_traces))
 
 
 def random_soft_class(rng: random.Random, model: WModel) -> CuntzClass:
-    n = model.traces.n
+    n = model.k0.trace_count
     return CuntzClass.soft(tuple(random_fraction(rng) for _ in range(n)))
 
 
@@ -79,7 +78,7 @@ def random_invariant(
     k0 = random_k0model(rng, max_rank, max_traces)
     torsion_choices = ((), (2,), (3,), (2, 4))
     k1 = AbelianGroupData(rng.randint(0, 2), rng.choice(torsion_choices))
-    return ElliottInvariant(k0, k1, TraceSimplex(k0.trace_count))
+    return ElliottInvariant(k0, k1)
 
 
 def random_collapse_morphism(
@@ -93,7 +92,7 @@ def random_collapse_morphism(
     """
     if target_traces < 1:
         raise ValueError("need at least one target trace")
-    n_a = source.traces.n
+    n_a = source.k0.trace_count
     columns = []
     for _ in range(target_traces):
         weights = [Fraction(rng.randint(1, 6)) for _ in range(n_a)]
@@ -103,6 +102,5 @@ def random_collapse_morphism(
         tuple(columns[j][i] for j in range(target_traces)) for i in range(n_a)
     )
     state_matrix = matmul(transpose(gamma), source.k0.state_matrix)
-    target_k0 = K0Model(source.k0.rank, state_matrix, source.k0.unit)
-    target = WModel(target_k0, TraceSimplex(target_traces))
+    target = WModel(K0Model(source.k0.rank, state_matrix, source.k0.unit))
     return WModelMorphism(source, target, identity(source.k0.rank), gamma)

@@ -24,8 +24,9 @@ addition: trace vectors add, and K0 vectors too when both operands are
 projections.  ``compare``, ``add`` and ``complement`` convert their two
 operands at their own scale and apply these.
 
-``WModel`` is the finite model.  ``PurelyInfiniteModel`` is the
-two-element degenerate semigroup {0, <1>} of a purely infinite algebra,
+``WModel`` is the finite model, given by its ``K0Model`` alone, which has
+one state row and one label per extreme trace.  ``PurelyInfiniteModel`` is
+the two-element degenerate semigroup {0, <1>} of a purely infinite algebra,
 whose nonzero class absorbs addition and whose enveloping group is zero.
 """
 
@@ -58,49 +59,33 @@ from .ordmon import (
 
 
 @dataclass(frozen=True)
-class TraceSimplex:
-    """Finitely many extreme traces, with printable labels."""
-
-    n: int
-    labels: tuple[str, ...] = ()
-
-    def __init__(self, n: int, labels=None):
-        n = int(n)
-        if n < 1:
-            raise ValueError("need at least one trace")
-        if labels is None:
-            labels = tuple(f"tau{i + 1}" for i in range(n))
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != n or len(set(labels)) != n:
-            raise ValueError("labels must be distinct and match the trace count")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "labels", labels)
-
-
-@dataclass(frozen=True)
 class K0Model(PoGroupModel):
     """K0 lattice Z^rank paired with traces through a state matrix.
 
     This is the ordered group of ``ordmon`` with the strict-state cone of
-    ``state_matrix``: one row per trace, each sending the order unit to 1.
-    The positive cone is zero together with the vectors on which every row
-    is strictly positive.
+    ``state_matrix``: one row per extreme trace, each sending the order unit
+    to 1.  The positive cone is zero together with the vectors on which
+    every row is strictly positive.  ``labels`` names the traces, one per
+    row: tau1, ..., taun when none are given.
     """
 
-    def __init__(self, rank: int, state_matrix, unit):
+    labels: tuple[str, ...]
+
+    def __init__(self, rank: int, state_matrix, unit, labels=None):
         super().__init__(rank, StrictStateCone(state_matrix), unit)
+        n = len(self.cone.states)
+        labels = tuple(map(str, labels or (f"tau{i + 1}" for i in range(n))))
+        if len(labels) != n or len(set(labels)) != n:
+            raise ValueError("labels must be distinct and match the trace count")
+        object.__setattr__(self, "labels", labels)
 
     @property
     def state_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         return self.cone.states
 
     @property
-    def unit(self) -> tuple[int, ...]:
-        return self.order_unit
-
-    @property
     def trace_count(self) -> int:
-        return len(self.cone.states)
+        return len(self.labels)
 
     def states(self, v) -> tuple[Fraction, ...]:
         """Exact value of every state on the lattice vector v: (R·v)_i / s_i."""
@@ -114,48 +99,38 @@ class K0Model(PoGroupModel):
         return cone_member(self, v) is YES
 
 
-PROJ = "proj"
-SOFT = "soft"
-
-
 @dataclass(frozen=True)
 class CuntzClass:
     """One element of a model: a projection class or a soft class."""
 
-    kind: str
+    is_proj: bool
     values: tuple
 
-    def __init__(self, kind: str, values):
-        if kind == PROJ:
+    def __init__(self, is_proj: bool, values):
+        if is_proj:
             values = int_vector(values)
-        elif kind == SOFT:
+        else:
             values = vector(values)
             if not all_positive(values):
                 raise ValueError("soft classes carry strictly positive profiles")
-        else:
-            raise ValueError(f"unknown class kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "is_proj", is_proj)
         object.__setattr__(self, "values", values)
 
     @classmethod
     def proj(cls, values) -> "CuntzClass":
-        return cls(PROJ, values)
+        return cls(True, values)
 
     @classmethod
     def soft(cls, values) -> "CuntzClass":
-        return cls(SOFT, values)
-
-    @property
-    def is_proj(self) -> bool:
-        return self.kind == PROJ
+        return cls(False, values)
 
     @property
     def is_soft(self) -> bool:
-        return self.kind == SOFT
+        return not self.is_proj
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == PROJ and is_zero(self.values)
+        return self.is_proj and is_zero(self.values)
 
     def __repr__(self) -> str:
         inner = ", ".join(str(v) for v in self.values)
@@ -221,13 +196,6 @@ class WModel:
     """The finite Cuntz semigroup model of K0 data paired with traces."""
 
     k0: K0Model
-    traces: TraceSimplex
-
-    def __init__(self, k0: K0Model, traces: TraceSimplex):
-        if k0.trace_count != traces.n:
-            raise ValueError("state matrix rows must match the trace count")
-        object.__setattr__(self, "k0", k0)
-        object.__setattr__(self, "traces", traces)
 
     # -- element plumbing ---------------------------------------------------
 
@@ -247,8 +215,8 @@ class WModel:
         """Validate x; return R·x for a projection, the profile for a soft class."""
         if not isinstance(x, CuntzClass):
             raise TypeError("expected a CuntzClass")
-        if x.is_soft:
-            if len(x.values) != self.traces.n:
+        if not x.is_proj:
+            if len(x.values) != len(self.k0.labels):
                 raise ValueError("soft payload must have one value per trace")
             return x.values
         if len(x.values) != self.k0.rank:
@@ -262,12 +230,12 @@ class WModel:
         """Validate each class once; return the common scale D and their elements."""
         images = [self._image(x) for x in classes]
         scales = self.k0.cone.scales
-        d = math.lcm(*scales, *[q.denominator for x in classes if x.is_soft
+        d = math.lcm(*scales, *[q.denominator for x in classes if not x.is_proj
                                 for q in x.values])
         per_row = [d // s for s in scales]
         return d, [
-            (None, tuple([q.numerator * (d // q.denominator) for q in image]))
-            if x.is_soft else (x.values, tuple(map(mul, image, per_row)))
+            (x.values, tuple(map(mul, image, per_row))) if x.is_proj
+            else (None, tuple([q.numerator * (d // q.denominator) for q in image]))
             for x, image in zip(classes, images)
         ]
 
@@ -335,31 +303,29 @@ class WModel:
     def gamma(self, x: CuntzClass) -> tuple[Fraction, ...]:
         """Image of a class in the enveloping group Q^n."""
         image = self._image(x)
-        return image if x.is_soft else self.k0.states(x.values)
+        return self.k0.states(x.values) if x.is_proj else image
 
     def k0star(self) -> K0Star:
-        return K0Star(self.traces.n)
+        return K0Star(self.k0.trace_count)
 
 
 class PurelyInfiniteModel(WModel):
     """The degenerate two-element model {0, <1>} with <1> + <1> = <1>.
 
     ``purely_infinite()`` builds it on the rank-1 placeholder K0 = Z with one
-    trace, where 0 and <1> are the projections (0) and (1).  On that K0, and
-    only there, the inherited ``elements``, ``compare``, ``complement``,
-    ``scale``, ``zero_class`` and ``unit_class`` already give the degenerate
-    answers; the inherited ``add`` adds through the absorbing ``element_sum``.
+    trace, where 0 and <1> are the projections (0) and (1).  Its ``_image``
+    admits only those two classes.  On that K0, and only there, the inherited
+    ``validate_class``, ``elements``, ``compare``, ``complement``, ``scale``,
+    ``zero_class`` and ``unit_class`` already give the degenerate answers;
+    the inherited ``add`` adds through the absorbing ``element_sum``.
     """
 
-    def validate_class(self, x: CuntzClass) -> CuntzClass:
+    def _image(self, x: CuntzClass) -> tuple:
         if not isinstance(x, CuntzClass):
             raise TypeError("expected a CuntzClass")
         if x.is_soft or x.values not in ((0,), (1,)):
             raise ValueError("the purely infinite model has only the classes 0 and <1>")
-        return x
-
-    def _image(self, x: CuntzClass) -> tuple:
-        return self.validate_class(x).values  # R = ((1,),) on the placeholder K0
+        return x.values  # R = ((1,),) on the placeholder K0
 
     def element_sum(self, x: tuple, y: tuple) -> tuple:
         return x if any(x[0]) else y  # <1> is idempotent and absorbing
@@ -376,9 +342,9 @@ class PurelyInfiniteModel(WModel):
 
 def w_of_z() -> WModel:
     """The model with one trace and K0 = Z: integers plus positive reals."""
-    return WModel(K0Model(1, ((1,),), (1,)), TraceSimplex(1))
+    return WModel(K0Model(1, ((1,),), (1,)))
 
 
 def purely_infinite() -> PurelyInfiniteModel:
     """The degenerate two-element model {0, <1>} with <1> + <1> = <1>."""
-    return PurelyInfiniteModel(K0Model(1, ((1,),), (1,)), TraceSimplex(1))
+    return PurelyInfiniteModel(K0Model(1, ((1,),), (1,)))

@@ -67,7 +67,6 @@ from cuntzcalc.wmodel import (
     CuntzClass,
     K0Model,
     K0Star,
-    TraceSimplex,
     WModel,
     w_of_z,
 )
@@ -184,6 +183,16 @@ def test_criterion_03_difference_cone_strictness():
     )
 
 
+def _assert_strict_cone_suite_fails(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(dump_document(encode_wmodel(random_wmodel(rng_for(SEED)))))
+    capsys.readouterr()
+    assert main(["check", str(path), "strict-cone"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert report["details"]["failures"]
+
+
 def test_criterion_03_and_the_strict_cone_suite_catch_a_broken_gamma(
     monkeypatch, tmp_path, capsys
 ):
@@ -196,13 +205,18 @@ def test_criterion_03_and_the_strict_cone_suite_catch_a_broken_gamma(
     monkeypatch.setattr(WModel, "gamma", broken)
     with pytest.raises(AssertionError, match="criterion 03 FAIL"):
         test_criterion_03_difference_cone_strictness()
-    path = tmp_path / "m.json"
-    path.write_text(dump_document(encode_wmodel(random_wmodel(rng_for(SEED)))))
-    capsys.readouterr()
-    assert main(["check", str(path), "strict-cone"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["passed"] is False
-    assert report["details"]["failures"]
+    _assert_strict_cone_suite_fails(tmp_path, capsys)
+
+
+def test_criterion_03_and_the_strict_cone_suite_catch_a_cone_that_is_not_pointed(
+    monkeypatch, tmp_path, capsys
+):
+    # a cone that holds every vector holds each nonzero difference with its
+    # negation, so only the pointedness halves of the two checks can fail
+    monkeypatch.setattr(K0Star, "cone_plusplus", lambda self, d: True)
+    with pytest.raises(AssertionError, match="criterion 03 FAIL"):
+        test_criterion_03_difference_cone_strictness()
+    _assert_strict_cone_suite_fails(tmp_path, capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +341,7 @@ def random_invariant_arrow(rng, source: ElliottInvariant):
     the unit is the permuted unit, K1 is carried by the identity.
     """
     rank = source.k0.rank
-    n_src = source.traces.n
+    n_src = source.k0.trace_count
     n_tgt = rng.randint(1, 3)
     columns = []
     for _ in range(n_tgt):
@@ -348,9 +362,7 @@ def random_invariant_arrow(rng, source: ElliottInvariant):
         tuple(row[perm[k]] for k in range(rank)) for row in collapsed
     )
     unit = tuple(source.k0.unit[perm[i]] for i in range(rank))
-    target = ElliottInvariant(
-        K0Model(rank, states, unit), source.k1, TraceSimplex(n_tgt)
-    )
+    target = ElliottInvariant(K0Model(rank, states, unit), source.k1)
     mor = InvariantMorphism(
         theta0, AbelianGroupHom.identity_on(source.k1), gamma
     )
@@ -371,7 +383,7 @@ def test_criterion_08_functor_laws_and_recovery():
             model_a,
             model_a,
             identity(inv_a.k0.rank),
-            identity(inv_a.traces.n),
+            identity(inv_a.k0.trace_count),
         )
 
         g_first = functor_g_mor(first, inv_a, inv_b)
@@ -606,14 +618,14 @@ def test_criterion_11_comparison_strictness():
 
 def draw_ordered_pair(rng, model):
     mode = rng.random()
-    if mode < 0.25 and model.traces.n >= 2:
+    if mode < 0.25 and model.k0.trace_count >= 2:
         # Steered: a soft gap that touches zero at some coordinate.
         x = random_soft_class(rng, model)
-        keep = [rng.random() < 0.5 for _ in range(model.traces.n)]
+        keep = [rng.random() < 0.5 for _ in range(model.k0.trace_count)]
         if all(keep):
-            keep[rng.randrange(model.traces.n)] = False
+            keep[rng.randrange(model.k0.trace_count)] = False
         if not any(keep):
-            keep[rng.randrange(model.traces.n)] = True
+            keep[rng.randrange(model.k0.trace_count)] = True
         bumps = tuple(
             Fraction(0) if kept else Fraction(rng.randint(1, 4), 8)
             for kept in keep

@@ -31,7 +31,6 @@ from cuntzcalc.elliott import (
 from cuntzcalc.wmodel import (
     CuntzClass,
     K0Model,
-    TraceSimplex,
     WModel,
     purely_infinite,
     w_of_z,
@@ -40,7 +39,7 @@ from cuntzcalc.wmodel import (
 
 def two_trace_model() -> WModel:
     k0 = K0Model(2, (("1/2", "1/2"), ("1/4", "3/4")), (1, 1))
-    return WModel(k0, TraceSimplex(2))
+    return WModel(k0)
 
 
 def proj_doc(*values: int) -> dict:
@@ -493,7 +492,7 @@ class TestCheckSuites:
 
 def integers_invariant() -> ElliottInvariant:
     k0 = K0Model(1, ((1,),), (1,))
-    return ElliottInvariant(k0, AbelianGroupData(0), TraceSimplex(1))
+    return ElliottInvariant(k0, AbelianGroupData(0))
 
 
 def collapse_pair() -> dict:
@@ -790,6 +789,18 @@ DOCUMENT_CHECKS = {
         ("k0star", "DOC"),
         {**TWO_TRACE_DOC, "trace_labels": ["a", "a"]},
         "error: invalid wmodel document: labels must be distinct and match the "
+        "trace count",
+    ),
+    "repeated-invariant-trace-labels": (
+        ("functor", "DOC"),
+        {**collapse_pair()["source"], "trace_labels": ["a", "a"]},
+        "error: invalid invariant document: labels must be distinct and match the "
+        "trace count",
+    ),
+    "too-few-invariant-trace-labels": (
+        ("functor", "DOC"),
+        {**collapse_pair()["source"], "trace_labels": ["a"]},
+        "error: invalid invariant document: labels must be distinct and match the "
         "trace count",
     ),
     "no-generators": (

@@ -20,7 +20,7 @@ from cuntzcalc.cli import (
 )
 from cuntzcalc.goodearl import RealizationSchedule
 from cuntzcalc.ordmon import COEFF_VECTORS_CAP
-from cuntzcalc.wmodel import K0Model, TraceSimplex, WModel
+from cuntzcalc.wmodel import K0Model, WModel
 
 STEP_TARGET = {
     "kind": "target",
@@ -76,7 +76,7 @@ def run(capsys):
 
 def two_trace_model() -> WModel:
     k0 = K0Model(2, (("1/2", "1/2"), ("1/4", "3/4")), (1, 1))
-    return WModel(k0, TraceSimplex(2))
+    return WModel(k0)
 
 
 @pytest.mark.parametrize("suite", SAMPLING_SUITES)
@@ -168,7 +168,7 @@ def simplicial_group(rank: int) -> dict:
 def seven_trace_model() -> dict:
     """Its K0* group, which both searches run on, has rank 7."""
     k0 = K0Model(1, ((1,),) * 7, (1,))
-    return docs.encode_wmodel(WModel(k0, TraceSimplex(7)))
+    return docs.encode_wmodel(WModel(k0))
 
 
 @pytest.mark.parametrize("suite", SEARCH_SUITES)

@@ -42,12 +42,12 @@ from cuntzcalc.ordmon import (
     SimplicialCone,
     StrictStateCone,
 )
-from cuntzcalc.wmodel import CuntzClass, K0Model, TraceSimplex, WModel, purely_infinite
+from cuntzcalc.wmodel import CuntzClass, K0Model, WModel, purely_infinite
 
 
 def two_trace_model() -> WModel:
     k0 = K0Model(2, (("1/2", "1/2"), ("1/4", "3/4")), (1, 1))
-    return WModel(k0, TraceSimplex(2))
+    return WModel(k0)
 
 
 def roundtrip(doc: dict):
@@ -97,6 +97,16 @@ def test_wmodel_roundtrip():
     assert roundtrip(encode_wmodel(model)) == model
 
 
+def test_absent_or_empty_trace_labels_give_the_default_labels():
+    doc = encode_wmodel(two_trace_model())
+    assert doc["trace_labels"] == ["tau1", "tau2"]
+    for labels in ([], None):
+        got = roundtrip(dict(doc, trace_labels=labels))
+        assert got.k0.labels == ("tau1", "tau2")
+    del doc["trace_labels"]
+    assert roundtrip(doc).k0.labels == ("tau1", "tau2")
+
+
 def test_purely_infinite_wmodel_roundtrip():
     model = purely_infinite()
     doc = encode_wmodel(model)
@@ -134,7 +144,7 @@ def test_pogroup_coeff_bound_is_read_and_defaults_to_24():
 
 def _invariant() -> ElliottInvariant:
     model = two_trace_model()
-    return ElliottInvariant(model.k0, AbelianGroupData(1, (2, 4)), model.traces)
+    return ElliottInvariant(model.k0, AbelianGroupData(1, (2, 4)))
 
 
 def test_invariant_roundtrip():
@@ -144,11 +154,9 @@ def test_invariant_roundtrip():
 def test_morphism_roundtrip_carries_its_endpoints():
     k1 = AbelianGroupData(1, (2,))
     source = ElliottInvariant(
-        K0Model(2, (("1/2", "1/2"), ("1/4", "3/4")), (1, 1)), k1, TraceSimplex(2, ("a", "b"))
+        K0Model(2, (("1/2", "1/2"), ("1/4", "3/4")), (1, 1), ("a", "b")), k1
     )
-    target = ElliottInvariant(
-        K0Model(2, (("3/8", "5/8"),), (1, 1)), k1, TraceSimplex(1)
-    )
+    target = ElliottInvariant(K0Model(2, (("3/8", "5/8"),), (1, 1)), k1)
     got_mor, got_source, got_target = roundtrip(DOCS["mor"])
     assert got_source == source
     assert got_target == target

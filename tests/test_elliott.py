@@ -26,18 +26,16 @@ from cuntzcalc.sampling import (
     random_wmodel,
     rng_for,
 )
-from cuntzcalc.wmodel import CuntzClass, K0Model, TraceSimplex, WModel
+from cuntzcalc.wmodel import CuntzClass, K0Model, WModel
 
 
 def integers_invariant() -> ElliottInvariant:
-    return ElliottInvariant(
-        K0Model(1, ((1,),), (1,)), AbelianGroupData(0), TraceSimplex(1)
-    )
+    return ElliottInvariant(K0Model(1, ((1,),), (1,)), AbelianGroupData(0))
 
 
 def two_trace_invariant(k1=AbelianGroupData(1, (2,))) -> ElliottInvariant:
     k0 = K0Model(2, (("1/2", "1/2"), ("1/4", "3/4")), (1, 1))
-    return ElliottInvariant(k0, k1, TraceSimplex(2))
+    return ElliottInvariant(k0, k1)
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +98,6 @@ def test_homs_of_the_trivial_group():
 # invariants and morphism validation
 
 
-def test_invariant_requires_matching_trace_counts():
-    k0 = K0Model(1, ((1,),), (1,))
-    with pytest.raises(ValueError):
-        ElliottInvariant(k0, AbelianGroupData(0), TraceSimplex(2))
-
-
 def test_validate_invariant_is_clean_on_constructed_data():
     assert validate_invariant(two_trace_invariant()) == []
 
@@ -152,9 +144,7 @@ def test_non_convex_column_is_flagged_where_theta0_leaves_the_cone():
     # gamma^T R_s = R_t theta0 holds, but the column (-1/2, 3/2) is not convex:
     # (4, -1) lies in the source cone, yet the target state is -3/8 on it
     inv = two_trace_invariant()
-    target = ElliottInvariant(
-        K0Model(2, (("1/8", "7/8"),), (1, 1)), inv.k1, TraceSimplex(1)
-    )
+    target = ElliottInvariant(K0Model(2, (("1/8", "7/8"),), (1, 1)), inv.k1)
     mor = InvariantMorphism(
         identity(2),
         AbelianGroupHom.identity_on(inv.k1),
@@ -190,14 +180,13 @@ def test_functor_on_objects_keeps_k0_and_traces():
     inv = two_trace_invariant()
     model = functor_g_obj(inv)
     assert model.k0 == inv.k0
-    assert model.traces == inv.traces
     assert type(model) is WModel
 
 
 def _collapsed_invariant(k1) -> ElliottInvariant:
     # averaging the two states of two_trace_invariant with weights 1/2, 1/2
     k0 = K0Model(2, (("3/8", "5/8"),), (1, 1))
-    return ElliottInvariant(k0, k1, TraceSimplex(1))
+    return ElliottInvariant(k0, k1)
 
 
 def test_trace_collapse_example():
@@ -230,7 +219,7 @@ def _as_invariant_morphism(mor: WModelMorphism, k1) -> InvariantMorphism:
 
 
 def _as_invariant(model, k1) -> ElliottInvariant:
-    return ElliottInvariant(model.k0, k1, model.traces)
+    return ElliottInvariant(model.k0, k1)
 
 
 def test_functor_respects_composition_on_seeded_collapses():

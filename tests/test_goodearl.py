@@ -35,7 +35,7 @@ from cuntzcalc.goodearl import (
     step_witnesses,
     superlevel,
 )
-from cuntzcalc.wmodel import CuntzClass, K0Model, TraceSimplex, WModel, w_of_z
+from cuntzcalc.wmodel import CuntzClass, K0Model, WModel, w_of_z
 
 
 def fr(x) -> Fraction:
@@ -875,10 +875,7 @@ def test_model_comparison_agrees_with_dimension_comparison():
     smooth = MeasureSpec(1, density=StepDensity((0, "1/2", 1), ("3/2", "1/2")))
     traces = [lebesgue(), smooth]
     size = 2
-    model = WModel(
-        K0Model(1, ((Fraction(1, size),), (Fraction(1, size),)), (size,)),
-        TraceSimplex(2),
-    )
+    model = WModel(K0Model(1, ((Fraction(1, size),), (Fraction(1, size),)), (size,)))
     pool = [
         DiagonalElement(2, (PLFn.zero(), PLFn.zero())),
         DiagonalElement(2, (PLFn.constant(1), PLFn.zero())),

@@ -404,7 +404,7 @@ def test_half_space_searches_match_the_generic_loop(monkeypatch):
     for _ in range(160):
         rank = rng.randint(1, 3)
         model = _random_half_space_model(rng, rank)
-        generic = PoGroupModel(rank, Delegating(model.cone), model.order_unit)
+        generic = PoGroupModel(rank, Delegating(model.cone), model.unit)
         n_max = rng.choice((1, 2, 3, 5, 10))
         bound = rng.randint(1, 4)
         monkeypatch.setattr(ordmon, "ARCHIMEDEAN_PAIR_BUDGET", rng.randint(1, 3000))
@@ -421,7 +421,7 @@ def test_half_space_searches_match_the_generic_loop(monkeypatch):
     for _ in range(50):
         rank = rng.randint(1, 4)
         model = _random_half_space_model(rng, rank)
-        generic = PoGroupModel(rank, Delegating(model.cone), model.order_unit)
+        generic = PoGroupModel(rank, Delegating(model.cone), model.unit)
         n_max = rng.choice((2, 3, 5, 10))
         bound = rng.randint(1, (4, 4, 3, 2)[rank - 1])
         row = (2 * min(bound, n_max - 1) + 1) ** rank - 1  # the ys
@@ -532,7 +532,7 @@ def test_integer_state_kernel_matches_fraction_reference():
         for _ in range(40):
             model, rows = _random_state_model(rng, rank)
             cone = model.cone
-            probes = [(0,) * rank, model.order_unit]
+            probes = [(0,) * rank, model.unit]
             probes += [
                 tuple(rng.randint(-30, 30) for _ in range(rank)) for _ in range(25)
             ]

@@ -13,7 +13,6 @@ from cuntzcalc.wmodel import (
     CuntzClass,
     K0Model,
     K0Star,
-    TraceSimplex,
     WModel,
     element_leq,
     purely_infinite,
@@ -23,7 +22,7 @@ from cuntzcalc.wmodel import (
 
 def two_trace_model() -> WModel:
     states = (("1/2", "1/2"), ("1/4", "3/4"))
-    return WModel(K0Model(2, states, (1, 1)), TraceSimplex(2))
+    return WModel(K0Model(2, states, (1, 1)))
 
 
 def proj(*values) -> CuntzClass:
@@ -89,8 +88,7 @@ def test_gamma_of_a_projection_is_its_k0_states():
     rng = rng_for(15)
     # a state with a negative entry, at scales 6, 10 and 4
     signed = WModel(
-        K0Model(2, (("1/2", "1/3"), ("1/2", "-1/5"), ("1/2", "1/4")), (2, 0)),
-        TraceSimplex(3),
+        K0Model(2, (("1/2", "1/3"), ("1/2", "-1/5"), ("1/2", "1/4")), (2, 0))
     )
     models = [random_wmodel(rng, max_rank=4, max_traces=4) for _ in range(40)]
     for model in [signed, *models]:
@@ -118,6 +116,22 @@ def test_simplicial_k0_uses_scaled_coordinate_states():
     # the cone is zero plus strict positivity, so a vanishing coordinate
     # falls outside even though it is coordinatewise non-negative
     assert not k0.cone_member((1, 0))
+
+
+def test_k0_labels_name_the_state_rows():
+    states = (("1/2", "1/2"), ("1/4", "3/4"))
+    assert K0Model(2, states, (1, 1)).labels == ("tau1", "tau2")
+    assert K0Model(2, states, (1, 1), ("a", "b")).labels == ("a", "b")
+    for labels in (("a", "a"), ("a",), ("a", "b", "c")):
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            K0Model(2, states, (1, 1), labels)
+
+
+def test_a_projection_and_a_soft_class_with_equal_values_differ():
+    assert CuntzClass.proj((1, 2)) != CuntzClass.soft((1, 2))
+    assert CuntzClass.proj((1, 2)).is_proj and CuntzClass.soft((1, 2)).is_soft
+    assert repr(CuntzClass.proj((1, 2))) == "Proj(1, 2)"
+    assert repr(CuntzClass.soft(("1/2", 2))) == "Soft(1/2, 2)"
 
 
 def test_validate_class_rejects_malformed_payloads():
@@ -420,7 +434,7 @@ def models_with_pools(draw):
         )
         total = sum(a * u for a, u in zip(weights, unit))
         rows.append(tuple(Fraction(a, total) for a in weights))
-    model = WModel(K0Model(rank, rows, unit), TraceSimplex(n))
+    model = WModel(K0Model(rank, rows, unit))
     scale = math.lcm(*model.k0.cone.scales)
 
     def into_cone(v):
