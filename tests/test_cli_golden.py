@@ -157,6 +157,27 @@ DOCS = {
     # soft profiles that meet another class's profile at some trace
     "s_one": soft("1", "1"),
     "s_half_up": soft("1/2", "4/5"),
+    # rank-3 strict-state cones whose rows have the coprime denominators 3, 5, 7
+    "states357": pogroup(
+        3,
+        {"type": "strict-states", "states": [["1/3", "1/3", "1/3"], ["2/5", "1/5", "2/5"],
+                                             ["1/7", "3/7", "3/7"]]},
+        [1, 1, 1],
+    ),
+    "states357_budget": pogroup(
+        3,
+        {"type": "strict-states", "states": [["-2/3", "1/3", "0"], ["6/5", "-1", "4/5"],
+                                             ["11/7", "-2/7", "-1/7"]]},
+        [3, 9, 8],
+    ),
+    "m357": {
+        "kind": "wmodel",
+        "variant": "finite",
+        "rank": 3,
+        "states": [["1/3", "1/3", "1/3"], ["2/5", "1/5", "2/5"], ["1/7", "3/7", "3/7"]],
+        "unit": [1, 1, 1],
+    },
+    "m357_p211": proj(2, 1, 1),
 }
 
 SUITES = (
@@ -260,6 +281,13 @@ CASES["complement-soft-equals-proj"] = ["complement", "@m2", "@s_one", "@p11"]
 CASES["complement-soft-soft-touching"] = ["complement", "@m2", "@s_half", "@s_half_up"]
 CASES["complement-coprime-proj-below-soft"] = ["complement", "@m6", "@m6_p11", "@m6_above"]
 CASES["complement-coprime-soft-below-proj"] = ["complement", "@m6", "@m6_below", "@m6_p11"]
+# state rows at the coprime scales 3, 5 and 7: an archimedean witness, a search
+# that reaches the pair budget, and conversions that read every row's scale
+for _doc in ("states357", "states357_budget"):
+    CASES[f"check-{_doc}-weak-unperforation"] = ["check", "@" + _doc, "weak-unperforation"]
+    CASES[f"check-{_doc}-archimedean"] = ["check", "@" + _doc, "archimedean"]
+CASES["soften-coprime-rows"] = ["soften", "@m357", "@m357_p211"]
+CASES["check-m357-strict-cone"] = ["check", "@m357", "strict-cone", "--bound", "60"]
 
 
 def run_case(argv, workdir: Path) -> dict:
