@@ -109,14 +109,17 @@ def _encode_k0(k0: K0Model) -> dict:
 
 
 def _decode_k0(k0_doc: dict, labels) -> K0Model:
-    """K0 data, with ``labels`` naming the traces its state rows pair with
-    (the defaults tau1, ..., taun when absent or empty)."""
-    return K0Model(
-        parse_int(_field(k0_doc, "rank")),
-        _parse_matrix(_field(k0_doc, "states")),
-        _parse_int_vector(_field(k0_doc, "unit")),
-        labels,
-    )
+    """K0 data, with ``labels``, a list of strings, naming the traces its
+    state rows pair with (the defaults tau1, ..., taun when absent, null or
+    empty)."""
+    rank = parse_int(_field(k0_doc, "rank"))
+    states = _parse_matrix(_field(k0_doc, "states"))
+    unit = _parse_int_vector(_field(k0_doc, "unit"))
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(t, str) for t in labels)
+    ):
+        raise DocumentError("trace_labels must be a list of strings")
+    return K0Model(rank, states, unit, labels)
 
 
 def encode_wmodel(model: WModel) -> dict:
@@ -143,7 +146,7 @@ def decode_pogroup(payload: dict) -> PoGroupModel:
     cone_doc = _field(payload, "cone")
     ctype = _field(cone_doc, "type")
     if ctype == "simplicial":
-        cone: Any = SimplicialCone()
+        cone: Any = None  # its width is the rank, read below
     elif ctype == "strict-states":
         cone = StrictStateCone(_parse_matrix(_field(cone_doc, "states")))
     elif ctype == "generated":
@@ -155,9 +158,10 @@ def decode_pogroup(payload: dict) -> PoGroupModel:
         cone = LexicographicCone()
     else:
         raise DocumentError(f"unknown cone type {ctype!r}")
+    rank = parse_int(_field(payload, "rank"))
     return PoGroupModel(
-        parse_int(_field(payload, "rank")),
-        cone,
+        rank,
+        SimplicialCone(rank) if cone is None else cone,
         _parse_int_vector(_field(payload, "unit")),
     )
 

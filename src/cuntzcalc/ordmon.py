@@ -4,9 +4,11 @@ This module provides positive cones in Z^rank that decide their own
 membership, partially ordered group models built on them, integer Smith
 reduction, and falsifiers for order properties (almost unperforation of a
 sampled ordered monoid, weak unperforation, the Archimedean property).
-Simplicial and strict-state cones are integer half-spaces: weak unperforation
-holds on them without a search, and the archimedean search settles each
-candidate from row bounds on its image R·x.
+A simplicial cone decides membership from the signs of x; a strict-state
+cone keeps its state rows once as integers R at one scale and decides from
+the image R·x.  Weak unperforation holds on both without a search, a
+simplicial cone is archimedean, and the archimedean search on a strict-state
+cone settles each candidate from row bounds on R·x.
 
 The checkers are bounded-scale falsifiers, not provers: a counterexample is
 definitive, while "holds on sample" only says the search space was clean.
@@ -70,13 +72,12 @@ BOUND_EXCEEDED = Membership.BOUND_EXCEEDED
 
 
 class PositiveCone:
-    """A positive cone in Z^rank that decides its own membership.
+    """A positive cone in Z^width that decides its own membership.
 
-    ``width`` is the rank the cone needs; None means it fits every rank.
-    ``member`` takes an integer vector of that rank.
+    ``member`` takes an integer vector of rank ``width``.
     """
 
-    width: Optional[int] = None
+    width: int
 
     def member(self, x: tuple[int, ...]) -> Membership:
         raise NotImplementedError
@@ -92,67 +93,51 @@ def row_image(rows, x) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, x)) for row in rows)
 
 
-class HalfSpaceCone(PositiveCone):
-    """An intersection of integer half-spaces: R·x >= 0 in every row of R.
+@dataclass(frozen=True)
+class SimplicialCone(PositiveCone):
+    """Coordinatewise non-negative vectors of rank ``width``."""
 
-    With ``strict`` it is zero and the x with R·x > 0; on integers > 0 is
-    >= 1, so a nonzero x lies in the cone iff min(R·x) >= strict.
-    """
-
-    strict = False
-
-    def rows(self, rank: int) -> tuple[tuple[int, ...], ...]:
-        raise NotImplementedError
+    width: int
 
     def member(self, x):
-        strict = self.strict
-        for row in self.rows(len(x)):
-            if sum(map(mul, row, x)) < strict:
-                return NO if any(x) else YES
-        return YES
+        return YES if min(x) >= 0 else NO
 
 
 @dataclass(frozen=True)
-class SimplicialCone(HalfSpaceCone):
-    """Coordinatewise non-negative vectors: the identity rows."""
-
-    def rows(self, rank):
-        return identity(rank)
-
-
-@dataclass(frozen=True)
-class StrictStateCone(HalfSpaceCone):
+class StrictStateCone(PositiveCone):
     """Zero together with the vectors on which every listed state is positive.
 
     ``states`` has one row per state; rows are exact rationals.  Every
-    state must take the value 1 on the order unit.  Each row is also kept
-    as integers (``int_rows``), multiplied by the lcm of its denominators
-    (``scales``): a positive scale keeps every sign, so the integer rows
-    are the cone's strict half-spaces.
+    state must take the value 1 on the order unit.  The rows are also kept
+    once as integers, ``rows`` = ``scale``·states, where ``scale`` is the lcm
+    of every state denominator.  A positive scale keeps every sign, and on
+    integers > 0 is >= 1, so a nonzero x lies in the cone iff min(R·x) >= 1.
     """
 
     states: tuple[tuple[Fraction, ...], ...]
-    int_rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    scales: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    strict = True
+    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, states):
         states = matrix(states)
         if not states:
             raise ValueError("a strict-state cone needs at least one state")
-        scales = tuple(math.lcm(*(q.denominator for q in row)) for row in states)
-        ints = tuple(tuple(q.numerator * (s // q.denominator) for q in row)
-                     for row, s in zip(states, scales))
+        scale = math.lcm(*(q.denominator for row in states for q in row))
+        rows = tuple(tuple(q.numerator * (scale // q.denominator) for q in row)
+                     for row in states)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "int_rows", ints)
-        object.__setattr__(self, "scales", scales)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def width(self) -> int:
         return len(self.states[0])
 
-    def rows(self, rank):
-        return self.int_rows
+    def member(self, x):
+        for row in self.rows:
+            if sum(map(mul, row, x)) < 1:
+                return NO if any(x) else YES
+        return YES
 
     def check_unit(self, unit):
         # a unit on which every state is 1 lies in the cone
@@ -258,7 +243,7 @@ class PoGroupModel:
             raise ValueError("order unit has the wrong rank")
         if is_zero(unit):
             raise ValueError("order unit must be nonzero")
-        if cone.width not in (None, rank):
+        if cone.width != rank:
             raise ValueError(f"the cone needs rank {cone.width}, not {rank}")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "cone", cone)
@@ -422,12 +407,13 @@ def is_weakly_unperforated(model: PoGroupModel, n_max: int, enumeration_bound: i
     """Search for x and n with nx in the cone minus zero but x outside.
 
     Returns None when the sample is clean, else ``(x, n)``.  Bound-exceeded
-    membership answers make the pair inconclusive and it is skipped.  A
-    half-space cone has no such pair: a nonzero x lies outside iff
-    min(R·x) < strict ∈ {0, 1}, so min(R·x) < 0, or min(R·x) = 0 < strict = 1;
-    either way n·min(R·x) < strict for every n >= 1, and nx lies outside too.
+    membership answers make the pair inconclusive and it is skipped.
+    Simplicial and strict-state cones have no such pair, so the search
+    returns at once on them.  On a simplicial cone, nx >= 0 iff x >= 0 for every n >= 1.
+    On a strict-state cone with integer rows R, a nonzero x lies outside
+    iff min(R·x) <= 0, and then n·min(R·x) <= 0, so nx lies outside too.
     """
-    if isinstance(model.cone, HalfSpaceCone):
+    if isinstance(model.cone, (SimplicialCone, StrictStateCone)):
         return None
     for x in _int_vectors_by_norm(model.rank, enumeration_bound):
         # x is nonzero, so every nx is too
@@ -450,31 +436,35 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound: int)
     by size alone: on a simplicial cone that would be a false witness.  The
     sweep covers candidate pairs in increasing max-norm order and stops
     after ``ARCHIMEDEAN_PAIR_BUDGET`` pairs, so None means "none found at
-    this scale", nothing stronger.  Half-space cones decide pairs from R·x and
-    R·y; other cones ask ``cone_member`` for each n, n_max first (fastest to fail).
-    Every y has max-norm at most m, so row k of R·y is at most m·Σ|r_k|: a
-    candidate whose limit passes that top in some row has no witness, and its
-    pairs are counted untested (on a simplicial cone n_max·x_k > m for all).
+    this scale", nothing stronger.  A simplicial cone returns None at once:
+    nx <= y for every n forces x <= 0, and already at n_max a positive x_k
+    asks y_k >= n_max > ||y||.  Strict-state cones decide pairs from R·x and
+    R·y; other cones ask ``cone_member`` for each n, n_max first (fastest to
+    fail).  Every y has max-norm at most m, so row k of R·y is at most
+    m·Σ|r_k|: a candidate whose limit passes that top in some row has no
+    witness, and its pairs are counted untested.
     """
     cone = model.cone
+    if isinstance(cone, SimplicialCone):
+        return None
     box = _int_vectors_by_norm(model.rank, enumeration_bound)
     # y runs over the prefix of the box of max-norm at most m < n_max
     m = max(0, min(enumeration_bound, n_max - 1))
     n_ys = (2 * m + 1) ** model.rank - 1
     tested = 0
-    if isinstance(cone, HalfSpaceCone):
-        rows, strict = cone.rows(model.rank), cone.strict
+    if isinstance(cone, StrictStateCone):
+        rows = cone.rows
         tops = [m * sum(map(abs, row)) for row in rows]
         y_images = None
         for x in box:
             image = row_image(rows, x)
-            if max(image) <= -strict:  # -x lies in the cone
+            if max(image) < 0:  # -x lies in the cone
                 continue
             # R·y - n·R·x is linear in n, so every n <= n_max passes the rule
             # iff n = 1 and n = n_max do.  It misjudges only a zero difference
-            # y - n·x = 0 on a strict cone, never part of a witness: ||y|| < n_max
-            # forces n < n_max, and y - n_max·x is a positive multiple of -x, outside.
-            limits = [max(v, n_max * v) + strict for v in image]
+            # y - n·x = 0, never part of a witness: ||y|| < n_max forces
+            # n < n_max, and y - n_max·x is a positive multiple of -x, outside.
+            limits = [max(v, n_max * v) + 1 for v in image]
             if any(map(gt, limits, tops)):
                 tested += n_ys
                 if tested > ARCHIMEDEAN_PAIR_BUDGET:

@@ -15,10 +15,11 @@ cone, whose states are the traces.
 
 ``elements`` validates classes once and gives each its element: the pair
 (K0 vector, or None for a soft class; D·gamma(x) as integers), at one scale
-D for all the classes converted together, the lcm of the K0 cone's row
-``scales`` and of their soft denominators.  A projection x has the image
-R·x over the cone's integer rows R (state row i times its scale s_i), so
-D·gamma(x)_i = (R·x)_i · D/s_i; a soft value p/q becomes p · D/q.
+D for all the classes converted together, the lcm of the K0 cone's
+``scale`` s and of their soft denominators.  A projection x has the image
+R·x over the cone's integer rows R = s·(state rows), so
+D·gamma(x) = R·x · D/s; a soft value p/q becomes p · D/q.  ``gamma`` is
+the one image R·x divided by s.
 ``element_leq`` is the rule on elements and ``WModel.element_sum`` the
 addition: trace vectors add, and K0 vectors too when both operands are
 projections.  ``compare``, ``add`` and ``complement`` convert their two
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le, lt, mul
+from operator import le, lt
 from typing import Optional
 
 from .linalg import (
@@ -74,7 +75,7 @@ class K0Model(PoGroupModel):
     def __init__(self, rank: int, state_matrix, unit, labels=None):
         super().__init__(rank, StrictStateCone(state_matrix), unit)
         n = len(self.cone.states)
-        labels = tuple(map(str, labels or (f"tau{i + 1}" for i in range(n))))
+        labels = tuple(labels or (f"tau{i + 1}" for i in range(n)))
         if len(labels) != n or len(set(labels)) != n:
             raise ValueError("labels must be distinct and match the trace count")
         object.__setattr__(self, "labels", labels)
@@ -86,13 +87,6 @@ class K0Model(PoGroupModel):
     @property
     def trace_count(self) -> int:
         return len(self.labels)
-
-    def states(self, v) -> tuple[Fraction, ...]:
-        """Exact value of every state on the lattice vector v: (R·v)_i / s_i."""
-        v = int_vector(v)
-        if len(v) != self.rank:
-            raise ValueError("vector has the wrong rank")
-        return tuple(map(Fraction, row_image(self.cone.int_rows, v), self.cone.scales))
 
     def cone_member(self, v) -> bool:
         """``ordmon.cone_member`` as a bool: strict-state membership is definite."""
@@ -221,7 +215,7 @@ class WModel:
             return x.values
         if len(x.values) != self.k0.rank:
             raise ValueError("projection payload has the wrong K0 rank")
-        image = row_image(self.k0.cone.int_rows, x.values)
+        image = row_image(self.k0.cone.rows, x.values)
         if min(image) < 1 and any(x.values):
             raise ValueError("projection payload must lie in the K0 cone")
         return image
@@ -229,12 +223,12 @@ class WModel:
     def elements(self, classes) -> tuple[int, list[tuple]]:
         """Validate each class once; return the common scale D and their elements."""
         images = [self._image(x) for x in classes]
-        scales = self.k0.cone.scales
-        d = math.lcm(*scales, *[q.denominator for x in classes if not x.is_proj
-                                for q in x.values])
-        per_row = [d // s for s in scales]
+        scale = self.k0.cone.scale
+        d = math.lcm(scale, *[q.denominator for x in classes if not x.is_proj
+                              for q in x.values])
+        factor = d // scale
         return d, [
-            (x.values, tuple(map(mul, image, per_row))) if x.is_proj
+            (x.values, tuple([v * factor for v in image])) if x.is_proj
             else (None, tuple([q.numerator * (d // q.denominator) for q in image]))
             for x, image in zip(classes, images)
         ]
@@ -303,7 +297,10 @@ class WModel:
     def gamma(self, x: CuntzClass) -> tuple[Fraction, ...]:
         """Image of a class in the enveloping group Q^n."""
         image = self._image(x)
-        return self.k0.states(x.values) if x.is_proj else image
+        if not x.is_proj:
+            return image
+        scale = self.k0.cone.scale
+        return tuple([Fraction(v, scale) for v in image])
 
     def k0star(self) -> K0Star:
         return K0Star(self.k0.trace_count)

@@ -275,7 +275,7 @@ def test_criterion_06_archimedean():
     clean = True
     whole, budgeted = [], []
     for n in range(1, 6):
-        group = PoGroupModel(n, SimplicialCone(), (1,) * n)
+        group = PoGroupModel(n, SimplicialCone(n), (1,) * n)
         witness = archimedean_witness(
             group, n_max=20, enumeration_bound=ENUM_BOUNDS[n]
         )
@@ -635,7 +635,7 @@ def draw_ordered_pair(rng, model):
         # Steered: a soft class strictly under a projection's profile.
         y = model.unit_class
         theta = Fraction(rng.randint(1, 7), 8)
-        x = CuntzClass.soft(vscale(theta, model.k0.states(y.values)))
+        x = CuntzClass.soft(vscale(theta, model.gamma(y)))
         return x, y
     x, y = random_class(rng, model), random_class(rng, model)
     if model.compare(x, y):

@@ -803,6 +803,26 @@ DOCUMENT_CHECKS = {
         "error: invalid invariant document: labels must be distinct and match the "
         "trace count",
     ),
+    "string-trace-labels": (
+        ("k0star", "DOC"),
+        {**TWO_TRACE_DOC, "trace_labels": "ab"},
+        "error: trace_labels must be a list of strings",
+    ),
+    "object-and-list-trace-labels": (
+        ("k0star", "DOC"),
+        {**TWO_TRACE_DOC, "trace_labels": [{"x": 1}, [2]]},
+        "error: trace_labels must be a list of strings",
+    ),
+    "integer-trace-labels": (
+        ("k0star", "DOC"),
+        {**TWO_TRACE_DOC, "trace_labels": [1, 2]},
+        "error: trace_labels must be a list of strings",
+    ),
+    "string-invariant-trace-labels": (
+        ("functor", "DOC"),
+        {**collapse_pair()["source"], "trace_labels": "ab"},
+        "error: trace_labels must be a list of strings",
+    ),
     "no-generators": (
         ("check", "DOC", "archimedean"),
         generated_group([]),

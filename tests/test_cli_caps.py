@@ -6,6 +6,8 @@ fail the test if a refused request reaches them, so no capped computation
 ever runs.
 """
 
+import time
+
 import pytest
 
 from cuntzcalc import cli
@@ -165,9 +167,9 @@ def simplicial_group(rank: int) -> dict:
     return {"kind": "pogroup", "rank": rank, "cone": cone, "unit": [1] * rank}
 
 
-def seven_trace_model() -> dict:
-    """Its K0* group, which both searches run on, has rank 7."""
-    k0 = K0Model(1, ((1,),) * 7, (1,))
+def trace_model(n: int) -> dict:
+    """Its K0* group, which both searches run on, has rank n."""
+    k0 = K0Model(1, ((1,),) * n, (1,))
     return docs.encode_wmodel(WModel(k0))
 
 
@@ -186,9 +188,12 @@ def test_search_size_at_the_work_cap_reaches_the_search(stubbed, put, run, suite
     [
         (simplicial_group(5), ["--bound", "120"]),
         (simplicial_group(7), []),  # 823,542 candidates at the default bound 10
-        (seven_trace_model(), []),
+        (trace_model(7), []),
+        # search sizes past the 4,300 digits Python prints of an int
+        (simplicial_group(6_000), []),
+        (trace_model(6_000), []),
     ],
-    ids=["rank-5-bound-120", "rank-7", "seven-traces"],
+    ids=["rank-5-bound-120", "rank-7", "seven-traces", "rank-6000", "6000-traces"],
 )
 def test_search_size_above_the_work_cap_is_refused(stubbed, put, run, suite, doc, bound):
     model = put("m.json", doc)
@@ -197,6 +202,19 @@ def test_search_size_above_the_work_cap_is_refused(stubbed, put, run, suite, doc
     assert out == ""
     assert f"more than {SEARCH_WORK_CAP}" in err
     assert STUB_MESSAGE not in err
+
+
+@pytest.mark.parametrize("suite", SEARCH_SUITES)
+@pytest.mark.parametrize("make", [simplicial_group, trace_model], ids=["simplicial", "traces"])
+def test_search_refusal_at_rank_20000_is_quick(stubbed, put, run, suite, make):
+    model = put("m.json", make(20_000))
+    start = time.perf_counter()
+    code, out, err = run("check", model, suite)
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert (f"{suite} on rank 20000 with --bound 10 would search more than "
+            f"{SEARCH_WORK_CAP} candidate multiples") in err
 
 
 def generated_group(generators, coeff_bound: int) -> dict:

@@ -122,7 +122,7 @@ def test_unknown_wmodel_variant_is_refused():
 
 def test_pogroup_roundtrip_for_every_cone():
     expected = {
-        "simp2": PoGroupModel(2, SimplicialCone(), (1, 2)),
+        "simp2": PoGroupModel(2, SimplicialCone(2), (1, 2)),
         "states2": PoGroupModel(
             2, StrictStateCone((("1/3", "1/3"), ("1/4", "1/2"))), (2, 1)
         ),

@@ -272,7 +272,7 @@ def test_gamma_of_basis_projections_recovers_state_columns():
             if not k0.cone_member(e):
                 continue
             column = tuple(row[i] for row in k0.state_matrix)
-            assert k0.states(e) == column
+            assert WModel(k0).gamma(CuntzClass.proj(e)) == column
 
 
 def test_compose_w_morphisms_checks_endpoints():

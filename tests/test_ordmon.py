@@ -34,7 +34,7 @@ from cuntzcalc.ordmon import (
     is_weakly_unperforated,
     smith_diagonal,
 )
-from cuntzcalc.wmodel import CuntzClass, K0Model, w_of_z
+from cuntzcalc.wmodel import CuntzClass, K0Model, WModel, w_of_z
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ def test_membership_bool_and_definite():
 
 
 def test_simplicial_membership():
-    model = PoGroupModel(2, SimplicialCone(), (1, 1))
+    model = PoGroupModel(2, SimplicialCone(2), (1, 1))
     assert cone_member(model, (0, 0)) is YES
     assert cone_member(model, (2, 0)) is YES
     assert cone_member(model, (1, -1)) is NO
@@ -96,16 +96,18 @@ def test_lexicographic_membership():
 
 
 def test_leq_is_cone_membership_of_the_difference():
-    model = PoGroupModel(2, SimplicialCone(), (1, 1))
+    model = PoGroupModel(2, SimplicialCone(2), (1, 1))
     assert cone_member(model, vsub((2, 2), (1, 2))) is YES
     assert cone_member(model, vsub((1, 2), (2, 2))) is NO
 
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        PoGroupModel(2, SimplicialCone(), (1, -1))  # unit outside the cone
+        PoGroupModel(2, SimplicialCone(2), (1, -1))  # unit outside the cone
     with pytest.raises(ValueError):
         PoGroupModel(3, LexicographicCone(), (1, 0, 0))
+    with pytest.raises(ValueError, match="the cone needs rank 3, not 2"):
+        PoGroupModel(2, SimplicialCone(3), (1, 1))
     with pytest.raises(ValueError):
         # states must normalize the unit to 1
         PoGroupModel(1, StrictStateCone(((Fraction(1, 2),),)), (1,))
@@ -221,24 +223,30 @@ def test_weak_unperforation_counterexample_in_gap_cone():
 
 
 def test_weak_unperforation_clean_on_stock_cones():
-    simplicial = PoGroupModel(2, SimplicialCone(), (1, 1))
+    simplicial = PoGroupModel(2, SimplicialCone(2), (1, 1))
     assert is_weakly_unperforated(simplicial, n_max=3, enumeration_bound=2) is None
     states = PoGroupModel(1, StrictStateCone(((1,),)), (1,))
     assert is_weakly_unperforated(states, n_max=3, enumeration_bound=3) is None
 
 
 def test_archimedean_clean_on_simplicial():
-    model = PoGroupModel(2, SimplicialCone(), (1, 1))
+    model = PoGroupModel(2, SimplicialCone(2), (1, 1))
     assert archimedean_witness(model, n_max=4, enumeration_bound=2) is None
 
 
 def test_archimedean_clean_on_the_integers_above_the_scale(count_images):
-    # y up to the enumeration bound 12 would dominate 10 x = 10 by size alone
-    model = PoGroupModel(1, SimplicialCone(), (1,))
-    assert archimedean_witness(model, n_max=10, enumeration_bound=12) is None
-    # m = n_max - 1 = 9 is the tightest top: every candidate x = k > 0 has
-    # the limit 10k > 9, so each of the 24 vectors is imaged once, in order,
+    # y up to the enumeration bound 12 would dominate 10 x = 10 by size alone;
+    # m = n_max - 1 = 9 keeps every y below it, on the generic loop too
+    simplicial = PoGroupModel(1, SimplicialCone(1), (1,))
+    for group in (simplicial, PoGroupModel(1, Delegating(simplicial.cone), (1,))):
+        assert archimedean_witness(group, n_max=10, enumeration_bound=12) is None
+    # the simplicial cone returns at once, without imaging a vector
+    assert count_images == []
+    # on the strict-state Z every candidate x = k > 0 has the limit 10k + 1
+    # above the top 9, so each of the 24 vectors is imaged once, in order,
     # and no y image is built
+    states = PoGroupModel(1, StrictStateCone(((1,),)), (1,))
+    assert archimedean_witness(states, n_max=10, enumeration_bound=12) is None
     assert count_images == list(ordmon._int_vectors_by_norm(1, 12))
 
 
@@ -288,13 +296,14 @@ def count_images(monkeypatch):
 def _pairs_counted(search):
     """Run ``search()`` and read ``archimedean_witness``'s ``tested`` as it
     returns: the pairs it tested, plus the pairs of every candidate row it
-    counted without testing."""
+    counted without testing.  A search that returns before it starts
+    counting, as on a simplicial cone, examined no pair."""
     code = archimedean_witness.__code__
     counts = []
 
     def local(frame, event, arg):
         if event == "return":
-            counts.append(frame.f_locals["tested"])
+            counts.append(frame.f_locals.get("tested", 0))
         return local
 
     def start(frame, event, arg):
@@ -330,6 +339,10 @@ class Delegating(PositiveCone):
 
     inner: PositiveCone
 
+    @property
+    def width(self) -> int:
+        return self.inner.width
+
     def member(self, x):
         return self.inner.member(x)
 
@@ -337,22 +350,33 @@ class Delegating(PositiveCone):
 def test_archimedean_search_work_is_pinned(
     count_cone_member, count_candidates, count_images
 ):
-    # the simplicial search stops at the pair budget with nothing found:
-    # 13^3 - 1 = 2,196 candidates, all of them ys too (max-norm 6 < 10)
-    simplicial = PoGroupModel(3, SimplicialCone(), (1, 1, 1))
+    # a simplicial cone is archimedean: no work at all
+    simplicial = PoGroupModel(3, SimplicialCone(3), (1, 1, 1))
     search = partial(archimedean_witness, simplicial, n_max=10, enumeration_bound=6)
+    assert _pairs_counted(search) == (None, 0)
+    assert count_candidates == []
+    assert count_images == []
+    assert count_cone_member == []
+    # a strict-state cone at the scales 3, 5 and 7 stops at the pair budget
+    # with nothing found: 13^3 - 1 = 2,196 candidates, all of them ys too
+    # (max-norm 6 < 10); the 92nd candidate row is the first whose end
+    # passes the budget, and each of those 92 candidates and each y is
+    # imaged once
+    states = StrictStateCone([
+        (Fraction(-2, 3), Fraction(1, 3), 0),
+        (Fraction(6, 5), -1, Fraction(4, 5)),
+        (Fraction(11, 7), Fraction(-2, 7), Fraction(-1, 7)),
+    ])
+    budget = PoGroupModel(3, states, (3, 9, 8))
+    search = partial(archimedean_witness, budget, n_max=10, enumeration_bound=6)
     assert _pairs_examined(search) == (None, 200_000)
-    assert count_candidates == [2_196]
-    assert count_cone_member == []  # the images decide every pair
-    # every row is counted in bulk, and the 92nd is the first whose end
-    # passes the budget; the first 109 vectors (17 of them below zero) are
-    # imaged once each as candidates, and no y image is built: the box is
-    # drawn only that far, and the ys are never enumerated
     count_images.clear()
     count_candidates.clear()
     assert _pairs_counted(search) == (None, 92 * 2_196)
-    assert count_candidates == [2_196]
-    assert count_images == list(ordmon._int_vectors_by_norm(3, 6))[:109]
+    assert count_candidates == [2_196, 2_196]
+    box = list(ordmon._int_vectors_by_norm(3, 6))
+    assert sorted(count_images) == sorted(box[:92] + box)
+    assert count_cone_member == []  # the images decide every pair
     # the lexicographic control stays on the generic loop: 3 candidate rows
     # of 288 pairs, then the witness at the first y of the fourth
     count_candidates.clear()
@@ -370,6 +394,11 @@ def test_weak_unperforation_search_work_is_pinned(count_cone_member, count_candi
     assert is_weakly_unperforated(model, n_max=10, enumeration_bound=4) is None
     assert count_candidates == []
     assert count_cone_member == []
+    # nor a simplicial cone
+    simplicial = PoGroupModel(4, SimplicialCone(4), (1, 1, 1, 1))
+    assert is_weakly_unperforated(simplicial, n_max=10, enumeration_bound=4) is None
+    assert count_candidates == []
+    assert count_cone_member == []
     # the generic loop still walks 9^4 - 1 = 6,560 candidates
     generic = PoGroupModel(4, Delegating(model.cone), (1, 1, 1, 1))
     assert is_weakly_unperforated(generic, n_max=10, enumeration_bound=4) is None
@@ -383,7 +412,7 @@ def _random_half_space_model(rng, rank):
     repeated row)."""
     unit = tuple(rng.randint(1, 4) for _ in range(rank))
     if rng.random() < 0.25:
-        return PoGroupModel(rank, SimplicialCone(), unit)
+        return PoGroupModel(rank, SimplicialCone(rank), unit)
     rows = []
     while len(rows) < rng.randint(1, 3):
         if rows and rng.random() < 0.3:
@@ -430,7 +459,10 @@ def test_half_space_searches_match_the_generic_loop(monkeypatch):
             monkeypatch.setattr(ordmon, "ARCHIMEDEAN_PAIR_BUDGET", budget)
             found = _pairs_examined(partial(archimedean_witness, model, n_max, bound))
             want = _pairs_examined(partial(archimedean_witness, generic, n_max, bound))
-            assert found == want, (model, budget)
+            if isinstance(model.cone, SimplicialCone):  # it returns at once
+                assert found == (None, 0) and want[0] is None, (model, budget)
+            else:
+                assert found == want, (model, budget)
             witnesses += found[0] is not None
         assert is_weakly_unperforated(generic, n_max, bound) is None
     assert witnesses >= 20
@@ -456,13 +488,20 @@ def test_pair_budget_running_out_at_the_end_of_a_row(monkeypatch):
         for group in (model, generic):
             search = partial(archimedean_witness, group, n_max=3, enumeration_bound=2)
             assert _pairs_examined(search) == (want, budget)
-    # no simplicial candidate has a witness, so each row of 24 ys is counted
-    # in bulk, and a budget that ends at a row still counts the next one
-    simplicial = PoGroupModel(2, SimplicialCone(), (1, 1))
-    for budget, counted in ((47, 48), (48, 72), (49, 72)):
+    # on the strict identity rows the first four candidates, (1,1), (1,0),
+    # (1,-1) and (0,1), each have a limit 3 + 1 above the top 2, so each row
+    # of 24 ys is counted in bulk, and a budget that ends at a row still
+    # counts the next one; the fifth, (0,-1), meets its first y, (1,1)
+    identity_rows = PoGroupModel(2, StrictStateCone(identity(2)), (1, 1))
+    for budget, want in ((47, (None, 48)), (48, (None, 72)), (49, (None, 72)),
+                         (96, (None, 96)), (97, (((0, -1), (1, 1)), 97))):
         monkeypatch.setattr(ordmon, "ARCHIMEDEAN_PAIR_BUDGET", budget)
-        search = partial(archimedean_witness, simplicial, n_max=3, enumeration_bound=2)
-        assert _pairs_counted(search) == (None, counted)
+        search = partial(archimedean_witness, identity_rows, n_max=3, enumeration_bound=2)
+        assert _pairs_counted(search) == want
+    # a simplicial cone counts nothing
+    simplicial = PoGroupModel(2, SimplicialCone(2), (1, 1))
+    search = partial(archimedean_witness, simplicial, n_max=3, enumeration_bound=2)
+    assert _pairs_counted(search) == (None, 0)
 
 
 def _layered_vectors_by_norm(rank, bound):
@@ -497,11 +536,14 @@ def test_archimedean_fails_lexicographically():
 
 def test_evaluate_states_exactly():
     states = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), Fraction(3, 4)))
-    model = K0Model(2, states, (1, 1))
-    assert model.states((1, -1)) == (Fraction(0), Fraction(-1, 2))
-    assert model.states((2, 0)) == (Fraction(1), Fraction(1, 2))
-    with pytest.raises(ValueError):
-        model.states((1, 0, 0))
+    model = WModel(K0Model(2, states, (1, 1)))
+    assert model.k0.cone.rows == ((2, 2), (1, 3)) and model.k0.cone.scale == 4
+    assert model.gamma(CuntzClass.proj((2, 0))) == (Fraction(1), Fraction(1, 2))
+    assert model.gamma(CuntzClass.proj((1, 2))) == (Fraction(3, 2), Fraction(7, 4))
+    with pytest.raises(ValueError, match="must lie in the K0 cone"):
+        model.gamma(CuntzClass.proj((1, -1)))  # the first state is 0 there
+    with pytest.raises(ValueError, match="wrong K0 rank"):
+        model.gamma(CuntzClass.proj((1, 0, 0)))
 
 
 def _reference_states(rows, x):
@@ -538,10 +580,13 @@ def test_integer_state_kernel_matches_fraction_reference():
             ]
             if rank > 1:
                 # on the boundary of the first state: it is exactly 0 there
-                ints = cone.int_rows[0]
+                ints = cone.rows[0]
                 probes.append((ints[1], -ints[0]) + (0,) * (rank - 2))
             for x in probes:
                 want = _reference_states(rows, x)
-                assert model.states(x) == want
+                image = tuple(sum(r * c for r, c in zip(row, x)) for row in cone.rows)
+                assert tuple(Fraction(v, cone.scale) for v in image) == want
                 inside = not any(x) or all(v > 0 for v in want)
                 assert cone.member(x) is (YES if inside else NO)
+                if inside:
+                    assert WModel(model).gamma(CuntzClass.proj(x)) == want

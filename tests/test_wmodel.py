@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuntzcalc.cli import _class_pool
+from cuntzcalc.linalg import matvec
 from cuntzcalc.sampling import random_wmodel, rng_for
 from cuntzcalc.wmodel import (
     CuntzClass,
@@ -95,7 +96,7 @@ def test_gamma_of_a_projection_is_its_k0_states():
         pool = [x for x in _class_pool(model, rng, 12) if x.is_proj]
         assert pool
         for x in pool:
-            assert model.gamma(x) == model.k0.states(x.values)
+            assert model.gamma(x) == matvec(model.k0.state_matrix, x.values)
 
 
 def test_incomparable_pair_across_the_parts():
@@ -111,7 +112,7 @@ def test_incomparable_pair_across_the_parts():
 def test_simplicial_k0_uses_scaled_coordinate_states():
     # Z^2 with unit (2, 3): the extreme states are x -> x_i / u_i
     k0 = K0Model(2, (("1/2", 0), (0, "1/3")), (2, 3))
-    assert k0.states((2, 3)) == (Fraction(1), Fraction(1))
+    assert matvec(k0.state_matrix, (2, 3)) == (Fraction(1), Fraction(1))
     assert k0.cone_member((1, 1))
     # the cone is zero plus strict positivity, so a vanishing coordinate
     # falls outside even though it is coordinatewise non-negative
@@ -435,11 +436,11 @@ def models_with_pools(draw):
         total = sum(a * u for a, u in zip(weights, unit))
         rows.append(tuple(Fraction(a, total) for a in weights))
     model = WModel(K0Model(rank, rows, unit))
-    scale = math.lcm(*model.k0.cone.scales)
+    scale = model.k0.cone.scale
 
     def into_cone(v):
         # each state is 1 on the unit, so v + k·unit lies in the cone for k large
-        k = max(0, math.floor(-min(model.k0.states(v))) + 1)
+        k = max(0, math.floor(-min(matvec(model.k0.state_matrix, v))) + 1)
         return tuple(a + k * u for a, u in zip(v, unit))
 
     denominators = st.integers(1, 30).filter(lambda q: math.gcd(q, scale) == 1)
