@@ -119,6 +119,18 @@ DOCS = {
     "step3": step(
         ["0", "1/4", "2/3", "1"], ["1", "3/5", "7/8"], ["3/4", "0", "1/2", "7/8"]
     ),
+    # step targets whose realizations exercise one merge shape each (see CASES)
+    "step_cross": step(["0", "1/2", "1"], ["3/8", "3/4"], ["0", "3/8", "0"]),
+    "step_inside": step(
+        ["0", "1/3", "1/2", "5/6", "1"], ["5/8", "1/8", "7/8", "1"],
+        ["5/8", "1/8", "0", "7/8", "0"],
+    ),
+    "step_touch": step(
+        ["0", "3/10", "2/5", "7/10", "1"], ["3/4", "7/8", "5/8", "1/8"],
+        ["0", "3/4", "5/8", "1/8", "1/8"],
+    ),
+    "step_thirds": step(["0", "1/3", "1/2", "1"], ["3/8", "7/8", "1/2"], ["0", "3/8", "0", "0"]),
+    "sizes_3_9_27": {"kind": "schedule", "sizes": [3, 9, 27]},
     "not_a_doc": {"kind": "nonsense"},
     "m3": {
         "kind": "wmodel",
@@ -242,6 +254,15 @@ CASES = {
     "goodearl": ["goodearl", "@step3", "--stages", "2"],
     "goodearl-sizes": ["goodearl", "@step2", "@sizes", "--stages", "3"],
     "goodearl-vector": ["goodearl", "@vec", "--stages", "2"],
+    # a merge of an old entry with a bump that inserts a crossing point
+    "realize-step-crossing": ["realize", "@step_cross", "--stages", "3"],
+    # stages 2 and 3 reach their sup increment only at bump knots strictly
+    # inside a segment of the old entry
+    "goodearl-increment-inside-segment": ["goodearl", "@step_inside", "--stages", "3"],
+    # at stage 4 an old entry's kink at 14/45 touches the bump's ramp from
+    # above without crossing it
+    "realize-step-touching": ["realize", "@step_touch", "--stages", "4"],
+    "goodearl-sizes-3-9-27": ["goodearl", "@step_thirds", "@sizes_3_9_27", "--stages", "3"],
     "unknown-kind": ["k0star", "@not_a_doc"],
     "check-table": ["check", "@m2", "strict-cone", "--bound", "50", "--format", "table"],
 }
