@@ -108,17 +108,9 @@ class ClosedSet:
 # Piecewise-linear functions
 
 
-def _merge_sorted(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Sorted union of two strictly increasing sequences, in one linear merge."""
-    out, i = [], 0
-    for y in b:
-        while i < len(a) and a[i] < y:
-            out.append(a[i])
-            i += 1
-        out.append(y)
-        if i < len(a) and a[i] == y:
-            i += 1
-    return (*out, *a[i:])
+def _lerp(x0: Fraction, v0: Fraction, x1: Fraction, v1: Fraction, x: Fraction) -> Fraction:
+    """Value at x of the segment from (x0, v0) to (x1, v1)."""
+    return v0 if v0 == v1 else v0 + (v1 - v0) * (x - x0) / (x1 - x0)
 
 
 @dataclass(frozen=True)
@@ -174,30 +166,33 @@ class PLFn:
                 i += 1
             if bp[i] == x:
                 out.append(vals[i])
-                continue
-            v0, v1 = vals[i - 1], vals[i]
-            if v0 == v1:
-                out.append(v0)
             else:
-                out.append(v0 + (v1 - v0) * (x - bp[i - 1]) / (bp[i] - bp[i - 1]))
+                out.append(_lerp(bp[i - 1], vals[i - 1], bp[i], vals[i], x))
         return out
 
     def pointwise_max(self, other: "PLFn") -> "PLFn":
-        grid = _merge_sorted(self.breakpoints, other.breakpoints)
-        mine, theirs = self.on_grid(grid), other.on_grid(grid)
-        pts, vals = [grid[0]], [max(mine[0], theirs[0])]
-        for j in range(1, len(grid)):
-            # insert crossing points so the maximum stays piecewise linear;
-            # both functions are linear between grid points, so at a crossing
-            # either one's interpolated value is the maximum
-            d0 = mine[j - 1] - theirs[j - 1]
-            d1 = mine[j] - theirs[j]
-            if (d0 > 0 > d1) or (d0 < 0 < d1):
-                t = d0 / (d0 - d1)
-                pts.append(grid[j - 1] + (grid[j] - grid[j - 1]) * t)
-                vals.append(mine[j - 1] + (mine[j] - mine[j - 1]) * t)
-            pts.append(grid[j])
-            vals.append(max(mine[j], theirs[j]))
+        """The pointwise maximum, in one walk over both breakpoint lists: the
+        owner of each point is read, the other interpolated, and a crossing
+        point goes in wherever the sign of the difference flips strictly."""
+        xs, vs = self.breakpoints, self.values
+        ys, ws = other.breakpoints, other.values
+        x0, v0, d0 = xs[0], vs[0], vs[0] - ws[0]  # both start at 0
+        pts, vals = [x0], [v0 if d0.numerator >= 0 else ws[0]]
+        i = j = 1
+        while i < len(xs):  # both end at 1, so they run out together
+            at_x, at_y = xs[i] <= ys[j], ys[j] <= xs[i]
+            x = xs[i] if at_x else ys[j]
+            v = vs[i] if at_x else _lerp(xs[i - 1], vs[i - 1], xs[i], vs[i], x)
+            w = ws[j] if at_y else _lerp(ys[j - 1], ws[j - 1], ys[j], ws[j], x)
+            i, j = i + at_x, j + at_y
+            d = v - w
+            if d0.numerator * d.numerator < 0:  # the sign flips strictly inside
+                t = d0 / (d0 - d)
+                pts.append(x0 + (x - x0) * t)
+                vals.append(v0 + (v - v0) * t)
+            pts.append(x)
+            vals.append(v if d.numerator >= 0 else w)
+            x0, v0, d0 = x, v, d
         return PLFn(pts, vals)
 
     def minus_clamped(self, eps) -> "PLFn":
@@ -565,19 +560,22 @@ def bump_on(opens: OpenSet, height) -> PLFn:
     height = frac(height)
     if height <= 0:
         raise ValueError("height must be positive")
-    knots: dict[Fraction, Fraction] = {Fraction(0): Fraction(0), Fraction(1): Fraction(0)}
-    # Components are disjoint and sorted, so a knot written twice is an endpoint
-    # shared by two components: inside (0, 1), where endpoint flags are illegal,
-    # so both writes are 0.  Midpoints lie strictly inside their component.
+    knots = [(Fraction(0), Fraction(0))]
+    # Components are sorted and disjoint, so the knots come in order.  A left
+    # endpoint equal to the last knot is 0 or an endpoint shared by two
+    # components, which is 0 on both.  Midpoints lie strictly inside.
     for iv in opens.intervals:
         if iv.left_closed and iv.right_closed:
             return PLFn.constant(height)
-        knots[iv.left] = height if iv.left_closed else Fraction(0)
-        knots[iv.right] = height if iv.right_closed else Fraction(0)
+        if iv.left == knots[-1][0]:
+            knots.pop()
+        knots.append((iv.left, height if iv.left_closed else Fraction(0)))
         if not (iv.left_closed or iv.right_closed):
-            knots[(iv.left + iv.right) / 2] = height
-    points = tuple(sorted(knots))
-    return PLFn(points, tuple(knots[p] for p in points))
+            knots.append(((iv.left + iv.right) / 2, height))
+        knots.append((iv.right, height if iv.right_closed else Fraction(0)))
+    if knots[-1][0] != 1:
+        knots.append((Fraction(1), Fraction(0)))
+    return PLFn(*zip(*knots))
 
 
 @dataclass(frozen=True)
@@ -678,10 +676,19 @@ def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> Realizatio
             key = id(old), id(bump)
             if key not in merged:
                 new = merged[key] = old.pointwise_max(bump)
-                # new's breakpoints contain old's, so both are linear between them
-                for was, now in zip(old.on_grid(new.breakpoints), new.values):
-                    increment = max(increment, abs(now - was))
-                    monotone = monotone and was <= now
+                # new's breakpoints contain old's, so both are linear between
+                # them: read old at its own breakpoints, interpolate in between
+                xs, vs, i = old.breakpoints, old.values, 0
+                for x, now in zip(new.breakpoints, new.values):
+                    if x == xs[i]:
+                        was, i = vs[i], i + 1
+                    else:
+                        was = _lerp(xs[i - 1], vs[i - 1], xs[i], vs[i], x)
+                    if now != was:
+                        increment = max(increment, abs(now - was))
+                        monotone = monotone and was <= now
+                if i != len(xs):
+                    raise RuntimeError("a merged entry lost a breakpoint of the old entry")
             entries.append(merged[key])
         records.append(
             RealizationStage(

@@ -206,22 +206,55 @@ def test_grid_sweep_matches_pointwise_evaluation():
         g.on_grid([fr(0), fr(2)])
 
 
+def _assert_max_matches_the_reference(g: PLFn, h: PLFn) -> None:
+    grid = sorted(set(g.breakpoints) | set(h.breakpoints))
+    pts = sorted(set(grid) | set(crossing_points(g, h, grid)))
+    m = g.pointwise_max(h)
+    assert m.breakpoints == tuple(pts)
+    assert m.values == tuple(max(g(x), h(x)) for x in pts)
+
+
+def _assert_cut_matches_the_reference(g: PLFn, eps: Fraction) -> None:
+    roots = crossing_points(g, PLFn.constant(eps), g.breakpoints)
+    cut_pts = sorted(set(g.breakpoints) | set(roots))
+    cut = g.minus_clamped(eps)
+    assert cut.breakpoints == tuple(cut_pts)
+    assert cut.values == tuple(max(g(x) - eps, fr(0)) for x in cut_pts)
+
+
 def test_swept_operations_match_the_pointwise_reference():
     rng = random.Random(605)
     for _ in range(150):
         g, h = random_plfn(rng), random_plfn(rng)
-        grid = sorted(set(g.breakpoints) | set(h.breakpoints))
-        pts = sorted(set(grid) | set(crossing_points(g, h, grid)))
-        m = g.pointwise_max(h)
-        assert m.breakpoints == tuple(pts)
-        assert m.values == tuple(max(g(x), h(x)) for x in pts)
-        eps = Fraction(rng.randint(0, 4), rng.randint(1, 4))
-        level = PLFn.constant(eps)
-        roots = crossing_points(g, level, g.breakpoints)
-        cut_pts = sorted(set(g.breakpoints) | set(roots))
-        cut = g.minus_clamped(eps)
-        assert cut.breakpoints == tuple(cut_pts)
-        assert cut.values == tuple(max(g(x) - eps, fr(0)) for x in cut_pts)
+        _assert_max_matches_the_reference(g, h)
+        # every breakpoint shared, the same function twice, an equal copy, and
+        # a constant at one of g's values, which meets g at a breakpoint
+        level = rng.choice(g.values)
+        others = (
+            PLFn(g.breakpoints, [fr(rng.randint(0, 3)) / rng.randint(1, 4) for _ in g.values]),
+            g,
+            PLFn(g.breakpoints, g.values),
+            PLFn.constant(level),
+        )
+        for other in others:
+            _assert_max_matches_the_reference(g, other)
+            _assert_max_matches_the_reference(other, g)
+        _assert_cut_matches_the_reference(g, Fraction(rng.randint(0, 4), rng.randint(1, 4)))
+        _assert_cut_matches_the_reference(g, level)
+    # touching at a breakpoint without crossing: from above at a valley of g,
+    # where h is interpolated or constant, and from below at a peak
+    valley = PLFn((0, "1/3", 1), (1, "1/3", 1))
+    peak = PLFn((0, "1/2", 1), (0, "1/2", 0))
+    touching = (
+        (valley, PLFn((0, 1), ("1/4", "1/2"))),
+        (valley, PLFn.constant("1/3")),
+        (peak, PLFn((0, "1/2", 1), ("1/4", "1/2", "1/4"))),
+    )
+    for g, h in touching:
+        for a, b in ((g, h), (h, g)):
+            _assert_max_matches_the_reference(a, b)
+            m = a.pointwise_max(b)
+            assert m.breakpoints == tuple(sorted(set(a.breakpoints) | set(b.breakpoints)))
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +786,32 @@ def test_realize_merges_each_distinct_pair_once(merges):
     unshared = _unshared_stages(f, (2, 4, 8, 16, 32))
     assert len(merges) == 62
     assert [pairs for *_, pairs in unshared] == [2, 4, 6, 9, 12]
+
+
+def test_realize_evaluates_no_entry_on_a_grid(merges, monkeypatch):
+    """The increment sweep reads the old entry off its own breakpoints and
+    the merge walk interpolates in place: no merge calls ``on_grid``."""
+    grids = []
+    real = PLFn.on_grid
+
+    def counting(self, grid):
+        grids.append(len(grid))
+        return real(self, grid)
+
+    monkeypatch.setattr(PLFn, "on_grid", counting)
+    f = StepFn((0, "1/3", "3/5", 1), ("1/4", "7/8", "1/2"), ("1/4", "1/4", "1/2", "1/2"))
+    realize(f, RealizationSchedule.dyadic(5), 5)
+    assert len(merges) == 33
+    assert len(grids) <= len(merges)
+
+
+def test_realize_refuses_a_merge_that_drops_an_old_breakpoint(monkeypatch):
+    # a "maximum" that returns the bump alone loses the old entry's knot at
+    # 1/2 in stage 2, where the bump on {f > 1/4} = [0, 1] is constant
+    monkeypatch.setattr(PLFn, "pointwise_max", lambda self, other: other)
+    realize(two_level(), RealizationSchedule.dyadic(1), 1)
+    with pytest.raises(RuntimeError, match="lost a breakpoint"):
+        realize(two_level(), RealizationSchedule.dyadic(2), 2)
 
 
 def test_exact_check_finds_what_the_grid_misses():

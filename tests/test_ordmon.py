@@ -108,9 +108,15 @@ def test_model_validation():
         PoGroupModel(3, LexicographicCone(), (1, 0, 0))
     with pytest.raises(ValueError, match="the cone needs rank 3, not 2"):
         PoGroupModel(2, SimplicialCone(3), (1, 1))
-    with pytest.raises(ValueError):
+    unit_message = "every state must take the value 1 on the order unit"
+    with pytest.raises(ValueError, match=unit_message):
         # states must normalize the unit to 1
         PoGroupModel(1, StrictStateCone(((Fraction(1, 2),),)), (1,))
+    # rows at scale 12: the unit is tested against the scale, not against 1
+    thirds_quarters = (("1/3", "1/3"), ("1/4", "1/2"))
+    PoGroupModel(2, StrictStateCone(thirds_quarters), (2, 1))
+    with pytest.raises(ValueError, match=unit_message):
+        PoGroupModel(2, StrictStateCone(thirds_quarters), (1, 2))
 
 
 # ---------------------------------------------------------------------------
