@@ -146,29 +146,11 @@ class PLFn:
         x = frac(x)
         if not 0 <= x <= 1:
             raise ValueError("argument outside [0, 1]")
-        return self.on_grid((x,))[0]
-
-    def on_grid(self, grid: Sequence[Fraction]) -> list[Fraction]:
-        """Values at the points of a sorted grid in [0, 1], in one sweep.
-
-        A moving breakpoint index walks the breakpoints once for the whole
-        grid; values between breakpoints are linearly interpolated.
-        """
         bp, vals = self.breakpoints, self.values
-        if grid and grid[-1] > 1:
-            raise ValueError("grid must be sorted within [0, 1]")
-        out, i, prev = [], 0, 0
-        for x in grid:
-            if x < prev:
-                raise ValueError("grid must be sorted within [0, 1]")
-            prev = x
-            while bp[i] < x:
-                i += 1
-            if bp[i] == x:
-                out.append(vals[i])
-            else:
-                out.append(_lerp(bp[i - 1], vals[i - 1], bp[i], vals[i], x))
-        return out
+        i = bisect_left(bp, x)
+        if bp[i] == x:
+            return vals[i]
+        return _lerp(bp[i - 1], vals[i - 1], bp[i], vals[i], x)
 
     def pointwise_max(self, other: "PLFn") -> "PLFn":
         """The pointwise maximum, in one walk over both breakpoint lists: the

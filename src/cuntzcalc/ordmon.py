@@ -6,14 +6,15 @@ reduction, and falsifiers for order properties (almost unperforation of a
 sampled ordered monoid, weak unperforation, the Archimedean property).
 A simplicial cone decides membership from the signs of x; a strict-state
 cone keeps its state rows once as integers R at one scale and decides from
-the image R·x.  Weak unperforation holds on both without a search, a
-simplicial cone is archimedean, and the archimedean search on a strict-state
-cone settles each candidate from row bounds on R·x.
+the image R·x.  On both, weak unperforation and the Archimedean property are
+decided by theorem: both cones are weakly unperforated, a simplicial cone is
+archimedean, and a strict-state cone is archimedean iff its rank is 1, with
+an explicit witness above rank 1.
 
-The checkers are bounded-scale falsifiers, not provers: a counterexample is
-definitive, while "holds on sample" only says the search space was clean.
-Searches that cannot certify a negative return ``Membership.BOUND_EXCEEDED``
-instead of guessing.
+On the other cones the checkers are bounded-scale falsifiers, not provers: a
+counterexample is definitive, while "holds on sample" only says the search
+space was clean.  Searches that cannot certify a negative return
+``Membership.BOUND_EXCEEDED`` instead of guessing.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import ge, gt, mul
+from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .linalg import (
@@ -429,60 +430,48 @@ ARCHIMEDEAN_PAIR_BUDGET = 200_000
 
 
 def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound: int):
-    """Search for x not below zero and y with nx <= y for every n <= n_max.
+    """Find x not below zero and y with nx <= y for every n <= n_max.
 
-    A found pair witnesses failure of the Archimedean property at the tested
-    scale.  y keeps its max-norm below n_max, so it cannot dominate n_max x
-    by size alone: on a simplicial cone that would be a false witness.  The
-    sweep covers candidate pairs in increasing max-norm order and stops
-    after ``ARCHIMEDEAN_PAIR_BUDGET`` pairs, so None means "none found at
-    this scale", nothing stronger.  A simplicial cone returns None at once:
-    nx <= y for every n forces x <= 0, and already at n_max a positive x_k
-    asks y_k >= n_max > ||y||.  Strict-state cones decide pairs from R·x and
-    R·y; other cones ask ``cone_member`` for each n, n_max first (fastest to
-    fail).  Every y has max-norm at most m, so row k of R·y is at most
-    m·Σ|r_k|: a candidate whose limit passes that top in some row has no
-    witness, and its pairs are counted untested.
+    Simplicial and strict-state cones are decided by theorem, without a
+    search.  A simplicial cone is archimedean, so the answer is None: nx <= y
+    for every n forces x <= 0.
+
+    A strict-state cone is archimedean iff its rank is 1.  Let R be its
+    integer rows at scale s, so R·u = s in every row.  At rank 1 each row
+    has the sign of u, so the cone is {0} ∪ {x : xu > 0}, an order copy of
+    Z, and the answer is None.  At rank >= 2 take e_i, the first unit vector
+    not parallel to u, its column c = R·e_i and p = max(c).  Then
+    x = s·e_i - p·u, over the gcd of its entries, is nonzero (p = 0 leaves
+    s·e_i, and otherwise u has an entry off i) and R·x = s(c - p) <= 0, with
+    0 in a row where c reaches p.  So -x lies outside the cone, and
+    R(u - n·x) >= R·u = s > 0 puts u - n·x inside for every n: (x, u) is a
+    witness at every scale, n_max included.
+
+    Other cones are searched: the sweep covers candidate pairs in increasing
+    max-norm order, asks ``cone_member`` for each n, n_max first (fastest to
+    fail), and stops after ``ARCHIMEDEAN_PAIR_BUDGET`` pairs, so None means
+    "none found at this scale", nothing stronger.  y keeps its max-norm below
+    n_max, so it cannot dominate n_max·x by size alone.
     """
     cone = model.cone
     if isinstance(cone, SimplicialCone):
         return None
-    box = _int_vectors_by_norm(model.rank, enumeration_bound)
+    if isinstance(cone, StrictStateCone):
+        if model.rank == 1:
+            return None
+        u = model.unit
+        i = 0 if any(u[1:]) else 1
+        p = max(row[i] for row in cone.rows)
+        x = [-p * c for c in u]
+        x[i] += cone.scale
+        g = math.gcd(*x)
+        return tuple(c // g for c in x), u
+    box = list(_int_vectors_by_norm(model.rank, enumeration_bound))
     # y runs over the prefix of the box of max-norm at most m < n_max
     m = max(0, min(enumeration_bound, n_max - 1))
-    n_ys = (2 * m + 1) ** model.rank - 1
-    tested = 0
-    if isinstance(cone, StrictStateCone):
-        rows = cone.rows
-        tops = [m * sum(map(abs, row)) for row in rows]
-        y_images = None
-        for x in box:
-            image = row_image(rows, x)
-            if max(image) < 0:  # -x lies in the cone
-                continue
-            # R·y - n·R·x is linear in n, so every n <= n_max passes the rule
-            # iff n = 1 and n = n_max do.  It misjudges only a zero difference
-            # y - n·x = 0, never part of a witness: ||y|| < n_max forces
-            # n < n_max, and y - n_max·x is a positive multiple of -x, outside.
-            limits = [max(v, n_max * v) + 1 for v in image]
-            if any(map(gt, limits, tops)):
-                tested += n_ys
-                if tested > ARCHIMEDEAN_PAIR_BUDGET:
-                    return None
-                continue
-            if y_images is None:
-                ys = list(_int_vectors_by_norm(model.rank, m))
-                y_images = [row_image(rows, y) for y in ys]
-            for y, y_image in zip(ys, y_images):
-                if tested == ARCHIMEDEAN_PAIR_BUDGET:
-                    return None
-                tested += 1
-                if all(map(ge, y_image, limits)):
-                    return (x, y)
-        return None
-    box = list(box)
-    ys = box[:n_ys]
+    ys = box[:(2 * m + 1) ** model.rank - 1]
     candidates_x = [x for x in box if cone_member(model, vneg(x)).definite is False]
+    tested = 0
     for x in candidates_x:
         multiples = [vscale(n, x) for n in (n_max, *range(1, n_max))]
         for y in ys:

@@ -8,7 +8,8 @@ models, each pogroup cone type, ``--format table`` and ``--out``, so a
 refactor that changes any report shows up here byte for byte.
 
 Regenerate the expectations, after a deliberate change of output, with
-``PYTHONPATH=src python tests/test_cli_golden.py``.
+``PYTHONPATH=src python tests/test_cli_golden.py``; it prints each case it
+added, removed or changed.
 """
 
 import contextlib
@@ -351,6 +352,15 @@ def test_cli_golden(case, golden, tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         captured = {case: run_case(argv, Path(tmp)) for case, argv in sorted(CASES.items())}
+    before = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    for label, names in (
+        ("added", sorted(captured.keys() - before.keys())),
+        ("removed", sorted(before.keys() - captured.keys())),
+        ("changed", sorted(c for c in captured.keys() & before.keys()
+                           if captured[c] != before[c])),
+    ):
+        for name in names:
+            print(f"{label}: {name}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(
         json.dumps(captured, indent=1, sort_keys=True, ensure_ascii=False) + "\n",

@@ -190,20 +190,20 @@ def crossing_points(g: PLFn, h: PLFn, grid) -> list[Fraction]:
     return out
 
 
-def test_grid_sweep_matches_pointwise_evaluation():
+def test_evaluation_reads_breakpoints_and_interpolates_between():
     rng = random.Random(604)
     for _ in range(200):
         g = random_plfn(rng)
-        between = {Fraction(rng.randint(0, 83), 83) for _ in range(6)}
-        grid = sorted(set(g.breakpoints) | between | {fr(0), fr(1)})
-        assert g.on_grid(grid) == [g(x) for x in grid]
-        assert g.on_grid(sorted(between)) == [g(x) for x in sorted(between)]
+        bp, vals = g.breakpoints, g.values
+        assert [g(x) for x in bp] == list(vals)
+        for x in {Fraction(rng.randint(0, 83), 83) for _ in range(6)} - set(bp):
+            k = next(k for k in range(1, len(bp)) if x < bp[k])
+            slope = (vals[k] - vals[k - 1]) / (bp[k] - bp[k - 1])
+            assert g(x) == vals[k - 1] + slope * (x - bp[k - 1])
     g = full_tent()
-    assert g.on_grid([fr(0), fr(0), fr("1/2"), fr("1/2"), fr(1)]) == [0, 0, 1, 1, 0]
-    with pytest.raises(ValueError):
-        g.on_grid([fr("1/2"), fr("1/4")])
-    with pytest.raises(ValueError):
-        g.on_grid([fr(0), fr(2)])
+    assert [g(x) for x in (0, "1/4", "1/2", "3/4", 1)] == [0, fr("1/2"), 1, fr("1/2"), 0]
+    with pytest.raises(ValueError, match="outside"):
+        g(fr(2))
 
 
 def _assert_max_matches_the_reference(g: PLFn, h: PLFn) -> None:
@@ -790,19 +790,19 @@ def test_realize_merges_each_distinct_pair_once(merges):
 
 def test_realize_evaluates_no_entry_on_a_grid(merges, monkeypatch):
     """The increment sweep reads the old entry off its own breakpoints and
-    the merge walk interpolates in place: no merge calls ``on_grid``."""
-    grids = []
-    real = PLFn.on_grid
+    the merge walk interpolates in place: no entry is evaluated at a point."""
+    points = []
+    real = PLFn.__call__
 
-    def counting(self, grid):
-        grids.append(len(grid))
-        return real(self, grid)
+    def counting(self, x):
+        points.append(x)
+        return real(self, x)
 
-    monkeypatch.setattr(PLFn, "on_grid", counting)
+    monkeypatch.setattr(PLFn, "__call__", counting)
     f = StepFn((0, "1/3", "3/5", 1), ("1/4", "7/8", "1/2"), ("1/4", "1/4", "1/2", "1/2"))
     realize(f, RealizationSchedule.dyadic(5), 5)
     assert len(merges) == 33
-    assert len(grids) <= len(merges)
+    assert points == []
 
 
 def test_realize_refuses_a_merge_that_drops_an_old_breakpoint(monkeypatch):

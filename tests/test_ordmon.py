@@ -16,7 +16,7 @@ import pytest
 
 from cuntzcalc import ordmon
 from cuntzcalc.cli import _enum_bound
-from cuntzcalc.linalg import identity, vsub
+from cuntzcalc.linalg import identity, vneg, vscale, vsub
 from cuntzcalc.ordmon import (
     BOUND_EXCEEDED,
     NO,
@@ -240,20 +240,25 @@ def test_archimedean_clean_on_simplicial():
     assert archimedean_witness(model, n_max=4, enumeration_bound=2) is None
 
 
-def test_archimedean_clean_on_the_integers_above_the_scale(count_images):
-    # y up to the enumeration bound 12 would dominate 10 x = 10 by size alone;
-    # m = n_max - 1 = 9 keeps every y below it, on the generic loop too
+def test_archimedean_clean_on_the_integers_above_the_scale(
+    count_cone_member, count_candidates
+):
+    # a simplicial cone returns at once, without a candidate
     simplicial = PoGroupModel(1, SimplicialCone(1), (1,))
-    for group in (simplicial, PoGroupModel(1, Delegating(simplicial.cone), (1,))):
-        assert archimedean_witness(group, n_max=10, enumeration_bound=12) is None
-    # the simplicial cone returns at once, without imaging a vector
-    assert count_images == []
-    # on the strict-state Z every candidate x = k > 0 has the limit 10k + 1
-    # above the top 9, so each of the 24 vectors is imaged once, in order,
-    # and no y image is built
+    assert archimedean_witness(simplicial, n_max=10, enumeration_bound=12) is None
+    assert count_candidates == [] and count_cone_member == []
+    # y up to the enumeration bound 12 would dominate 10 x = 10 by size alone;
+    # m = n_max - 1 = 9 keeps every y below it on the generic walk
+    generic = PoGroupModel(1, Delegating(simplicial.cone), (1,))
+    assert archimedean_witness(generic, n_max=10, enumeration_bound=12) is None
+    # the strict-state Z is archimedean by theorem (rank 1): no search, and
+    # the generic walk finds no witness either
+    count_candidates.clear()
+    count_cone_member.clear()
     states = PoGroupModel(1, StrictStateCone(((1,),)), (1,))
     assert archimedean_witness(states, n_max=10, enumeration_bound=12) is None
-    assert count_images == list(ordmon._int_vectors_by_norm(1, 12))
+    assert count_candidates == [] and count_cone_member == []
+    assert _cross_check_with_the_generic_walk(states, n_max=10, bound=12) is None
 
 
 @pytest.fixture()
@@ -285,25 +290,10 @@ def count_candidates(monkeypatch):
     return sizes
 
 
-@pytest.fixture()
-def count_images(monkeypatch):
-    """The vectors, in order, whose image ``ordmon.row_image`` computes."""
-    vectors = []
-
-    def counting(rows, x):
-        vectors.append(x)
-        return real(rows, x)
-
-    real = ordmon.row_image
-    monkeypatch.setattr(ordmon, "row_image", counting)
-    return vectors
-
-
 def _pairs_counted(search):
     """Run ``search()`` and read ``archimedean_witness``'s ``tested`` as it
-    returns: the pairs it tested, plus the pairs of every candidate row it
-    counted without testing.  A search that returns before it starts
-    counting, as on a simplicial cone, examined no pair."""
+    returns: the pairs it tested.  A search that returns before it starts
+    counting, as on a simplicial or strict-state cone, examined no pair."""
     code = archimedean_witness.__code__
     counts = []
 
@@ -328,20 +318,10 @@ def _pairs_counted(search):
     return result, counts[0]
 
 
-def _pairs_examined(search):
-    """Run ``search()`` and count the pairs it examined before it returned.
-
-    A row counted in bulk can carry the count past the budget; the pair
-    walk it stands for stops at the budget, so the count is capped there.
-    """
-    result, tested = _pairs_counted(search)
-    return result, min(tested, ordmon.ARCHIMEDEAN_PAIR_BUDGET)
-
-
 @dataclass(frozen=True)
 class Delegating(PositiveCone):
-    """The inner cone's membership without its half-space form, so the
-    searches take the generic per-n ``cone_member`` loop."""
+    """The inner cone's membership without its type, so the searches take
+    the generic per-n ``cone_member`` walk."""
 
     inner: PositiveCone
 
@@ -353,48 +333,70 @@ class Delegating(PositiveCone):
         return self.inner.member(x)
 
 
+def _assert_witness(model, witness, n_max):
+    """x is not below zero, and n·x <= y for every n <= n_max."""
+    x, y = witness
+    assert cone_member(model, vneg(x)) is NO, (model, witness)
+    for n in range(1, n_max + 1):
+        assert cone_member(model, vsub(y, vscale(n, x))) is YES, (model, witness, n)
+
+
+def _cross_check_with_the_generic_walk(model, n_max, bound):
+    """Hold the theorem's answer on a strict-state cone against the generic
+    walk through ``Delegating``: at rank 1 neither finds a witness; above it
+    the theorem's witness is valid, and so is any witness the walk finds.
+    Returns the walk's answer."""
+    found = archimedean_witness(model, n_max, bound)
+    generic = PoGroupModel(model.rank, Delegating(model.cone), model.unit)
+    walked = archimedean_witness(generic, n_max, bound)
+    if model.rank == 1:
+        assert found is None and walked is None, model
+    else:
+        _assert_witness(model, found, n_max)
+        if walked is not None:
+            _assert_witness(model, walked, n_max)
+    return walked
+
+
 def test_archimedean_search_work_is_pinned(
-    count_cone_member, count_candidates, count_images
+    count_cone_member, count_candidates, monkeypatch
 ):
     # a simplicial cone is archimedean: no work at all
     simplicial = PoGroupModel(3, SimplicialCone(3), (1, 1, 1))
     search = partial(archimedean_witness, simplicial, n_max=10, enumeration_bound=6)
     assert _pairs_counted(search) == (None, 0)
     assert count_candidates == []
-    assert count_images == []
     assert count_cone_member == []
-    # a strict-state cone at the scales 3, 5 and 7 stops at the pair budget
-    # with nothing found: 13^3 - 1 = 2,196 candidates, all of them ys too
-    # (max-norm 6 < 10); the 92nd candidate row is the first whose end
-    # passes the budget, and each of those 92 candidates and each y is
-    # imaged once
+    # a strict-state cone at the scales 3, 5 and 7 (rows at scale 105) is
+    # not archimedean by theorem: the witness comes without a search, from
+    # e_1 and the largest entry of R·e_1, 165
     states = StrictStateCone([
         (Fraction(-2, 3), Fraction(1, 3), 0),
         (Fraction(6, 5), -1, Fraction(4, 5)),
         (Fraction(11, 7), Fraction(-2, 7), Fraction(-1, 7)),
     ])
-    budget = PoGroupModel(3, states, (3, 9, 8))
-    search = partial(archimedean_witness, budget, n_max=10, enumeration_bound=6)
-    assert _pairs_examined(search) == (None, 200_000)
-    count_images.clear()
-    count_candidates.clear()
-    assert _pairs_counted(search) == (None, 92 * 2_196)
-    assert count_candidates == [2_196, 2_196]
-    box = list(ordmon._int_vectors_by_norm(3, 6))
-    assert sorted(count_images) == sorted(box[:92] + box)
-    assert count_cone_member == []  # the images decide every pair
+    group = PoGroupModel(3, states, (3, 9, 8))
+    search = partial(archimedean_witness, group, n_max=10, enumeration_bound=6)
+    assert _pairs_counted(search) == (((-26, -99, -88), (3, 9, 8)), 0)
+    assert count_candidates == []
+    assert count_cone_member == []
+    # the generic walk, cut to 5,000 pairs, finds none to hold against it
+    with monkeypatch.context() as cut:
+        cut.setattr(ordmon, "ARCHIMEDEAN_PAIR_BUDGET", 5_000)
+        assert _cross_check_with_the_generic_walk(group, n_max=10, bound=6) is None
     # the lexicographic control stays on the generic loop: 3 candidate rows
     # of 288 pairs, then the witness at the first y of the fourth
     count_candidates.clear()
+    count_cone_member.clear()
     lex = PoGroupModel(2, LexicographicCone(), (1, 0))
     search = partial(archimedean_witness, lex, n_max=20, enumeration_bound=8)
-    assert _pairs_examined(search) == (((0, 1), (1, 1)), 865)
+    assert _pairs_counted(search) == (((0, 1), (1, 1)), 865)
     assert count_candidates == [288]
     assert len(count_cone_member) == 1_172
 
 
 def test_weak_unperforation_search_work_is_pinned(count_cone_member, count_candidates):
-    # a half-space cone is weakly unperforated by its docstring's theorem:
+    # a strict-state cone is weakly unperforated by its docstring's theorem:
     # no candidate is enumerated and no membership asked
     model = PoGroupModel(4, StrictStateCone(identity(4)), (1, 1, 1, 1))
     assert is_weakly_unperforated(model, n_max=10, enumeration_bound=4) is None
@@ -443,14 +445,18 @@ def test_half_space_searches_match_the_generic_loop(monkeypatch):
         n_max = rng.choice((1, 2, 3, 5, 10))
         bound = rng.randint(1, 4)
         monkeypatch.setattr(ordmon, "ARCHIMEDEAN_PAIR_BUDGET", rng.randint(1, 3000))
-        found = archimedean_witness(model, n_max, bound)
-        assert found == archimedean_witness(generic, n_max, bound), model
-        witnesses += found is not None
+        if isinstance(model.cone, SimplicialCone):
+            assert archimedean_witness(model, n_max, bound) is None
+            assert archimedean_witness(generic, n_max, bound) is None
+        else:
+            walked = _cross_check_with_the_generic_walk(model, n_max, bound)
+            witnesses += walked is not None
         assert is_weakly_unperforated(model, n_max, bound) is None
         assert is_weakly_unperforated(generic, n_max, bound) is None
-    assert witnesses >= 20  # the comparison is not all None
+    assert witnesses >= 20  # the walk's side of the check is not all None
     # budgets one below, at and one past the end of the k-th candidate row,
-    # where rows counted in bulk meet the pair walk's budget exit
+    # where the generic walk's budget exit falls between two candidates;
+    # the theorems decide without a pair whatever the budget
     rng = random.Random(20061018)
     witnesses = 0
     for _ in range(50):
@@ -463,47 +469,57 @@ def test_half_space_searches_match_the_generic_loop(monkeypatch):
         k = rng.randint(1, 2)
         for budget in (k * row - 1, k * row, k * row + 1):
             monkeypatch.setattr(ordmon, "ARCHIMEDEAN_PAIR_BUDGET", budget)
-            found = _pairs_examined(partial(archimedean_witness, model, n_max, bound))
-            want = _pairs_examined(partial(archimedean_witness, generic, n_max, bound))
-            if isinstance(model.cone, SimplicialCone):  # it returns at once
-                assert found == (None, 0) and want[0] is None, (model, budget)
+            found = _pairs_counted(partial(archimedean_witness, model, n_max, bound))
+            assert found[1] == 0, (model, budget)
+            if isinstance(model.cone, SimplicialCone):
+                assert found[0] is None
+                assert archimedean_witness(generic, n_max, bound) is None
             else:
-                assert found == want, (model, budget)
-            witnesses += found[0] is not None
+                walked = _cross_check_with_the_generic_walk(model, n_max, bound)
+                witnesses += walked is not None
         assert is_weakly_unperforated(generic, n_max, bound) is None
     assert witnesses >= 20
 
 
 def test_half_space_archimedean_at_n_max_one():
-    # y needs max-norm below n_max = 1, so no pair is examined at all
+    # y needs max-norm below n_max = 1, so the generic walk examines no
+    # pair; the theorem's witness holds at every scale, this one included
     model = PoGroupModel(2, StrictStateCone([(5, -1)]), (1, 4))
     generic = PoGroupModel(2, Delegating(model.cone), (1, 4))
+    search = partial(archimedean_witness, generic, n_max=1, enumeration_bound=3)
+    assert _pairs_counted(search) == (None, 0)
+    assert _cross_check_with_the_generic_walk(model, n_max=1, bound=3) is None
     for group in (model, generic):
-        search = partial(archimedean_witness, group, n_max=1, enumeration_bound=3)
-        assert _pairs_examined(search) == (None, 0)
         assert is_weakly_unperforated(group, n_max=1, enumeration_bound=3) is None
 
 
 def test_pair_budget_running_out_at_the_end_of_a_row(monkeypatch):
     # state 5a - b: candidates (1,1), (1,0), (1,-1) have no witness among the
-    # 24 ys of max-norm <= 2, and (0,-1) meets its first y, (1,1), at n <= 3
+    # 24 ys of max-norm <= 2, and (0,-1) meets its first y, (1,1), at n <= 3;
+    # the theorem's witness does not depend on the budget
     model = PoGroupModel(2, StrictStateCone([(5, -1)]), (1, 4))
     generic = PoGroupModel(2, Delegating(model.cone), (1, 4))
     for budget, want in ((72, None), (73, ((0, -1), (1, 1)))):
         monkeypatch.setattr(ordmon, "ARCHIMEDEAN_PAIR_BUDGET", budget)
-        for group in (model, generic):
-            search = partial(archimedean_witness, group, n_max=3, enumeration_bound=2)
-            assert _pairs_examined(search) == (want, budget)
-    # on the strict identity rows the first four candidates, (1,1), (1,0),
-    # (1,-1) and (0,1), each have a limit 3 + 1 above the top 2, so each row
-    # of 24 ys is counted in bulk, and a budget that ends at a row still
-    # counts the next one; the fifth, (0,-1), meets its first y, (1,1)
+        search = partial(archimedean_witness, generic, n_max=3, enumeration_bound=2)
+        assert _pairs_counted(search) == (want, budget)
+        assert _cross_check_with_the_generic_walk(model, n_max=3, bound=2) == want
+        assert archimedean_witness(model, n_max=3, enumeration_bound=2) == (
+            (-1, -5), (1, 4))
+    # on the strict identity rows the generic walk tests the 24 ys of each of
+    # the first four candidates, (1,1), (1,0), (1,-1) and (0,1), pair by pair
+    # up to the budget; the fifth, (0,-1), meets its first y, (1,1), which is
+    # also the theorem's witness
     identity_rows = PoGroupModel(2, StrictStateCone(identity(2)), (1, 1))
-    for budget, want in ((47, (None, 48)), (48, (None, 72)), (49, (None, 72)),
-                         (96, (None, 96)), (97, (((0, -1), (1, 1)), 97))):
+    generic = PoGroupModel(2, Delegating(identity_rows.cone), (1, 1))
+    for budget, want in ((47, None), (48, None), (49, None), (96, None),
+                         (97, ((0, -1), (1, 1)))):
         monkeypatch.setattr(ordmon, "ARCHIMEDEAN_PAIR_BUDGET", budget)
-        search = partial(archimedean_witness, identity_rows, n_max=3, enumeration_bound=2)
-        assert _pairs_counted(search) == want
+        search = partial(archimedean_witness, generic, n_max=3, enumeration_bound=2)
+        assert _pairs_counted(search) == (want, budget)
+        assert _cross_check_with_the_generic_walk(identity_rows, n_max=3, bound=2) == want
+        assert archimedean_witness(identity_rows, n_max=3, enumeration_bound=2) == (
+            (0, -1), (1, 1))
     # a simplicial cone counts nothing
     simplicial = PoGroupModel(2, SimplicialCone(2), (1, 1))
     search = partial(archimedean_witness, simplicial, n_max=3, enumeration_bound=2)
@@ -534,6 +550,65 @@ def test_archimedean_fails_lexicographically():
     for n in range(1, 5):
         gap = tuple(b - n * a for a, b in zip(x, y))
         assert cone_member(model, gap) is YES
+
+
+def test_strict_state_witness_from_each_branch_of_the_construction():
+    # (x, u) with R·x <= 0 and a row of R·x at 0, from e_i and the largest
+    # entry p of the column R·e_i: p > 0, p = 0 (x = e_0), p < 0 (a step
+    # from +u, not -u), and u a multiple of e_0 (e_1 in place of e_0)
+    cases = (
+        ([(1, 0)], (1, 1), (0, -1)),
+        ([(0, 1)], (1, 1), (1, 0)),
+        ([(-1, 2)], (1, 1), (2, 1)),
+        ([("1/2", 3), ("1/2", -1)], (2, 0), (-6, 1)),
+    )
+    for rows, unit, x in cases:
+        model = PoGroupModel(2, StrictStateCone(rows), unit)
+        witness = archimedean_witness(model, n_max=10, enumeration_bound=8)
+        assert witness == (x, unit), rows
+        _assert_witness(model, witness, 100)
+
+
+def _random_strict_state_group(rng, rank):
+    """A strict-state group of 1 to 6 states with signed integer weights,
+    each row normalised to 1 on a signed unit; rows repeat, often number
+    fewer than rank - 1, and sometimes all vanish on e_1."""
+    unit = (0,) * rank
+    while not any(unit):
+        unit = tuple(rng.randint(-3, 3) for _ in range(rank))
+    flat = any(unit[1:]) and rng.random() < 0.1  # else no row is 1 on u
+    rows, count = [], rng.randint(1, 6)
+    while len(rows) < count:
+        if rows and rng.random() < 0.3:
+            rows.append(rng.choice(rows))
+            continue
+        weights = [rng.randint(-9, 9) for _ in range(rank)]
+        if flat:
+            weights[0] = 0
+        on_unit = sum(w * u for w, u in zip(weights, unit))
+        if on_unit:
+            rows.append(tuple(Fraction(w, on_unit) for w in weights))
+    return PoGroupModel(rank, StrictStateCone(rows), unit)
+
+
+def test_strict_state_archimedean_by_theorem_on_a_seeded_sweep():
+    rng = random.Random(20061019)
+    for _ in range(100):
+        group = _random_strict_state_group(rng, 1)
+        assert archimedean_witness(group, n_max=10, enumeration_bound=12) is None
+    deficient = 0
+    for _ in range(500):
+        rank = rng.randint(2, 5)
+        group = _random_strict_state_group(rng, rank)
+        deficient += len(set(group.cone.rows)) < rank - 1
+        x, y = archimedean_witness(group, n_max=10, enumeration_bound=_enum_bound(rank))
+        assert y == group.unit
+        assert cone_member(group, vneg(x)) is NO, group
+        gap = y
+        for n in range(1, 1001):
+            gap = vsub(gap, x)  # y - n·x
+            assert cone_member(group, gap) is YES, (group, n)
+    assert deficient >= 50
 
 
 # ---------------------------------------------------------------------------

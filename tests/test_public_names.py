@@ -32,7 +32,7 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 # public names without a package caller -> why they stay
 ALLOWED = {
     "ordmon.smith_diagonal": "isomorphism lattices (ROADMAP direction 5)",
-    "ordmon.is_almost_unperforated": "almost-unperforation check (ROADMAP direction 3)",
+    "ordmon.is_almost_unperforated": "almost-unperforation check (ROADMAP direction 1)",
     "elliott.identity_morphism": "functor laws (criterion 08) and iso certificates (direction 5)",
     "elliott.compose_morphisms": "functor laws (criterion 08) and iso certificates (direction 5)",
     "elliott.compose_w_morphisms": "functor laws (criterion 08) and iso certificates (direction 5)",
