@@ -132,6 +132,25 @@ DOCS = {
     ),
     "step_thirds": step(["0", "1/3", "1/2", "1"], ["3/8", "7/8", "1/2"], ["0", "3/8", "0", "0"]),
     "sizes_3_9_27": {"kind": "schedule", "sizes": [3, 9, 27]},
+    # step targets with large integer forms: partition points at 1/99991 and
+    # 99990/99991, values over primes near 10^8, crossing merges at each size
+    "step_large": step(
+        ["0", "1/99991", "99990/99991", "1"],
+        ["33333331/99999989", "87654321/100000007", "45678901/99999971"],
+        ["0", "33333331/99999989", "45678901/99999971", "45678901/99999971"],
+    ),
+    "step_large_cross": step(
+        ["0", "1/99991", "50000/99991", "99990/99991", "1"],
+        ["99999970/99999971", "7/100000007", "66666667/100000037", "33333334/100000039"],
+        ["99999970/99999971", "7/100000007", "7/100000007", "33333334/100000039",
+         "33333334/100000039"],
+    ),
+    # values 1/3 and 26/27 sit on the grid of every size in (3, 9, 27)
+    "step_large_on_grid": step(
+        ["0", "1/99991", "1/3", "99990/99991", "1"],
+        ["87654321/100000007", "1/3", "71234567/99999941", "26/27"],
+        ["0", "1/3", "1/3", "71234567/99999941", "26/27"],
+    ),
     "not_a_doc": {"kind": "nonsense"},
     "m3": {
         "kind": "wmodel",
@@ -264,6 +283,14 @@ CASES = {
     # above without crossing it
     "realize-step-touching": ["realize", "@step_touch", "--stages", "4"],
     "goodearl-sizes-3-9-27": ["goodearl", "@step_thirds", "@sizes_3_9_27", "--stages", "3"],
+    # large numerators and denominators through every order test of a realization
+    "realize-large-integers": ["realize", "@step_large", "--stages", "4"],
+    "goodearl-large-integers-3-9-27": [
+        "goodearl", "@step_large_cross", "@sizes_3_9_27", "--stages", "3",
+    ],
+    "realize-large-integers-on-grid-table": [
+        "realize", "@step_large_on_grid", "@sizes_3_9_27", "--stages", "3", "--format", "table",
+    ],
     "unknown-kind": ["k0star", "@not_a_doc"],
     "check-table": ["check", "@m2", "strict-cone", "--bound", "50", "--format", "table"],
 }
