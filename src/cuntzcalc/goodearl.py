@@ -13,19 +13,33 @@ The centerpiece is ``realize``: given a step target f with values in
 elements a_i whose dimension function at every point mass equals the
 stage approximant of f exactly, with stage-to-stage sup-norm increments
 at most 2^-i.
+
+On that path every order question, sign test and interpolation is decided
+on the integer (numerator, denominator) forms of the rationals; a
+``Fraction`` is built only for a value that is kept.
 """
 
 from __future__ import annotations
 
-import math
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .linalg import frac, vector
+
+
+def _ratios(xs) -> list[tuple[int, int]]:
+    """The integer (numerator, denominator) forms of rationals.  They are in
+    lowest terms with positive denominators, so a < b iff an·bd < bn·ad, and
+    a == b iff the forms are equal."""
+    return [x.as_integer_ratio() for x in xs]
+
+
+def _increasing(ratios) -> bool:
+    return all(an * bd < bn * ad for (an, ad), (bn, bd) in zip(ratios, ratios[1:]))
 
 
 class Iv(NamedTuple):
@@ -51,17 +65,18 @@ class OpenSet:
         ivs = tuple(
             Iv(frac(l), frac(r), bool(lc), bool(rc)) for l, r, lc, rc in intervals
         )
-        prev_right = None
+        pn, pd = 0, 1  # the previous right end; 0 bounds the first left end
         for iv in ivs:
-            if not (0 <= iv.left < iv.right <= 1):
+            (ln, ld), (rn, rd) = iv.left.as_integer_ratio(), iv.right.as_integer_ratio()
+            if not (0 <= ln and ln * rd < rn * ld and rn <= rd):
                 raise ValueError(f"bad interval {iv}")
-            if iv.left_closed and iv.left != 0:
+            if iv.left_closed and ln != 0:
                 raise ValueError("left endpoint may be included only at 0")
-            if iv.right_closed and iv.right != 1:
+            if iv.right_closed and rn != rd:
                 raise ValueError("right endpoint may be included only at 1")
-            if prev_right is not None and iv.left < prev_right:
+            if ln * pd < pn * ld:
                 raise ValueError("intervals must be sorted and disjoint")
-            prev_right = iv.right
+            pn, pd = rn, rd
         object.__setattr__(self, "intervals", ivs)
 
     @property
@@ -108,9 +123,16 @@ class ClosedSet:
 # Piecewise-linear functions
 
 
-def _lerp(x0: Fraction, v0: Fraction, x1: Fraction, v1: Fraction, x: Fraction) -> Fraction:
-    """Value at x of the segment from (x0, v0) to (x1, v1)."""
-    return v0 if v0 == v1 else v0 + (v1 - v0) * (x - x0) / (x1 - x0)
+def _lerp(x0, v0, x1, v1, x) -> tuple[int, int]:
+    """Value at x of the segment from (x0, v0) to (x1, v1), all given as
+    integer (numerator, denominator) forms; the value comes back as such a
+    pair, with a positive denominator but not in lowest terms."""
+    if v0 == v1:
+        return v0
+    (an, ad), (bn, bd), (pn, pd), (qn, qd), (xn, xd) = v0, v1, x0, x1, x
+    # v0 + (v1 - v0)(x - x0)/(x1 - x0) over the denominator ad·bd·span
+    span = (qn * pd - pn * qd) * xd
+    return an * bd * span + (bn * ad - an * bd) * (xn * pd - pn * xd) * qd, ad * bd * span
 
 
 @dataclass(frozen=True)
@@ -125,11 +147,12 @@ class PLFn:
         vals = vector(values)
         if len(bp) != len(vals) or len(bp) < 2:
             raise ValueError("need matching breakpoints and values, at least two")
-        if bp[0] != 0 or bp[-1] != 1:
+        ratios = _ratios(bp)
+        if ratios[0][0] != 0 or ratios[-1] != (1, 1):
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if any(a >= b for a, b in zip(bp, bp[1:])):
+        if not _increasing(ratios):
             raise ValueError("breakpoints must strictly increase")
-        if any(v < 0 for v in vals):
+        if any(v.numerator < 0 for v in vals):
             raise ValueError("values must be non-negative")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
@@ -150,31 +173,44 @@ class PLFn:
         i = bisect_left(bp, x)
         if bp[i] == x:
             return vals[i]
-        return _lerp(bp[i - 1], vals[i - 1], bp[i], vals[i], x)
+        return Fraction(*_lerp(*_ratios((bp[i - 1], vals[i - 1], bp[i], vals[i], x))))
 
     def pointwise_max(self, other: "PLFn") -> "PLFn":
         """The pointwise maximum, in one walk over both breakpoint lists: the
         owner of each point is read, the other interpolated, and a crossing
-        point goes in wherever the sign of the difference flips strictly."""
-        xs, vs = self.breakpoints, self.values
-        ys, ws = other.breakpoints, other.values
-        x0, v0, d0 = xs[0], vs[0], vs[0] - ws[0]  # both start at 0
-        pts, vals = [x0], [v0 if d0.numerator >= 0 else ws[0]]
+        point goes in wherever the sign of the difference flips strictly.
+
+        The walk compares integer forms (see ``_ratios``): a read value is
+        kept as the owner's ``Fraction``, an interpolated one becomes a
+        ``Fraction`` only if it is the larger, and ``Fraction`` differences
+        are formed only at a crossing."""
+        xs, vs, ys, ws = self.breakpoints, self.values, other.breakpoints, other.values
+        xr, vr, yr, wr = _ratios(xs), _ratios(vs), _ratios(ys), _ratios(ws)
+        # the last point and v, w and the sign of v - w there; both start at 0
+        x0, a0, b0 = xs[0], vr[0], wr[0]
+        s0 = a0[0] * b0[1] - b0[0] * a0[1]
+        pts, vals = [x0], [vs[0] if s0 >= 0 else ws[0]]
         i = j = 1
         while i < len(xs):  # both end at 1, so they run out together
-            at_x, at_y = xs[i] <= ys[j], ys[j] <= xs[i]
-            x = xs[i] if at_x else ys[j]
-            v = vs[i] if at_x else _lerp(xs[i - 1], vs[i - 1], xs[i], vs[i], x)
-            w = ws[j] if at_y else _lerp(ys[j - 1], ws[j - 1], ys[j], ws[j], x)
-            i, j = i + at_x, j + at_y
-            d = v - w
-            if d0.numerator * d.numerator < 0:  # the sign flips strictly inside
-                t = d0 / (d0 - d)
+            (xn, xd), (yn, yd) = xr[i], yr[j]
+            c = xn * yd - yn * xd  # the sign of xs[i] - ys[j]
+            x, p = (xs[i], xr[i]) if c <= 0 else (ys[j], yr[j])
+            a = vr[i] if c <= 0 else _lerp(xr[i - 1], vr[i - 1], xr[i], vr[i], p)
+            b = wr[j] if c >= 0 else _lerp(yr[j - 1], wr[j - 1], yr[j], wr[j], p)
+            s = a[0] * b[1] - b[0] * a[1]
+            if s0 * s < 0:  # the sign flips strictly inside
+                v0, w0, v, w = (Fraction(*r) for r in (a0, b0, a, b))
+                d0 = v0 - w0
+                t = d0 / (d0 - (v - w))
                 pts.append(x0 + (x - x0) * t)
                 vals.append(v0 + (v - v0) * t)
             pts.append(x)
-            vals.append(v if d.numerator >= 0 else w)
-            x0, v0, d0 = x, v, d
+            if s >= 0:
+                vals.append(vs[i] if c <= 0 else Fraction(*a))
+            else:
+                vals.append(ws[j] if c >= 0 else Fraction(*b))
+            i, j = i + (c <= 0), j + (c >= 0)
+            x0, a0, b0, s0 = x, a, b, s
         return PLFn(pts, vals)
 
     def minus_clamped(self, eps) -> "PLFn":
@@ -192,23 +228,24 @@ class PLFn:
         non-negative endpoint values, so it vanishes on a whole segment or
         only at breakpoints; the positive set is a finite interval union.
         """
-        bp, vals = self.breakpoints, self.values
+        bp = self.breakpoints
+        pos = [v.numerator > 0 for v in self.values]
         pieces = []
         start: Optional[tuple[Fraction, bool]] = None
         for i in range(len(bp) - 1):
-            if vals[i] == 0 and vals[i + 1] == 0:
+            if not (pos[i] or pos[i + 1]):
                 if start is not None:
                     pieces.append((start[0], bp[i], start[1], False))
                     start = None
                 continue
             if start is None:
-                start = (bp[i], vals[i] > 0)
-            elif vals[i] == 0:
+                start = (bp[i], pos[i])
+            elif not pos[i]:
                 # positive on both sides of an interior zero: split there
                 pieces.append((start[0], bp[i], start[1], False))
                 start = (bp[i], False)
         if start is not None:
-            pieces.append((start[0], bp[-1], start[1], vals[-1] > 0))
+            pieces.append((start[0], bp[-1], start[1], pos[-1]))
         return OpenSet(tuple(pieces))
 
     def range_pieces(self) -> ClosedSet:
@@ -241,23 +278,21 @@ class StepFn:
         part = vector(partition)
         ivals = vector(interval_values)
         pvals = vector(point_values)
-        if len(part) < 2 or part[0] != 0 or part[-1] != 1:
+        ratios = _ratios(part)
+        if len(part) < 2 or ratios[0][0] != 0 or ratios[-1] != (1, 1):
             raise ValueError("partition must run from 0 to 1")
-        if any(a >= b for a, b in zip(part, part[1:])):
+        if not _increasing(ratios):
             raise ValueError("partition must strictly increase")
         if len(ivals) != len(part) - 1 or len(pvals) != len(part):
             raise ValueError("value counts do not match the partition")
-        if any(v < 0 for v in ivals) or any(v < 0 for v in pvals):
+        iv, pv = _ratios(ivals), _ratios(pvals)
+        if any(n < 0 for n, _ in iv) or any(n < 0 for n, _ in pv):
             raise ValueError("values must be non-negative")
-        for i, pv in enumerate(pvals):
-            neighbours = []
-            if i > 0:
-                neighbours.append(ivals[i - 1])
-            if i < len(ivals):
-                neighbours.append(ivals[i])
-            if pv > min(neighbours):
+        for i, (n, d) in enumerate(pv):
+            # the neighbouring interval values, ivals[i - 1] and ivals[i]
+            if any(n * md > mn * d for mn, md in iv[max(i - 1, 0) : i + 1]):
                 raise ValueError(
-                    f"not lower semicontinuous at {part[i]}: point value {pv} "
+                    f"not lower semicontinuous at {part[i]}: point value {pvals[i]} "
                     f"exceeds an adjacent interval value"
                 )
         object.__setattr__(self, "partition", part)
@@ -291,18 +326,22 @@ def step_witnesses(f: StepFn, g: StepFn, holds) -> list[Fraction]:
     Both functions are constant on each open piece between consecutive
     points of the union of their partitions, so checking every such point
     and every piece decides the relation on all of [0, 1]; a failing piece
-    is witnessed by its midpoint.  One walk reads both values off each piece.
+    is witnessed by its midpoint.  One walk reads both values off each piece;
+    it orders the partition points by their integer forms.
     """
     fp, gp = f.partition, g.partition
+    fr, gr = _ratios(fp), _ratios(gp)
     out, i, j = [], 0, 0
     while True:
-        x = min(fp[i], gp[j])
-        at_f, at_g = fp[i] == x, gp[j] == x
+        (fn, fd), (gn, gd) = fr[i], gr[j]
+        c = fn * gd - gn * fd  # the sign of fp[i] - gp[j]
+        at_f, at_g = c <= 0, c >= 0
+        x = fp[i] if at_f else gp[j]
         fx = f.point_values[i] if at_f else f.interval_values[i - 1]
         gx = g.point_values[j] if at_g else g.interval_values[j - 1]
         if not holds(fx, gx):
             out.append(x)
-        if x == 1:
+        if at_f and i == len(fp) - 1:  # x is 1, where both partitions end
             return out
         i, j = i + at_f, j + at_g  # the open piece after x ends at fp[i] or gp[j]
         if not holds(f.interval_values[i - 1], g.interval_values[j - 1]):
@@ -316,17 +355,19 @@ def superlevel(f: StepFn, q) -> OpenSet:
     component starts at the left end of a piece above q (closed only at 0)
     and runs on to 1 or to the first partition point whose value is at most q.
     """
-    q = frac(q)
-    part, pvals = f.partition, f.point_values
+    qn, qd = frac(q).as_integer_ratio()
+    on_piece = [n * qd > qn * d for n, d in _ratios(f.interval_values)]
+    at_point = [n * qd > qn * d for n, d in _ratios(f.point_values)]
+    part, last = f.partition, len(on_piece) - 1
     pieces, start = [], None
-    for i, val in enumerate(f.interval_values):
-        if val <= q:
+    for i, above in enumerate(on_piece):
+        if not above:
             continue
         if start is None:
-            start = part[i]
-        if part[i + 1] == 1 or pvals[i + 1] <= q:
-            closed_left = start == 0 and pvals[0] > q
-            pieces.append((start, part[i + 1], closed_left, pvals[i + 1] > q))
+            start = i
+        if i == last or not at_point[i + 1]:
+            closed_left = start == 0 and at_point[0]
+            pieces.append((part[start], part[i + 1], closed_left, at_point[i + 1]))
             start = None
     return OpenSet(pieces)
 
@@ -344,7 +385,8 @@ def step_approximant(f: StepFn, n: int) -> StepFn:
         raise ValueError("approximation targets take values in [0, 1]")
 
     def phi(t: Fraction) -> Fraction:
-        k = max(1, math.ceil(n * t))
+        tn, td = t.as_integer_ratio()
+        k = max(1, -(-n * tn // td))  # the ceiling of n·t
         return Fraction(k - 1, n)
 
     return f.map_values(phi)
@@ -499,16 +541,20 @@ def dim_profile(a: DiagonalElement) -> StepFn:
     distinct = {id(e): e for e in a.entries}
     weight = Counter(id(e) for e in a.entries)
     cozeros = [(e.cozero(), weight[key]) for key, e in distinct.items()]
-    ends = {
-        x for opens, _ in cozeros for iv in opens.intervals for x in (iv.left, iv.right)
-    }
-    part = sorted(ends | {Fraction(0), Fraction(1)})
-    index = {x: i for i, x in enumerate(part)}
+    # endpoints keyed by their integer forms, which hash faster than a Fraction
+    ends = {(0, 1): Fraction(0), (1, 1): Fraction(1)}
+    for opens, _ in cozeros:
+        for iv in opens.intervals:
+            ends[iv.left.as_integer_ratio()] = iv.left
+            ends[iv.right.as_integer_ratio()] = iv.right
+    part = sorted(ends.values())
+    index = {x.as_integer_ratio(): i for i, x in enumerate(part)}
     # position 2i is partition point i, position 2i + 1 the open piece after it
     diff = [0] * (2 * len(part))
     for opens, w in cozeros:
         for iv in opens.intervals:
-            lo, hi = 2 * index[iv.left], 2 * index[iv.right]
+            lo = 2 * index[iv.left.as_integer_ratio()]
+            hi = 2 * index[iv.right.as_integer_ratio()]
             diff[lo if iv.left_closed else lo + 1] += w
             diff[hi + 1 if iv.right_closed else hi] -= w
     counts, acc = [], 0
@@ -540,23 +586,26 @@ def bump_on(opens: OpenSet, height) -> PLFn:
     the given open set: tents on interior components, ramps against an
     included endpoint, constant when the set is all of [0, 1]."""
     height = frac(height)
-    if height <= 0:
+    if height.numerator <= 0:
         raise ValueError("height must be positive")
-    knots = [(Fraction(0), Fraction(0))]
+    zero = Fraction(0)
+    knots, last = [(zero, zero)], (0, 1)  # last: the last knot's integer form
     # Components are sorted and disjoint, so the knots come in order.  A left
     # endpoint equal to the last knot is 0 or an endpoint shared by two
     # components, which is 0 on both.  Midpoints lie strictly inside.
     for iv in opens.intervals:
         if iv.left_closed and iv.right_closed:
             return PLFn.constant(height)
-        if iv.left == knots[-1][0]:
+        (ln, ld), (rn, rd) = iv.left.as_integer_ratio(), iv.right.as_integer_ratio()
+        if (ln, ld) == last:
             knots.pop()
-        knots.append((iv.left, height if iv.left_closed else Fraction(0)))
+        knots.append((iv.left, height if iv.left_closed else zero))
         if not (iv.left_closed or iv.right_closed):
-            knots.append(((iv.left + iv.right) / 2, height))
-        knots.append((iv.right, height if iv.right_closed else Fraction(0)))
-    if knots[-1][0] != 1:
-        knots.append((Fraction(1), Fraction(0)))
+            knots.append((Fraction(ln * rd + rn * ld, 2 * ld * rd), height))
+        knots.append((iv.right, height if iv.right_closed else zero))
+        last = rn, rd
+    if last != (1, 1):
+        knots.append((Fraction(1), zero))
     return PLFn(*zip(*knots))
 
 
@@ -614,6 +663,38 @@ def _merge_slots(prev: Sequence[PLFn], n: int) -> list[PLFn]:
     return [prev[0], *(e for e in prev[1:] for _ in range(r)), *[prev[0]] * (r - 1)]
 
 
+def _increment(old: PLFn, new: PLFn) -> tuple[Fraction, bool]:
+    """sup |new - old|, and whether new >= old everywhere, for a ``new``
+    whose breakpoints contain old's.  Both are linear between new's
+    breakpoints, so those decide both: old is read at its own breakpoints
+    and interpolated in between, all on integer forms."""
+    xs, vs, i = _ratios(old.breakpoints), _ratios(old.values), 0
+    top_n, top_d, rose = 0, 1, True
+    for x, (nn, nd) in zip(_ratios(new.breakpoints), _ratios(new.values)):
+        if x == xs[i]:
+            (wn, wd), i = vs[i], i + 1
+        else:
+            wn, wd = _lerp(xs[i - 1], vs[i - 1], xs[i], vs[i], x)
+        gap = nn * wd - wn * nd  # (new - old)·nd·wd at x
+        if abs(gap) * top_d > top_n * nd * wd:
+            top_n, top_d = abs(gap), nd * wd
+        rose = rose and gap >= 0
+    if i != len(xs):
+        raise RuntimeError("a merged entry lost a breakpoint of the old entry")
+    return Fraction(top_n, top_d), rose
+
+
+def _levels_at_or_below(levels: Sequence[tuple[int, int]], n: int):
+    """For m = 1 .. n - 1, how many of the sorted integer forms ``levels``
+    lie at or below m/n: ``bisect_right`` at each grid point, read in one
+    pointer walk, since the count only grows with m."""
+    count = 0
+    for m in range(1, n):
+        while count < len(levels) and levels[count][0] * n <= m * levels[count][1]:
+            count += 1
+        yield count
+
+
 def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> RealizationResult:
     """Diagonal elements whose pointwise dimension functions walk up to f.
 
@@ -630,21 +711,19 @@ def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> Realizatio
         raise ValueError("schedule is shorter than the requested stages")
     if f.sup > 1:  # bounds the point values too, as in step_approximant
         raise ValueError("realization targets take values in [0, 1]")
-    levels = sorted(set(f.interval_values) | set(f.point_values))
+    levels = _ratios(sorted(set(f.interval_values) | set(f.point_values)))
     records = []
     prev_entries: Optional[list[PLFn]] = None
     for idx in range(1, stages + 1):
         n = schedule.sizes[idx - 1]
         height = Fraction(1, 2**idx)
         zero = PLFn.zero()
-        # {f > q} is fixed by the values of f above q: one bump per open set
+        # {f > m/n} is fixed by the values of f above m/n: one bump per open set
         bumps: dict[int, PLFn] = {}
         fresh = [zero]
-        for k in range(2, n + 1):
-            q = Fraction(k - 1, n)
-            key = bisect_right(levels, q)
+        for m, key in enumerate(_levels_at_or_below(levels, n), start=1):
             if key not in bumps:
-                opens = superlevel(f, q)
+                opens = superlevel(f, Fraction(m, n))
                 bumps[key] = zero if opens.is_empty else bump_on(opens, height)
             fresh.append(bumps[key])
         if prev_entries is None:
@@ -658,19 +737,8 @@ def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> Realizatio
             key = id(old), id(bump)
             if key not in merged:
                 new = merged[key] = old.pointwise_max(bump)
-                # new's breakpoints contain old's, so both are linear between
-                # them: read old at its own breakpoints, interpolate in between
-                xs, vs, i = old.breakpoints, old.values, 0
-                for x, now in zip(new.breakpoints, new.values):
-                    if x == xs[i]:
-                        was, i = vs[i], i + 1
-                    else:
-                        was = _lerp(xs[i - 1], vs[i - 1], xs[i], vs[i], x)
-                    if now != was:
-                        increment = max(increment, abs(now - was))
-                        monotone = monotone and was <= now
-                if i != len(xs):
-                    raise RuntimeError("a merged entry lost a breakpoint of the old entry")
+                step, rose = _increment(old, new)
+                increment, monotone = max(increment, step), monotone and rose
             entries.append(merged[key])
         records.append(
             RealizationStage(

@@ -11,6 +11,7 @@ reads as a checklist.
 import json
 import math
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,7 @@ from cuntzcalc.ordmon import (
     GeneratedCone,
     LexicographicCone,
     PoGroupModel,
+    PositiveCone,
     SimplicialCone,
     StrictStateCone,
     archimedean_witness,
@@ -246,22 +248,48 @@ def test_criterion_04_group_map_ignores_auxiliary_soft():
 # 5. Weak unperforation of the difference-cone order
 
 
+@dataclass(frozen=True)
+class Delegating(PositiveCone):
+    """The inner cone's membership without its type, so the searches take
+    the generic per-n ``cone_member`` walk instead of a theorem."""
+
+    inner: PositiveCone
+
+    @property
+    def width(self) -> int:
+        return self.inner.width
+
+    def member(self, x):
+        return self.inner.member(x)
+
+
+# the generic walk's candidate boxes in criterion 05, which keep it under 1 s
+WALK_BOUNDS = {1: 12, 2: 8, 3: 5, 4: 3, 5: 2}
+
+
 def test_criterion_05_weak_unperforation():
-    clean = True
+    clean = walked = True
     for n in range(1, 6):
-        group = PoGroupModel(n, StrictStateCone(identity(n)), (1,) * n)
+        cone = StrictStateCone(identity(n))
+        group = PoGroupModel(n, cone, (1,) * n)
         witness = is_weakly_unperforated(
             group, n_max=20, enumeration_bound=ENUM_BOUNDS[n]
         )
         clean = clean and witness is None
+        generic = PoGroupModel(n, Delegating(cone), (1,) * n)
+        walk = is_weakly_unperforated(generic, n_max=20, enumeration_bound=WALK_BOUNDS[n])
+        walked = walked and walk is None
     perforated = PoGroupModel(1, GeneratedCone(((2,), (3,))), (2,))
     control = is_weakly_unperforated(
         perforated, n_max=20, enumeration_bound=12
     )
     verdict(
         5,
-        clean and control == ((1,), 2),
-        "clean at ranks 1..5, scale 20; the perforated control is flagged "
+        clean and walked and control == ((1,), 2),
+        "the strict-state cones of the identity rows at ranks 1..5 are weakly "
+        "unperforated (theorem: n·min(R·x) has the sign of min(R·x), so nx lies "
+        "outside whenever x does); the generic walk agrees for n <= 20 over the "
+        "boxes of bounds 12, 8, 5, 3, 2; the perforated control is flagged "
         "with x=1, n=2",
     )
 

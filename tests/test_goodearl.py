@@ -4,6 +4,7 @@ and the stagewise realization of step targets."""
 import dataclasses
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -72,14 +73,31 @@ GRID_12 = [Fraction(j, 12) for j in range(13)]
 class TestOpenSet:
     def test_validation(self):
         OpenSet(((0, "1/2", False, False), ("1/2", 1, False, False)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad interval"):
             OpenSet((("1/2", "1/4", False, False),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sorted and disjoint"):
             OpenSet(((0, "1/2", False, False), ("1/4", 1, False, False)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="left endpoint may be included only at 0"):
             OpenSet((("1/4", "1/2", True, False),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="right endpoint may be included only at 1"):
             OpenSet((("1/4", "1/2", False, True),))
+
+    def test_validation_at_the_boundaries(self):
+        # touching intervals, the shared end written two ways, are accepted
+        touching = OpenSet(((0, "1/3", True, False), ("2/6", 1, False, True)))
+        assert touching.intervals[0].right == touching.intervals[1].left == fr("1/3")
+        with pytest.raises(ValueError, match="sorted and disjoint"):
+            OpenSet(((0, f"{10**17 + 1}/{3 * 10**17}", False, False), ("1/3", 1, False, False)))
+        with pytest.raises(ValueError, match="bad interval"):
+            OpenSet(((f"-1/{10**17 + 3}", "1/2", False, False),))
+        with pytest.raises(ValueError, match="bad interval"):
+            OpenSet((("1/2", f"{10**17 + 1}/{10**17}", False, False),))
+        with pytest.raises(ValueError, match="bad interval"):
+            OpenSet((("1/2", "2/4", False, False),))  # empty: the ends are equal
+        OpenSet(((f"1/{10**17}", f"{10**17 - 1}/{10**17}", False, False),))
+        with pytest.raises(ValueError, match="right endpoint may be included only at 1"):
+            OpenSet((("1/2", f"{10**17 - 1}/{10**17}", False, True),))
+        OpenSet((("1/2", "99991/99991", False, True),))
 
     def test_contains_honours_endpoint_flags(self):
         o = OpenSet((("1/2", 1, False, True),))
@@ -114,14 +132,31 @@ class TestClosedSet:
 
 class TestPLFn:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="start at 0 and end at 1"):
             PLFn((0, "1/2"), (0, 1))  # must end at 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="start at 0 and end at 1"):
             PLFn(("1/4", 1), (0, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-negative"):
             PLFn((0, 1), (0, -1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increase"):
             PLFn((0, "1/2", "1/2", 1), (0, 1, 1, 0))
+
+    def test_validation_at_the_boundaries(self):
+        with pytest.raises(ValueError, match="strictly increase"):
+            PLFn((0, "1/2", "2/4", 1), (0, 1, 1, 0))  # equal, written two ways
+        with pytest.raises(ValueError, match="strictly increase"):
+            PLFn((0, "1/2", f"{10**17 - 1}/{2 * 10**17}", 1), (0, 1, 1, 0))
+        with pytest.raises(ValueError, match="non-negative"):
+            PLFn((0, "1/2", 1), (0, f"-1/{10**17 + 3}", 0))
+        with pytest.raises(ValueError, match="start at 0 and end at 1"):
+            PLFn((0, f"{10**17 + 1}/{10**17}"), (0, 0))
+        with pytest.raises(ValueError, match="start at 0 and end at 1"):
+            PLFn((f"1/{10**17}", 1), (0, 0))
+        with pytest.raises(ValueError, match="matching breakpoints and values"):
+            PLFn((0, 1), (0,))
+        g = PLFn(("0/5", "1/99991", "99990/99991", "7/7"), (0, "-0/3", 1, 0))
+        assert g.breakpoints == (0, fr("1/99991"), fr("99990/99991"), 1)
+        assert g.values == (0, 0, 1, 0)
 
     def test_interpolation(self):
         g = full_tent()
@@ -129,7 +164,7 @@ class TestPLFn:
         assert g("1/4") == fr("1/2")
         assert g("1/2") == 1
         assert g("7/8") == fr("1/4")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside"):
             g(2)
 
     def test_constant_and_zero(self):
@@ -263,9 +298,33 @@ def test_swept_operations_match_the_pointwise_reference():
 
 class TestStepFn:
     def test_lower_semicontinuity_is_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not lower semicontinuous at 1/2: point value 1 "):
             StepFn((0, "1/2", 1), ("1/2", 1), ("1/2", 1, 1))
         two_level()  # the lsc version constructs fine
+
+    def test_validation_at_the_boundaries(self):
+        tiny = f"1/{10**17}"
+        above = f"{5 * 10**16 + 1}/{10**17}"  # 1/2 + 10^-17
+        # a break at the first partition point and at the last
+        with pytest.raises(ValueError, match=f"not lower semicontinuous at 0: point value {above} "):
+            StepFn((0, "1/2", 1), ("1/2", "3/4"), (above, "1/2", "3/4"))
+        with pytest.raises(ValueError, match=f"not lower semicontinuous at 1: point value {tiny} "):
+            StepFn((0, "1/2", 1), ("1/2", 0), (0, 0, tiny))
+        # a point value equal to its neighbour, written another way, is accepted
+        f = StepFn((0, "1/2", 1), ("1/2", "3/4"), ("2/4", "50000/100000", "6/8"))
+        assert f.point_values == (fr("1/2"), fr("1/2"), fr("3/4"))
+        with pytest.raises(ValueError, match="partition must strictly increase"):
+            StepFn((0, "1/3", "2/6", 1), (0, 0, 0), (0, 0, 0, 0))
+        with pytest.raises(ValueError, match="partition must run from 0 to 1"):
+            StepFn((0, f"{10**17 + 1}/{10**17}"), (0,), (0, 0))
+        with pytest.raises(ValueError, match="partition must run from 0 to 1"):
+            StepFn((0,), (), (0,))
+        with pytest.raises(ValueError, match="values must be non-negative"):
+            StepFn((0, 1), (f"-1/{10**17 + 3}",), (0, 0))
+        with pytest.raises(ValueError, match="values must be non-negative"):
+            StepFn((0, 1), (0,), (0, f"-1/{10**17 + 3}"))
+        with pytest.raises(ValueError, match="value counts do not match"):
+            StepFn((0, 1), (0, 0), (0, 0))
 
     def test_evaluation(self):
         f = two_level()
@@ -803,6 +862,41 @@ def test_realize_evaluates_no_entry_on_a_grid(merges, monkeypatch):
     realize(f, RealizationSchedule.dyadic(5), 5)
     assert len(merges) == 33
     assert points == []
+
+
+def test_merges_make_no_fraction_comparison(monkeypatch):
+    """The merge walk orders points and reads signs on integer forms: over the
+    33 merges of the pinned 5-stage target, ``PLFn.pointwise_max`` (and the
+    constructor it calls) makes no ``Fraction`` ordering or equality test."""
+    inside, calls, counts = [False], [], Counter()
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        real = getattr(Fraction, name)
+
+        def counting(a, b, real=real, name=name):
+            counts[name] += inside[0]
+            return real(a, b)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    real_max = PLFn.pointwise_max
+
+    def flagged(self, other):
+        calls.append(other)
+        inside[0] = True
+        try:
+            return real_max(self, other)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(PLFn, "pointwise_max", flagged)
+    f = StepFn((0, "1/3", "3/5", 1), ("1/4", "7/8", "1/2"), ("1/4", "1/4", "1/2", "1/2"))
+    result = realize(f, RealizationSchedule.dyadic(5), 5)
+    assert len(calls) == 33
+    assert sum(counts.values()) == 0, counts
+    assert dimension_discrepancies(result) == []
+    inside[0] = True  # the counters work: one flagged comparison counts once
+    assert fr("1/3") < fr("1/2")
+    inside[0] = False
+    assert counts == Counter(__lt__=1)
 
 
 def test_realize_refuses_a_merge_that_drops_an_old_breakpoint(monkeypatch):
