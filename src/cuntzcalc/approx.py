@@ -111,14 +111,11 @@ def summable_decomposition(f, i_max: int) -> DecompositionReport:
     if i_max < start:
         raise ValueError(f"need at least stage {start} for this target")
     stages = []
-    prev = None
+    prev = (0,) * len(prof)  # so the first stage is its own increment
     total = Fraction(0)
     for i in range(start, i_max + 1):
         level = dyadic_below(prof, i)
-        if prev is None:
-            increment = level
-        else:
-            increment = tuple(a - b for a, b in zip(level, prev))
+        increment = tuple(a - b for a, b in zip(level, prev))
         sup_gap = max(a - b for a, b in zip(prof, level))
         total += max(increment)
         stages.append(DecompositionStage(i, level, increment, sup_gap))
@@ -131,22 +128,18 @@ def projection_sup_realization(
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Non-decreasing stages strictly below f over the denominator chain.
 
-    Stage i has coordinates (ceil(m_i f_j) - 1) / m_i clamped from below by
-    the previous stage; divisibility keeps every stage inside the stage-i
-    grid.  The gap obeys f - p_i <= 2 / m_i.
+    Stage i has coordinates (ceil(m_i f_j) - 1) / m_i, and the gap obeys
+    f - p_i <= 2 / m_i.  Divisibility makes the stages non-decreasing: for
+    v > 0 let a = ceil(m·v) - 1 and m' = k·m.  Then a/m < v gives
+    a·k < m'·v, and a·k is an integer, so a·k <= ceil(m'·v) - 1, that is
+    a/m <= (ceil(m'·v) - 1)/m'.
     """
     prof = _positive_profile(f)
     if i_max < 1:
         raise ValueError("need at least one stage")
     if i_max > len(subgroup.denominators):
         raise ValueError("denominator chain is shorter than the requested stages")
-    out = []
-    prev = None
-    for i in range(i_max):
-        m = subgroup.denominators[i]
-        raw = tuple(Fraction(math.ceil(m * v) - 1, m) for v in prof)
-        if prev is not None:
-            raw = tuple(max(a, b) for a, b in zip(raw, prev))
-        out.append(raw)
-        prev = raw
-    return tuple(out)
+    return tuple(
+        tuple(Fraction(math.ceil(m * v) - 1, m) for v in prof)
+        for m in subgroup.denominators[:i_max]
+    )

@@ -63,13 +63,8 @@ SUITES = (
 
 # Largest --bound (the multiplier n_max) of the weak-unperforation and
 # archimedean searches; the archimedean search keeps n_max multiples of
-# every candidate x.
+# every candidate x.  ordmon caps how many candidates a search may walk.
 SEARCH_BOUND_CAP = 1000
-
-# Largest search size of those two searches: the nonzero candidates of
-# max-norm at most _enum_bound(rank), times the multiplier n_max.  Rank 5
-# allows --bound up to 119, rank 6 the default bound 10, rank 7 nothing.
-SEARCH_WORK_CAP = 2_000_000
 
 # Largest --bound of the sampling suites (order-axioms, strict-cone,
 # oracle-agreement): each draws or compares about --bound classes, and
@@ -296,24 +291,15 @@ def _star_group(model: WModel) -> PoGroupModel:
     return PoGroupModel(n, SimplicialCone(n), (1,) * n)
 
 
-def _enum_bound(rank: int) -> int:
-    return {1: 12, 2: 8, 3: 6, 4: 4}.get(rank, 3)
-
-
-def _suite_weak_unperforation(group: PoGroupModel, n_max: int) -> dict:
-    witness = is_weakly_unperforated(
-        group, n_max=n_max, enumeration_bound=_enum_bound(group.rank)
-    )
-    if witness is None:
-        return {"verdict": "holds-on-sample", "failures": []}
-    x, n = witness
-    return {"verdict": "counterexample", "failures": [{"x": list(x), "n": n}]}
-
-
-def _suite_archimedean(group: PoGroupModel, n_max: int) -> dict:
-    witness = archimedean_witness(
-        group, n_max=n_max, enumeration_bound=_enum_bound(group.rank)
-    )
+def _suite_search(suite: str, group: PoGroupModel, n_max: int) -> dict:
+    """weak-unperforation or archimedean; ordmon sizes and caps the walk."""
+    if suite == "weak-unperforation":
+        witness = is_weakly_unperforated(group, n_max=n_max)
+        if witness is None:
+            return {"verdict": "holds-on-sample", "failures": []}
+        x, n = witness
+        return {"verdict": "counterexample", "failures": [{"x": list(x), "n": n}]}
+    witness = archimedean_witness(group, n_max=n_max)
     if witness is None:
         return {"verdict": "none", "failures": []}
     x, y = witness
@@ -355,17 +341,7 @@ def cmd_check(args) -> tuple[dict, Optional[dict]]:
     rng = rng_for(args.seed)
     if args.suite in searches:
         group = target if isinstance(target, PoGroupModel) else _star_group(target)
-        n_max = bound or 10
-        size = ((2 * _enum_bound(group.rank) + 1) ** group.rank - 1) * n_max
-        if size > SEARCH_WORK_CAP:  # a size past 4,300 digits cannot be printed
-            raise DocumentError(
-                f"{args.suite} on rank {group.rank} with --bound {n_max} would "
-                f"search more than {SEARCH_WORK_CAP} candidate multiples"
-            )
-        if args.suite == "weak-unperforation":
-            details = _suite_weak_unperforation(group, n_max)
-        else:
-            details = _suite_archimedean(group, n_max)
+        details = _suite_search(args.suite, group, bound or 10)
     elif isinstance(target, PoGroupModel):
         raise DocumentError(f"suite {args.suite!r} needs a wmodel document")
     elif args.suite == "order-axioms":

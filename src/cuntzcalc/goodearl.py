@@ -713,11 +713,11 @@ def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> Realizatio
         raise ValueError("realization targets take values in [0, 1]")
     levels = _ratios(sorted(set(f.interval_values) | set(f.point_values)))
     records = []
-    prev_entries: Optional[list[PLFn]] = None
+    zero = PLFn.zero()
+    prev_entries = [zero]  # _merge_slots spreads it over n zero slots
     for idx in range(1, stages + 1):
         n = schedule.sizes[idx - 1]
         height = Fraction(1, 2**idx)
-        zero = PLFn.zero()
         # {f > m/n} is fixed by the values of f above m/n: one bump per open set
         bumps: dict[int, PLFn] = {}
         fresh = [zero]
@@ -726,10 +726,7 @@ def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> Realizatio
                 opens = superlevel(f, Fraction(m, n))
                 bumps[key] = zero if opens.is_empty else bump_on(opens, height)
             fresh.append(bumps[key])
-        if prev_entries is None:
-            embedded: list[PLFn] = [zero] * n
-        else:
-            embedded = _merge_slots(prev_entries, n)
+        embedded = _merge_slots(prev_entries, n)
         # slots share entries, so each distinct (old, bump) pair is merged once
         merged: dict[tuple[int, int], PLFn] = {}
         entries, increment, monotone = [], Fraction(0), True

@@ -14,7 +14,9 @@ an explicit witness above rank 1.
 On the other cones the checkers are bounded-scale falsifiers, not provers: a
 counterexample is definitive, while "holds on sample" only says the search
 space was clean.  Searches that cannot certify a negative return
-``Membership.BOUND_EXCEEDED`` instead of guessing.
+``Membership.BOUND_EXCEEDED`` instead of guessing.  The candidate box of each
+rank (``box_bound``, ``box_size``) and ``SEARCH_WORK_CAP`` are kept here too; the
+cap refuses a walk before its first candidate, never a cone decided by theorem.
 """
 
 from __future__ import annotations
@@ -393,6 +395,33 @@ def is_almost_unperforated(
     return None
 
 
+# Largest walk of the two searches below, box_size times n_max: at the default
+# boxes n_max goes up to 119 at rank 5, 16 at rank 6, 2 at rank 7, 0 from 8.
+SEARCH_WORK_CAP = 2_000_000
+
+
+def box_bound(rank: int) -> int:
+    """The default max-norm bound of the candidate box at ``rank``."""
+    return {1: 12, 2: 8, 3: 6, 4: 4}.get(rank, 3)
+
+
+def box_size(rank: int, bound: int) -> int:
+    """The nonzero integer vectors of max-norm at most ``bound``."""
+    return (2 * bound + 1) ** rank - 1
+
+
+def _walk_bound(model: PoGroupModel, n_max: int, enumeration_bound) -> int:
+    """The box bound of a walk about to start; refuses one past the cap by a
+    message without its size, which has thousands of digits at large ranks."""
+    bound = box_bound(model.rank) if enumeration_bound is None else enumeration_bound
+    if box_size(model.rank, bound) * n_max > SEARCH_WORK_CAP:
+        raise ValueError(
+            f"the search on rank {model.rank} with multiplier {n_max} would try "
+            f"more than {SEARCH_WORK_CAP} candidate multiples"
+        )
+    return bound
+
+
 def _int_vectors_by_norm(rank: int, bound: int) -> Iterator[tuple[int, ...]]:
     """Nonzero integer vectors of max-norm at most ``bound``, by max-norm.
 
@@ -404,11 +433,12 @@ def _int_vectors_by_norm(rank: int, bound: int) -> Iterator[tuple[int, ...]]:
                 yield v
 
 
-def is_weakly_unperforated(model: PoGroupModel, n_max: int, enumeration_bound: int):
+def is_weakly_unperforated(model: PoGroupModel, n_max: int, enumeration_bound=None):
     """Search for x and n with nx in the cone minus zero but x outside.
 
-    Returns None when the sample is clean, else ``(x, n)``.  Bound-exceeded
-    membership answers make the pair inconclusive and it is skipped.
+    Returns None when the sample is clean, else ``(x, n)``.  x runs over the
+    box of max-norm ``enumeration_bound``, ``box_bound(rank)`` by default.
+    Bound-exceeded membership answers make the pair inconclusive and it is skipped.
     Simplicial and strict-state cones have no such pair, so the search
     returns at once on them.  On a simplicial cone, nx >= 0 iff x >= 0 for every n >= 1.
     On a strict-state cone with integer rows R, a nonzero x lies outside
@@ -416,7 +446,8 @@ def is_weakly_unperforated(model: PoGroupModel, n_max: int, enumeration_bound: i
     """
     if isinstance(model.cone, (SimplicialCone, StrictStateCone)):
         return None
-    for x in _int_vectors_by_norm(model.rank, enumeration_bound):
+    bound = _walk_bound(model, n_max, enumeration_bound)
+    for x in _int_vectors_by_norm(model.rank, bound):
         # x is nonzero, so every nx is too
         if cone_member(model, x).definite is not False:
             continue
@@ -429,7 +460,7 @@ def is_weakly_unperforated(model: PoGroupModel, n_max: int, enumeration_bound: i
 ARCHIMEDEAN_PAIR_BUDGET = 200_000
 
 
-def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound: int):
+def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound=None):
     """Find x not below zero and y with nx <= y for every n <= n_max.
 
     Simplicial and strict-state cones are decided by theorem, without a
@@ -447,11 +478,12 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound: int)
     R(u - n·x) >= R·u = s > 0 puts u - n·x inside for every n: (x, u) is a
     witness at every scale, n_max included.
 
-    Other cones are searched: the sweep covers candidate pairs in increasing
-    max-norm order, asks ``cone_member`` for each n, n_max first (fastest to
-    fail), and stops after ``ARCHIMEDEAN_PAIR_BUDGET`` pairs, so None means
-    "none found at this scale", nothing stronger.  y keeps its max-norm below
-    n_max, so it cannot dominate n_max·x by size alone.
+    Other cones are searched over the box of ``is_weakly_unperforated``: the
+    sweep covers candidate pairs in increasing max-norm order, asks
+    ``cone_member`` for each n, n_max first (fastest to fail), and stops after
+    ``ARCHIMEDEAN_PAIR_BUDGET`` pairs, so None means "none found at this
+    scale", nothing stronger.  y keeps its max-norm below n_max, so it cannot
+    dominate n_max·x by size alone.
     """
     cone = model.cone
     if isinstance(cone, SimplicialCone):
@@ -466,10 +498,10 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound: int)
         x[i] += cone.scale
         g = math.gcd(*x)
         return tuple(c // g for c in x), u
-    box = list(_int_vectors_by_norm(model.rank, enumeration_bound))
+    bound = _walk_bound(model, n_max, enumeration_bound)
+    box = list(_int_vectors_by_norm(model.rank, bound))
     # y runs over the prefix of the box of max-norm at most m < n_max
-    m = max(0, min(enumeration_bound, n_max - 1))
-    ys = box[:(2 * m + 1) ** model.rank - 1]
+    ys = box[:box_size(model.rank, max(0, min(bound, n_max - 1)))]
     candidates_x = [x for x in box if cone_member(model, vneg(x)).definite is False]
     tested = 0
     for x in candidates_x:

@@ -74,8 +74,6 @@ from cuntzcalc.wmodel import (
 
 SEED = 20260819
 
-ENUM_BOUNDS = {1: 12, 2: 8, 3: 6, 4: 4, 5: 3}
-
 
 def verdict(num: int, ok: bool, desc: str) -> None:
     line = f"criterion {num:02d} {'PASS' if ok else 'FAIL'}: {desc}"
@@ -272,9 +270,7 @@ def test_criterion_05_weak_unperforation():
     for n in range(1, 6):
         cone = StrictStateCone(identity(n))
         group = PoGroupModel(n, cone, (1,) * n)
-        witness = is_weakly_unperforated(
-            group, n_max=20, enumeration_bound=ENUM_BOUNDS[n]
-        )
+        witness = is_weakly_unperforated(group, n_max=20)
         clean = clean and witness is None
         generic = PoGroupModel(n, Delegating(cone), (1,) * n)
         walk = is_weakly_unperforated(generic, n_max=20, enumeration_bound=WALK_BOUNDS[n])
@@ -314,14 +310,12 @@ def test_criterion_06_archimedean():
     clean = True
     for n in range(1, 6):
         group = PoGroupModel(n, SimplicialCone(n), (1,) * n)
-        witness = archimedean_witness(
-            group, n_max=20, enumeration_bound=ENUM_BOUNDS[n]
-        )
+        witness = archimedean_witness(group, n_max=20)
         clean = clean and witness is None
     strict = True
     for n in range(1, 6):
         group = PoGroupModel(n, StrictStateCone(identity(n)), (1,) * n)
-        found = archimedean_witness(group, n_max=20, enumeration_bound=ENUM_BOUNDS[n])
+        found = archimedean_witness(group, n_max=20)
         if n == 1:
             strict = strict and found is None
         else:

@@ -1,6 +1,7 @@
 """Dyadic staircases, summable decompositions, and projection suprema."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,22 @@ class TestProjectionSupRealization:
             if prev is not None:
                 assert all(a >= b for a, b in zip(stage, prev))
             prev = stage
+
+
+def test_stages_rise_on_random_divisibility_chains():
+    # no stage is clamped by the one before it: on a chain m | m' the stage
+    # (ceil(m·v) - 1)/m never lies above (ceil(m'·v) - 1)/m'
+    rng = random.Random(3)
+    for _ in range(2_000):
+        dens = [rng.randint(1, 12)]
+        for _ in range(rng.randint(0, 5)):
+            dens.append(dens[-1] * rng.randint(2, 7))
+        f = tuple(Fraction(rng.randint(1, 400), rng.randint(1, 97))
+                  for _ in range(rng.randint(1, 4)))
+        stages = projection_sup_realization(f, DenseSubgroupSpec(dens), len(dens))
+        for m, stage, prev in zip(dens[1:], stages[1:], stages):
+            assert all(a >= b for a, b in zip(stage, prev)), (f, dens)
+            assert all(v - p <= Fraction(2, m) for p, v in zip(stage, f))
 
 
 def test_subgroup_spec_validation():

@@ -1,27 +1,31 @@
 """Size caps of the command-line front end, checked before any work starts.
 
 Every case here is refused (or let through) by validation alone: the
-sampling, search, realization and decomposition routines are replaced by stubs that
-fail the test if a refused request reaches them, so no capped computation
-ever runs.
+sampling, realization and decomposition routines, and the candidate
+enumeration of ordmon's weak-unperforation and archimedean walks, are
+replaced by stubs that fail the test if a refused request reaches them, so
+no capped computation ever runs.  Cones decided by theorem (simplicial,
+strict-state, and a wmodel's simplicial K0* group) walk nothing, so they are
+answered at any rank, with the enumeration still stubbed.
 """
 
+import json
 import time
 
 import pytest
 
-from cuntzcalc import cli
+from cuntzcalc import cli, ordmon
 from cuntzcalc import documents as docs
 from cuntzcalc.cli import (
     EXIT_INVALID,
+    EXIT_OK,
     SAMPLE_BOUND_CAP,
-    SEARCH_WORK_CAP,
     STEP_SIZE_CAP,
     VECTOR_STAGES_CAP,
     main,
 )
 from cuntzcalc.goodearl import RealizationSchedule
-from cuntzcalc.ordmon import COEFF_VECTORS_CAP
+from cuntzcalc.ordmon import COEFF_VECTORS_CAP, SEARCH_WORK_CAP, box_bound, box_size
 from cuntzcalc.wmodel import K0Model, WModel
 
 STEP_TARGET = {
@@ -46,13 +50,12 @@ def stubbed(monkeypatch):
     """Stub out every routine that does the capped work."""
     for name in (
         "random_class",
-        "is_weakly_unperforated",
-        "archimedean_witness",
         "realize",
         "summable_decomposition",
         "projection_sup_realization",
     ):
         monkeypatch.setattr(cli, name, _stub)
+    monkeypatch.setattr(ordmon, "_int_vectors_by_norm", _stub)
     monkeypatch.setattr(RealizationSchedule, "dyadic", _stub)
 
 
@@ -167,16 +170,43 @@ def simplicial_group(rank: int) -> dict:
     return {"kind": "pogroup", "rank": rank, "cone": cone, "unit": [1] * rank}
 
 
+def strict_state_group(rank: int) -> dict:
+    """One state, the first coordinate: its theorem witness is
+    x = (0, -1, ..., -1) against the unit (1, ..., 1)."""
+    cone = {"type": "strict-states", "states": [[1] + [0] * (rank - 1)]}
+    return {"kind": "pogroup", "rank": rank, "cone": cone, "unit": [1] * rank}
+
+
 def trace_model(n: int) -> dict:
     """Its K0* group, which both searches run on, has rank n."""
     k0 = K0Model(1, ((1,),) * n, (1,))
     return docs.encode_wmodel(WModel(k0))
 
 
+def generated_group(generators, coeff_bound: int) -> dict:
+    cone = {"type": "generated", "generators": generators, "coeff_bound": coeff_bound}
+    unit = [sum(column) for column in zip(*generators)]  # in the cone
+    return {"kind": "pogroup", "rank": len(unit), "cone": cone, "unit": unit}
+
+
+def walked_group(rank: int) -> dict:
+    """A generated cone of ``rank`` with one generator, 25 coefficient
+    vectors: both searches walk its candidate box."""
+    return generated_group([[1] * rank], 24)
+
+
+def test_default_boxes_and_the_work_cap_bound_the_multiplier():
+    assert [box_bound(rank) for rank in range(1, 9)] == [12, 8, 6, 4, 3, 3, 3, 3]
+    # the largest n_max each rank takes at its default box: none from rank 8
+    largest = {rank: SEARCH_WORK_CAP // box_size(rank, box_bound(rank))
+               for rank in range(5, 9)}
+    assert largest == {5: 119, 6: 16, 7: 2, 8: 0}
+
+
 @pytest.mark.parametrize("suite", SEARCH_SUITES)
 def test_search_size_at_the_work_cap_reaches_the_search(stubbed, put, run, suite):
     # rank 5 enumerates 7^5 - 1 = 16,806 candidates: 119 multiples fit
-    group = put("g.json", simplicial_group(5))
+    group = put("g.json", walked_group(5))
     code, _, err = run("check", group, suite, "--bound", "119")
     assert code == EXIT_INVALID
     assert STUB_MESSAGE in err
@@ -184,43 +214,88 @@ def test_search_size_at_the_work_cap_reaches_the_search(stubbed, put, run, suite
 
 @pytest.mark.parametrize("suite", SEARCH_SUITES)
 @pytest.mark.parametrize(
-    "doc, bound",
+    "doc, bound, rank, n_max",
     [
-        (simplicial_group(5), ["--bound", "120"]),
-        (simplicial_group(7), []),  # 823,542 candidates at the default bound 10
-        (trace_model(7), []),
+        (walked_group(5), ["--bound", "120"], 5, 120),
+        (walked_group(7), [], 7, 10),  # 823,542 candidates at the default bound 10
         # search sizes past the 4,300 digits Python prints of an int
-        (simplicial_group(6_000), []),
-        (trace_model(6_000), []),
+        (walked_group(6_000), [], 6_000, 10),
     ],
-    ids=["rank-5-bound-120", "rank-7", "seven-traces", "rank-6000", "6000-traces"],
+    ids=["rank-5-bound-120", "rank-7", "rank-6000"],
 )
-def test_search_size_above_the_work_cap_is_refused(stubbed, put, run, suite, doc, bound):
+def test_search_size_above_the_work_cap_is_refused(
+    stubbed, put, run, suite, doc, bound, rank, n_max
+):
     model = put("m.json", doc)
     code, out, err = run("check", model, suite, *bound)
     assert code == EXIT_INVALID
     assert out == ""
-    assert f"more than {SEARCH_WORK_CAP}" in err
-    assert STUB_MESSAGE not in err
+    assert (f"the search on rank {rank} with multiplier {n_max} would try more than "
+            f"{SEARCH_WORK_CAP} candidate multiples") in err
+    assert STUB_MESSAGE not in err  # refused before the first candidate
 
 
 @pytest.mark.parametrize("suite", SEARCH_SUITES)
-@pytest.mark.parametrize("make", [simplicial_group, trace_model], ids=["simplicial", "traces"])
-def test_search_refusal_at_rank_20000_is_quick(stubbed, put, run, suite, make):
-    model = put("m.json", make(20_000))
+def test_search_refusal_at_rank_20000_is_quick(stubbed, put, run, suite):
+    model = put("m.json", walked_group(20_000))
     start = time.perf_counter()
     code, out, err = run("check", model, suite)
     assert time.perf_counter() - start < 1
     assert code == EXIT_INVALID
     assert out == ""
-    assert (f"{suite} on rank 20000 with --bound 10 would search more than "
+    assert (f"the search on rank 20000 with multiplier 10 would try more than "
             f"{SEARCH_WORK_CAP} candidate multiples") in err
 
 
-def generated_group(generators, coeff_bound: int) -> dict:
-    cone = {"type": "generated", "generators": generators, "coeff_bound": coeff_bound}
-    unit = [sum(column) for column in zip(*generators)]  # in the cone
-    return {"kind": "pogroup", "rank": len(unit), "cone": cone, "unit": unit}
+def _theorem_verdict(suite: str, doc: dict) -> dict:
+    """The details a search suite reports on a cone decided by theorem."""
+    if suite == "weak-unperforation":
+        return {"verdict": "holds-on-sample", "failures": []}
+    if doc["kind"] == "pogroup" and doc["cone"]["type"] == "strict-states":
+        x = [0] + [-1] * (doc["rank"] - 1)
+        return {"verdict": "witness", "failures": [{"x": x, "y": doc["unit"]}]}
+    return {"verdict": "none", "failures": []}
+
+
+def _assert_answered(run, model: str, suite: str, doc: dict, *bound: str) -> None:
+    code, out, err = run("check", model, suite, *bound)
+    assert code == EXIT_OK, err
+    report = json.loads(out)
+    want = _theorem_verdict(suite, doc)
+    assert report["details"] == want
+    assert report["passed"] is (want["verdict"] != "witness")
+
+
+@pytest.mark.parametrize("suite", SEARCH_SUITES)
+@pytest.mark.parametrize(
+    "doc, bound",
+    [
+        (simplicial_group(5), ["--bound", "120"]),
+        (simplicial_group(7), []),
+        (strict_state_group(7), []),
+        (trace_model(7), []),
+        (strict_state_group(5), ["--bound", str(cli.SEARCH_BOUND_CAP)]),
+        (simplicial_group(6_000), []),
+        (trace_model(6_000), []),
+    ],
+    ids=["rank-5-bound-120", "rank-7", "strict-states-rank-7", "seven-traces",
+         "strict-states-bound-cap", "rank-6000", "6000-traces"],
+)
+def test_theorem_cone_is_answered_without_a_walk(stubbed, put, run, suite, doc, bound):
+    _assert_answered(run, put("m.json", doc), suite, doc, *bound)
+
+
+@pytest.mark.parametrize("suite", SEARCH_SUITES)
+@pytest.mark.parametrize(
+    "make", [simplicial_group, trace_model, strict_state_group],
+    ids=["simplicial", "traces", "strict-states"],
+)
+def test_theorem_verdict_at_rank_20000_is_quick(stubbed, put, run, suite, make):
+    doc = make(20_000)
+    model = put("m.json", doc)
+    start = time.perf_counter()
+    _assert_answered(run, model, suite, doc)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize(

@@ -210,6 +210,21 @@ DOCS = {
         "unit": [1, 1, 1],
     },
     "m357_p211": proj(2, 1, 1),
+    # rank 7, past the candidate boxes any walk may take at the default bound:
+    # both cones are decided by theorem
+    "states7": pogroup(
+        7,
+        {"type": "strict-states", "states": [[1, 0, 0, 0, 0, 0, 0],
+                                             ["1/3", "1/3", "1/3", 0, 0, 0, 0]]},
+        [1, 1, 1, 1, 1, 1, 1],
+    ),
+    "m7": {
+        "kind": "wmodel",
+        "variant": "finite",
+        "rank": 2,
+        "states": [[f"{k}/8", f"{8 - k}/8"] for k in range(1, 8)],
+        "unit": [1, 1],
+    },
 }
 
 SUITES = (
@@ -336,6 +351,9 @@ for _doc in ("states357", "states357_budget"):
     CASES[f"check-{_doc}-weak-unperforation"] = ["check", "@" + _doc, "weak-unperforation"]
     CASES[f"check-{_doc}-archimedean"] = ["check", "@" + _doc, "archimedean"]
 CASES["soften-coprime-rows"] = ["soften", "@m357", "@m357_p211"]
+for _doc in ("states7", "m7"):
+    CASES[f"check-{_doc}-weak-unperforation"] = ["check", "@" + _doc, "weak-unperforation"]
+    CASES[f"check-{_doc}-archimedean"] = ["check", "@" + _doc, "archimedean"]
 CASES["check-m357-strict-cone"] = ["check", "@m357", "strict-cone", "--bound", "60"]
 
 

@@ -15,7 +15,6 @@ from functools import partial
 import pytest
 
 from cuntzcalc import ordmon
-from cuntzcalc.cli import _enum_bound
 from cuntzcalc.linalg import identity, vneg, vscale, vsub
 from cuntzcalc.ordmon import (
     BOUND_EXCEEDED,
@@ -29,6 +28,7 @@ from cuntzcalc.ordmon import (
     SimplicialCone,
     StrictStateCone,
     archimedean_witness,
+    box_bound,
     cone_member,
     is_almost_unperforated,
     is_weakly_unperforated,
@@ -414,6 +414,34 @@ def test_weak_unperforation_search_work_is_pinned(count_cone_member, count_candi
     assert len(count_cone_member) == 69_600
 
 
+def test_theorem_cones_of_rank_7_enumerate_nothing(count_candidates, count_cone_member):
+    # at the default box of rank 7 a walk with n_max 10 is past SEARCH_WORK_CAP,
+    # but these cones are decided first, so neither search is refused
+    assert ordmon.box_size(7, box_bound(7)) * 10 > ordmon.SEARCH_WORK_CAP
+    rows = [(1, 0, 0, 0, 0, 0, 0), ("1/2", "1/2", 0, 0, 0, 0, 0)]
+    strict = PoGroupModel(7, StrictStateCone(rows), (1,) * 7)
+    simplicial = PoGroupModel(7, SimplicialCone(7), (1,) * 7)
+    assert is_weakly_unperforated(strict, n_max=10) is None
+    assert is_weakly_unperforated(simplicial, n_max=10) is None
+    assert archimedean_witness(simplicial, n_max=10) is None
+    assert archimedean_witness(strict, n_max=10) == ((0, -1, -1, -1, -1, -1, -1), (1,) * 7)
+    assert count_candidates == [] and count_cone_member == []
+
+
+def test_walk_past_the_work_cap_is_refused_before_its_first_candidate(count_candidates):
+    walked = PoGroupModel(7, GeneratedCone([(1,) * 7]), (1,) * 7)
+    message = f"more than {ordmon.SEARCH_WORK_CAP} candidate multiples"
+    for search in (is_weakly_unperforated, archimedean_witness):
+        with pytest.raises(ValueError, match=message):
+            search(walked, n_max=10)
+        with pytest.raises(ValueError, match=message):
+            search(walked, n_max=1, enumeration_bound=4)  # 9^7 - 1 candidates
+    assert count_candidates == []
+    # a box of max-norm 1 fits: the walk starts
+    assert is_weakly_unperforated(walked, n_max=10, enumeration_bound=1) is None
+    assert count_candidates == [3**7 - 1]
+
+
 def _random_half_space_model(rng, rank):
     """A simplicial or strict-state group; states have signed integer
     weights and are often rank-deficient (fewer states than the rank, or a
@@ -536,7 +564,7 @@ def _layered_vectors_by_norm(rank, bound):
 
 def test_vectors_by_norm_keep_the_layered_order():
     for rank in range(1, 5):
-        for bound in range(_enum_bound(rank) + 1):
+        for bound in range(box_bound(rank) + 1):
             want = list(_layered_vectors_by_norm(rank, bound))
             assert list(ordmon._int_vectors_by_norm(rank, bound)) == want
 
@@ -601,7 +629,7 @@ def test_strict_state_archimedean_by_theorem_on_a_seeded_sweep():
         rank = rng.randint(2, 5)
         group = _random_strict_state_group(rng, rank)
         deficient += len(set(group.cone.rows)) < rank - 1
-        x, y = archimedean_witness(group, n_max=10, enumeration_bound=_enum_bound(rank))
+        x, y = archimedean_witness(group, n_max=10, enumeration_bound=box_bound(rank))
         assert y == group.unit
         assert cone_member(group, vneg(x)) is NO, group
         gap = y
