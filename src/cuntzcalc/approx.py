@@ -13,20 +13,19 @@ Two constructions on positive rational n-vectors:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import vector
+from .linalg import Frozen, vector
 
 
 # Largest denominator of a chain.
 MAX_DENOMINATOR = 2**30
 
 
-@dataclass(frozen=True)
-class DenseSubgroupSpec:
+class DenseSubgroupSpec(Frozen):
     """A divisibility chain of denominators m_1 | m_2 | ... , increasing."""
 
+    __slots__ = ("denominators",)
     denominators: tuple[int, ...]
 
     def __init__(self, denominators):
@@ -83,18 +82,18 @@ def dyadic_below(f, i: int) -> tuple[Fraction, ...]:
     return level
 
 
-@dataclass(frozen=True)
-class DecompositionStage:
+class DecompositionStage(Frozen):
+    __slots__ = ("index", "level", "increment", "sup_gap")
     index: int
     level: tuple[Fraction, ...]
     increment: tuple[Fraction, ...]
     sup_gap: Fraction
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(Frozen):
     """Telescoping dyadic decomposition of a strictly positive profile."""
 
+    __slots__ = ("target", "stages", "increment_norm_total")
     target: tuple[Fraction, ...]
     stages: tuple[DecompositionStage, ...]
     increment_norm_total: Fraction

@@ -465,10 +465,12 @@ def _step_realize_report(f: StepFn, schedule, stages: int, command: str) -> dict
     for stage in result.stages:
         bound = Fraction(1, 2**stage.index)
         increment_ok = stage.sup_increment <= bound
-        gap = Fraction(1, stage.size)
-        gap_ok = not step_witnesses(
-            f, stage.approximant, lambda fv, av: 0 <= fv - av <= gap
-        )
+
+        def within_gap(fv, av, n=stage.size):  # 0 <= fv - av <= 1/n, fv = p/q, av = r/s
+            (p, q), (r, s) = fv.as_integer_ratio(), av.as_integer_ratio()
+            return 0 <= n * (p * s - r * q) <= q * s
+
+        gap_ok = not step_witnesses(f, stage.approximant, within_gap)
         stage_bad = [p for i, p in bad if i == stage.index]
         all_ok = all_ok and increment_ok and stage.monotone and gap_ok
         rows.append(

@@ -12,19 +12,18 @@ morphism to the pair (projection part theta0, soft part gamma^T).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import identity, int_matrix, matmul, matrix, matvec, transpose
+from .linalg import Frozen, identity, int_matrix, matmul, matrix, matvec, transpose
 from .wmodel import CuntzClass, K0Model, WModel
 
 
-@dataclass(frozen=True)
-class AbelianGroupData:
+class AbelianGroupData(Frozen):
     """A finitely generated abelian group in invariant-factor form."""
 
+    __slots__ = ("free_rank", "torsion")
     free_rank: int
-    torsion: tuple[int, ...] = ()
+    torsion: tuple[int, ...]
 
     def __init__(self, free_rank: int, torsion=()):
         free_rank = int(free_rank)
@@ -44,8 +43,7 @@ class AbelianGroupData:
         return len(self.torsion) + self.free_rank
 
 
-@dataclass(frozen=True)
-class AbelianGroupHom:
+class AbelianGroupHom(Frozen):
     """A homomorphism between AbelianGroupData, as an integer matrix.
 
     Columns index source generators (torsion first, then free), rows index
@@ -54,6 +52,7 @@ class AbelianGroupHom:
     torsion components annihilated modulo the target order.
     """
 
+    __slots__ = ("source", "target", "mat")
     source: AbelianGroupData
     target: AbelianGroupData
     mat: tuple[tuple[int, ...], ...]
@@ -96,16 +95,15 @@ class AbelianGroupHom:
         return AbelianGroupHom(other.source, self.target, matmul(self.mat, other.mat))
 
 
-@dataclass(frozen=True)
-class ElliottInvariant:
+class ElliottInvariant(Frozen):
     """Ordered K0 with its trace pairing (one extreme trace per state row), and K1."""
 
+    __slots__ = ("k0", "k1")
     k0: K0Model
     k1: AbelianGroupData
 
 
-@dataclass(frozen=True)
-class InvariantMorphism:
+class InvariantMorphism(Frozen):
     """(theta0, theta1, gamma) between invariants.
 
     gamma has one row per source trace and one column per target trace;
@@ -113,6 +111,7 @@ class InvariantMorphism:
     convex combination of source traces.
     """
 
+    __slots__ = ("theta0", "theta1", "gamma")
     theta0: tuple[tuple[int, ...], ...]
     theta1: AbelianGroupHom
     gamma: tuple[tuple[Fraction, ...], ...]
@@ -191,10 +190,10 @@ def compose_morphisms(
     )
 
 
-@dataclass(frozen=True)
-class WModelMorphism:
+class WModelMorphism(Frozen):
     """Induced map of models: theta0 on projections, gamma^T on soft parts."""
 
+    __slots__ = ("source", "target", "theta0", "gamma")
     source: WModel
     target: WModel
     theta0: tuple[tuple[int, ...], ...]

@@ -24,11 +24,11 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
-from .linalg import frac, vector
+from .linalg import Frozen, frac, vector
 
 
 def _ratios(xs) -> list[tuple[int, int]]:
@@ -51,14 +51,14 @@ class Iv(NamedTuple):
     right_closed: bool
 
 
-@dataclass(frozen=True)
-class OpenSet:
+class OpenSet(Frozen):
     """Disjoint union of intervals, relatively open in [0, 1].
 
     Endpoint inclusion is only legal at 0 (left) and 1 (right); that is
     what relative openness permits.
     """
 
+    __slots__ = ("intervals",)
     intervals: tuple[Iv, ...]
 
     def __init__(self, intervals):
@@ -95,10 +95,10 @@ class OpenSet:
         return False
 
 
-@dataclass(frozen=True)
-class ClosedSet:
+class ClosedSet(Frozen):
     """Finite union of closed intervals (points are degenerate intervals)."""
 
+    __slots__ = ("intervals",)
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
     def __init__(self, intervals):
@@ -135,10 +135,10 @@ def _lerp(x0, v0, x1, v1, x) -> tuple[int, int]:
     return an * bd * span + (bn * ad - an * bd) * (xn * pd - pn * xd) * qd, ad * bd * span
 
 
-@dataclass(frozen=True)
-class PLFn:
+class PLFn(Frozen):
     """Continuous piecewise-linear function on [0, 1] with values >= 0."""
 
+    __slots__ = ("breakpoints", "values")
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
 
@@ -260,8 +260,7 @@ class PLFn:
 # Lower semicontinuous step functions
 
 
-@dataclass(frozen=True)
-class StepFn:
+class StepFn(Frozen):
     """A lower semicontinuous step function on [0, 1].
 
     ``interval_values[i]`` is the value on the open interval between
@@ -270,6 +269,7 @@ class StepFn:
     below the neighbouring interval values.
     """
 
+    __slots__ = ("partition", "interval_values", "point_values")
     partition: tuple[Fraction, ...]
     interval_values: tuple[Fraction, ...]
     point_values: tuple[Fraction, ...]
@@ -396,10 +396,10 @@ def step_approximant(f: StepFn, n: int) -> StepFn:
 # Measures
 
 
-@dataclass(frozen=True)
-class StepDensity:
+class StepDensity(Frozen):
     """Piecewise-constant probability density on [0, 1]."""
 
+    __slots__ = ("breakpoints", "densities")
     breakpoints: tuple[Fraction, ...]
     densities: tuple[Fraction, ...]
 
@@ -438,14 +438,14 @@ class StepDensity:
         return all(d > 0 for d in self.densities)
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
+class MeasureSpec(Frozen):
     """A probability measure: weighted continuous part plus finite atoms.
 
     The continuous part is ``lebesgue_weight`` times the (default uniform)
     ``density``; total mass must be exactly 1.
     """
 
+    __slots__ = ("lebesgue_weight", "atoms", "density")
     lebesgue_weight: Fraction
     atoms: tuple[tuple[Fraction, Fraction], ...]
     density: StepDensity
@@ -505,10 +505,10 @@ def measure(mu: MeasureSpec, opens: OpenSet) -> Fraction:
 # Diagonal elements
 
 
-@dataclass(frozen=True)
-class DiagonalElement:
+class DiagonalElement(Frozen):
     """A diagonal of piecewise-linear entries, one slot per matrix row."""
 
+    __slots__ = ("size", "entries")
     size: int
     entries: tuple[PLFn, ...]
 
@@ -557,11 +557,10 @@ def dim_profile(a: DiagonalElement) -> StepFn:
             hi = 2 * index[iv.right.as_integer_ratio()]
             diff[lo if iv.left_closed else lo + 1] += w
             diff[hi + 1 if iv.right_closed else hi] -= w
-    counts, acc = [], 0
-    for d in diff[:-1]:
-        acc += d
-        counts.append(Fraction(acc, a.size))
-    return StepFn(part, counts[1::2], counts[::2])
+    counts = list(accumulate(diff[:-1]))
+    value = {c: Fraction(c, a.size) for c in set(counts)}  # one per distinct count
+    values = [value[c] for c in counts]
+    return StepFn(part, values[1::2], values[::2])
 
 
 def cutdown(a: DiagonalElement, eps) -> DiagonalElement:
@@ -609,10 +608,10 @@ def bump_on(opens: OpenSet, height) -> PLFn:
     return PLFn(*zip(*knots))
 
 
-@dataclass(frozen=True)
-class RealizationSchedule:
+class RealizationSchedule(Frozen):
     """Matrix sizes n_1 | n_2 | ... for the stages, strictly increasing."""
 
+    __slots__ = ("sizes",)
     sizes: tuple[int, ...]
 
     def __init__(self, sizes):
@@ -633,8 +632,8 @@ class RealizationSchedule:
         return cls(tuple(2**i for i in range(1, stages + 1)))
 
 
-@dataclass(frozen=True)
-class RealizationStage:
+class RealizationStage(Frozen):
+    __slots__ = ("index", "size", "element", "approximant", "sup_increment", "monotone")
     index: int
     size: int
     element: DiagonalElement
@@ -643,8 +642,8 @@ class RealizationStage:
     monotone: bool
 
 
-@dataclass(frozen=True)
-class RealizationResult:
+class RealizationResult(Frozen):
+    __slots__ = ("target", "stages")
     target: StepFn
     stages: tuple[RealizationStage, ...]
 

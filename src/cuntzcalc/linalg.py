@@ -1,4 +1,5 @@
-"""Small exact linear algebra helpers over ints and Fractions.
+"""Small exact linear algebra helpers over ints and Fractions, and the base
+of the package's immutable value classes.
 
 Vectors are tuples, matrices are tuples of row tuples.  Everything stays
 rational; floats are rejected at the boundary so no tolerance ever enters
@@ -9,6 +10,60 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+
+class Frozen:
+    """Base of the immutable value classes.
+
+    Each subclass names its own fields in ``__slots__``; ``_fields`` lists
+    them along the MRO, base classes first.  Values compare equal when they
+    have the same class and equal fields, hash and print by their fields,
+    and refuse assignment and deletion.  A subclass without ``__init__``
+    takes its fields by position or by name; one with its own ``__init__``
+    stores them with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(
+            name for c in reversed(cls.__mro__) for name in c.__dict__.get("__slots__", ())
+        )
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setstate__(self, state):  # copy and pickle restore the slots here
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def frac(x) -> Fraction:

@@ -24,12 +24,12 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .linalg import (
+    Frozen,
     all_nonnegative,
     identity,
     int_vector,
@@ -74,12 +74,13 @@ BOUND_EXCEEDED = Membership.BOUND_EXCEEDED
 # Positive cones
 
 
-class PositiveCone:
+class PositiveCone(Frozen):
     """A positive cone in Z^width that decides its own membership.
 
     ``member`` takes an integer vector of rank ``width``.
     """
 
+    __slots__ = ()
     width: int
 
     def member(self, x: tuple[int, ...]) -> Membership:
@@ -96,17 +97,16 @@ def row_image(rows, x) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, x)) for row in rows)
 
 
-@dataclass(frozen=True)
 class SimplicialCone(PositiveCone):
     """Coordinatewise non-negative vectors of rank ``width``."""
 
+    __slots__ = ("width",)
     width: int
 
     def member(self, x):
         return YES if min(x) >= 0 else NO
 
 
-@dataclass(frozen=True)
 class StrictStateCone(PositiveCone):
     """Zero together with the vectors on which every listed state is positive.
 
@@ -117,9 +117,10 @@ class StrictStateCone(PositiveCone):
     integers > 0 is >= 1, so a nonzero x lies in the cone iff min(R·x) >= 1.
     """
 
+    __slots__ = ("states", "rows", "scale")
     states: tuple[tuple[Fraction, ...], ...]
-    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    scale: int = field(init=False, repr=False, compare=False)
+    rows: tuple[tuple[int, ...], ...]
+    scale: int
 
     def __init__(self, states):
         states = matrix(states)
@@ -153,7 +154,6 @@ class StrictStateCone(PositiveCone):
 COEFF_VECTORS_CAP = 4096
 
 
-@dataclass(frozen=True)
 class GeneratedCone(PositiveCone):
     """Non-negative integer span of finitely many integer generators.
 
@@ -164,8 +164,9 @@ class GeneratedCone(PositiveCone):
     unsuccessful search reports BOUND_EXCEEDED.
     """
 
+    __slots__ = ("generators", "coeff_bound")
     generators: tuple[tuple[int, ...], ...]
-    coeff_bound: int = 24
+    coeff_bound: int
 
     def __init__(self, generators, coeff_bound: int = 24):
         gens = tuple(int_vector(g) for g in generators)
@@ -216,10 +217,10 @@ class GeneratedCone(PositiveCone):
         return BOUND_EXCEEDED
 
 
-@dataclass(frozen=True)
 class LexicographicCone(PositiveCone):
     """Lexicographically non-negative vectors of rank 2 (control cone)."""
 
+    __slots__ = ()
     width = 2
 
     def member(self, x):
@@ -229,10 +230,10 @@ class LexicographicCone(PositiveCone):
         return YES
 
 
-@dataclass(frozen=True)
-class PoGroupModel:
+class PoGroupModel(Frozen):
     """A partially ordered abelian group Z^rank with a stock positive cone."""
 
+    __slots__ = ("rank", "cone", "unit")
     rank: int
     cone: PositiveCone
     unit: tuple[int, ...]
@@ -355,10 +356,10 @@ def smith_diagonal(columns: Sequence[Sequence[int]], m: int):
 # Order-property falsifiers
 
 
-@dataclass(frozen=True)
-class OrderStructure:
+class OrderStructure(Frozen):
     """A sampled ordered monoid: enumeration, addition, and order."""
 
+    __slots__ = ("elements", "add", "leq")
     elements: Callable[[int], Sequence]
     add: Callable
     leq: Callable

@@ -34,12 +34,12 @@ whose nonzero class absorbs addition and whose enveloping group is zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import le, lt
 from typing import Optional
 
 from .linalg import (
+    Frozen,
     all_positive,
     frac,
     int_vector,
@@ -59,7 +59,6 @@ from .ordmon import (
 )
 
 
-@dataclass(frozen=True)
 class K0Model(PoGroupModel):
     """K0 lattice Z^rank paired with traces through a state matrix.
 
@@ -70,6 +69,7 @@ class K0Model(PoGroupModel):
     row: tau1, ..., taun when none are given.
     """
 
+    __slots__ = ("labels",)
     labels: tuple[str, ...]
 
     def __init__(self, rank: int, state_matrix, unit, labels=None):
@@ -93,10 +93,10 @@ class K0Model(PoGroupModel):
         return cone_member(self, v) is YES
 
 
-@dataclass(frozen=True)
-class CuntzClass:
+class CuntzClass(Frozen):
     """One element of a model: a projection class or a soft class."""
 
+    __slots__ = ("is_proj", "values")
     is_proj: bool
     values: tuple
 
@@ -131,8 +131,7 @@ class CuntzClass:
         return f"{'Proj' if self.is_proj else 'Soft'}({inner})"
 
 
-@dataclass(frozen=True)
-class K0Star:
+class K0Star(Frozen):
     """Enveloping group Q^n of a finite model, with its difference cone.
 
     ``cone_plusplus`` (classes of differences y <= x) is the coordinatewise
@@ -140,6 +139,7 @@ class K0Star:
     model.
     """
 
+    __slots__ = ("n",)
     n: int
 
     def __init__(self, n: int):
@@ -185,10 +185,10 @@ def element_leq(x: tuple, y: tuple) -> bool:
     return kx == ky or all(map(lt, gx, gy))
 
 
-@dataclass(frozen=True)
-class WModel:
+class WModel(Frozen):
     """The finite Cuntz semigroup model of K0 data paired with traces."""
 
+    __slots__ = ("k0",)
     k0: K0Model
 
     # -- element plumbing ---------------------------------------------------
@@ -316,6 +316,8 @@ class PurelyInfiniteModel(WModel):
     ``zero_class`` and ``unit_class`` already give the degenerate answers;
     the inherited ``add`` adds through the absorbing ``element_sum``.
     """
+
+    __slots__ = ()
 
     def _image(self, x: CuntzClass) -> tuple:
         if not isinstance(x, CuntzClass):

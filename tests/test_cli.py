@@ -8,6 +8,7 @@ stdout must be byte-identical across runs with the same inputs.
 
 import collections
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from cuntzcalc.elliott import (
     ElliottInvariant,
     functor_g_obj,
 )
+from cuntzcalc.goodearl import RealizationSchedule, StepFn
 from cuntzcalc.wmodel import (
     CuntzClass,
     K0Model,
@@ -887,3 +889,30 @@ def test_document_input_checks_exit_2(workspace, run, case):
     assert code == EXIT_INVALID
     assert out == ""
     assert err.splitlines()[0] == message
+
+
+def test_gap_check_on_integer_forms_matches_the_fraction_test(monkeypatch):
+    # each stage's gap check is 0 <= f(x) - g(x) <= 1/n; the report decides it
+    # on integer forms, so compare that predicate with the Fraction one
+    checks = []
+
+    def spy(f, g, holds):
+        checks.append(holds)
+        return real(f, g, holds)
+
+    real = cli.step_witnesses
+    monkeypatch.setattr(cli, "step_witnesses", spy)
+    half = Fraction(1, 2)
+    target = StepFn((0, half, 1), (half, 1), (half, half, 1))  # TWO_LEVEL_TARGET
+    sizes = (3, 6, 12)
+    report = cli._step_realize_report(target, RealizationSchedule(sizes), 3, "realize")
+    assert report["verdict"] == "pass" and len(checks) == len(sizes)
+    rng = random.Random(24)
+    tiny = Fraction(1, 10**17)
+    for holds, n in zip(checks, sizes):
+        gap = Fraction(1, n)
+        av = [Fraction(rng.randint(0, 99), rng.randint(1, 99)) for _ in range(300)]
+        cases = [(a, a + d) for a in av for d in (0, gap, -tiny, tiny, gap - tiny, gap + tiny)]
+        cases += [(a, b) for a, b in zip(av, reversed(av))]
+        for a, fv in cases:
+            assert holds(fv, a) == (0 <= fv - a <= gap), (n, fv, a)

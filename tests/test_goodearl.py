@@ -1,7 +1,6 @@
 """Diagonal elements over C[0,1]: exact cozero sets, dimension values,
 and the stagewise realization of step targets."""
 
-import dataclasses
 import operator
 import random
 from collections import Counter
@@ -18,6 +17,7 @@ from cuntzcalc.goodearl import (
     PLFn,
     RealizationResult,
     RealizationSchedule,
+    RealizationStage,
     StepDensity,
     StepFn,
     _merge_slots,
@@ -915,7 +915,8 @@ def test_exact_check_finds_what_the_grid_misses():
     slot = next(k for k, e in enumerate(entries) if not any(e.values))
     narrow = OpenSet(((fr("1/81"), fr("2/81"), False, False),))
     entries[slot] = bump_on(narrow, fr("1/64"))
-    planted = dataclasses.replace(last, element=DiagonalElement(last.size, entries))
+    planted = RealizationStage(last.index, last.size, DiagonalElement(last.size, entries),
+                               last.approximant, last.sup_increment, last.monotone)
     broken = RealizationResult(result.target, result.stages[:-1] + (planted,))
     [(index, witness)] = dimension_discrepancies(broken)
     assert index == 5
