@@ -152,7 +152,7 @@ def identity(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def all_positive(v: Sequence) -> bool:
-    return all(x > 0 for x in v)
+    return all(x.numerator > 0 for x in v)  # denominators are positive
 
 
 def all_nonnegative(v: Sequence) -> bool:

@@ -156,7 +156,7 @@ class K0Star(Frozen):
 
     def cone_plusplus(self, d) -> bool:
         d = self._check(d)
-        return all(x >= 0 for x in d)
+        return all(x.numerator >= 0 for x in d)  # denominators are positive
 
     @property
     def unit_image(self) -> tuple[Fraction, ...]:

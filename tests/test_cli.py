@@ -382,6 +382,35 @@ class TestCheckSuites:
         assert len(rules) <= 26**2 + 1200
         assert compares == []
 
+    def test_order_axioms_memos_stay_lazy_on_a_large_pool(
+        self, workspace, run, monkeypatch
+    ):
+        # a table of every pool pair would hold 4·10^8 entries here; the
+        # memos hold only what the reflexivity pass and the draws ask for
+        rules = []
+        rule = cli.element_leq
+
+        def ruled(x, y):
+            rules.append(None)
+            return rule(x, y)
+
+        monkeypatch.setattr(cli, "element_leq", ruled)
+        k0 = K0Model(
+            4,
+            (
+                ("1/4", "1/4", "1/4", "1/4"),
+                ("1/2", "1/4", "1/8", "1/8"),
+                ("1/8", "1/8", "1/4", "1/2"),
+            ),
+            (1, 1, 1, 1),
+        )
+        model = workspace("m.json", docs.encode_wmodel(WModel(k0)))
+        code, out, _ = run("check", model, "order-axioms", "--bound", "20000")
+        assert code == EXIT_OK
+        details = report_of(out)["details"]
+        assert details == {"checked": 20002, "failures": [], "verdict": "pass"}
+        assert len(rules) <= 20002 + 2 * 400 + 4 * 1200
+
     def test_strict_cone_suite_needs_the_finite_variant(self, workspace, run):
         finite = workspace("m.json", docs.encode_wmodel(two_trace_model()))
         code, out, _ = run("check", finite, "strict-cone")
