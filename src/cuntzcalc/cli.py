@@ -53,13 +53,17 @@ EXIT_INVALID = 2
 
 DEFAULT_SEED = 17041999
 
-SUITES = (
-    "order-axioms",
-    "strict-cone",
-    "weak-unperforation",
-    "archimedean",
-    "oracle-agreement",
-)
+# Each suite's --bound when none is given: the pool size of order-axioms,
+# the sample counts of strict-cone and oracle-agreement, and the multiplier
+# n_max of the two searches.
+DEFAULT_BOUNDS = {
+    "order-axioms": 24,
+    "strict-cone": 500,
+    "weak-unperforation": 10,
+    "archimedean": 10,
+    "oracle-agreement": 2000,
+}
+SUITES = tuple(DEFAULT_BOUNDS)
 
 # Largest --bound (the multiplier n_max) of the weak-unperforation and
 # archimedean searches; the archimedean search keeps n_max multiples of
@@ -242,7 +246,7 @@ def _suite_order_axioms(model: WModel, rng, bound: int) -> dict:
     # draws are pool indices, from randbelow's copy of the choice stream:
     # the pool is converted to elements once, and each pool pair is compared
     # and each pool sum formed once, on integers, when a draw first needs it
-    pool = _class_pool(model, rng, bound or 24)
+    pool = _class_pool(model, rng, bound)
     _, elements = model.elements(pool)
     leq = functools.cache(lambda i, j: element_leq(elements[i], elements[j]))
     add = functools.cache(lambda i, k: model.element_sum(elements[i], elements[k]))
@@ -271,7 +275,7 @@ def _suite_strict_cone(model: WModel, rng, bound: int) -> dict:
         raise DocumentError("strict-cone needs a finite model")
     star = model.k0star()
     violations = []
-    for _ in range(bound or 500):
+    for _ in range(bound):
         x = random_class(rng, model)
         y = random_class(rng, model)
         d = tuple(a - b for a, b in zip(model.gamma(x), model.gamma(y)))
@@ -280,7 +284,7 @@ def _suite_strict_cone(model: WModel, rng, bound: int) -> dict:
             violations.append(docs.rationals(d))
         elif in_cone and any(d) and star.cone_plusplus(tuple(-v for v in d)):
             violations.append(docs.rationals(d))
-    return {"checked": bound or 500, "failures": violations[:5]}
+    return {"checked": bound, "failures": violations[:5]}
 
 
 def _star_group(model: WModel) -> PoGroupModel:
@@ -320,11 +324,11 @@ def _suite_oracle_agreement(model: WModel, rng, bound: int) -> dict:
 
     n = len(pool)
     mismatches = []
-    for _ in range(bound or 2000):
+    for _ in range(bound):
         i, j = randbelow(rng, n), randbelow(rng, n)
         if not agree(i, j):
             mismatches.append([repr(pool[i]), repr(pool[j])])
-    return {"checked": bound or 2000, "failures": mismatches[:5]}
+    return {"checked": bound, "failures": mismatches[:5]}
 
 
 def cmd_check(args) -> tuple[dict, Optional[dict]]:
@@ -332,7 +336,7 @@ def cmd_check(args) -> tuple[dict, Optional[dict]]:
     searches = ("weak-unperforation", "archimedean")
     cap = SEARCH_BOUND_CAP if args.suite in searches else SAMPLE_BOUND_CAP
     if bound is None:
-        bound = 0  # each suite's default
+        bound = DEFAULT_BOUNDS[args.suite]
     elif bound < 1:
         raise DocumentError("--bound must be at least 1")
     elif bound > cap:
@@ -341,7 +345,7 @@ def cmd_check(args) -> tuple[dict, Optional[dict]]:
     rng = rng_for(args.seed)
     if args.suite in searches:
         group = target if isinstance(target, PoGroupModel) else _star_group(target)
-        details = _suite_search(args.suite, group, bound or 10)
+        details = _suite_search(args.suite, group, bound)
     elif isinstance(target, PoGroupModel):
         raise DocumentError(f"suite {args.suite!r} needs a wmodel document")
     elif args.suite == "order-axioms":

@@ -5,8 +5,9 @@ cozero sets as finite unions of intervals with explicit endpoint flags
 (sets are relatively open in [0, 1], so an endpoint flag can only be set at
 0 or 1), lower semicontinuous step functions have superlevel sets
 {f > q} that are open sets of the same kind, read off the step function in
-one walk, and measures are a piecewise-constant density plus finitely many
-atoms.
+one walk.  A dimension function reads a diagonal element through a measure
+on [0, 1]; ``dim_profile`` gives it at every point mass at once, and
+``dim_fn`` takes any measure given as a function on open sets.
 
 The centerpiece is ``realize``: given a step target f with values in
 [0, 1] and a divisibility schedule of matrix sizes, it builds diagonal
@@ -26,7 +27,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .linalg import Frozen, frac, vector
 
@@ -82,41 +83,6 @@ class OpenSet(Frozen):
     @property
     def is_empty(self) -> bool:
         return not self.intervals
-
-    def contains(self, x) -> bool:
-        x = frac(x)
-        for iv in self.intervals:
-            if iv.left < x < iv.right:
-                return True
-            if x == iv.left and iv.left_closed:
-                return True
-            if x == iv.right and iv.right_closed:
-                return True
-        return False
-
-
-class ClosedSet(Frozen):
-    """Finite union of closed intervals (points are degenerate intervals)."""
-
-    __slots__ = ("intervals",)
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-
-    def __init__(self, intervals):
-        pieces = sorted((frac(a), frac(b)) for a, b in intervals)
-        for a, b in pieces:
-            if not (0 <= a <= b <= 1):
-                raise ValueError(f"bad closed piece [{a}, {b}]")
-        merged: list[list[Fraction]] = []
-        for a, b in pieces:
-            if merged and a <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        object.__setattr__(self, "intervals", tuple((a, b) for a, b in merged))
-
-    def contains(self, x) -> bool:
-        x = frac(x)
-        return any(a <= x <= b for a, b in self.intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +213,6 @@ class PLFn(Frozen):
         if start is not None:
             pieces.append((start[0], bp[-1], start[1], pos[-1]))
         return OpenSet(tuple(pieces))
-
-    def range_pieces(self) -> ClosedSet:
-        """Closure of the set of attained values."""
-        segs = [
-            (min(a, b), max(a, b)) for a, b in zip(self.values, self.values[1:])
-        ]
-        return ClosedSet(segs)
 
 
 # ---------------------------------------------------------------------------
@@ -393,115 +352,6 @@ def step_approximant(f: StepFn, n: int) -> StepFn:
 
 
 # ---------------------------------------------------------------------------
-# Measures
-
-
-class StepDensity(Frozen):
-    """Piecewise-constant probability density on [0, 1]."""
-
-    __slots__ = ("breakpoints", "densities")
-    breakpoints: tuple[Fraction, ...]
-    densities: tuple[Fraction, ...]
-
-    def __init__(self, breakpoints, densities):
-        bp = vector(breakpoints)
-        dens = vector(densities)
-        if len(bp) < 2 or bp[0] != 0 or bp[-1] != 1:
-            raise ValueError("density breakpoints must run from 0 to 1")
-        if any(a >= b for a, b in zip(bp, bp[1:])):
-            raise ValueError("density breakpoints must strictly increase")
-        if len(dens) != len(bp) - 1:
-            raise ValueError("need one density per interval")
-        if any(d < 0 for d in dens):
-            raise ValueError("densities must be non-negative")
-        total = sum(
-            d * (b - a) for d, a, b in zip(dens, bp, bp[1:])
-        )
-        if total != 1:
-            raise ValueError(f"density must integrate to 1, got {total}")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "densities", dens)
-
-    def cdf(self, t) -> Fraction:
-        t = frac(t)
-        if not 0 <= t <= 1:
-            raise ValueError("argument outside [0, 1]")
-        acc = Fraction(0)
-        for d, a, b in zip(self.densities, self.breakpoints, self.breakpoints[1:]):
-            if t <= a:
-                break
-            acc += d * (min(t, b) - a)
-        return acc
-
-    @property
-    def everywhere_positive(self) -> bool:
-        return all(d > 0 for d in self.densities)
-
-
-class MeasureSpec(Frozen):
-    """A probability measure: weighted continuous part plus finite atoms.
-
-    The continuous part is ``lebesgue_weight`` times the (default uniform)
-    ``density``; total mass must be exactly 1.
-    """
-
-    __slots__ = ("lebesgue_weight", "atoms", "density")
-    lebesgue_weight: Fraction
-    atoms: tuple[tuple[Fraction, Fraction], ...]
-    density: StepDensity
-
-    def __init__(self, lebesgue_weight, atoms=(), density=None):
-        lw = frac(lebesgue_weight)
-        if lw < 0:
-            raise ValueError("lebesgue weight must be non-negative")
-        ats = tuple((frac(p), frac(w)) for p, w in atoms)
-        seen = set()
-        for p, w in ats:
-            if not 0 <= p <= 1:
-                raise ValueError("atoms must sit in [0, 1]")
-            if w <= 0:
-                raise ValueError("atom weights must be positive")
-            if p in seen:
-                raise ValueError("atom points must be distinct")
-            seen.add(p)
-        mass = lw + sum((w for _, w in ats), Fraction(0))
-        if mass != 1:
-            raise ValueError(f"total mass must be 1, got {mass}")
-        object.__setattr__(self, "lebesgue_weight", lw)
-        object.__setattr__(self, "atoms", ats)
-        object.__setattr__(self, "density", density or StepDensity((0, 1), (1,)))
-
-    @property
-    def atom_free(self) -> bool:
-        return not self.atoms
-
-    @property
-    def full_support(self) -> bool:
-        return self.lebesgue_weight > 0 and self.density.everywhere_positive
-
-
-def lebesgue() -> MeasureSpec:
-    return MeasureSpec(1)
-
-
-def point_mass(x) -> MeasureSpec:
-    return MeasureSpec(0, ((x, 1),))
-
-
-def measure(mu: MeasureSpec, opens: OpenSet) -> Fraction:
-    """Exact measure of an open set; endpoint flags matter only to atoms."""
-    total = Fraction(0)
-    if mu.lebesgue_weight > 0:
-        for iv in opens.intervals:
-            right, left = mu.density.cdf(iv.right), mu.density.cdf(iv.left)
-            total += mu.lebesgue_weight * (right - left)
-    for p, w in mu.atoms:
-        if opens.contains(p):
-            total += w
-    return total
-
-
-# ---------------------------------------------------------------------------
 # Diagonal elements
 
 
@@ -523,10 +373,10 @@ class DiagonalElement(Frozen):
         object.__setattr__(self, "entries", entries)
 
 
-def dim_fn(a: DiagonalElement, mu: MeasureSpec) -> Fraction:
-    """Dimension value: average measure of the entries' cozero sets."""
-    total = sum((measure(mu, e.cozero()) for e in a.entries), Fraction(0))
-    return total / a.size
+def dim_fn(a: DiagonalElement, mu: Callable[[OpenSet], Fraction]) -> Fraction:
+    """The dimension value d_μ(a): the average of μ(coz e) over the entries,
+    where ``mu`` gives the measure of an open set."""
+    return sum((mu(e.cozero()) for e in a.entries), Fraction(0)) / a.size
 
 
 def dim_profile(a: DiagonalElement) -> StepFn:
@@ -561,19 +411,6 @@ def dim_profile(a: DiagonalElement) -> StepFn:
     value = {c: Fraction(c, a.size) for c in set(counts)}  # one per distinct count
     values = [value[c] for c in counts]
     return StepFn(part, values[1::2], values[::2])
-
-
-def cutdown(a: DiagonalElement, eps) -> DiagonalElement:
-    """Entrywise (g - eps) clamped at zero."""
-    return DiagonalElement(a.size, tuple(e.minus_clamped(eps) for e in a.entries))
-
-
-def spectrum(a: DiagonalElement) -> ClosedSet:
-    """Closure of the union of attained entry values, together with 0."""
-    pieces = [(Fraction(0), Fraction(0))]
-    for e in a.entries:
-        pieces.extend(e.range_pieces().intervals)
-    return ClosedSet(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -765,29 +602,3 @@ def dimension_discrepancies(result: RealizationResult) -> list[tuple[int, Fracti
             dim_profile(stage.element), stage.approximant, operator.eq
         )
     ]
-
-
-# ---------------------------------------------------------------------------
-# Comparison helpers
-
-
-def comparison_lemma_check(a: DiagonalElement, eps, eta, delta, mu: MeasureSpec) -> bool:
-    """Strict dimension drop across a spectral gap.
-
-    Requires rationals 0 < eps < eta < delta, all in the spectrum of a, and
-    an atom-free fully supported measure; then the cutdown at delta must
-    have strictly smaller dimension than the cutdown at eps.  Violated
-    preconditions raise, they do not return False.
-    """
-    eps, eta, delta = frac(eps), frac(eta), frac(delta)
-    if not 0 < eps < eta < delta:
-        raise ValueError("need 0 < eps < eta < delta")
-    spec = spectrum(a)
-    for name, value in (("eps", eps), ("eta", eta), ("delta", delta)):
-        if not spec.contains(value):
-            raise ValueError(f"{name} = {value} is not in the spectrum")
-    if not mu.atom_free:
-        raise ValueError("measure must be atom-free")
-    if not mu.full_support:
-        raise ValueError("measure must have full support")
-    return dim_fn(cutdown(a, delta), mu) < dim_fn(cutdown(a, eps), mu)

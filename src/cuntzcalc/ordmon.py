@@ -484,7 +484,8 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound=None)
     ``cone_member`` for each n, n_max first (fastest to fail), and stops after
     ``ARCHIMEDEAN_PAIR_BUDGET`` pairs, so None means "none found at this
     scale", nothing stronger.  y keeps its max-norm below n_max, so it cannot
-    dominate n_max·x by size alone.
+    dominate n_max·x by size alone; below n_max = 2 no y is left, and the
+    walk is refused rather than reported clean.
     """
     cone = model.cone
     if isinstance(cone, SimplicialCone):
@@ -500,9 +501,14 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound=None)
         g = math.gcd(*x)
         return tuple(c // g for c in x), u
     bound = _walk_bound(model, n_max, enumeration_bound)
+    if n_max < 2:
+        raise ValueError(
+            f"the archimedean search needs a multiplier of at least 2, not {n_max}: "
+            f"y stays below the multiplier in max-norm, so no pair could be tested"
+        )
     box = list(_int_vectors_by_norm(model.rank, bound))
     # y runs over the prefix of the box of max-norm at most m < n_max
-    ys = box[:box_size(model.rank, max(0, min(bound, n_max - 1)))]
+    ys = box[:box_size(model.rank, min(bound, n_max - 1))]
     candidates_x = [x for x in box if cone_member(model, vneg(x)).definite is False]
     tested = 0
     for x in candidates_x:

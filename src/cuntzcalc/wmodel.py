@@ -339,11 +339,6 @@ class PurelyInfiniteModel(WModel):
         return K0Star(0)
 
 
-def w_of_z() -> WModel:
-    """The model with one trace and K0 = Z: integers plus positive reals."""
-    return WModel(K0Model(1, ((1,),), (1,)))
-
-
 def purely_infinite() -> PurelyInfiniteModel:
     """The degenerate two-element model {0, <1>} with <1> + <1> = <1>."""
     return PurelyInfiniteModel(K0Model(1, ((1,),), (1,)))

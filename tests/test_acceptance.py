@@ -11,10 +11,20 @@ reads as a checklist.
 import json
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from support import (
+    Delegating,
+    MeasureSpec,
+    StepDensity,
+    comparison_lemma_check,
+    lebesgue,
+    point_mass,
+    random_invariant,
+    random_wmodel,
+    w_of_z,
+)
 
 from cuntzcalc.approx import first_stage, summable_decomposition
 from cuntzcalc.cli import main
@@ -32,17 +42,12 @@ from cuntzcalc.elliott import (
 )
 from cuntzcalc.goodearl import (
     DiagonalElement,
-    MeasureSpec,
     PLFn,
     RealizationSchedule,
-    StepDensity,
     StepFn,
     _merge_slots,
-    comparison_lemma_check,
     dim_fn,
     dimension_discrepancies,
-    lebesgue,
-    point_mass,
     realize,
 )
 from cuntzcalc.linalg import identity, matmul, transpose, vneg, vscale, vsub
@@ -50,27 +55,14 @@ from cuntzcalc.ordmon import (
     GeneratedCone,
     LexicographicCone,
     PoGroupModel,
-    PositiveCone,
     SimplicialCone,
     StrictStateCone,
     archimedean_witness,
     cone_member,
     is_weakly_unperforated,
 )
-from cuntzcalc.sampling import (
-    random_class,
-    random_invariant,
-    random_soft_class,
-    random_wmodel,
-    rng_for,
-)
-from cuntzcalc.wmodel import (
-    CuntzClass,
-    K0Model,
-    K0Star,
-    WModel,
-    w_of_z,
-)
+from cuntzcalc.sampling import random_class, random_soft_class, rng_for
+from cuntzcalc.wmodel import CuntzClass, K0Model, K0Star, WModel
 
 SEED = 20260819
 
@@ -244,21 +236,6 @@ def test_criterion_04_group_map_ignores_auxiliary_soft():
 
 # ---------------------------------------------------------------------------
 # 5. Weak unperforation of the difference-cone order
-
-
-@dataclass(frozen=True)
-class Delegating(PositiveCone):
-    """The inner cone's membership without its type, so the searches take
-    the generic per-n ``cone_member`` walk instead of a theorem."""
-
-    inner: PositiveCone
-
-    @property
-    def width(self) -> int:
-        return self.inner.width
-
-    def member(self, x):
-        return self.inner.member(x)
 
 
 # the generic walk's candidate boxes in criterion 05, which keep it under 1 s

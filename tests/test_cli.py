@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from support import integers_invariant, two_trace_model, w_of_z
 
 from cuntzcalc import cli, wmodel
 from cuntzcalc import documents as docs
@@ -24,24 +25,14 @@ from cuntzcalc.cli import (
     SUITES,
     main,
 )
-from cuntzcalc.elliott import (
-    AbelianGroupData,
-    ElliottInvariant,
-    functor_g_obj,
-)
+from cuntzcalc.elliott import functor_g_obj
 from cuntzcalc.goodearl import RealizationSchedule, StepFn
 from cuntzcalc.wmodel import (
     CuntzClass,
     K0Model,
     WModel,
     purely_infinite,
-    w_of_z,
 )
-
-
-def two_trace_model() -> WModel:
-    k0 = K0Model(2, (("1/2", "1/2"), ("1/4", "3/4")), (1, 1))
-    return WModel(k0)
 
 
 def proj_doc(*values: int) -> dict:
@@ -519,11 +510,6 @@ class TestCheckSuites:
         with pytest.raises(SystemExit) as excinfo:
             main(["check", model, "bogus"])
         assert excinfo.value.code == 2
-
-
-def integers_invariant() -> ElliottInvariant:
-    k0 = K0Model(1, ((1,),), (1,))
-    return ElliottInvariant(k0, AbelianGroupData(0))
 
 
 def collapse_pair() -> dict:

@@ -13,6 +13,7 @@ import json
 import time
 
 import pytest
+from support import two_trace_model
 
 from cuntzcalc import cli, ordmon
 from cuntzcalc import documents as docs
@@ -77,11 +78,6 @@ def run(capsys):
         return code, captured.out, captured.err
 
     return _run
-
-
-def two_trace_model() -> WModel:
-    k0 = K0Model(2, (("1/2", "1/2"), ("1/4", "3/4")), (1, 1))
-    return WModel(k0)
 
 
 @pytest.mark.parametrize("suite", SAMPLING_SUITES)
@@ -245,6 +241,23 @@ def test_search_refusal_at_rank_20000_is_quick(stubbed, put, run, suite):
     assert out == ""
     assert (f"the search on rank 20000 with multiplier 10 would try more than "
             f"{SEARCH_WORK_CAP} candidate multiples") in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        generated_group([[2], [3]], 24),
+        {"kind": "pogroup", "rank": 2, "cone": {"type": "lexicographic"}, "unit": [1, 0]},
+    ],
+    ids=["generated-2-3", "lexicographic"],
+)
+def test_archimedean_walk_at_bound_1_is_refused(stubbed, put, run, doc):
+    # y stays below the multiplier in max-norm, so at 1 no pair is left to test
+    code, out, err = run("check", put("g.json", doc), "archimedean", "--bound", "1")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "the archimedean search needs a multiplier of at least 2, not 1" in err
+    assert STUB_MESSAGE not in err  # refused before the first candidate
 
 
 def _theorem_verdict(suite: str, doc: dict) -> dict:

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import two_trace_model
 from test_cli_golden import DOCS
 
 from cuntzcalc.approx import DenseSubgroupSpec
@@ -42,12 +43,7 @@ from cuntzcalc.ordmon import (
     SimplicialCone,
     StrictStateCone,
 )
-from cuntzcalc.wmodel import CuntzClass, K0Model, WModel, purely_infinite
-
-
-def two_trace_model() -> WModel:
-    k0 = K0Model(2, (("1/2", "1/2"), ("1/4", "3/4")), (1, 1))
-    return WModel(k0)
+from cuntzcalc.wmodel import CuntzClass, K0Model, purely_infinite
 
 
 def roundtrip(doc: dict):

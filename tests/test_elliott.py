@@ -3,6 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from support import (
+    integers_invariant,
+    random_collapse_morphism,
+    random_k0model,
+    random_wmodel,
+)
 
 from cuntzcalc.elliott import (
     AbelianGroupData,
@@ -18,19 +24,9 @@ from cuntzcalc.elliott import (
     validate_invariant,
     validate_morphism,
 )
-from cuntzcalc.linalg import identity, matmul
-from cuntzcalc.sampling import (
-    random_class,
-    random_collapse_morphism,
-    random_k0model,
-    random_wmodel,
-    rng_for,
-)
+from cuntzcalc.linalg import identity
+from cuntzcalc.sampling import random_class, rng_for
 from cuntzcalc.wmodel import CuntzClass, K0Model, WModel
-
-
-def integers_invariant() -> ElliottInvariant:
-    return ElliottInvariant(K0Model(1, ((1,),), (1,)), AbelianGroupData(0))
 
 
 def two_trace_invariant(k1=AbelianGroupData(1, (2,))) -> ElliottInvariant:

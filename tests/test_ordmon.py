@@ -8,11 +8,11 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 import pytest
+from support import Delegating, w_of_z
 
 from cuntzcalc import ordmon
 from cuntzcalc.linalg import identity, vneg, vscale, vsub
@@ -24,7 +24,6 @@ from cuntzcalc.ordmon import (
     LexicographicCone,
     OrderStructure,
     PoGroupModel,
-    PositiveCone,
     SimplicialCone,
     StrictStateCone,
     archimedean_witness,
@@ -34,7 +33,7 @@ from cuntzcalc.ordmon import (
     is_weakly_unperforated,
     smith_diagonal,
 )
-from cuntzcalc.wmodel import CuntzClass, K0Model, WModel, w_of_z
+from cuntzcalc.wmodel import CuntzClass, K0Model, WModel
 
 
 # ---------------------------------------------------------------------------
@@ -318,27 +317,22 @@ def _pairs_counted(search):
     return result, counts[0]
 
 
-@dataclass(frozen=True)
-class Delegating(PositiveCone):
-    """The inner cone's membership without its type, so the searches take
-    the generic per-n ``cone_member`` walk."""
-
-    inner: PositiveCone
-
-    @property
-    def width(self) -> int:
-        return self.inner.width
-
-    def member(self, x):
-        return self.inner.member(x)
-
-
 def _assert_witness(model, witness, n_max):
     """x is not below zero, and n·x <= y for every n <= n_max."""
     x, y = witness
     assert cone_member(model, vneg(x)) is NO, (model, witness)
     for n in range(1, n_max + 1):
         assert cone_member(model, vsub(y, vscale(n, x))) is YES, (model, witness, n)
+
+
+def _generic_walk(generic, n_max, bound):
+    """The generic walk's answer.  Below n_max = 2 no y is left to test, so
+    the walk refuses, and that counts as finding no witness."""
+    if n_max < 2:
+        with pytest.raises(ValueError, match="multiplier of at least 2"):
+            archimedean_witness(generic, n_max, bound)
+        return None
+    return archimedean_witness(generic, n_max, bound)
 
 
 def _cross_check_with_the_generic_walk(model, n_max, bound):
@@ -348,7 +342,7 @@ def _cross_check_with_the_generic_walk(model, n_max, bound):
     Returns the walk's answer."""
     found = archimedean_witness(model, n_max, bound)
     generic = PoGroupModel(model.rank, Delegating(model.cone), model.unit)
-    walked = archimedean_witness(generic, n_max, bound)
+    walked = _generic_walk(generic, n_max, bound)
     if model.rank == 1:
         assert found is None and walked is None, model
     else:
@@ -475,7 +469,7 @@ def test_half_space_searches_match_the_generic_loop(monkeypatch):
         monkeypatch.setattr(ordmon, "ARCHIMEDEAN_PAIR_BUDGET", rng.randint(1, 3000))
         if isinstance(model.cone, SimplicialCone):
             assert archimedean_witness(model, n_max, bound) is None
-            assert archimedean_witness(generic, n_max, bound) is None
+            assert _generic_walk(generic, n_max, bound) is None
         else:
             walked = _cross_check_with_the_generic_walk(model, n_max, bound)
             witnesses += walked is not None
@@ -509,13 +503,18 @@ def test_half_space_searches_match_the_generic_loop(monkeypatch):
     assert witnesses >= 20
 
 
-def test_half_space_archimedean_at_n_max_one():
-    # y needs max-norm below n_max = 1, so the generic walk examines no
-    # pair; the theorem's witness holds at every scale, this one included
+def test_half_space_archimedean_at_n_max_one(count_cone_member, count_candidates):
+    # y needs max-norm below n_max = 1, so the generic walk has no pair to
+    # test: it is refused before its first candidate, not reported clean
     model = PoGroupModel(2, StrictStateCone([(5, -1)]), (1, 4))
     generic = PoGroupModel(2, Delegating(model.cone), (1, 4))
-    search = partial(archimedean_witness, generic, n_max=1, enumeration_bound=3)
-    assert _pairs_counted(search) == (None, 0)
+    with pytest.raises(ValueError, match="multiplier of at least 2, not 1"):
+        archimedean_witness(generic, n_max=1, enumeration_bound=3)
+    assert count_candidates == [] and count_cone_member == []
+    # the theorems answer at every scale, this one included
+    assert archimedean_witness(model, n_max=1, enumeration_bound=3) == ((-1, -5), (1, 4))
+    simplicial = PoGroupModel(2, SimplicialCone(2), (1, 4))
+    assert archimedean_witness(simplicial, n_max=1, enumeration_bound=3) is None
     assert _cross_check_with_the_generic_walk(model, n_max=1, bound=3) is None
     for group in (model, generic):
         assert is_weakly_unperforated(group, n_max=1, enumeration_bound=3) is None

@@ -1,6 +1,7 @@
 """Value semantics of the package's immutable classes, which they take from
-``linalg.Frozen``, and the start-up guard that keeps ``dataclasses`` and
-``inspect`` out of ``import cuntzcalc.cli``."""
+``linalg.Frozen``, and of the three that moved to ``tests/support.py``; and
+the start-up guard that keeps ``dataclasses`` and ``inspect`` out of
+``import cuntzcalc.cli`` and the test support out of every package module."""
 
 import copy
 import importlib
@@ -13,6 +14,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from support import ClosedSet, MeasureSpec, StepDensity
 
 import cuntzcalc
 from cuntzcalc.approx import DecompositionReport, DecompositionStage, DenseSubgroupSpec
@@ -24,15 +26,12 @@ from cuntzcalc.elliott import (
     WModelMorphism,
 )
 from cuntzcalc.goodearl import (
-    ClosedSet,
     DiagonalElement,
-    MeasureSpec,
     OpenSet,
     PLFn,
     RealizationResult,
     RealizationSchedule,
     RealizationStage,
-    StepDensity,
     StepFn,
 )
 from cuntzcalc.linalg import Frozen
@@ -132,9 +131,15 @@ def fields_of(value) -> list:
     return [getattr(value, name) for name in type(value)._fields]
 
 
+# value classes of the test support: the measure layer, with its samples kept
+SUPPORT_CLASSES = {ClosedSet, MeasureSpec, StepDensity}
+
+
 def test_every_value_class_has_samples():
-    assert set(CLASSES) == package_classes()
-    assert len(CLASSES) == 30  # the 28 former dataclasses, PositiveCone, PurelyInfiniteModel
+    assert set(CLASSES) == package_classes() | SUPPORT_CLASSES
+    # the 28 former dataclasses, PositiveCone and PurelyInfiniteModel, less
+    # the measure layer's three
+    assert len(package_classes()) == 27
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -219,14 +224,22 @@ def test_repr_lists_the_fields_in_order():
 
 
 def test_cli_imports_neither_dataclasses_nor_inspect():
-    # -S: site-packages' start-up hooks are not the package's imports
+    # -S: site-packages' start-up hooks are not the package's imports.  Run
+    # from src/ with only src/ on the path, then import every module of the
+    # package: none may reach the test support, which is not importable there
     code = (
         "import sys; import cuntzcalc.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+        "import importlib, pkgutil, cuntzcalc; "
+        "names = [m.name for m in pkgutil.iter_modules(cuntzcalc.__path__)]; "
+        "[importlib.import_module('cuntzcalc.' + n) for n in names]; "
+        "print(len(names), 'support' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, check=True, capture_output=True,
-        text=True, timeout=60,
+        [sys.executable, "-S", "-c", code], env=env, cwd=SRC, check=True,
+        capture_output=True, text=True, timeout=60,
     ).stdout
-    assert out == "[]\n"
+    modules = len([name for name in os.listdir(os.path.join(SRC, "cuntzcalc"))
+                   if name.endswith(".py") and name != "__init__.py"])
+    assert out == f"[]\n{modules} False\n"

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from support import random_wmodel, two_trace_model, w_of_z
 
 from cuntzcalc.cli import _class_pool
 from cuntzcalc.linalg import matvec
-from cuntzcalc.sampling import random_wmodel, rng_for
+from cuntzcalc.sampling import rng_for
 from cuntzcalc.wmodel import (
     CuntzClass,
     K0Model,
@@ -17,13 +18,7 @@ from cuntzcalc.wmodel import (
     WModel,
     element_leq,
     purely_infinite,
-    w_of_z,
 )
-
-
-def two_trace_model() -> WModel:
-    states = (("1/2", "1/2"), ("1/4", "3/4"))
-    return WModel(K0Model(2, states, (1, 1)))
 
 
 def proj(*values) -> CuntzClass:
