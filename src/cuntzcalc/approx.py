@@ -5,8 +5,9 @@ Two constructions on positive rational n-vectors:
 * a dyadic staircase g_i with coordinates (floor(2^i f) - 1) / 2^i, strictly
   increasing in i, strictly below f, with sup gap at most 2^(1-i), whose
   increments form a summable telescope;
-* a sup-realization by vectors over a fixed divisibility chain of
-  denominators, non-decreasing and strictly below f with gap at most
+* a sup-realization by vectors over a divisibility chain of denominators,
+  a ``goodearl.RealizationSchedule`` (the chain a step realization takes
+  as matrix sizes), non-decreasing and strictly below f with gap at most
   2 / m_i at stage i.
 """
 
@@ -15,31 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .goodearl import RealizationSchedule
 from .linalg import Frozen, vector
-
-
-# Largest denominator of a chain.
-MAX_DENOMINATOR = 2**30
-
-
-class DenseSubgroupSpec(Frozen):
-    """A divisibility chain of denominators m_1 | m_2 | ... , increasing."""
-
-    __slots__ = ("denominators",)
-    denominators: tuple[int, ...]
-
-    def __init__(self, denominators):
-        dens = tuple(int(d) for d in denominators)
-        if not dens:
-            raise ValueError("need at least one denominator")
-        if any(d < 1 for d in dens):
-            raise ValueError("denominators must be positive")
-        for a, b in zip(dens, dens[1:]):
-            if b <= a or b % a != 0:
-                raise ValueError("denominators must strictly increase and divide")
-        if dens[-1] > MAX_DENOMINATOR:
-            raise ValueError(f"denominators must be at most {MAX_DENOMINATOR}")
-        object.__setattr__(self, "denominators", dens)
 
 
 def _positive_profile(f) -> tuple[Fraction, ...]:
@@ -123,22 +101,23 @@ def summable_decomposition(f, i_max: int) -> DecompositionReport:
 
 
 def projection_sup_realization(
-    f, subgroup: DenseSubgroupSpec, i_max: int
+    f, schedule: RealizationSchedule, i_max: int
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Non-decreasing stages strictly below f over the denominator chain.
 
-    Stage i has coordinates (ceil(m_i f_j) - 1) / m_i, and the gap obeys
-    f - p_i <= 2 / m_i.  Divisibility makes the stages non-decreasing: for
-    v > 0 let a = ceil(m·v) - 1 and m' = k·m.  Then a/m < v gives
-    a·k < m'·v, and a·k is an integer, so a·k <= ceil(m'·v) - 1, that is
+    Stage i has coordinates (ceil(m_i f_j) - 1) / m_i, with m_i the i-th
+    entry of ``schedule.sizes``, and the gap obeys f - p_i <= 2 / m_i.
+    Divisibility makes the stages non-decreasing: for v > 0 let
+    a = ceil(m·v) - 1 and m' = k·m.  Then a/m < v gives a·k < m'·v, and
+    a·k is an integer, so a·k <= ceil(m'·v) - 1, that is
     a/m <= (ceil(m'·v) - 1)/m'.
     """
     prof = _positive_profile(f)
     if i_max < 1:
         raise ValueError("need at least one stage")
-    if i_max > len(subgroup.denominators):
+    if i_max > len(schedule.sizes):
         raise ValueError("denominator chain is shorter than the requested stages")
     return tuple(
         tuple(Fraction(math.ceil(m * v) - 1, m) for v in prof)
-        for m in subgroup.denominators[:i_max]
+        for m in schedule.sizes[:i_max]
     )

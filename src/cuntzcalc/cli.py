@@ -19,11 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import documents as docs
-from .approx import (
-    DenseSubgroupSpec,
-    projection_sup_realization,
-    summable_decomposition,
-)
+from .approx import projection_sup_realization, summable_decomposition
 from .documents import DocumentError
 from .elliott import (
     functor_g_mor,
@@ -410,59 +406,38 @@ def cmd_morphism_check(args) -> tuple[dict, Optional[dict]]:
 
 
 def _vector_realize_report(profile, schedule, stages: int) -> dict:
-    if isinstance(schedule, RealizationSchedule):
-        raise DocumentError("vector targets take a denominator schedule")
     if stages > VECTOR_STAGES_CAP:
         raise DocumentError(f"vector targets take --stages at most {VECTOR_STAGES_CAP}")
-    if isinstance(schedule, DenseSubgroupSpec):
+    report = {"command": "realize", "target": docs.rationals(profile)}
+    if schedule is None:
+        staircase = summable_decomposition(profile, stages)
+        report["mode"] = "dyadic"
+        report["increment_norm_total"] = docs.rational_str(staircase.increment_norm_total)
+        columns = ["stage", "level", "increment", "sup_gap"]
+        rows = [
+            [st.index, ",".join(docs.rationals(st.level)),
+             ",".join(docs.rationals(st.increment)), docs.rational_str(st.sup_gap)]
+            for st in staircase.stages
+        ]
+    else:
         levels = projection_sup_realization(profile, schedule, stages)
-        rows = []
-        for i, level in enumerate(levels, start=1):
-            m = schedule.denominators[i - 1]
-            gap = max(a - b for a, b in zip(profile, level))
-            rows.append([i, m, ",".join(docs.rationals(level)), docs.rational_str(gap)])
-        return {
-            "command": "realize",
-            "mode": "projection-sup",
-            "target": docs.rationals(profile),
-            "table": {
-                "columns": ["stage", "denominator", "level", "sup_gap"],
-                "rows": rows,
-            },
-        }
-    report = summable_decomposition(profile, stages)
-    rows = []
-    for st in report.stages:
-        rows.append(
-            [
-                st.index,
-                ",".join(docs.rationals(st.level)),
-                ",".join(docs.rationals(st.increment)),
-                docs.rational_str(st.sup_gap),
-            ]
-        )
-    return {
-        "command": "realize",
-        "mode": "dyadic",
-        "target": docs.rationals(report.target),
-        "increment_norm_total": docs.rational_str(report.increment_norm_total),
-        "table": {
-            "columns": ["stage", "level", "increment", "sup_gap"],
-            "rows": rows,
-        },
-    }
+        report["mode"] = "projection-sup"
+        columns = ["stage", "denominator", "level", "sup_gap"]
+        rows = [
+            [i, m, ",".join(docs.rationals(level)),
+             docs.rational_str(max(a - b for a, b in zip(profile, level)))]
+            for i, (m, level) in enumerate(zip(schedule.sizes, levels), start=1)
+        ]
+    report["table"] = {"columns": columns, "rows": rows}
+    return report
 
 
 def _step_realize_report(f: StepFn, schedule, stages: int, command: str) -> dict:
-    if isinstance(schedule, DenseSubgroupSpec):
-        raise DocumentError("step targets take a sizes schedule")
-    if schedule is None:  # dyadic sizes 2, 4, ..., 2**stages
-        largest = 2 ** min(stages, STEP_SIZE_CAP.bit_length())
-    else:
-        largest = max(schedule.sizes[:stages])
-    if largest > STEP_SIZE_CAP:
+    if schedule is None:  # dyadic sizes 2, 4, ..., up to the first past the cap
+        schedule = RealizationSchedule.dyadic(min(stages, STEP_SIZE_CAP.bit_length()))
+    if schedule.sizes[:stages][-1] > STEP_SIZE_CAP:
         raise DocumentError(f"{command} takes stage sizes at most {STEP_SIZE_CAP}")
-    result = realize(f, schedule or RealizationSchedule.dyadic(stages), stages)
+    result = realize(f, schedule, stages)
     bad = dimension_discrepancies(result)
     rows = []
     all_ok = not bad
@@ -512,11 +487,15 @@ def cmd_realize(args) -> tuple[dict, Optional[dict]]:  # goodearl: step targets 
     ttype, payload = _read(args.target, "target")
     if ttype != "step" and args.command == "goodearl":
         raise DocumentError("goodearl needs a step target")
-    schedule = _read(args.schedule, "schedule") if args.schedule else None
+    spelling, schedule = _read(args.schedule, "schedule") if args.schedule else (None, None)
     if args.stages is None or args.stages < 1:
         raise DocumentError(f"{args.command} needs --stages >= 1")
     if ttype == "vector":
+        if spelling == "sizes":
+            raise DocumentError("vector targets take a denominator schedule")
         return _vector_realize_report(payload, schedule, args.stages), None
+    if spelling == "denominators":
+        raise DocumentError("step targets take a sizes schedule")
     return _step_realize_report(payload, schedule, args.stages, args.command), None
 
 

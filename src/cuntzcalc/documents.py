@@ -12,7 +12,6 @@ import json
 from fractions import Fraction
 from typing import Any, Union
 
-from .approx import DenseSubgroupSpec
 from .elliott import (
     AbelianGroupData,
     AbelianGroupHom,
@@ -244,14 +243,25 @@ def decode_target(payload: dict) -> tuple[str, TargetPayload]:
     raise DocumentError(f"unknown target type {ttype!r}")
 
 
-def decode_schedule(payload: dict):
+# Largest denominator of a vector target's chain.
+MAX_DENOMINATOR = 2**30
+
+
+def decode_schedule(payload: dict) -> tuple[str, RealizationSchedule]:
+    """The spelling, ``sizes`` or ``denominators``, and the chain it spells.
+
+    Both spell one divisibility chain: the matrix sizes of a step target's
+    stages or the denominators of a vector target's.  Only denominators are
+    capped here; ``cli`` caps the sizes a realization uses.
+    """
     has_sizes = "sizes" in payload
-    has_denoms = "denominators" in payload
-    if has_sizes == has_denoms:
+    if has_sizes == ("denominators" in payload):
         raise DocumentError("schedule needs exactly one of sizes/denominators")
-    if has_sizes:
-        return RealizationSchedule(_parse_int_vector(payload["sizes"]))
-    return DenseSubgroupSpec(_parse_int_vector(payload["denominators"]))
+    spelling = "sizes" if has_sizes else "denominators"
+    chain = RealizationSchedule(_parse_int_vector(payload[spelling]))
+    if spelling == "denominators" and chain.sizes[-1] > MAX_DENOMINATOR:
+        raise ValueError(f"denominators must be at most {MAX_DENOMINATOR}")
+    return spelling, chain
 
 
 _DECODERS = {

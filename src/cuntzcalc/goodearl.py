@@ -4,10 +4,10 @@ Everything here is exact rational: piecewise-linear functions know their
 cozero sets as finite unions of intervals with explicit endpoint flags
 (sets are relatively open in [0, 1], so an endpoint flag can only be set at
 0 or 1), lower semicontinuous step functions have superlevel sets
-{f > q} that are open sets of the same kind, read off the step function in
-one walk.  A dimension function reads a diagonal element through a measure
-on [0, 1]; ``dim_profile`` gives it at every point mass at once, and
-``dim_fn`` takes any measure given as a function on open sets.
+{f > q} that are open sets of the same kind; both are read off piece and
+point flags in one walk.  A dimension function reads a diagonal element
+through a measure on [0, 1]; ``dim_profile`` gives it at every point mass
+at once, and ``dim_fn`` takes any measure given as a function on open sets.
 
 The centerpiece is ``realize``: given a step target f with values in
 [0, 1] and a divisibility schedule of matrix sizes, it builds diagonal
@@ -27,7 +27,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .linalg import Frozen, frac, vector
 
@@ -191,28 +191,12 @@ class PLFn(Frozen):
         """The exact set where the function is positive.
 
         Between adjacent breakpoints the function is linear with
-        non-negative endpoint values, so it vanishes on a whole segment or
-        only at breakpoints; the positive set is a finite interval union.
+        non-negative endpoint values, so it is positive on the open piece
+        iff it is at either end; a positive breakpoint has both of its
+        pieces positive, which is what ``_components`` asks.
         """
-        bp = self.breakpoints
         pos = [v.numerator > 0 for v in self.values]
-        pieces = []
-        start: Optional[tuple[Fraction, bool]] = None
-        for i in range(len(bp) - 1):
-            if not (pos[i] or pos[i + 1]):
-                if start is not None:
-                    pieces.append((start[0], bp[i], start[1], False))
-                    start = None
-                continue
-            if start is None:
-                start = (bp[i], pos[i])
-            elif not pos[i]:
-                # positive on both sides of an interior zero: split there
-                pieces.append((start[0], bp[i], start[1], False))
-                start = (bp[i], False)
-        if start is not None:
-            pieces.append((start[0], bp[-1], start[1], pos[-1]))
-        return OpenSet(tuple(pieces))
+        return _components(self.breakpoints, [a or b for a, b in zip(pos, pos[1:])], pos)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +255,6 @@ class StepFn(Frozen):
     def sup(self) -> Fraction:
         return max(self.interval_values)
 
-    def map_values(self, phi) -> "StepFn":
-        return StepFn(
-            self.partition,
-            tuple(phi(v) for v in self.interval_values),
-            tuple(phi(v) for v in self.point_values),
-        )
-
 
 def step_witnesses(f: StepFn, g: StepFn, holds) -> list[Fraction]:
     """Points of [0, 1] where ``holds(f(x), g(x))`` fails, one per failing piece.
@@ -307,28 +284,39 @@ def step_witnesses(f: StepFn, g: StepFn, holds) -> list[Fraction]:
             out.append((x + min(fp[i], gp[j])) / 2)
 
 
-def superlevel(f: StepFn, q) -> OpenSet:
-    """The set where f > q; relatively open because f is lower semicontinuous.
+def _components(points, on_piece, at_point) -> OpenSet:
+    """The open set made of the flagged pieces and points.
 
-    A point value never exceeds its neighbouring interval values, so each
-    component starts at the left end of a piece above q (closed only at 0)
-    and runs on to 1 or to the first partition point whose value is at most q.
+    ``on_piece[i]`` flags the open piece between ``points[i]`` and
+    ``points[i + 1]``, and ``at_point[i]`` flags ``points[i]``; a flagged
+    point must have every piece next to it flagged, as lower semicontinuity
+    gives.  So each component is a run of flagged pieces joined at flagged
+    points, and it includes an end point only at 0 or 1.
     """
-    qn, qd = frac(q).as_integer_ratio()
-    on_piece = [n * qd > qn * d for n, d in _ratios(f.interval_values)]
-    at_point = [n * qd > qn * d for n, d in _ratios(f.point_values)]
-    part, last = f.partition, len(on_piece) - 1
+    last = len(on_piece) - 1
     pieces, start = [], None
-    for i, above in enumerate(on_piece):
-        if not above:
+    for i, flagged in enumerate(on_piece):
+        if not flagged:
             continue
         if start is None:
             start = i
         if i == last or not at_point[i + 1]:
             closed_left = start == 0 and at_point[0]
-            pieces.append((part[start], part[i + 1], closed_left, at_point[i + 1]))
+            pieces.append((points[start], points[i + 1], closed_left, at_point[i + 1]))
             start = None
     return OpenSet(pieces)
+
+
+def superlevel(f: StepFn, q) -> OpenSet:
+    """The set where f > q; relatively open because f is lower semicontinuous.
+
+    A point value never exceeds its neighbouring interval values, so a point
+    above q has both of its pieces above q, as ``_components`` asks.
+    """
+    qn, qd = frac(q).as_integer_ratio()
+    on_piece = [n * qd > qn * d for n, d in _ratios(f.interval_values)]
+    at_point = [n * qd > qn * d for n, d in _ratios(f.point_values)]
+    return _components(f.partition, on_piece, at_point)
 
 
 def step_approximant(f: StepFn, n: int) -> StepFn:
@@ -348,7 +336,9 @@ def step_approximant(f: StepFn, n: int) -> StepFn:
         k = max(1, -(-n * tn // td))  # the ceiling of n·t
         return Fraction(k - 1, n)
 
-    return f.map_values(phi)
+    return StepFn(
+        f.partition, tuple(map(phi, f.interval_values)), tuple(map(phi, f.point_values))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +436,9 @@ def bump_on(opens: OpenSet, height) -> PLFn:
 
 
 class RealizationSchedule(Frozen):
-    """Matrix sizes n_1 | n_2 | ... for the stages, strictly increasing."""
+    """A divisibility chain n_1 | n_2 | ..., strictly increasing: the matrix
+    sizes of a step realization's stages, or the denominators of a vector
+    realization's."""
 
     __slots__ = ("sizes",)
     sizes: tuple[int, ...]
@@ -454,18 +446,16 @@ class RealizationSchedule(Frozen):
     def __init__(self, sizes):
         sizes = tuple(int(n) for n in sizes)
         if not sizes:
-            raise ValueError("need at least one stage size")
+            raise ValueError("schedule needs at least one entry")
         if sizes[0] < 1:
-            raise ValueError("sizes must be positive")
+            raise ValueError("schedule entries must be positive")
         for a, b in zip(sizes, sizes[1:]):
             if b <= a or b % a != 0:
-                raise ValueError("sizes must strictly increase and divide")
+                raise ValueError("schedule entries must strictly increase and divide")
         object.__setattr__(self, "sizes", sizes)
 
     @classmethod
     def dyadic(cls, stages: int) -> "RealizationSchedule":
-        if stages < 1:
-            raise ValueError("need at least one stage")
         return cls(tuple(2**i for i in range(1, stages + 1)))
 
 

@@ -411,15 +411,21 @@ def box_size(rank: int, bound: int) -> int:
     return (2 * bound + 1) ** rank - 1
 
 
-def _walk_bound(model: PoGroupModel, n_max: int, enumeration_bound) -> int:
-    """The box bound of a walk about to start; refuses one past the cap by a
-    message without its size, which has thousands of digits at large ranks."""
+def _walk_bound(model: PoGroupModel, n_max: int, enumeration_bound, search: str,
+                why: str) -> int:
+    """The box bound of a walk about to start.  Refuses one past the cap by a
+    message without its size, which has thousands of digits at large ranks;
+    then one below the multiplier 2, at which the walk ``search`` would test
+    nothing, for the reason ``why``."""
     bound = box_bound(model.rank) if enumeration_bound is None else enumeration_bound
     if box_size(model.rank, bound) * n_max > SEARCH_WORK_CAP:
         raise ValueError(
             f"the search on rank {model.rank} with multiplier {n_max} would try "
             f"more than {SEARCH_WORK_CAP} candidate multiples"
         )
+    if n_max < 2:
+        raise ValueError(f"the {search} search needs a multiplier of at least 2, "
+                         f"not {n_max}: {why}")
     return bound
 
 
@@ -444,10 +450,14 @@ def is_weakly_unperforated(model: PoGroupModel, n_max: int, enumeration_bound=No
     returns at once on them.  On a simplicial cone, nx >= 0 iff x >= 0 for every n >= 1.
     On a strict-state cone with integer rows R, a nonzero x lies outside
     iff min(R·x) <= 0, and then n·min(R·x) <= 0, so nx lies outside too.
+    Other cones are walked; below n_max = 2 the only multiple is x itself,
+    outside the cone, so the walk is refused rather than reported clean.
     """
     if isinstance(model.cone, (SimplicialCone, StrictStateCone)):
         return None
-    bound = _walk_bound(model, n_max, enumeration_bound)
+    bound = _walk_bound(model, n_max, enumeration_bound, "weak-unperforation",
+                        "1·x is x, which lies outside the cone, so no multiple "
+                        "could be tested")
     for x in _int_vectors_by_norm(model.rank, bound):
         # x is nonzero, so every nx is too
         if cone_member(model, x).definite is not False:
@@ -500,12 +510,9 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound=None)
         x[i] += cone.scale
         g = math.gcd(*x)
         return tuple(c // g for c in x), u
-    bound = _walk_bound(model, n_max, enumeration_bound)
-    if n_max < 2:
-        raise ValueError(
-            f"the archimedean search needs a multiplier of at least 2, not {n_max}: "
-            f"y stays below the multiplier in max-norm, so no pair could be tested"
-        )
+    bound = _walk_bound(model, n_max, enumeration_bound, "archimedean",
+                        "y stays below the multiplier in max-norm, so no pair "
+                        "could be tested")
     box = list(_int_vectors_by_norm(model.rank, bound))
     # y runs over the prefix of the box of max-norm at most m < n_max
     ys = box[:box_size(model.rank, min(bound, n_max - 1))]

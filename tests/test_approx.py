@@ -9,12 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuntzcalc.approx import (
-    DenseSubgroupSpec,
     dyadic_below,
     first_stage,
     projection_sup_realization,
     summable_decomposition,
 )
+from cuntzcalc.goodearl import RealizationSchedule
 
 
 def test_first_stage_waits_for_positivity():
@@ -122,7 +122,7 @@ class TestSummableDecomposition:
 
 class TestProjectionSupRealization:
     def test_dyadic_chain_on_the_unit_target(self):
-        spec = DenseSubgroupSpec((2, 4, 8))
+        spec = RealizationSchedule((2, 4, 8))
         stages = projection_sup_realization((1,), spec, 3)
         assert stages == (
             (Fraction(1, 2),),
@@ -132,19 +132,19 @@ class TestProjectionSupRealization:
 
     def test_grid_value_steps_one_notch_down(self):
         # a coordinate already on the grid stays strictly below itself
-        spec = DenseSubgroupSpec((4,))
+        spec = RealizationSchedule((4,))
         assert projection_sup_realization((Fraction(3, 4),), spec, 1) == (
             (Fraction(1, 2),),
         )
 
     def test_values_above_one_are_fine(self):
-        spec = DenseSubgroupSpec((2,))
+        spec = RealizationSchedule((2,))
         assert projection_sup_realization((Fraction(3, 2),), spec, 1) == (
             (Fraction(1),),
         )
 
     def test_stage_bounds(self):
-        spec = DenseSubgroupSpec((2, 4))
+        spec = RealizationSchedule((2, 4))
         with pytest.raises(ValueError):
             projection_sup_realization((1,), spec, 3)
         with pytest.raises(ValueError):
@@ -152,11 +152,11 @@ class TestProjectionSupRealization:
 
     @given(positive_profiles(), st.integers(1, 4))
     def test_invariants(self, f, depth):
-        spec = DenseSubgroupSpec(tuple(3 * 2**i for i in range(depth)))
+        spec = RealizationSchedule(tuple(3 * 2**i for i in range(depth)))
         stages = projection_sup_realization(f, spec, depth)
         prev = None
         for i, stage in enumerate(stages):
-            m = spec.denominators[i]
+            m = spec.sizes[i]
             assert all(v * m == int(v * m) for v in stage)
             assert all(p < v for p, v in zip(stage, f))
             assert all(v - p <= Fraction(2, m) for p, v in zip(stage, f))
@@ -175,22 +175,17 @@ def test_stages_rise_on_random_divisibility_chains():
             dens.append(dens[-1] * rng.randint(2, 7))
         f = tuple(Fraction(rng.randint(1, 400), rng.randint(1, 97))
                   for _ in range(rng.randint(1, 4)))
-        stages = projection_sup_realization(f, DenseSubgroupSpec(dens), len(dens))
+        stages = projection_sup_realization(f, RealizationSchedule(dens), len(dens))
         for m, stage, prev in zip(dens[1:], stages[1:], stages):
             assert all(a >= b for a, b in zip(stage, prev)), (f, dens)
             assert all(v - p <= Fraction(2, m) for p, v in zip(stage, f))
 
 
-def test_subgroup_spec_validation():
-    DenseSubgroupSpec((2, 4, 8))
-    DenseSubgroupSpec((1, 5, 10))
-    with pytest.raises(ValueError):
-        DenseSubgroupSpec(())
-    with pytest.raises(ValueError):
-        DenseSubgroupSpec((2, 3))
-    with pytest.raises(ValueError):
-        DenseSubgroupSpec((4, 2))
-    with pytest.raises(ValueError):
-        DenseSubgroupSpec((0,))
-    with pytest.raises(ValueError):
-        DenseSubgroupSpec((2, 2**31))
+def test_denominator_chain_validation():
+    RealizationSchedule((2, 4, 8))
+    RealizationSchedule((1, 5, 10))
+    for chain in ((), (2, 3), (4, 2), (0,)):
+        with pytest.raises(ValueError, match="^schedule "):
+            RealizationSchedule(chain)
+    # the 2^30 cap is the denominators document's, not the chain's
+    assert RealizationSchedule((2, 2**31)).sizes == (2, 2**31)

@@ -663,6 +663,19 @@ class TestRealize:
         assert code == EXIT_INVALID
         assert "denominator schedule" in err
 
+    def test_sizes_past_the_denominator_cap_are_read(self, workspace, run):
+        # the 2^30 cap is the denominators spelling's; an unused size above it
+        # leaves the report of the stages asked for as it is
+        target = workspace("t.json", TWO_LEVEL_TARGET)
+        reports = []
+        for sizes in ([2, 4], [2, 4, 2**31]):
+            schedule = workspace("s.json", {"kind": "schedule", "sizes": sizes})
+            code, out, _ = run("realize", target, schedule, "--stages", "2")
+            assert code == EXIT_OK
+            reports.append(out)
+        assert reports[0] == reports[1]
+        assert report_of(reports[1])["verdict"] == "pass"
+
     def test_step_target_passes_all_stage_checks(self, workspace, run):
         target = workspace("t.json", TWO_LEVEL_TARGET)
         code, out, _ = run("realize", target, "--stages", "3")
@@ -886,7 +899,12 @@ DOCUMENT_CHECKS = {
     "zero-size": (
         ("realize", "TARGET", "DOC", "--stages", "2"),
         {"kind": "schedule", "sizes": [0, 2]},
-        "error: invalid schedule document: sizes must be positive",
+        "error: invalid schedule document: schedule entries must be positive",
+    ),
+    "denominator-past-the-cap": (
+        ("realize", "TARGET", "DOC", "--stages", "2"),
+        {"kind": "schedule", "denominators": [2, 2**31]},
+        "error: invalid schedule document: denominators must be at most 1073741824",
     ),
     "step-target-with-denominators": (
         ("realize", "TARGET", "DOC", "--stages", "2"),

@@ -57,7 +57,15 @@ def stubbed(monkeypatch):
     ):
         monkeypatch.setattr(cli, name, _stub)
     monkeypatch.setattr(ordmon, "_int_vectors_by_norm", _stub)
-    monkeypatch.setattr(RealizationSchedule, "dyadic", _stub)
+    dyadic = RealizationSchedule.dyadic
+
+    def bounded_dyadic(stages):
+        # the default schedule is built up to the first size past the cap at most
+        if stages > STEP_SIZE_CAP.bit_length():
+            _stub()
+        return dyadic(stages)
+
+    monkeypatch.setattr(RealizationSchedule, "dyadic", bounded_dyadic)
 
 
 @pytest.fixture()
@@ -257,6 +265,23 @@ def test_archimedean_walk_at_bound_1_is_refused(stubbed, put, run, doc):
     assert code == EXIT_INVALID
     assert out == ""
     assert "the archimedean search needs a multiplier of at least 2, not 1" in err
+    assert STUB_MESSAGE not in err  # refused before the first candidate
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        generated_group([[2], [3]], 24),
+        {"kind": "pogroup", "rank": 2, "cone": {"type": "lexicographic"}, "unit": [1, 0]},
+    ],
+    ids=["generated-2-3", "lexicographic"],
+)
+def test_weak_unperforation_walk_at_bound_1_is_refused(stubbed, put, run, doc):
+    # x is taken outside the cone, so at 1 its only multiple, x, is outside too
+    code, out, err = run("check", put("g.json", doc), "weak-unperforation", "--bound", "1")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "the weak-unperforation search needs a multiplier of at least 2, not 1" in err
     assert STUB_MESSAGE not in err  # refused before the first candidate
 
 

@@ -318,12 +318,12 @@ for _doc in ("simp1", "simp2", "states2", "gen23", "lex"):
     CASES[f"check-{_doc}-weak-unperforation"] = ["check", "@" + _doc, "weak-unperforation"]
     CASES[f"check-{_doc}-archimedean"] = ["check", "@" + _doc, "archimedean"]
 CASES["check-z-archimedean"] = ["check", "@z", "archimedean"]
-# at --bound 1 the walk on a generated or lexicographic cone has no y below
-# the multiplier to test, so it exits 2; a simplicial cone is still decided
+# at --bound 1 the walks on a generated or lexicographic cone have nothing to
+# test (no y below the multiplier, no multiple of x but x), so they exit 2; a
+# simplicial cone is still decided
 for _doc in ("gen23", "lex", "simp2"):
-    CASES[f"check-{_doc}-archimedean-bound-1"] = [
-        "check", "@" + _doc, "archimedean", "--bound", "1",
-    ]
+    for _suite in ("archimedean", "weak-unperforation"):
+        CASES[f"check-{_doc}-{_suite}-bound-1"] = ["check", "@" + _doc, _suite, "--bound", "1"]
 CASES["check-m2-order-axioms-default"] = ["check", "@m2", "order-axioms", "--seed", "5"]
 CASES["check-m2-oracle-agreement-default"] = ["check", "@m2", "oracle-agreement"]
 CASES["check-pogroup-order-axioms"] = ["check", "@simp2", "order-axioms"]

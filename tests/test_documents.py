@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from support import two_trace_model
 from test_cli_golden import DOCS
 
-from cuntzcalc.approx import DenseSubgroupSpec
 from cuntzcalc.documents import (
     KINDS,
     DocumentError,
@@ -200,8 +199,17 @@ def test_target_roundtrips():
 
 
 def test_schedule_roundtrips():
-    assert roundtrip(DOCS["sizes"]) == RealizationSchedule((3, 6, 12))
-    assert roundtrip(DOCS["denoms"]) == DenseSubgroupSpec((2, 6, 30))
+    assert roundtrip(DOCS["sizes"]) == ("sizes", RealizationSchedule((3, 6, 12)))
+    assert roundtrip(DOCS["denoms"]) == ("denominators", RealizationSchedule((2, 6, 30)))
+
+
+def test_both_schedule_spellings_decode_to_one_chain():
+    for chain in ([1], [2, 6, 30], [3, 9, 27], [2, 4, 2**30]):
+        (_, sizes), (_, denominators) = (
+            roundtrip({"kind": "schedule", spelling: chain})
+            for spelling in ("sizes", "denominators")
+        )
+        assert sizes == denominators == RealizationSchedule(chain)
 
 
 # ---------------------------------------------------------------------------

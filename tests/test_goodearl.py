@@ -407,6 +407,28 @@ def test_superlevel_holds_exactly_where_f_exceeds_q():
                 assert contains(opens, x) == (f(x) > q)
 
 
+def test_cozero_is_the_superlevel_set_of_its_flags():
+    # PLFn.cozero and superlevel read their flags through one walk: g is 1 on
+    # a piece where f is positive at either end and 1 at a point where f is
+    # positive, so {g > 0} is where f is positive
+    rng = random.Random(2706)
+    shapes = Counter()
+    for _ in range(2000):
+        inner = sorted(rng.sample(range(1, 24), rng.randint(0, 6)))
+        bp = [0, *(Fraction(x, 24) for x in inner), 1]
+        values = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) if rng.random() < 0.6
+                  else Fraction(0) for _ in bp]
+        f = PLFn(bp, values)
+        pos = [v > 0 for v in values]
+        g = StepFn(bp, [int(a or b) for a, b in zip(pos, pos[1:])], list(map(int, pos)))
+        opens = f.cozero()
+        assert opens == superlevel(g, 0), f
+        shapes[len(opens.intervals)] += 1
+        shapes["interior zero"] += any(not p for p in pos[1:-1])
+    # empty, one-piece and split cozero sets all occur
+    assert shapes[0] and shapes[1] and shapes[2] and shapes["interior zero"] > 500
+
+
 def test_step_witnesses_match_evaluation_at_points_and_midpoints():
     rng = random.Random(819)
     relations = (operator.eq, operator.le, operator.lt, operator.ge)

@@ -325,14 +325,15 @@ def _assert_witness(model, witness, n_max):
         assert cone_member(model, vsub(y, vscale(n, x))) is YES, (model, witness, n)
 
 
-def _generic_walk(generic, n_max, bound):
-    """The generic walk's answer.  Below n_max = 2 no y is left to test, so
-    the walk refuses, and that counts as finding no witness."""
+def _generic_walk(generic, n_max, bound, search=archimedean_witness):
+    """The generic walk's answer.  Below n_max = 2 the archimedean walk has
+    no y left to test, and the weak-unperforation walk no multiple of x but
+    x; so either walk refuses, and that counts as finding no witness."""
     if n_max < 2:
         with pytest.raises(ValueError, match="multiplier of at least 2"):
-            archimedean_witness(generic, n_max, bound)
+            search(generic, n_max, bound)
         return None
-    return archimedean_witness(generic, n_max, bound)
+    return search(generic, n_max, bound)
 
 
 def _cross_check_with_the_generic_walk(model, n_max, bound):
@@ -474,7 +475,7 @@ def test_half_space_searches_match_the_generic_loop(monkeypatch):
             walked = _cross_check_with_the_generic_walk(model, n_max, bound)
             witnesses += walked is not None
         assert is_weakly_unperforated(model, n_max, bound) is None
-        assert is_weakly_unperforated(generic, n_max, bound) is None
+        assert _generic_walk(generic, n_max, bound, is_weakly_unperforated) is None
     assert witnesses >= 20  # the walk's side of the check is not all None
     # budgets one below, at and one past the end of the k-th candidate row,
     # where the generic walk's budget exit falls between two candidates;
@@ -516,8 +517,13 @@ def test_half_space_archimedean_at_n_max_one(count_cone_member, count_candidates
     simplicial = PoGroupModel(2, SimplicialCone(2), (1, 4))
     assert archimedean_witness(simplicial, n_max=1, enumeration_bound=3) is None
     assert _cross_check_with_the_generic_walk(model, n_max=1, bound=3) is None
-    for group in (model, generic):
-        assert is_weakly_unperforated(group, n_max=1, enumeration_bound=3) is None
+    # at n_max = 1 the weak-unperforation walk would only ask whether an x
+    # outside the cone lies in it, so it is refused too; the theorem answers
+    assert is_weakly_unperforated(model, n_max=1, enumeration_bound=3) is None
+    with pytest.raises(ValueError, match="weak-unperforation search needs a multiplier of "
+                                         "at least 2, not 1"):
+        is_weakly_unperforated(generic, n_max=1, enumeration_bound=3)
+    assert count_candidates == [] and count_cone_member == []
 
 
 def test_pair_budget_running_out_at_the_end_of_a_row(monkeypatch):

@@ -17,7 +17,7 @@ import pytest
 from support import ClosedSet, MeasureSpec, StepDensity
 
 import cuntzcalc
-from cuntzcalc.approx import DecompositionReport, DecompositionStage, DenseSubgroupSpec
+from cuntzcalc.approx import DecompositionReport, DecompositionStage
 from cuntzcalc.elliott import (
     AbelianGroupData,
     AbelianGroupHom,
@@ -64,7 +64,6 @@ def samples() -> dict:
     level = DecompositionStage(1, (HALF,), (HALF,), HALF)
     level2 = DecompositionStage(2, (HALF,), (0,), Fraction(1, 4))
     return {
-        DenseSubgroupSpec: (DenseSubgroupSpec((2, 4)), DenseSubgroupSpec((3, 9))),
         DecompositionStage: (level, level2),
         DecompositionReport: (
             DecompositionReport((1,), (level,), HALF),
@@ -138,8 +137,8 @@ SUPPORT_CLASSES = {ClosedSet, MeasureSpec, StepDensity}
 def test_every_value_class_has_samples():
     assert set(CLASSES) == package_classes() | SUPPORT_CLASSES
     # the 28 former dataclasses, PositiveCone and PurelyInfiniteModel, less
-    # the measure layer's three
-    assert len(package_classes()) == 27
+    # the measure layer's three and DenseSubgroupSpec, now a RealizationSchedule
+    assert len(package_classes()) == 26
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
