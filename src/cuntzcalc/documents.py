@@ -282,7 +282,7 @@ def parse_document(text: str) -> tuple[str, dict]:
         payload = json.loads(
             text, parse_float=_reject_float, parse_constant=_reject_float
         )
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DocumentError("document must be a JSON object")

@@ -123,7 +123,10 @@ class InvariantMorphism(Frozen):
 
 
 def validate_invariant(inv: ElliottInvariant) -> list[str]:
-    """Structural checks beyond what the constructors enforce."""
+    """The unit in the K0 cone and every state 1 on it.  Every ``K0Model``
+    constructor already refuses a state that is not 1 on the unit, and R·u =
+    scale >= 1 puts the unit in the cone, so on constructed data this is
+    empty."""
     problems = []
     if not inv.k0.cone_member(inv.k0.unit):
         problems.append("unit outside the K0 cone")
@@ -208,9 +211,6 @@ class WModelMorphism(Frozen):
 
 def functor_g_obj(inv: ElliottInvariant) -> WModel:
     """Model of an invariant: the finite model of its K0 data over its traces."""
-    problems = validate_invariant(inv)
-    if problems:
-        raise ValueError("; ".join(problems))
     return WModel(inv.k0)
 
 

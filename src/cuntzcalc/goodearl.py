@@ -13,7 +13,8 @@ The centerpiece is ``realize``: given a step target f with values in
 [0, 1] and a divisibility schedule of matrix sizes, it builds diagonal
 elements a_i whose dimension function at every point mass equals the
 stage approximant of f exactly, with stage-to-stage sup-norm increments
-at most 2^-i.
+at most 2^-i.  Each stage reads f only through that approximant: its bumps
+sit on the approximant's superlevel sets.
 
 On that path every order question, sign test and interpolation is decided
 on the integer (numerator, denominator) forms of the rationals; a
@@ -79,10 +80,6 @@ class OpenSet(Frozen):
                 raise ValueError("intervals must be sorted and disjoint")
             pn, pd = rn, rd
         object.__setattr__(self, "intervals", ivs)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.intervals
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +309,7 @@ def superlevel(f: StepFn, q) -> OpenSet:
 
     A point value never exceeds its neighbouring interval values, so a point
     above q has both of its pieces above q, as ``_components`` asks.
+    ``realize`` reads it on stage approximants only, at their own levels.
     """
     qn, qd = frac(q).as_integer_ratio()
     on_piece = [n * qd > qn * d for n, d in _ratios(f.interval_values)]
@@ -329,7 +327,7 @@ def step_approximant(f: StepFn, n: int) -> StepFn:
     if n < 1:
         raise ValueError("grid size must be positive")
     if f.sup > 1:  # lower semicontinuity keeps every point value at or below the sup
-        raise ValueError("approximation targets take values in [0, 1]")
+        raise ValueError("realization targets take values in [0, 1]")
 
     def phi(t: Fraction) -> Fraction:
         tn, td = t.as_integer_ratio()
@@ -510,48 +508,37 @@ def _increment(old: PLFn, new: PLFn) -> tuple[Fraction, bool]:
     return Fraction(top_n, top_d), rose
 
 
-def _levels_at_or_below(levels: Sequence[tuple[int, int]], n: int):
-    """For m = 1 .. n - 1, how many of the sorted integer forms ``levels``
-    lie at or below m/n: ``bisect_right`` at each grid point, read in one
-    pointer walk, since the count only grows with m."""
-    count = 0
-    for m in range(1, n):
-        while count < len(levels) and levels[count][0] * n <= m * levels[count][1]:
-            count += 1
-        yield count
-
-
 def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> RealizationResult:
     """Diagonal elements whose pointwise dimension functions walk up to f.
 
-    Stage i of size n uses one zero entry plus bumps of height 2^-i whose
-    cozero sets are exactly the superlevel sets {f > (k-1)/n} of f at the
-    grid levels; previous entries merge in by pointwise
-    maximum.  Each stage's dimension function at the point mass in x equals
-    the stage approximant of f at x, exactly.  Slots share their immutable
-    entries: each distinct bump and each distinct merge is built once.
+    Stage i of size n reads f only through g = ``step_approximant(f, n)``: one
+    zero entry plus bumps of height 2^-i on the superlevel sets {f > (k-1)/n}
+    = {g > (k-2)/n}, one bump per positive level of g; previous entries merge
+    in by pointwise maximum.  Each stage's dimension function at the point
+    mass in x equals g(x), exactly.  Slots share their immutable entries: each
+    distinct bump and each distinct merge is built once.
     """
     if stages < 1:
         raise ValueError("need at least one stage")
     if stages > len(schedule.sizes):
         raise ValueError("schedule is shorter than the requested stages")
-    if f.sup > 1:  # bounds the point values too, as in step_approximant
-        raise ValueError("realization targets take values in [0, 1]")
-    levels = _ratios(sorted(set(f.interval_values) | set(f.point_values)))
     records = []
     zero = PLFn.zero()
     prev_entries = [zero]  # _merge_slots spreads it over n zero slots
     for idx in range(1, stages + 1):
         n = schedule.sizes[idx - 1]
         height = Fraction(1, 2**idx)
-        # {f > m/n} is fixed by the values of f above m/n: one bump per open set
-        bumps: dict[int, PLFn] = {}
-        fresh = [zero]
-        for m, key in enumerate(_levels_at_or_below(levels, n), start=1):
-            if key not in bumps:
-                opens = superlevel(f, Fraction(m, n))
-                bumps[key] = zero if opens.is_empty else bump_on(opens, height)
-            fresh.append(bumps[key])
+        approximant = step_approximant(f, n)
+        # slot m takes {f > m/n} = {approximant > (m - 1)/n}: slots low + 1 ..
+        # high share {approximant > low/n} between consecutive levels low/n <
+        # high/n, and the slots above the top level take the zero entry
+        values = {*approximant.interval_values, *approximant.point_values}
+        fresh, low = [zero], 0
+        for high in sorted(int(n * v) for v in values if v):
+            opens = superlevel(approximant, Fraction(low, n))
+            fresh += [bump_on(opens, height)] * (high - low)
+            low = high
+        fresh += [zero] * (n - 1 - low)
         embedded = _merge_slots(prev_entries, n)
         # slots share entries, so each distinct (old, bump) pair is merged once
         merged: dict[tuple[int, int], PLFn] = {}
@@ -568,7 +555,7 @@ def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> Realizatio
                 index=idx,
                 size=n,
                 element=DiagonalElement(n, tuple(entries)),
-                approximant=step_approximant(f, n),
+                approximant=approximant,
                 sup_increment=increment,
                 monotone=monotone,
             )

@@ -774,6 +774,33 @@ class TestOutputPlumbing:
         assert code == EXIT_INVALID
         assert "error:" in err
 
+    def test_unwritable_out_path_exits_2_before_the_report(self, workspace, run):
+        model = workspace("m.json", docs.encode_wmodel(w_of_z()))
+        x = workspace("x.json", proj_doc(1))
+        missing = workspace.dir / "missing" / "out.json"
+        for path, reason in ((missing, "No such file or directory"),
+                             (workspace.dir, "Is a directory")):
+            code, out, err = run("add", model, x, x, "--out", str(path))
+            assert code == EXIT_INVALID
+            assert out == ""
+            assert err.startswith("error: ") and reason in err.splitlines()[0]
+        assert not missing.parent.exists()
+
+    @pytest.mark.parametrize("values, message", [
+        ("[" * 10**5 + "]" * 10**5, "error: invalid JSON: maximum recursion depth exceeded"),
+        # json refuses to convert it: the int_max_str_digits limit is 4300 digits
+        ("[" + "1" * 5000 + "]", "error: Exceeds the limit (4300"),
+    ], ids=["nested-100000-deep", "integer-of-5000-digits"])
+    def test_oversize_json_is_invalid_not_internal(self, workspace, run, values, message):
+        model = workspace("m.json", docs.encode_wmodel(w_of_z()))
+        x = workspace.dir / "x.json"
+        doc = '{"kind": "class", "type": "proj", "values": ' + values + "}"
+        x.write_text(doc, encoding="utf-8")
+        code, out, err = run("compare", model, str(x), str(x))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.splitlines()[0].startswith(message)
+
 
 TWO_TRACE_DOC = {
     "kind": "wmodel",
@@ -807,6 +834,13 @@ def step_target(partition, interval_values, point_values) -> dict:
         "point_values": point_values,
     }
 
+
+# a state that takes the value 1/2 on the unit
+HALF_STATE_INVARIANT = {
+    "kind": "invariant",
+    "k0": {"rank": 1, "states": [["1/2"]], "unit": [1]},
+    "k1": {"free_rank": 0, "torsion": []},
+}
 
 # (argv with "DOC" for the document, document, the first stderr line)
 DOCUMENT_CHECKS = {
@@ -911,6 +945,33 @@ DOCUMENT_CHECKS = {
         {"kind": "schedule", "denominators": [2, 4]},
         "error: step targets take a sizes schedule",
     ),
+    # the first stage's step_approximant refuses a value above 1
+    "step-value-above-one": (
+        ("realize", "DOC", "--stages", "2"),
+        step_target(["0", "1/2", "1"], ["1/2", "3/2"], ["1/2", "1/2", "3/2"]),
+        "error: realization targets take values in [0, 1]",
+    ),
+    "goodearl-step-value-above-one": (
+        ("goodearl", "DOC", "--stages", "2"),
+        step_target(["0", "1/2", "1"], ["1/2", "3/2"], ["1/2", "1/2", "3/2"]),
+        "error: realization targets take values in [0, 1]",
+    ),
+    # K0Model refuses such a state when the document is decoded
+    "invariant-state-not-one-on-the-unit": (
+        ("functor", "DOC"),
+        HALF_STATE_INVARIANT,
+        "error: invalid invariant document: every state must take the value 1 on "
+        "the order unit",
+    ),
+    **{
+        f"morphism-{end}-state-not-one-on-the-unit": (
+            ("morphism-check", "DOC"),
+            {**collapse_pair(), end: HALF_STATE_INVARIANT},
+            "error: invalid morphism document: every state must take the value 1 on "
+            "the order unit",
+        )
+        for end in ("source", "target")
+    },
 }
 
 

@@ -13,7 +13,7 @@ import inspect
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cli_golden import CASES, DOCS, run_case
 
@@ -125,7 +125,7 @@ OPTIONS = {
     "--bound": ("1", "2", "3", "3", "0", "-1", "1/2", *OVERSIZE),
     "--stages": ("1", "2", "3", "3", "0", "-2", "x", *OVERSIZE),
     "--format": ("json", "table", "table", "xml"),
-    "--out": ("@out",),
+    "--out": ("@out", "@dir", "@nodir/out"),  # the last two cannot be written
 }
 JUNK = ("", "-", "--", "-z", "--nope", "1/0", "0.5", "1e3", "@missing", "@dir")
 NAMES = (*COMMANDS, "nonsense", "Compare", "--help")
@@ -212,11 +212,15 @@ def argvs(draw):
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(argvs())
+# a report with an out document, whose --out cannot be written
+@example(["add", "@z", "@z1", "@z1", "--out", "@dir"])
+@example(["functor", "@inv", "--out", "@nodir/out"])
 def test_fuzzed_argument_lists_exit_0_or_2(workdir, guarded, argv):
     paths = {f"@{name}": str(workdir / f"{name}.json") for name in DOCS}
     paths["@out"] = str(workdir / "out.json")
     paths["@missing"] = str(workdir / "missing.json")
     paths["@dir"] = str(workdir / "dir")
+    paths["@nodir/out"] = str(workdir / "nodir" / "out.json")
     argv = [paths.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

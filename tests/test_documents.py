@@ -232,6 +232,8 @@ def test_unknown_kind_and_shape_errors():
         parse_document("[1, 2]")
     with pytest.raises(DocumentError):
         parse_document("{not json")
+    with pytest.raises(DocumentError, match="^invalid JSON: maximum recursion depth"):
+        parse_document('{"kind": "class", "values": ' + "[" * 10**5 + "]" * 10**5 + "}")
 
 
 def test_missing_fields_are_reported():

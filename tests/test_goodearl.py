@@ -115,7 +115,7 @@ class TestOpenSet:
         o = OpenSet(((0, "1/4", True, False), ("1/2", 1, False, True)))
         assert measure(lebesgue(), o) == fr("3/4")
         assert measure(lebesgue(), OpenSet(())) == 0
-        assert OpenSet(()).is_empty
+        assert not OpenSet(()).intervals
 
 
 class TestClosedSet:
@@ -194,7 +194,7 @@ class TestPLFn:
         assert g.cozero().intervals == (Iv(fr("1/4"), fr("3/4"), False, False),)
 
     def test_cozero_of_simple_shapes(self):
-        assert PLFn.zero().cozero().is_empty
+        assert not PLFn.zero().cozero().intervals
         assert PLFn.constant(1).cozero().intervals == (Iv(fr(0), fr(1), True, True),)
         rising = PLFn((0, "1/2", 1), (0, 0, 1))
         assert rising.cozero().intervals == (Iv(fr("1/2"), fr(1), False, True),)
@@ -358,7 +358,7 @@ def test_complement_around_a_point():
 
 
 def test_complement_of_everything_is_empty():
-    assert superlevel(constant_step("1/2"), "1/2").is_empty
+    assert not superlevel(constant_step("1/2"), "1/2").intervals
 
 
 def test_complement_of_a_left_closed_piece():
@@ -369,7 +369,7 @@ def test_complement_of_a_left_closed_piece():
 class TestSuperlevel:
     def test_everything_and_nothing(self):
         f = two_level()
-        assert superlevel(f, 1).is_empty
+        assert not superlevel(f, 1).intervals
         assert superlevel(f, "1/4").intervals == (Iv(fr(0), fr(1), True, True),)
 
     def test_two_level_split(self):
@@ -755,6 +755,23 @@ def random_step_target(rng: random.Random) -> StepFn:
     return StepFn(part, ivals, pvals)
 
 
+def test_superlevels_of_f_are_superlevels_of_its_approximant():
+    # realize reads f only through step_approximant(f, n): its slot m takes
+    # {f > m/n}, built as {approximant > (m - 1)/n}
+    rng = random.Random(2807)
+    cases, empty = 0, 0
+    for _ in range(3000):
+        f = random_step_target(rng) if rng.random() < 0.5 else random_lsc_step(rng)
+        for n in rng.sample((2, 3, 5, 6, 7, 8, 9, 12, 16, 20, rng.randint(2, 40)), 2):
+            approximant = step_approximant(f, n)
+            for m in range(1, n):
+                opens = superlevel(f, Fraction(m, n))
+                assert opens == superlevel(approximant, Fraction(m - 1, n)), (f, n, m)
+                cases += 1
+                empty += not opens.intervals
+    assert cases > 25_000 and 0 < empty < cases
+
+
 def test_dim_profile_matches_point_mass_dimensions():
     rng = random.Random(606)
     schedules = (RealizationSchedule.dyadic(4), RealizationSchedule((3, 6, 12)))
@@ -809,7 +826,7 @@ def _unshared_stages(f: StepFn, sizes) -> list:
         fresh = [PLFn.zero()]
         for k in range(2, n + 1):
             opens = superlevel(f, Fraction(k - 1, n))
-            fresh.append(PLFn.zero() if opens.is_empty else bump_on(opens, fr(1) / 2**idx))
+            fresh.append(bump_on(opens, fr(1) / 2**idx) if opens.intervals else PLFn.zero())
         olds = [PLFn.zero() for _ in range(n)] if prev is None else _merge_slots(prev, n)
         entries = [old.pointwise_max(bump) for old, bump in zip(olds, fresh)]
         diffs = [

@@ -6,7 +6,7 @@ values written two ways ("2/4" and "1/2"), values a hair apart, and
 denominators up to 10^17 (one realization stage reaches an lcm of 3.1·10^16
 among its breakpoint denominators).  Each check compares an integer form with
 the ``Fraction`` expression it stands for: comparison and sign, ``_lerp``,
-the approximant's ceiling, the slot keys, the constructor checks, the
+the approximant's ceiling, the constructor checks, the
 superlevel sets, the merge walk and the increment sweep.  A few whole
 realizations of such targets are then checked pointwise.
 """
@@ -15,7 +15,6 @@ import math
 import random
 
 import pytest
-from bisect import bisect_right
 from fractions import Fraction
 
 from cuntzcalc.goodearl import (
@@ -27,7 +26,6 @@ from cuntzcalc.goodearl import (
     _increasing,
     _increment,
     _lerp,
-    _levels_at_or_below,
     _merge_slots,
     _ratios,
     bump_on,
@@ -131,18 +129,6 @@ def test_approximant_ceiling_matches_the_fraction_ceiling():
         got = step_approximant(StepFn((0, 1), (t,), (t, t)), n)
         want = Fraction(max(1, math.ceil(n * t)) - 1, n)
         assert got.interval_values == (want,) and got.point_values == (want, want)
-
-
-def test_slot_keys_match_bisect_on_the_grid():
-    rng = random.Random(2204)
-    for _ in range(2000):
-        n = rng.choice((2, 3, 9, 27, 64, rng.randint(2, 100)))
-        levels = {unit_point(rng) for _ in range(rng.randint(0, 6))}
-        levels |= {Fraction(rewritten(Fraction(rng.randint(0, n), n), rng))
-                   for _ in range(rng.randint(0, 2))}
-        levels = sorted(levels)
-        got = list(_levels_at_or_below(_ratios(levels), n))
-        assert got == [bisect_right(levels, Fraction(m, n)) for m in range(1, n)]
 
 
 # the constructor checks as they read on Fraction comparisons
@@ -288,7 +274,7 @@ def test_superlevel_sets_match_the_fraction_walk():
         for q in (*levels, nearby(rng.choice(levels), rng), rewritten(rng.choice(levels), rng)):
             assert superlevel(f, q) == fraction_superlevel(f, Fraction(q))
             opens = superlevel(f, q)
-            if not opens.is_empty:
+            if opens.intervals:
                 assert bump_on(opens, Fraction(1, 8)).cozero() == opens
 
 
