@@ -471,11 +471,13 @@ class TestCheckSuites:
     @pytest.mark.parametrize("suite", SUITES)
     @pytest.mark.parametrize("bound", ["0", "-3"])
     def test_bound_below_one_is_refused(self, workspace, run, suite, bound):
+        # refused before the model is read: a missing path says the same
         model = workspace("m.json", docs.encode_wmodel(two_trace_model()))
-        code, out, err = run("check", model, suite, "--bound", bound)
-        assert code == EXIT_INVALID
-        assert out == ""
-        assert "--bound must be at least 1" in err
+        for path in (model, str(workspace.dir / "missing.json")):
+            code, out, err = run("check", path, suite, "--bound", bound)
+            assert code == EXIT_INVALID
+            assert out == ""
+            assert err.splitlines()[0] == "error: --bound must be at least 1"
 
     @pytest.mark.parametrize("suite", ["weak-unperforation", "archimedean"])
     def test_search_bound_is_capped(self, workspace, run, suite):
@@ -504,6 +506,49 @@ class TestCheckSuites:
         code, _, err = run("check", model, "weak-unperforation")
         assert code == EXIT_INVALID
         assert "zero group" in err
+
+    @pytest.mark.parametrize("suite, document, code, first_line", [
+        ("order-axioms", "pogroup", EXIT_INVALID,
+         "error: suite 'order-axioms' needs a wmodel document"),
+        ("order-axioms", "infinite", EXIT_OK, None),
+        ("order-axioms", "finite", EXIT_OK, None),
+        ("strict-cone", "pogroup", EXIT_INVALID,
+         "error: suite 'strict-cone' needs a wmodel document"),
+        ("strict-cone", "infinite", EXIT_INVALID, "error: strict-cone needs a finite model"),
+        ("strict-cone", "finite", EXIT_OK, None),
+        ("weak-unperforation", "pogroup", EXIT_OK, None),
+        ("weak-unperforation", "infinite", EXIT_INVALID,
+         "error: the purely infinite model has a zero group"),
+        ("weak-unperforation", "finite", EXIT_OK, None),
+        ("archimedean", "pogroup", EXIT_OK, None),
+        ("archimedean", "infinite", EXIT_INVALID,
+         "error: the purely infinite model has a zero group"),
+        ("archimedean", "finite", EXIT_OK, None),
+        ("oracle-agreement", "pogroup", EXIT_INVALID,
+         "error: suite 'oracle-agreement' needs a wmodel document"),
+        ("oracle-agreement", "infinite", EXIT_INVALID,
+         "error: oracle-agreement needs a finite model"),
+        ("oracle-agreement", "finite", EXIT_OK, None),
+    ])
+    def test_each_suite_on_each_document(
+        self, workspace, run, suite, document, code, first_line
+    ):
+        # first_line None: a report on stdout, and only the timing on stderr
+        doc = {
+            "pogroup": {"kind": "pogroup", "rank": 1, "cone": {"type": "simplicial"},
+                        "unit": [1]},
+            "infinite": docs.encode_wmodel(purely_infinite()),
+            "finite": docs.encode_wmodel(two_trace_model()),
+        }[document]
+        path = workspace(f"{document}.json", doc)
+        got, out, err = run("check", path, suite)
+        assert got == code
+        if first_line is None:
+            assert report_of(out)["suite"] == suite
+            assert err.startswith("# elapsed ") and len(err.splitlines()) == 1
+        else:
+            assert out == ""
+            assert err.splitlines()[0] == first_line
 
     def test_unknown_suite_is_a_parser_error(self, workspace, run):
         model = workspace("m.json", docs.encode_wmodel(w_of_z()))
