@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .goodearl import RealizationSchedule
+from .goodearl import RealizationSchedule, grid_below
 from .linalg import Frozen, vector
 
 
@@ -105,8 +105,9 @@ def projection_sup_realization(
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Non-decreasing stages strictly below f over the denominator chain.
 
-    Stage i has coordinates (ceil(m_i f_j) - 1) / m_i, with m_i the i-th
-    entry of ``schedule.sizes``, and the gap obeys f - p_i <= 2 / m_i.
+    Stage i has coordinates ``grid_below(f_j, m_i)`` = (ceil(m_i f_j) - 1) / m_i,
+    with m_i the i-th entry of ``schedule.sizes``, and the gap obeys
+    f - p_i <= 2 / m_i.
     Divisibility makes the stages non-decreasing: for v > 0 let
     a = ceil(m·v) - 1 and m' = k·m.  Then a/m < v gives a·k < m'·v, and
     a·k is an integer, so a·k <= ceil(m'·v) - 1, that is
@@ -118,6 +119,6 @@ def projection_sup_realization(
     if i_max > len(schedule.sizes):
         raise ValueError("denominator chain is shorter than the requested stages")
     return tuple(
-        tuple(Fraction(math.ceil(m * v) - 1, m) for v in prof)
+        tuple(grid_below(v, m) for v in prof)
         for m in schedule.sizes[:i_max]
     )

@@ -49,18 +49,6 @@ EXIT_INVALID = 2
 
 DEFAULT_SEED = 17041999
 
-# Each suite's --bound when none is given: the pool size of order-axioms,
-# the sample counts of strict-cone and oracle-agreement, and the multiplier
-# n_max of the two searches.
-DEFAULT_BOUNDS = {
-    "order-axioms": 24,
-    "strict-cone": 500,
-    "weak-unperforation": 10,
-    "archimedean": 10,
-    "oracle-agreement": 2000,
-}
-SUITES = tuple(DEFAULT_BOUNDS)
-
 # Largest --bound (the multiplier n_max) of the weak-unperforation and
 # archimedean searches; the archimedean search keeps n_max multiples of
 # every candidate x.  ordmon caps how many candidates a search may walk.
@@ -134,7 +122,7 @@ def _oracle_leq(x: CuntzClass, y: CuntzClass, sx, sy) -> bool:
 # Commands: pointwise semigroup operations
 
 
-def cmd_compare(args) -> tuple[dict, Optional[dict]]:
+def cmd_compare(args) -> dict:
     model = _read(args.model, "wmodel")
     x, y = _read(args.x, "class"), _read(args.y, "class")
     _, (ex, ey) = model.elements((x, y))
@@ -145,7 +133,7 @@ def cmd_compare(args) -> tuple[dict, Optional[dict]]:
         (False, True): "≥ only",
         (False, False): "neither",
     }[(fwd, bwd)]
-    report = {
+    return {
         "command": "compare",
         "x": docs.encode_class(x),
         "y": docs.encode_class(y),
@@ -157,62 +145,53 @@ def cmd_compare(args) -> tuple[dict, Optional[dict]]:
         },
         "verdict": verdict,
     }
-    return report, None
 
 
-def cmd_add(args) -> tuple[dict, Optional[dict]]:
+def cmd_add(args) -> dict:
     model = _read(args.model, "wmodel")
     x, y = _read(args.x, "class"), _read(args.y, "class")
-    result = model.add(x, y)
-    out = docs.encode_class(result)
-    return {"command": "add", "result": out}, out
+    return {"command": "add", "result": docs.encode_class(model.add(x, y))}
 
 
-def cmd_scale(args) -> tuple[dict, Optional[dict]]:
+def cmd_scale(args) -> dict:
     model = _read(args.model, "wmodel")
     x = _read(args.x, "class")
     factor = docs.parse_rational(args.factor)
-    result = model.scale(x, factor)
-    out = docs.encode_class(result)
-    return {"command": "scale", "factor": docs.rational_str(factor), "result": out}, out
+    result = docs.encode_class(model.scale(x, factor))
+    return {"command": "scale", "factor": docs.rational_str(factor), "result": result}
 
 
-def cmd_soften(args) -> tuple[dict, Optional[dict]]:
+def cmd_soften(args) -> dict:
     model = _read(args.model, "wmodel")
     result = model.soften(_read(args.x, "class"))
-    out = docs.encode_class(result)
-    return {"command": "soften", "result": out}, out
+    return {"command": "soften", "result": docs.encode_class(result)}
 
 
-def cmd_complement(args) -> tuple[dict, Optional[dict]]:
+def cmd_complement(args) -> dict:
     model = _read(args.model, "wmodel")
     x, y = _read(args.x, "class"), _read(args.y, "class")
     z = model.complement(x, y)
     if z is None:
-        return {"command": "complement", "verdict": "none"}, None
-    out = docs.encode_class(z)
-    recovered = model.add(x, z)
-    report = {
+        return {"command": "complement", "verdict": "none"}
+    return {
         "command": "complement",
         "verdict": "found",
-        "z": out,
-        "recovers_y": recovered == y,
+        "z": docs.encode_class(z),
+        "recovers_y": model.add(x, z) == y,
     }
-    return report, out
 
 
-def cmd_k0star(args) -> tuple[dict, Optional[dict]]:
+def cmd_k0star(args) -> dict:
     model = _read(args.model, "wmodel")
     star = model.k0star()
-    report = {
+    return {
         "command": "k0star",
         "n": star.n,
         "unit_image": docs.rationals(star.unit_image),
     }
-    return report, None
 
 
-def cmd_order_unit(args) -> tuple[dict, Optional[dict]]:
+def cmd_order_unit(args) -> dict:
     model = _read(args.model, "wmodel")
     star = model.k0star()
     d = tuple(docs.parse_rational(v) for v in args.values.split(","))
@@ -224,7 +203,7 @@ def cmd_order_unit(args) -> tuple[dict, Optional[dict]]:
     }
     if verdict:
         report["epsilon"] = docs.rational_str(min(d))
-    return report, None
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +246,6 @@ def _suite_order_axioms(model: WModel, rng, bound: int) -> dict:
 
 
 def _suite_strict_cone(model: WModel, rng, bound: int) -> dict:
-    if isinstance(model, PurelyInfiniteModel):
-        raise DocumentError("strict-cone needs a finite model")
     star = model.k0star()
     violations = []
     for _ in range(bound):
@@ -283,23 +260,27 @@ def _suite_strict_cone(model: WModel, rng, bound: int) -> dict:
     return {"checked": bound, "failures": violations[:5]}
 
 
-def _star_group(model: WModel) -> PoGroupModel:
-    """Z^n with the coordinatewise cone of ``K0Star.cone_plusplus``."""
-    n = model.k0star().n
+def _search_group(target) -> PoGroupModel:
+    """A pogroup as it is; for a wmodel, Z^n with the coordinatewise cone of
+    ``K0Star.cone_plusplus``."""
+    if isinstance(target, PoGroupModel):
+        return target
+    n = target.k0star().n
     if n == 0:
         raise DocumentError("the purely infinite model has a zero group")
     return PoGroupModel(n, SimplicialCone(n), (1,) * n)
 
 
-def _suite_search(suite: str, group: PoGroupModel, n_max: int) -> dict:
-    """weak-unperforation or archimedean; ordmon sizes and caps the walk."""
-    if suite == "weak-unperforation":
-        witness = is_weakly_unperforated(group, n_max=n_max)
-        if witness is None:
-            return {"verdict": "holds-on-sample", "failures": []}
-        x, n = witness
-        return {"verdict": "counterexample", "failures": [{"x": list(x), "n": n}]}
-    witness = archimedean_witness(group, n_max=n_max)
+def _suite_weak_unperforation(target, rng, bound: int) -> dict:
+    witness = is_weakly_unperforated(_search_group(target), n_max=bound)
+    if witness is None:
+        return {"verdict": "holds-on-sample", "failures": []}
+    x, n = witness
+    return {"verdict": "counterexample", "failures": [{"x": list(x), "n": n}]}
+
+
+def _suite_archimedean(target, rng, bound: int) -> dict:
+    witness = archimedean_witness(_search_group(target), n_max=bound)
     if witness is None:
         return {"verdict": "none", "failures": []}
     x, y = witness
@@ -307,8 +288,6 @@ def _suite_search(suite: str, group: PoGroupModel, n_max: int) -> dict:
 
 
 def _suite_oracle_agreement(model: WModel, rng, bound: int) -> dict:
-    if isinstance(model, PurelyInfiniteModel):
-        raise DocumentError("oracle-agreement needs a finite model")
     pool = _class_pool(model, rng, 30)
     _, elements = model.elements(pool)
     states = [_oracle_states(model, c.values) if c.is_proj else None for c in pool]
@@ -327,54 +306,52 @@ def _suite_oracle_agreement(model: WModel, rng, bound: int) -> dict:
     return {"checked": bound, "failures": mismatches[:5]}
 
 
-def cmd_check(args) -> tuple[dict, Optional[dict]]:
-    bound = args.bound
-    searches = ("weak-unperforation", "archimedean")
-    cap = SEARCH_BOUND_CAP if args.suite in searches else SAMPLE_BOUND_CAP
-    if bound is None:
-        bound = DEFAULT_BOUNDS[args.suite]
-    elif bound < 1:
-        raise DocumentError("--bound must be at least 1")
-    elif bound > cap:
-        raise DocumentError(f"{args.suite} takes --bound at most {cap}")
+# suite -> (runner(target, rng, bound), the documents it takes, default --bound,
+# largest --bound).  --bound is the pool size of order-axioms, the sample count
+# of strict-cone and oracle-agreement, and the multiplier n_max of the searches.
+SUITE_TABLE = {
+    "order-axioms": (_suite_order_axioms, "wmodel", 24, SAMPLE_BOUND_CAP),
+    "strict-cone": (_suite_strict_cone, "finite wmodel", 500, SAMPLE_BOUND_CAP),
+    "weak-unperforation":
+        (_suite_weak_unperforation, "wmodel or pogroup", 10, SEARCH_BOUND_CAP),
+    "archimedean": (_suite_archimedean, "wmodel or pogroup", 10, SEARCH_BOUND_CAP),
+    "oracle-agreement": (_suite_oracle_agreement, "finite wmodel", 2000, SAMPLE_BOUND_CAP),
+}
+SUITES = tuple(SUITE_TABLE)
+
+
+def cmd_check(args) -> dict:
+    runner, takes, bound, cap = SUITE_TABLE[args.suite]
+    if args.bound is not None:
+        if args.bound < 1:
+            raise DocumentError("--bound must be at least 1")
+        if args.bound > cap:
+            raise DocumentError(f"{args.suite} takes --bound at most {cap}")
+        bound = args.bound
     target = _read(args.model, "wmodel", "pogroup")
-    rng = rng_for(args.seed)
-    if args.suite in searches:
-        group = target if isinstance(target, PoGroupModel) else _star_group(target)
-        details = _suite_search(args.suite, group, bound)
-    elif isinstance(target, PoGroupModel):
+    if isinstance(target, PoGroupModel) and takes != "wmodel or pogroup":
         raise DocumentError(f"suite {args.suite!r} needs a wmodel document")
-    elif args.suite == "order-axioms":
-        details = _suite_order_axioms(target, rng, bound)
-    elif args.suite == "strict-cone":
-        details = _suite_strict_cone(target, rng, bound)
-    else:
-        details = _suite_oracle_agreement(target, rng, bound)
-    bad = details.get("failures")
-    verdict = details.get("verdict")
-    if verdict is None:
-        verdict = "fail" if bad else "pass"
-        details["verdict"] = verdict
-    passed = verdict in ("pass", "holds-on-sample", "none")
-    report = {
+    if isinstance(target, PurelyInfiniteModel) and takes == "finite wmodel":
+        raise DocumentError(f"{args.suite} needs a finite model")
+    details = runner(target, rng_for(args.seed), bound)
+    if "verdict" not in details:
+        details["verdict"] = "fail" if details["failures"] else "pass"
+    return {
         "command": "check",
         "suite": args.suite,
         "seed": args.seed,
-        "passed": passed,
+        "passed": details["verdict"] in ("pass", "holds-on-sample", "none"),
         "details": details,
     }
-    return report, None
 
 
 # ---------------------------------------------------------------------------
 # Commands: functor and morphisms
 
 
-def cmd_functor(args) -> tuple[dict, Optional[dict]]:
+def cmd_functor(args) -> dict:
     inv = _read(args.invariant, "invariant")
-    model = functor_g_obj(inv)
-    model_doc = docs.encode_wmodel(model)
-    report: dict = {"command": "functor", "model": model_doc}
+    report: dict = {"command": "functor", "model": docs.encode_wmodel(functor_g_obj(inv))}
     if args.morphism:
         mor, source, target = _read(args.morphism, "morphism")
         if docs.encode_invariant(source) != docs.encode_invariant(inv):
@@ -385,18 +362,17 @@ def cmd_functor(args) -> tuple[dict, Optional[dict]]:
             "gamma": [docs.rationals(r) for r in induced.gamma],
             "target_model": docs.encode_wmodel(induced.target),
         }
-    return report, model_doc
+    return report
 
 
-def cmd_morphism_check(args) -> tuple[dict, Optional[dict]]:
+def cmd_morphism_check(args) -> dict:
     mor, source, target = _read(args.morphism, "morphism")
     problems = validate_morphism(mor, source, target)
-    report = {
+    return {
         "command": "morphism-check",
         "verdict": "valid" if not problems else "invalid",
         "problems": problems,
     }
-    return report, None
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +457,7 @@ def _step_realize_report(f: StepFn, schedule, stages: int, command: str) -> dict
     }
 
 
-def cmd_realize(args) -> tuple[dict, Optional[dict]]:  # goodearl: step targets only
+def cmd_realize(args) -> dict:  # goodearl: step targets only
     ttype, payload = _read(args.target, "target")
     if ttype != "step" and args.command == "goodearl":
         raise DocumentError("goodearl needs a step target")
@@ -491,10 +467,10 @@ def cmd_realize(args) -> tuple[dict, Optional[dict]]:  # goodearl: step targets 
     if ttype == "vector":
         if spelling == "sizes":
             raise DocumentError("vector targets take a denominator schedule")
-        return _vector_realize_report(payload, schedule, args.stages), None
+        return _vector_realize_report(payload, schedule, args.stages)
     if spelling == "denominators":
         raise DocumentError("step targets take a sizes schedule")
-    return _step_realize_report(payload, schedule, args.stages, args.command), None
+    return _step_realize_report(payload, schedule, args.stages, args.command)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +494,10 @@ def _render_table(report: dict) -> str:
 
 
 _OPTIONAL = {"nargs": "?", "default": None}
+
+# command -> the key of its report whose document --out writes
+OUT_KEYS = {"add": "result", "scale": "result", "soften": "result", "complement": "z",
+            "functor": "model"}
 
 # command -> (handler, positionals as (name, add_argument keywords))
 COMMANDS = {
@@ -575,9 +555,10 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     started = time.perf_counter()
     try:
-        report, out_doc = args.func(args)
-        if args.out and out_doc is not None:
-            Path(args.out).write_text(docs.dump_document(out_doc), encoding="utf-8")
+        report = args.func(args)
+        key = OUT_KEYS.get(args.command)
+        if args.out and key in report:
+            Path(args.out).write_text(docs.dump_document(report[key]), encoding="utf-8")
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -9,6 +9,7 @@ indentation, trailing newline.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any, Union
 
@@ -284,6 +285,12 @@ def parse_document(text: str) -> tuple[str, dict]:
         )
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise DocumentError(f"invalid JSON: {exc}") from exc
+    except DocumentError:  # from _reject_float
+        raise
+    except ValueError as exc:  # an integer past the digit limit; its text varies by Python
+        limit = sys.get_int_max_str_digits()
+        message = f"invalid JSON: an integer has more than {limit} digits"
+        raise DocumentError(message) from exc
     if not isinstance(payload, dict):
         raise DocumentError("document must be a JSON object")
     kind = payload.get("kind")

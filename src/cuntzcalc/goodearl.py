@@ -317,25 +317,29 @@ def superlevel(f: StepFn, q) -> OpenSet:
     return _components(f.partition, on_piece, at_point)
 
 
+def grid_below(t, n: int) -> Fraction:
+    """(max(1, ceil(n·t)) - 1)/n: the largest k/n strictly below t > 0, and 0
+    for t <= 0.  The ceiling is taken on the integers of t."""
+    p, q = t.as_integer_ratio()
+    return Fraction(max(1, -(-n * p // q)) - 1, n)
+
+
 def step_approximant(f: StepFn, n: int) -> StepFn:
     """Largest grid step function below f determined by the sublevels at k/n.
 
-    Sends a value t to (k - 1)/n where k is minimal with t <= k/n; the
-    result sits within 1/n below f and is again lower semicontinuous.
+    Sends a value t to ``grid_below(t, n)``, that is (k - 1)/n where k is
+    minimal with t <= k/n; the result sits within 1/n below f and is again
+    lower semicontinuous.
     """
     n = int(n)
     if n < 1:
         raise ValueError("grid size must be positive")
     if f.sup > 1:  # lower semicontinuity keeps every point value at or below the sup
         raise ValueError("realization targets take values in [0, 1]")
-
-    def phi(t: Fraction) -> Fraction:
-        tn, td = t.as_integer_ratio()
-        k = max(1, -(-n * tn // td))  # the ceiling of n·t
-        return Fraction(k - 1, n)
-
     return StepFn(
-        f.partition, tuple(map(phi, f.interval_values)), tuple(map(phi, f.point_values))
+        f.partition,
+        tuple([grid_below(t, n) for t in f.interval_values]),
+        tuple([grid_below(t, n) for t in f.point_values]),
     )
 
 

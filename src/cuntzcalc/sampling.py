@@ -42,11 +42,13 @@ def randbelow(rng: random.Random, n: int) -> int:
     return r
 
 
-def random_fraction(
-    rng: random.Random, max_num: int = 8, max_den: int = 8
-) -> Fraction:
+# numerators and denominators of random_fraction run over 1..FRACTION_MAX
+FRACTION_MAX = 8
+
+
+def random_fraction(rng: random.Random) -> Fraction:
     """A strictly positive fraction with small numerator and denominator."""
-    return Fraction(1 + randbelow(rng, max_num), 1 + randbelow(rng, max_den))
+    return Fraction(1 + randbelow(rng, FRACTION_MAX), 1 + randbelow(rng, FRACTION_MAX))
 
 
 def random_soft_class(rng: random.Random, model: WModel) -> CuntzClass:

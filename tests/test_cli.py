@@ -834,7 +834,7 @@ class TestOutputPlumbing:
     @pytest.mark.parametrize("values, message", [
         ("[" * 10**5 + "]" * 10**5, "error: invalid JSON: maximum recursion depth exceeded"),
         # json refuses to convert it: the int_max_str_digits limit is 4300 digits
-        ("[" + "1" * 5000 + "]", "error: Exceeds the limit (4300"),
+        ("[" + "1" * 5000 + "]", "error: invalid JSON: an integer has more than 4300 digits"),
     ], ids=["nested-100000-deep", "integer-of-5000-digits"])
     def test_oversize_json_is_invalid_not_internal(self, workspace, run, values, message):
         model = workspace("m.json", docs.encode_wmodel(w_of_z()))
