@@ -245,9 +245,23 @@ class TestStarCommands:
 
     def test_order_unit_outside_the_cone_is_invalid(self, workspace, run):
         model = workspace("m.json", docs.encode_wmodel(two_trace_model()))
-        code, _, err = run("order-unit", model, "0,-1")
+        code, out, err = run("order-unit", model, "0,-1")
         assert code == EXIT_INVALID
-        assert "error:" in err
+        assert out == ""
+        assert err.splitlines()[0] == (
+            "error: order unit test expects a vector in the difference cone"
+        )
+
+    @pytest.mark.parametrize("model, values", [
+        (two_trace_model(), "1/2"),
+        (purely_infinite(), "1"),
+    ], ids=["m2", "pi"])
+    def test_order_unit_of_the_wrong_length_is_invalid(self, workspace, run, model, values):
+        path = workspace("m.json", docs.encode_wmodel(model))
+        code, out, err = run("order-unit", path, values)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.splitlines()[0] == "error: vector has the wrong length for this group"
 
 
 class TestCheckSuites:
