@@ -40,8 +40,16 @@ class DocumentError(ValueError):
     """Malformed or mistyped document payload."""
 
 
+def _clip(text: str) -> str:
+    """``text``, or past 60 characters its first 40 and its length: a message
+    never repeats a long input in full."""
+    if len(text) <= 60:
+        return text
+    return f"{text[:40]}... ({len(text)} characters)"
+
+
 def _reject_float(text: str) -> None:
-    raise DocumentError(f"floats are not accepted in documents: {text}")
+    raise DocumentError(f"floats are not accepted in documents: {_clip(text)}")
 
 
 def parse_rational(value) -> Fraction:
@@ -49,20 +57,22 @@ def parse_rational(value) -> Fraction:
         raise DocumentError("booleans are not rationals")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        if "e" in value.lower():  # Fraction would expand "1e999999999" in full
-            raise DocumentError(f"exponents are not accepted in rationals: {value!r}")
+    if not isinstance(value, str):
+        raise DocumentError(f"expected a rational, got {_clip(repr(value))}")
+    if "e" in value.lower():  # Fraction would expand "1e999999999" in full
+        raise DocumentError(f"exponents are not accepted in rationals: {_clip(repr(value))}")
+    if "_" not in value:  # Fraction takes "1_000" from Python 3.11 on, not before
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"bad rational string {value!r}") from exc
-    raise DocumentError(f"expected a rational, got {value!r}")
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DocumentError(f"bad rational string {_clip(repr(value))}")
 
 
 def parse_int(value) -> int:
     q = parse_rational(value)
     if q.denominator != 1:
-        raise DocumentError(f"expected an integer, got {q}")
+        raise DocumentError(f"expected an integer, got {_clip(str(q))}")
     return int(q)
 
 
@@ -138,7 +148,7 @@ def decode_wmodel(payload: dict) -> WModel:
     if variant == "purely-infinite":
         return purely_infinite()
     if variant != "finite":
-        raise DocumentError(f"unknown wmodel variant {variant!r}")
+        raise DocumentError(f"unknown wmodel variant {_clip(repr(variant))}")
     return WModel(_decode_k0(payload, payload.get("trace_labels")))
 
 
@@ -157,7 +167,7 @@ def decode_pogroup(payload: dict) -> PoGroupModel:
     elif ctype == "lexicographic":
         cone = LexicographicCone()
     else:
-        raise DocumentError(f"unknown cone type {ctype!r}")
+        raise DocumentError(f"unknown cone type {_clip(repr(ctype))}")
     rank = parse_int(_field(payload, "rank"))
     return PoGroupModel(
         rank,
@@ -225,7 +235,7 @@ def decode_class(payload: dict) -> CuntzClass:
         return CuntzClass.proj(_parse_int_vector(values))
     if ctype == "soft":
         return CuntzClass.soft(_parse_vector(values))
-    raise DocumentError(f"unknown class type {ctype!r}")
+    raise DocumentError(f"unknown class type {_clip(repr(ctype))}")
 
 
 TargetPayload = Union[tuple[Fraction, ...], StepFn]
@@ -241,7 +251,7 @@ def decode_target(payload: dict) -> tuple[str, TargetPayload]:
             _parse_vector(_field(payload, "interval_values")),
             _parse_vector(_field(payload, "point_values")),
         )
-    raise DocumentError(f"unknown target type {ttype!r}")
+    raise DocumentError(f"unknown target type {_clip(repr(ttype))}")
 
 
 # Largest denominator of a vector target's chain.
@@ -295,7 +305,7 @@ def parse_document(text: str) -> tuple[str, dict]:
         raise DocumentError("document must be a JSON object")
     kind = payload.get("kind")
     if kind not in KINDS:
-        raise DocumentError(f"unknown document kind {kind!r}")
+        raise DocumentError(f"unknown document kind {_clip(repr(kind))}")
     return kind, payload
 
 

@@ -131,51 +131,6 @@ class CuntzClass(Frozen):
         return f"{'Proj' if self.is_proj else 'Soft'}({inner})"
 
 
-class K0Star(Frozen):
-    """Enveloping group Q^n of a finite model, with its difference cone.
-
-    ``cone_plusplus`` (classes of differences y <= x) is the coordinatewise
-    non-negative cone.  n = 0 encodes the zero group of a purely infinite
-    model.
-    """
-
-    __slots__ = ("n",)
-    n: int
-
-    def __init__(self, n: int):
-        n = int(n)
-        if n < 0:
-            raise ValueError("trace count cannot be negative")
-        object.__setattr__(self, "n", n)
-
-    def _check(self, d) -> tuple[Fraction, ...]:
-        d = vector(d)
-        if len(d) != self.n:
-            raise ValueError("vector has the wrong length for this group")
-        return d
-
-    def cone_plusplus(self, d) -> bool:
-        d = self._check(d)
-        return all(x.numerator >= 0 for x in d)  # denominators are positive
-
-    @property
-    def unit_image(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(1) for _ in range(self.n))
-
-    def is_order_unit(self, d) -> bool:
-        """Order units of the difference cone are the strictly positive d.
-
-        Requires d in the non-negative cone; equivalently there is a uniform
-        rational margin epsilon with d >= epsilon at every coordinate.
-        """
-        d = self._check(d)
-        if not self.cone_plusplus(d):
-            raise ValueError("order unit test expects a vector in the difference cone")
-        if self.n == 0:
-            return True
-        return min(d) > 0
-
-
 def element_leq(x: tuple, y: tuple) -> bool:
     """x <= y on elements at one scale: x = y, or D·gamma(x) <= D·gamma(y)
     at every trace, strictly at every trace when x is a projection."""
@@ -302,8 +257,11 @@ class WModel(Frozen):
         scale = self.k0.cone.scale
         return tuple([Fraction(v, scale) for v in image])
 
-    def k0star(self) -> K0Star:
-        return K0Star(self.k0.trace_count)
+    @property
+    def group_rank(self) -> int:
+        """Rank n of the enveloping group Q^n, the trace count.  Its difference
+        cone, of gamma(x) - gamma(y) for y <= x, is the non-negative vectors."""
+        return self.k0.trace_count
 
 
 class PurelyInfiniteModel(WModel):
@@ -335,8 +293,7 @@ class PurelyInfiniteModel(WModel):
     def gamma(self, x: CuntzClass) -> tuple[Fraction, ...]:
         raise ValueError("the purely infinite model envelops to the zero group")
 
-    def k0star(self) -> K0Star:
-        return K0Star(0)
+    group_rank = 0  # the enveloping group is zero
 
 
 def purely_infinite() -> PurelyInfiniteModel:

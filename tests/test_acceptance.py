@@ -26,6 +26,7 @@ from support import (
     w_of_z,
 )
 
+from cuntzcalc import cli
 from cuntzcalc.approx import first_stage, summable_decomposition
 from cuntzcalc.cli import main
 from cuntzcalc.documents import dump_document, encode_wmodel
@@ -62,7 +63,7 @@ from cuntzcalc.ordmon import (
     is_weakly_unperforated,
 )
 from cuntzcalc.sampling import random_class, random_soft_class, rng_for
-from cuntzcalc.wmodel import CuntzClass, K0Model, K0Star, WModel
+from cuntzcalc.wmodel import CuntzClass, K0Model, WModel
 
 SEED = 20260819
 
@@ -152,19 +153,19 @@ def test_criterion_02_random_models_agree_with_rule_oracle():
 
 def test_criterion_03_difference_cone_strictness():
     rng = rng_for(SEED + 3)
+    in_cone = cli.all_nonnegative  # the difference cone the strict-cone suite reads
     unordered = violations = 0
     for _ in range(20):
         model = random_wmodel(rng, max_rank=4, max_traces=4)
-        star = model.k0star()
         pool = [random_class(rng, model) for _ in range(40)]
         pool += [model.zero_class, model.unit_class]
         for _ in range(500):
             x, y = rng.choice(pool), rng.choice(pool)
             d = vsub(model.gamma(x), model.gamma(y))
-            if model.compare(y, x) and not star.cone_plusplus(d):
+            if model.compare(y, x) and not in_cone(d):
                 unordered += 1
             if any(v != 0 for v in d):
-                if star.cone_plusplus(d) and star.cone_plusplus(vneg(d)):
+                if in_cone(d) and in_cone(vneg(d)):
                     violations += 1
     verdict(
         3,
@@ -204,7 +205,7 @@ def test_criterion_03_and_the_strict_cone_suite_catch_a_cone_that_is_not_pointed
 ):
     # a cone that holds every vector holds each nonzero difference with its
     # negation, so only the pointedness halves of the two checks can fail
-    monkeypatch.setattr(K0Star, "cone_plusplus", lambda self, d: True)
+    monkeypatch.setattr(cli, "all_nonnegative", lambda d: True)
     with pytest.raises(AssertionError, match="criterion 03 FAIL"):
         test_criterion_03_difference_cone_strictness()
     _assert_strict_cone_suite_fails(tmp_path, capsys)
@@ -315,13 +316,17 @@ def test_criterion_06_archimedean():
 # 7. Order units equal the brute-force margin search
 
 
-def test_criterion_07_order_unit_margin():
+def test_criterion_07_order_unit_margin(tmp_path, capsys):
     rng = rng_for(SEED + 7)
     epsilons = [Fraction(1, 2**k) for k in range(13)]
+    paths = {}
+    for n in range(1, 6):  # Z^n paired with n traces by the coordinate states
+        model = WModel(K0Model(n, identity(n), (1,) * n))
+        paths[n] = tmp_path / f"m{n}.json"
+        paths[n].write_text(dump_document(encode_wmodel(model)))
     mismatches = 0
     for _ in range(1000):
         n = rng.randint(1, 5)
-        star = K0Star(n)
         d = tuple(
             Fraction(0)
             if rng.random() < 0.25
@@ -329,12 +334,17 @@ def test_criterion_07_order_unit_margin():
             for _ in range(n)
         )
         brute = any(all(v >= eps for v in d) for eps in epsilons)
-        if star.is_order_unit(d) != brute:
+        code = main(["order-unit", str(paths[n]), ",".join(map(str, d))])
+        report = json.loads(capsys.readouterr().out)
+        margin = Fraction(report["epsilon"]) if "epsilon" in report else None
+        want = min(d) if brute else None
+        if code != 0 or report["is_order_unit"] != brute or margin != want:
             mismatches += 1
     verdict(
         7,
         mismatches == 0,
-        "order-unit test equals the brute-force margin search on 10^3 draws",
+        "the order-unit command equals the brute-force margin search on 10^3 draws "
+        "over 1 to 5 traces, with epsilon the least coordinate",
     )
 
 

@@ -860,6 +860,35 @@ class TestOutputPlumbing:
         assert out == ""
         assert err.splitlines()[0].startswith(message)
 
+    @pytest.mark.parametrize("ctype, values, factor, first_line", [
+        ("soft", '["' + "x" * 5000 + '", "1"]', "2",
+         "error: bad rational string '" + "x" * 39 + "... (5002 characters)"),
+        ("soft", '["1e' + "9" * 5000 + '", "1"]', "2",
+         "error: exponents are not accepted in rationals: '1e" + "9" * 37
+         + "... (5004 characters)"),
+        ("soft", "[" + json.dumps(["1"] * 3000) + ', "1"]', "2",
+         "error: expected a rational, got [" + "'1', " * 7 + "'1',... (15000 characters)"),
+        ("proj", '["1/' + "3" * 3000 + '", 1]', "2",
+         "error: expected an integer, got 1/" + "3" * 38 + "... (3002 characters)"),
+        ("soft", "[1." + "0" * 5000 + ", 1]", "2",
+         "error: floats are not accepted in documents: 1." + "0" * 38
+         + "... (5002 characters)"),
+        ("soft", '["1", "1"]', "x" * 5000,
+         "error: bad rational string '" + "x" * 39 + "... (5002 characters)"),
+    ], ids=["string", "exponent", "list", "integer", "float", "factor"])
+    def test_oversize_values_are_named_by_prefix_and_length(
+        self, workspace, run, ctype, values, factor, first_line
+    ):
+        model = workspace("m.json", docs.encode_wmodel(two_trace_model()))
+        x = workspace.dir / "x.json"
+        doc = '{"kind": "class", "type": "%s", "values": %s}' % (ctype, values)
+        x.write_text(doc, encoding="utf-8")
+        code, out, err = run("scale", model, str(x), factor)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.splitlines()[0] == first_line
+        assert all(len(line) < 200 for line in err.splitlines())
+
 
 TWO_TRACE_DOC = {
     "kind": "wmodel",

@@ -78,6 +78,29 @@ def test_parse_rational_refuses_exponents():
         load_document('{"kind": "class", "type": "soft", "values": ["1e999999999"]}')
 
 
+def test_parse_rational_refuses_underscores_on_every_python():
+    # Fraction reads "1_0" as 10 from Python 3.11 on and refuses it before
+    for bad in ("1_0", "1_000/3", "1/1_0", "0.1_5"):
+        with pytest.raises(DocumentError, match=f"^bad rational string '{bad}'$"):
+            parse_rational(bad)
+    doc = '{"kind": "class", "type": "soft", "values": ["1_0", "1"]}'
+    with pytest.raises(DocumentError, match="^bad rational string '1_0'$"):
+        load_document(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "k" * 5000},
+    {"kind": "wmodel", "variant": "v" * 5000},
+    {"kind": "class", "type": "t" * 5000, "values": []},
+    {"kind": "target", "type": "t" * 5000},
+    {"kind": "pogroup", "rank": 1, "unit": [1], "cone": {"type": "t" * 5000}},
+], ids=["kind", "variant", "class-type", "target-type", "cone-type"])
+def test_a_long_unknown_name_is_shown_by_prefix_and_length(doc):
+    with pytest.raises(DocumentError, match=r"^unknown .*\.\.\. \(5002 characters\)$") as info:
+        load_document(json.dumps(doc))
+    assert len(str(info.value)) < 200
+
+
 def test_rational_str_is_lowest_terms():
     assert rational_str(Fraction(2, 4)) == "1/2"
     assert rational_str(Fraction(4)) == "4"

@@ -44,7 +44,7 @@ from cuntzcalc.ordmon import (
     SimplicialCone,
     StrictStateCone,
 )
-from cuntzcalc.wmodel import CuntzClass, K0Model, K0Star, PurelyInfiniteModel, WModel
+from cuntzcalc.wmodel import CuntzClass, K0Model, PurelyInfiniteModel, WModel
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 HALF = Fraction(1, 2)
@@ -84,7 +84,6 @@ def samples() -> dict:
             OrderStructure(range, operator.add, operator.lt),
         ),
         CuntzClass: (CuntzClass(True, (1, 2)), CuntzClass(False, (1, 2))),
-        K0Star: (K0Star(2), K0Star(0)),
         WModel: (WModel(k0), WModel(k0b)),
         PurelyInfiniteModel: (PurelyInfiniteModel(k0b), PurelyInfiniteModel(k0)),
         AbelianGroupData: (z, z2),
@@ -137,8 +136,9 @@ SUPPORT_CLASSES = {ClosedSet, MeasureSpec, StepDensity}
 def test_every_value_class_has_samples():
     assert set(CLASSES) == package_classes() | SUPPORT_CLASSES
     # the 28 former dataclasses, PositiveCone and PurelyInfiniteModel, less
-    # the measure layer's three and DenseSubgroupSpec, now a RealizationSchedule
-    assert len(package_classes()) == 26
+    # the measure layer's three, DenseSubgroupSpec, now a RealizationSchedule,
+    # and K0Star, now the model's group_rank
+    assert len(package_classes()) == 25
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from support import random_wmodel, two_trace_model, w_of_z
 
 from cuntzcalc.cli import _class_pool
-from cuntzcalc.linalg import matvec
+from cuntzcalc.linalg import all_positive, matvec
 from cuntzcalc.sampling import rng_for
 from cuntzcalc.wmodel import (
     CuntzClass,
     K0Model,
-    K0Star,
     WModel,
     element_leq,
     purely_infinite,
@@ -248,7 +247,7 @@ class TestPurelyInfinite:
 
     def test_no_trace_pairing(self):
         model = purely_infinite()
-        assert model.k0star().n == 0
+        assert model.group_rank == 0
         with pytest.raises(ValueError):
             model.gamma(model.unit_class)
         with pytest.raises(ValueError):
@@ -271,33 +270,12 @@ class TestPurelyInfinite:
 # the enveloping group
 
 
-def test_k0star_cones():
-    group = K0Star(2)
-    assert group.cone_plusplus((0, 1))
-    assert not group.cone_plusplus((-1, 1))
-    assert group.unit_image == (Fraction(1), Fraction(1))
-
-
-def test_k0star_order_units():
-    group = K0Star(2)
-    assert group.is_order_unit(("1/2", "1/3"))
-    assert not group.is_order_unit((0, 1))
-    with pytest.raises(ValueError):
-        group.is_order_unit((-1, 0))
-
-
-def test_k0star_of_the_degenerate_model_is_trivial():
-    group = K0Star(0)
-    assert group.cone_plusplus(())
-    assert group.is_order_unit(())
-    assert group.unit_image == ()
-
-
 def test_gamma_on_both_parts():
     model = two_trace_model()
     assert model.gamma(proj(2, 0)) == (Fraction(1), Fraction(1, 2))
     assert model.gamma(soft("1/3", "2/3")) == (Fraction(1, 3), Fraction(2, 3))
-    assert model.k0star().is_order_unit(model.gamma(model.unit_class))
+    assert model.group_rank == 2
+    assert all_positive(model.gamma(model.unit_class))  # an order unit
 
 
 # ---------------------------------------------------------------------------
