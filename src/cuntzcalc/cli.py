@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -93,8 +94,17 @@ def _rule_label(model: WModel, x: CuntzClass, y: CuntzClass) -> str:
 
 
 def _oracle_states(model: WModel, v) -> list[Fraction]:
-    """Trace vector of a projection payload, read off the raw state matrix."""
-    return [sum(r * c for r, c in zip(row, v)) for row in model.k0.state_matrix]
+    """Trace vector of a projection payload, read off the raw state matrix.
+
+    Each row's entries are brought to the lcm q of that row's denominators,
+    so a state is one integer sum over q.
+    """
+    states = []
+    for row in model.k0.state_matrix:
+        q = math.lcm(*[r.denominator for r in row])
+        states.append(Fraction(sum([r.numerator * (q // r.denominator) * c
+                                    for r, c in zip(row, v)]), q))
+    return states
 
 
 def _oracle_leq(x: CuntzClass, y: CuntzClass, sx, sy) -> bool:
@@ -232,12 +242,12 @@ def _suite_order_axioms(model: WModel, rng, bound: int) -> dict:
             failures.append(f"antisymmetry: {pool[i]!r} vs {pool[j]!r}")
     for _ in range(1200):
         i, j, k = randbelow(rng, n), randbelow(rng, n), randbelow(rng, n)
-        x, y, z = pool[i], pool[j], pool[k]
-        if leq(i, j) and leq(j, k) and not leq(i, k):
-            failures.append(f"transitivity: {x!r}, {y!r}, {z!r}")
-        if leq(i, j):
-            if not element_leq(add(i, k), add(j, k)):
-                failures.append(f"add-compatibility: {x!r}, {y!r}, {z!r}")
+        if not leq(i, j):  # both axioms start from x <= y
+            continue
+        if leq(j, k) and not leq(i, k):
+            failures.append(f"transitivity: {pool[i]!r}, {pool[j]!r}, {pool[k]!r}")
+        if not element_leq(add(i, k), add(j, k)):
+            failures.append(f"add-compatibility: {pool[i]!r}, {pool[j]!r}, {pool[k]!r}")
     return {"checked": len(pool), "failures": failures[:5]}
 
 

@@ -9,6 +9,7 @@ an order decision.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Sequence
 
 
@@ -73,7 +74,7 @@ def frac(x) -> Fraction:
 
 
 def vector(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(frac(v) for v in values)
+    return tuple([v if type(v) is Fraction else frac(v) for v in values])
 
 
 def int_vector(values: Iterable) -> tuple[int, ...]:
@@ -115,11 +116,15 @@ def is_zero(v: Sequence) -> bool:
 
 
 def vadd(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):  # map stops silently at the shorter vector
+        raise ValueError(f"cannot add vectors of lengths {len(a)} and {len(b)}")
+    return tuple(map(add, a, b))
 
 
 def vsub(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"cannot subtract vectors of lengths {len(a)} and {len(b)}")
+    return tuple(map(sub, a, b))
 
 
 def vneg(a: Sequence) -> tuple:
@@ -156,4 +161,4 @@ def all_positive(v: Sequence) -> bool:
 
 
 def all_nonnegative(v: Sequence) -> bool:
-    return all(x >= 0 for x in v)
+    return all(x.numerator >= 0 for x in v)  # denominators are positive

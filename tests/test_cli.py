@@ -27,6 +27,7 @@ from cuntzcalc.cli import (
 )
 from cuntzcalc.elliott import functor_g_obj
 from cuntzcalc.goodearl import RealizationSchedule, StepFn
+from cuntzcalc.linalg import matvec
 from cuntzcalc.wmodel import (
     CuntzClass,
     K0Model,
@@ -1098,3 +1099,32 @@ def test_gap_check_on_integer_forms_matches_the_fraction_test(monkeypatch):
         cases += [(a, b) for a, b in zip(av, reversed(av))]
         for a, fv in cases:
             assert holds(fv, a) == (0 <= fv - a <= gap), (n, fv, a)
+
+
+def test_oracle_states_equal_the_fraction_matrix_vector_product():
+    # the oracle sums integer numerators over each row's lcm denominator;
+    # the states must be the plain Fraction product, entry by entry, on rows
+    # with negative and non-dyadic entries, and each must be a Fraction
+    # (the failing-report pins compare them with soft values)
+    rng = random.Random(32)
+    entries = set()
+    for _ in range(200):
+        rank, n = rng.randint(1, 4), rng.randint(1, 3)
+        unit = tuple(rng.randint(1, 4) for _ in range(rank))
+        rows = []
+        for _ in range(n):  # each row takes the value 1 on the unit
+            weights = [rng.randint(-5, 6) for _ in range(rank)]
+            total = sum(w * u for w, u in zip(weights, unit))
+            if total < 1:
+                weights[0] += 1 - total
+                total = sum(w * u for w, u in zip(weights, unit))
+            rows.append(tuple(Fraction(w, total) for w in weights))
+        entries.update(q for row in rows for q in row)
+        model = WModel(K0Model(rank, tuple(rows), unit))
+        for _ in range(5):
+            v = tuple(rng.randint(-6, 6) for _ in range(rank))
+            states = cli._oracle_states(model, v)
+            assert states == list(matvec(model.k0.state_matrix, v)), (rows, v)
+            assert all(type(s) is Fraction for s in states), (rows, v)
+    assert any(q < 0 for q in entries)
+    assert any(q.denominator % 2 and q.denominator > 1 for q in entries)

@@ -82,6 +82,21 @@ def test_shape_mismatch_raises():
         matvec(identity(2), (1, 2, 3))
 
 
+@pytest.mark.parametrize("op", [vadd, vsub])
+@pytest.mark.parametrize("a, b", [((1, 2), (1, 2, 3)), ((1, 2, 3), (1, 2)), ((), (5,))])
+def test_vadd_and_vsub_refuse_unequal_lengths_in_either_order(op, a, b):
+    # map stops at the shorter vector; the length check must refuse the pair
+    with pytest.raises(ValueError, match="lengths"):
+        op(a, b)
+
+
+def test_all_nonnegative_reads_signs_of_ints_and_fractions():
+    assert all_nonnegative((0, Fraction(0), Fraction(1, 8), 3))
+    assert all_nonnegative(())
+    assert not all_nonnegative((1, Fraction(-1, 8)))
+    assert not all_nonnegative((Fraction(1, 2), -1))
+
+
 def test_matmul_against_hand_product():
     a = matrix([[1, 2], [0, 1]])
     b = matrix([["1/2", 0], [1, 1]])

@@ -1,17 +1,21 @@
-"""``sampling.randbelow`` draws the stream of ``random.Random``'s own draws.
+"""``sampling.randbelow`` and ``random_fraction`` draw the stream of
+``random.Random``'s own draws.
 
 The sampling suites' reports name the classes they drew, so a seed must
 draw the same classes on every supported Python.  ``randbelow`` replaces
 ``choice``, ``randint`` and ``randrange`` in the hot draws; here it runs
 next to them on two generators from one seed, interleaved with
 ``random()``, and must return every value they return and leave the same
-state.  The body uses only the standard library, so it also runs without
-pytest: ``PYTHONPATH=src python tests/test_sampling_stream.py``.
+state.  ``random_fraction``, which reads a table, must likewise return
+the fraction of two ``randint(1, 8)`` draws.  The body uses only the
+standard library, so it also runs without pytest:
+``PYTHONPATH=src python tests/test_sampling_stream.py``.
 """
 
 import random
+from fractions import Fraction
 
-from cuntzcalc.sampling import randbelow
+from cuntzcalc.sampling import random_fraction, randbelow
 
 SEEDS = range(40)
 # every pool size up to 129, the powers of two and their neighbours where a
@@ -31,6 +35,24 @@ def test_randbelow_reproduces_choice_and_randint():
         assert ours.getstate() == theirs.getstate(), seed
 
 
+def test_random_fraction_reproduces_two_randints():
+    # random_fraction reads a table of the 64 values; its draws and values
+    # must be those of building the Fraction from two randints
+    seen = set()
+    for seed in SEEDS:
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            q = random_fraction(ours)
+            assert type(q) is Fraction, seed
+            # the numerator is drawn first
+            assert q == Fraction(theirs.randint(1, 8), theirs.randint(1, 8)), seed
+            assert ours.random() == theirs.random(), seed
+            seen.add(q)
+        assert ours.getstate() == theirs.getstate(), seed
+    assert seen == {Fraction(a, b) for a in range(1, 9) for b in range(1, 9)}
+
+
 if __name__ == "__main__":
     test_randbelow_reproduces_choice_and_randint()
-    print("randbelow reproduces choice and randint")
+    test_random_fraction_reproduces_two_randints()
+    print("randbelow and random_fraction reproduce choice and randint")
