@@ -277,76 +277,36 @@ def smith_diagonal(columns: Sequence[Sequence[int]], m: int):
     r = len(columns)
     b = [[int(col[i]) for col in columns] for i in range(m)]
     u = [list(row) for row in identity(m)]
-
-    def row_op(dst, src, q):
-        b[dst] = [x - q * y for x, y in zip(b[dst], b[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def swap_rows(i, j):
-        b[i], b[j] = b[j], b[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in b:
-            row[i], row[j] = row[j], row[i]
-
-    def col_op(dst, src, q):
-        for row in b:
-            row[dst] -= q * row[src]
-
-    t = 0
-    while t < m and t < r:
-        while True:
-            pivot = None
-            for i in range(t, m):
-                for j in range(t, r):
-                    if b[i][j] != 0 and (
-                        pivot is None or abs(b[i][j]) < abs(b[pivot[0]][pivot[1]])
-                    ):
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            if pivot != (t, t):
-                swap_rows(t, pivot[0])
-                swap_cols(t, pivot[1])
+    # b stays block-diagonal: rows from t on are zero left of column t
+    for t in range(min(m, r)):
+        while entries := [(abs(v), i, j) for i in range(t, m)
+                          for j, v in enumerate(b[i]) if v]:
+            # the first smallest entry in row-major order goes to (t, t)
+            _, i, j = min(entries)
+            b[t], b[i], u[t], u[i] = b[i], b[t], u[i], u[t]
+            for row in b:
+                row[t], row[j] = row[j], row[t]
             if b[t][t] < 0:
-                b[t] = [-x for x in b[t]]
-                u[t] = [-x for x in u[t]]
+                b[t], u[t] = [-x for x in b[t]], [-x for x in u[t]]
             p = b[t][t]
-            residue = False
             for i in range(t + 1, m):
                 q = b[i][t] // p
-                if q:
-                    row_op(i, t, q)
-                if b[i][t]:
-                    residue = True
-            if residue:
+                b[i] = [x - q * y for x, y in zip(b[i], b[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+            if any(b[i][t] for i in range(t + 1, m)):
                 continue
-            for j in range(t + 1, r):
-                q = b[t][j] // p
-                if q:
-                    col_op(j, t, q)
-                if b[t][j]:
-                    residue = True
-            if residue:
+            qs = [x // p for x in b[t]]
+            for row in b:
+                row[t + 1:] = [x - q * row[t] for x, q in zip(row[t + 1:], qs[t + 1:])]
+            if any(b[t][t + 1:]):
                 continue
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, r):
-                    if b[i][j] % p != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            # fold a row with an entry p does not divide into the pivot row,
+            # so the next round shrinks the pivot to a common divisor
+            bad = next((i for i in range(t + 1, m) if any(x % p for x in b[i])), None)
             if bad is None:
                 break
-            # fold the offending row into the pivot row so the next round
-            # shrinks the pivot to a common divisor
             b[t] = [x + y for x, y in zip(b[t], b[bad])]
             u[t] = [x + y for x, y in zip(u[t], u[bad])]
-        if b[t][t] == 0:
-            break
-        t += 1
 
     diag = [b[i][i] for i in range(min(m, r))]
     return diag, tuple(tuple(row) for row in u)
@@ -450,8 +410,8 @@ def is_weakly_unperforated(model: PoGroupModel, n_max: int, enumeration_bound=No
     returns at once on them.  On a simplicial cone, nx >= 0 iff x >= 0 for every n >= 1.
     On a strict-state cone with integer rows R, a nonzero x lies outside
     iff min(R·x) <= 0, and then n·min(R·x) <= 0, so nx lies outside too.
-    Other cones are walked; below n_max = 2 the only multiple is x itself,
-    outside the cone, so the walk is refused rather than reported clean.
+    Other cones are walked from the multiple 2x on, as 1·x is x, outside the
+    cone; below n_max = 2 none is left, so the walk is refused, not reported clean.
     """
     if isinstance(model.cone, (SimplicialCone, StrictStateCone)):
         return None
@@ -462,7 +422,7 @@ def is_weakly_unperforated(model: PoGroupModel, n_max: int, enumeration_bound=No
         # x is nonzero, so every nx is too
         if cone_member(model, x).definite is not False:
             continue
-        for n in range(1, n_max + 1):
+        for n in range(2, n_max + 1):
             if cone_member(model, vscale(n, x)).definite is True:
                 return (x, n)
     return None
@@ -489,9 +449,11 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound=None)
     R(u - n·x) >= R·u = s > 0 puts u - n·x inside for every n: (x, u) is a
     witness at every scale, n_max included.
 
-    Other cones are searched over the box of ``is_weakly_unperforated``: the
-    sweep covers candidate pairs in increasing max-norm order, asks
-    ``cone_member`` for each n, n_max first (fastest to fail), and stops after
+    Other cones are searched over the box of ``is_weakly_unperforated``: x is
+    streamed from it in increasing max-norm order, and -x is tested when the
+    walk reaches x; each x with -x outside the cone is paired with every y of
+    max-norm below n_max (and at most the bound), asking ``cone_member`` for
+    each n, n_max first (fastest to fail).  The walk stops after
     ``ARCHIMEDEAN_PAIR_BUDGET`` pairs, so None means "none found at this
     scale", nothing stronger.  y keeps its max-norm below n_max, so it cannot
     dominate n_max·x by size alone; below n_max = 2 no y is left, and the
@@ -513,12 +475,12 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound=None)
     bound = _walk_bound(model, n_max, enumeration_bound, "archimedean",
                         "y stays below the multiplier in max-norm, so no pair "
                         "could be tested")
-    box = list(_int_vectors_by_norm(model.rank, bound))
-    # y runs over the prefix of the box of max-norm at most m < n_max
-    ys = box[:box_size(model.rank, min(bound, n_max - 1))]
-    candidates_x = [x for x in box if cone_member(model, vneg(x)).definite is False]
+    # y runs over the vectors of max-norm at most m < n_max
+    ys = list(_int_vectors_by_norm(model.rank, min(bound, n_max - 1)))
     tested = 0
-    for x in candidates_x:
+    for x in _int_vectors_by_norm(model.rank, bound):
+        if cone_member(model, vneg(x)).definite is not False:
+            continue
         multiples = [vscale(n, x) for n in (n_max, *range(1, n_max))]
         for y in ys:
             if tested == ARCHIMEDEAN_PAIR_BUDGET:

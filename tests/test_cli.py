@@ -1002,6 +1002,21 @@ DOCUMENT_CHECKS = {
         simplicial_group(2, [0, 0]),
         "error: invalid pogroup document: order unit must be nonzero",
     ),
+    "unit-of-the-wrong-length": (
+        ("check", "DOC", "archimedean"),
+        simplicial_group(2, [1, 1, 1]),
+        "error: invalid pogroup document: order unit has the wrong rank",
+    ),
+    "strict-states-group-without-states": (
+        ("check", "DOC", "archimedean"),
+        {**simplicial_group(2, [1, 1]), "cone": {"type": "strict-states", "states": []}},
+        "error: invalid pogroup document: a strict-state cone needs at least one state",
+    ),
+    "wmodel-without-states": (
+        ("k0star", "DOC"),
+        {**TWO_TRACE_DOC, "states": []},
+        "error: invalid wmodel document: a strict-state cone needs at least one state",
+    ),
     "partition-short-of-one": (
         ("realize", "DOC", "--stages", "2"),
         step_target(["0", "1/2", "3/4"], ["1/2", "1"], ["1/2", "1/2", "1"]),

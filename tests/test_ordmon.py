@@ -92,6 +92,7 @@ def test_lexicographic_membership():
     assert cone_member(model, (0, 1)) is YES
     assert cone_member(model, (0, -1)) is NO
     assert cone_member(model, (1, -5)) is YES
+    assert cone_member(model, (0, 0)) is YES
 
 
 def test_leq_is_cone_membership_of_the_difference():
@@ -166,11 +167,25 @@ SMITH_CASES = [
 ]
 
 
+def _assert_smith_certificate(columns, m, diag, u):
+    """U is unimodular and A = U·B is the certificate of the diagonal: row i
+    of A is divisible by d_i, zero where d_i = 0 and past min(m, r), and
+    d_1 | d_2 | ... with every d_i >= 0."""
+    assert _det([list(row) for row in u]) in (1, -1)
+    a = [[sum(u[i][k] * col[k] for k in range(m)) for col in columns] for i in range(m)]
+    for i, row in enumerate(a):
+        d = diag[i] if i < len(diag) else 0
+        assert all(x % d == 0 for x in row) if d else not any(row), (columns, i)
+    assert all(d >= 0 for d in diag), columns
+    for d, after in zip(diag, diag[1:]):
+        assert after % d == 0 if d else after == 0, columns
+
+
 @pytest.mark.parametrize("columns,m", SMITH_CASES)
 def test_smith_matches_determinantal_divisors(columns, m):
     diag, u = smith_diagonal(columns, m)
     assert list(diag) == _invariant_factors(columns, m)
-    assert _det([list(row) for row in u]) in (1, -1)
+    _assert_smith_certificate(columns, m, diag, u)
 
 
 def test_smith_matches_oracle_on_seeded_matrices():
@@ -181,7 +196,7 @@ def test_smith_matches_oracle_on_seeded_matrices():
         columns = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(r)]
         diag, u = smith_diagonal(columns, m)
         assert list(diag) == _invariant_factors(columns, m), columns
-        assert _det([list(row) for row in u]) in (1, -1)
+        _assert_smith_certificate(columns, m, diag, u)
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +395,28 @@ def test_archimedean_search_work_is_pinned(
         cut.setattr(ordmon, "ARCHIMEDEAN_PAIR_BUDGET", 5_000)
         assert _cross_check_with_the_generic_walk(group, n_max=10, bound=6) is None
     # the lexicographic control stays on the generic loop: 3 candidate rows
-    # of 288 pairs, then the witness at the first y of the fourth
+    # of 288 pairs, then the witness at the first y of the fourth.  The y list
+    # and the stream of x each open the box of max-norm 8, and -x is asked
+    # only for the 4 x the walk reaches: 884 pair questions and 4 more
     count_candidates.clear()
     count_cone_member.clear()
     lex = PoGroupModel(2, LexicographicCone(), (1, 0))
     search = partial(archimedean_witness, lex, n_max=20, enumeration_bound=8)
     assert _pairs_counted(search) == (((0, 1), (1, 1)), 865)
-    assert count_candidates == [288]
-    assert len(count_cone_member) == 1_172
+    assert count_candidates == [288, 288]
+    assert len(count_cone_member) == 888
+
+
+def test_archimedean_walk_asks_each_x_when_it_reaches_it(count_cone_member, monkeypatch):
+    # at rank 7 with n_max 2, y runs over the 3^7 - 1 = 2,186 vectors of
+    # max-norm 1, so 5,000 pairs end in the third x: 3 questions about -x and
+    # one per pair, since y - 2x is never in the cone; none about the other
+    # 7^7 - 4 vectors of the box
+    monkeypatch.setattr(ordmon, "ARCHIMEDEAN_PAIR_BUDGET", 5_000)
+    model = PoGroupModel(7, GeneratedCone([(1,) * 7]), (1,) * 7)
+    search = partial(archimedean_witness, model, n_max=2)
+    assert _pairs_counted(search) == (None, 5_000)
+    assert len(count_cone_member) == 5_003
 
 
 def test_weak_unperforation_search_work_is_pinned(count_cone_member, count_candidates):
@@ -402,11 +431,12 @@ def test_weak_unperforation_search_work_is_pinned(count_cone_member, count_candi
     assert is_weakly_unperforated(simplicial, n_max=10, enumeration_bound=4) is None
     assert count_candidates == []
     assert count_cone_member == []
-    # the generic loop still walks 9^4 - 1 = 6,560 candidates
+    # the generic loop still walks 9^4 - 1 = 6,560 candidates; each x outside
+    # the cone has its multiples asked from 2x on, as 1·x is x
     generic = PoGroupModel(4, Delegating(model.cone), (1, 1, 1, 1))
     assert is_weakly_unperforated(generic, n_max=10, enumeration_bound=4) is None
     assert count_candidates == [6_560]
-    assert len(count_cone_member) == 69_600
+    assert len(count_cone_member) == 63_296
 
 
 def test_theorem_cones_of_rank_7_enumerate_nothing(count_candidates, count_cone_member):
