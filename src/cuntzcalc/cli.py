@@ -145,7 +145,6 @@ def cmd_compare(args) -> dict:
         (False, False): "neither",
     }[(fwd, bwd)]
     return {
-        "command": "compare",
         "x": docs.encode_class(x),
         "y": docs.encode_class(y),
         "x_leq_y": fwd,
@@ -161,7 +160,7 @@ def cmd_compare(args) -> dict:
 def cmd_add(args) -> dict:
     model = _read(args.model, "wmodel")
     x, y = _read(args.x, "class"), _read(args.y, "class")
-    return {"command": "add", "result": docs.encode_class(model.add(x, y))}
+    return {"result": docs.encode_class(model.add(x, y))}
 
 
 def cmd_scale(args) -> dict:
@@ -169,13 +168,13 @@ def cmd_scale(args) -> dict:
     x = _read(args.x, "class")
     factor = docs.parse_rational(args.factor)
     result = docs.encode_class(model.scale(x, factor))
-    return {"command": "scale", "factor": docs.rational_str(factor), "result": result}
+    return {"factor": docs.rational_str(factor), "result": result}
 
 
 def cmd_soften(args) -> dict:
     model = _read(args.model, "wmodel")
     result = model.soften(_read(args.x, "class"))
-    return {"command": "soften", "result": docs.encode_class(result)}
+    return {"result": docs.encode_class(result)}
 
 
 def cmd_complement(args) -> dict:
@@ -183,9 +182,8 @@ def cmd_complement(args) -> dict:
     x, y = _read(args.x, "class"), _read(args.y, "class")
     z = model.complement(x, y)
     if z is None:
-        return {"command": "complement", "verdict": "none"}
+        return {"verdict": "none"}
     return {
-        "command": "complement",
         "verdict": "found",
         "z": docs.encode_class(z),
         "recovers_y": model.add(x, z) == y,
@@ -194,7 +192,7 @@ def cmd_complement(args) -> dict:
 
 def cmd_k0star(args) -> dict:
     n = _read(args.model, "wmodel").group_rank
-    return {"command": "k0star", "n": n, "unit_image": ["1"] * n}
+    return {"n": n, "unit_image": ["1"] * n}
 
 
 def cmd_order_unit(args) -> dict:
@@ -206,7 +204,7 @@ def cmd_order_unit(args) -> dict:
     if not all_nonnegative(d):
         raise DocumentError("order unit test expects a vector in the difference cone")
     verdict = all_positive(d)
-    report = {"command": "order-unit", "d": docs.rationals(d), "is_order_unit": verdict}
+    report = {"d": docs.rationals(d), "is_order_unit": verdict}
     if verdict:
         report["epsilon"] = docs.rational_str(min(d))
     return report
@@ -248,7 +246,7 @@ def _suite_order_axioms(model: WModel, rng, bound: int) -> dict:
             failures.append(f"transitivity: {pool[i]!r}, {pool[j]!r}, {pool[k]!r}")
         if not element_leq(add(i, k), add(j, k)):
             failures.append(f"add-compatibility: {pool[i]!r}, {pool[j]!r}, {pool[k]!r}")
-    return {"checked": len(pool), "failures": failures[:5]}
+    return {"checked": len(pool), "failures": failures}
 
 
 def _suite_strict_cone(model: WModel, rng, bound: int) -> dict:
@@ -262,7 +260,7 @@ def _suite_strict_cone(model: WModel, rng, bound: int) -> dict:
             violations.append(docs.rationals(d))
         elif in_cone and any(d) and all_nonnegative(vneg(d)):
             violations.append(docs.rationals(d))
-    return {"checked": bound, "failures": violations[:5]}
+    return {"checked": bound, "failures": violations}
 
 
 def _search_group(target) -> PoGroupModel:
@@ -308,7 +306,7 @@ def _suite_oracle_agreement(model: WModel, rng, bound: int) -> dict:
         i, j = randbelow(rng, n), randbelow(rng, n)
         if not agree(i, j):
             mismatches.append([repr(pool[i]), repr(pool[j])])
-    return {"checked": bound, "failures": mismatches[:5]}
+    return {"checked": bound, "failures": mismatches}
 
 
 # suite -> (runner(target, rng, bound), the documents it takes, default --bound,
@@ -341,8 +339,8 @@ def cmd_check(args) -> dict:
     details = runner(target, rng_for(args.seed), bound)
     if "verdict" not in details:
         details["verdict"] = "fail" if details["failures"] else "pass"
+    details["failures"] = details["failures"][:5]
     return {
-        "command": "check",
         "suite": args.suite,
         "seed": args.seed,
         "passed": details["verdict"] in ("pass", "holds-on-sample", "none"),
@@ -356,10 +354,10 @@ def cmd_check(args) -> dict:
 
 def cmd_functor(args) -> dict:
     inv = _read(args.invariant, "invariant")
-    report: dict = {"command": "functor", "model": docs.encode_wmodel(functor_g_obj(inv))}
+    report: dict = {"model": docs.encode_wmodel(functor_g_obj(inv))}
     if args.morphism:
         mor, source, target = _read(args.morphism, "morphism")
-        if docs.encode_invariant(source) != docs.encode_invariant(inv):
+        if source != inv:
             raise DocumentError("morphism source differs from the invariant")
         induced = functor_g_mor(mor, source, target)
         report["induced"] = {
@@ -374,7 +372,6 @@ def cmd_morphism_check(args) -> dict:
     mor, source, target = _read(args.morphism, "morphism")
     problems = validate_morphism(mor, source, target)
     return {
-        "command": "morphism-check",
         "verdict": "valid" if not problems else "invalid",
         "problems": problems,
     }
@@ -384,30 +381,34 @@ def cmd_morphism_check(args) -> dict:
 # Commands: realizations
 
 
+def _table(rows: list[dict]) -> dict:
+    """A report table: the columns are the keys of the first row record."""
+    return {"columns": list(rows[0]), "rows": [list(r.values()) for r in rows]}
+
+
 def _vector_realize_report(profile, schedule, stages: int) -> dict:
     if stages > VECTOR_STAGES_CAP:
         raise DocumentError(f"vector targets take --stages at most {VECTOR_STAGES_CAP}")
-    report = {"command": "realize", "target": docs.rationals(profile)}
+    report = {"target": docs.rationals(profile)}
     if schedule is None:
         staircase = summable_decomposition(profile, stages)
         report["mode"] = "dyadic"
         report["increment_norm_total"] = docs.rational_str(staircase.increment_norm_total)
-        columns = ["stage", "level", "increment", "sup_gap"]
         rows = [
-            [st.index, ",".join(docs.rationals(st.level)),
-             ",".join(docs.rationals(st.increment)), docs.rational_str(st.sup_gap)]
+            {"stage": st.index, "level": ",".join(docs.rationals(st.level)),
+             "increment": ",".join(docs.rationals(st.increment)),
+             "sup_gap": docs.rational_str(st.sup_gap)}
             for st in staircase.stages
         ]
     else:
         levels = projection_sup_realization(profile, schedule, stages)
         report["mode"] = "projection-sup"
-        columns = ["stage", "denominator", "level", "sup_gap"]
         rows = [
-            [i, m, ",".join(docs.rationals(level)),
-             docs.rational_str(max(a - b for a, b in zip(profile, level)))]
+            {"stage": i, "denominator": m, "level": ",".join(docs.rationals(level)),
+             "sup_gap": docs.rational_str(max(a - b for a, b in zip(profile, level)))}
             for i, (m, level) in enumerate(zip(schedule.sizes, levels), start=1)
         ]
-    report["table"] = {"columns": columns, "rows": rows}
+    report["table"] = _table(rows)
     return report
 
 
@@ -431,34 +432,20 @@ def _step_realize_report(f: StepFn, schedule, stages: int, command: str) -> dict
         gap_ok = not step_witnesses(f, stage.approximant, within_gap)
         stage_bad = [p for i, p in bad if i == stage.index]
         all_ok = all_ok and increment_ok and stage.monotone and gap_ok
-        rows.append(
-            [
-                stage.index,
-                stage.size,
-                docs.rational_str(stage.sup_increment),
-                str(increment_ok).lower(),
-                str(stage.monotone).lower(),
-                str(gap_ok).lower(),
-                str(not stage_bad).lower(),
-            ]
-        )
+        rows.append({
+            "stage": stage.index,
+            "size": stage.size,
+            "sup_increment": docs.rational_str(stage.sup_increment),
+            "increment_ok": str(increment_ok).lower(),
+            "monotone": str(stage.monotone).lower(),
+            "gap_ok": str(gap_ok).lower(),
+            "dimension_exact": str(not stage_bad).lower(),
+        })
     return {
-        "command": command,
         "mode": "step",
         "stages": stages,
         "verdict": "pass" if all_ok else "fail",
-        "table": {
-            "columns": [
-                "stage",
-                "size",
-                "sup_increment",
-                "increment_ok",
-                "monotone",
-                "gap_ok",
-                "dimension_exact",
-            ],
-            "rows": rows,
-        },
+        "table": _table(rows),
     }
 
 
@@ -560,7 +547,7 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     started = time.perf_counter()
     try:
-        report = args.func(args)
+        report = {"command": args.command, **args.func(args)}
         key = OUT_KEYS.get(args.command)
         if args.out and key in report:
             Path(args.out).write_text(docs.dump_document(report[key]), encoding="utf-8")

@@ -629,6 +629,23 @@ class TestFunctor:
         assert code == EXIT_INVALID
         assert "differs" in err
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"k1": {"free_rank": 1, "torsion": []}}, {"trace_labels": ["a", "b"]}],
+        ids=["k1", "trace-labels"],
+    )
+    def test_morphism_source_differing_in_one_field_is_refused(
+        self, workspace, run, change
+    ):
+        # the same K0 group and states, so only the changed field tells them apart
+        doc = collapse_pair()
+        inv = workspace("inv.json", {**doc["source"], **change})
+        mor_path = workspace("mor.json", doc)
+        code, out, err = run("functor", inv, mor_path)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.splitlines()[0] == "error: morphism source differs from the invariant"
+
     def test_morphism_check_valid(self, workspace, run):
         mor_path = workspace("mor.json", collapse_pair())
         code, out, _ = run("morphism-check", mor_path)

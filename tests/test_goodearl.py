@@ -230,6 +230,25 @@ def crossing_points(g: PLFn, h: PLFn, grid) -> list[Fraction]:
     return out
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: full_tent().minus_clamped(Fraction(-1, 2)), ValueError,
+         "eps must be non-negative"),
+        (lambda: two_level()(Fraction(3, 2)), ValueError, r"argument outside \[0, 1\]"),
+        (lambda: two_level()(-1), ValueError, r"argument outside \[0, 1\]"),
+        (lambda: step_approximant(two_level(), 0), ValueError, "grid size must be positive"),
+        (lambda: DiagonalElement(1, [object()]), TypeError,
+         "entries must be piecewise-linear functions"),
+    ],
+    ids=["minus-clamped-negative-eps", "step-at-3/2", "step-at-minus-1",
+         "approximant-grid-0", "diagonal-non-plfn-entry"],
+)
+def test_bad_arguments_are_refused_by_name(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_evaluation_reads_breakpoints_and_interpolates_between():
     rng = random.Random(604)
     for _ in range(200):

@@ -9,6 +9,7 @@ from cuntzcalc.linalg import (
     all_positive,
     frac,
     identity,
+    int_matrix,
     int_vector,
     is_zero,
     matmul,
@@ -104,6 +105,23 @@ def test_matmul_against_hand_product():
         (Fraction(5, 2), Fraction(2)),
         (Fraction(1), Fraction(1)),
     )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: int_matrix([[1], [1, 2]]), "ragged matrix"),
+        (lambda: matmul(((1, 2),), ((1, 2),)), "matrix shape mismatch"),
+    ],
+    ids=["int_matrix", "matmul"],
+)
+def test_matrix_shapes_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_transpose_of_the_empty_matrix_is_empty():
+    assert transpose(()) == ()
 
 
 def test_transpose_and_identity():

@@ -101,6 +101,13 @@ def test_leq_is_cone_membership_of_the_difference():
     assert cone_member(model, vsub((1, 2), (2, 2))) is NO
 
 
+def test_cone_member_refuses_a_vector_of_the_wrong_rank():
+    model = PoGroupModel(2, SimplicialCone(2), (1, 1))
+    for x in ((1,), (1, 1, 1)):
+        with pytest.raises(ValueError, match="^vector has the wrong rank$"):
+            cone_member(model, x)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         PoGroupModel(2, SimplicialCone(2), (1, -1))  # unit outside the cone

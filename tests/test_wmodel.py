@@ -245,6 +245,10 @@ class TestPurelyInfinite:
                 with pytest.raises(ValueError, match="only the classes"):
                     model.compare(x, y)
 
+    def test_compare_refuses_a_bare_tuple(self):
+        with pytest.raises(TypeError, match="^expected a CuntzClass$"):
+            purely_infinite().compare((0,), (1,))
+
     def test_no_trace_pairing(self):
         model = purely_infinite()
         assert model.group_rank == 0
