@@ -1051,6 +1051,18 @@ DOCUMENT_CHECKS = {
         step_target(["0", "1/2", "1"], ["-1/2", "1"], ["-1/2", "-1/2", "1"]),
         "error: invalid target document: values must be non-negative",
     ),
+    "step-value-counts-off-the-partition": (
+        ("realize", "DOC", "--stages", "2"),
+        step_target(["0", "1/2", "1"], ["1/2"], ["1/2", "1/2", "1"]),
+        "error: invalid target document: value counts do not match the partition",
+    ),
+    # the partition point is written 2/4; the message names it in lowest terms
+    "step-point-value-above-its-pieces": (
+        ("realize", "DOC", "--stages", "2"),
+        step_target(["0", "2/4", "1"], ["1/2", "1/2"], ["1/2", "3/4", "1/2"]),
+        "error: invalid target document: not lower semicontinuous at 1/2: point value "
+        "3/4 exceeds an adjacent interval value",
+    ),
     "zero-size": (
         ("realize", "TARGET", "DOC", "--stages", "2"),
         {"kind": "schedule", "sizes": [0, 2]},
