@@ -425,8 +425,8 @@ def _step_realize_report(f: StepFn, schedule, stages: int, command: str) -> dict
         bound = Fraction(1, 2**stage.index)
         increment_ok = stage.sup_increment <= bound
 
-        def within_gap(fv, av, n=stage.size):  # 0 <= fv - av <= 1/n, fv = p/q, av = r/s
-            (p, q), (r, s) = fv.as_integer_ratio(), av.as_integer_ratio()
+        def within_gap(fv, av, n=stage.size):  # 0 <= fv - av <= 1/n on forms p/q, r/s
+            (p, q), (r, s) = fv, av
             return 0 <= n * (p * s - r * q) <= q * s
 
         gap_ok = not step_witnesses(f, stage.approximant, within_gap)

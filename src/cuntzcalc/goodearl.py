@@ -16,32 +16,72 @@ stage approximant of f exactly, with stage-to-stage sup-norm increments
 at most 2^-i.  Each stage reads f only through that approximant: its bumps
 sit on the approximant's superlevel sets.
 
-On that path every order question, sign test and interpolation is decided
-on the integer (numerator, denominator) forms of the rationals; a
-``Fraction`` is built only for a value that is kept.
+``PLFn``, ``StepFn`` and ``OpenSet`` store every rational as its integer
+form (numerator, denominator), in lowest terms with a positive denominator,
+so a < b iff an·bd < bn·ad, and a == b iff the forms are equal.  Each class
+has one check routine on forms, ``_init_forms``: the public constructor runs
+it after converting its rationals once, and each walk that builds a value
+runs it on the forms it made.  Every order question, sign test and
+interpolation is decided on forms; a ``Fraction`` is built only at the edge
+of the module: by the field accessors (``breakpoints``, ``values``,
+``partition``, ``interval_values``, ``point_values``, ``intervals``), for a
+stage's ``sup_increment``, a witness point, ``grid_below``, the value of a
+function called at a point, and the height and levels that ``realize`` hands
+to ``bump_on`` and ``superlevel``.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 from typing import Callable, NamedTuple, Sequence
 
-from .linalg import Frozen, frac, vector
+from .linalg import Frozen, frac
+
+Form = tuple[int, int]
 
 
-def _ratios(xs) -> list[tuple[int, int]]:
-    """The integer (numerator, denominator) forms of rationals.  They are in
-    lowest terms with positive denominators, so a < b iff an·bd < bn·ad, and
-    a == b iff the forms are equal."""
-    return [x.as_integer_ratio() for x in xs]
+def _form(x) -> Form:
+    return frac(x).as_integer_ratio()
 
 
-def _increasing(ratios) -> bool:
-    return all(an * bd < bn * ad for (an, ad), (bn, bd) in zip(ratios, ratios[1:]))
+def _forms(xs) -> tuple[Form, ...]:
+    return tuple(map(_form, xs))
+
+
+def _reduced(n: int, d: int) -> Form:
+    """The form of n/d, for d > 0."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _increasing(forms) -> bool:
+    return all(an * bd < bn * ad for (an, ad), (bn, bd) in zip(forms, forms[1:]))
+
+
+def _from_forms(cls, *forms):
+    """A value of ``cls`` made from integer forms in lowest terms, checked by
+    the class's one check routine as its public constructor checks it."""
+    value = cls.__new__(cls)
+    value._init_forms(*forms)
+    return value
+
+
+def _fractions(slot: str) -> property:
+    """A read-only field that gives the forms stored in ``slot`` as Fractions."""
+    return property(lambda self: tuple([Fraction(n, d) for n, d in getattr(self, slot)]))
+
+
+def _locate(points, x) -> tuple[int, Form]:
+    """The index of the first of the increasing forms at or above x, a point
+    of [0, 1], and the form of x."""
+    xn, xd = x = _form(x)
+    if not 0 <= xn <= xd:
+        raise ValueError("argument outside [0, 1]")
+    return next(i for i, (n, d) in enumerate(points) if xn * d <= n * xd), x
 
 
 class Iv(NamedTuple):
@@ -57,39 +97,45 @@ class OpenSet(Frozen):
     """Disjoint union of intervals, relatively open in [0, 1].
 
     Endpoint inclusion is only legal at 0 (left) and 1 (right); that is
-    what relative openness permits.
+    what relative openness permits.  Each interval is stored as (left form,
+    right form, left_closed, right_closed); ``intervals`` reads them as
+    ``Iv``s.
     """
 
-    __slots__ = ("intervals",)
-    intervals: tuple[Iv, ...]
+    __slots__ = ("_ivs",)
 
     def __init__(self, intervals):
-        ivs = tuple(
-            Iv(frac(l), frac(r), bool(lc), bool(rc)) for l, r, lc, rc in intervals
+        self._init_forms(
+            tuple([(_form(l), _form(r), bool(lc), bool(rc)) for l, r, lc, rc in intervals])
         )
+
+    def _init_forms(self, ivs):
         pn, pd = 0, 1  # the previous right end; 0 bounds the first left end
-        for iv in ivs:
-            (ln, ld), (rn, rd) = iv.left.as_integer_ratio(), iv.right.as_integer_ratio()
+        for (ln, ld), (rn, rd), lc, rc in ivs:
             if not (0 <= ln and ln * rd < rn * ld and rn <= rd):
-                raise ValueError(f"bad interval {iv}")
-            if iv.left_closed and ln != 0:
+                raise ValueError(f"bad interval {Iv(Fraction(ln, ld), Fraction(rn, rd), lc, rc)}")
+            if lc and ln != 0:
                 raise ValueError("left endpoint may be included only at 0")
-            if iv.right_closed and rn != rd:
+            if rc and rn != rd:
                 raise ValueError("right endpoint may be included only at 1")
             if ln * pd < pn * ld:
                 raise ValueError("intervals must be sorted and disjoint")
             pn, pd = rn, rd
-        object.__setattr__(self, "intervals", ivs)
+        object.__setattr__(self, "_ivs", ivs)
+
+    intervals = property(
+        lambda self: tuple([Iv(Fraction(*l), Fraction(*r), lc, rc) for l, r, lc, rc in self._ivs])
+    )
 
 
 # ---------------------------------------------------------------------------
 # Piecewise-linear functions
 
 
-def _lerp(x0, v0, x1, v1, x) -> tuple[int, int]:
+def _lerp(x0, v0, x1, v1, x) -> Form:
     """Value at x of the segment from (x0, v0) to (x1, v1), all given as
-    integer (numerator, denominator) forms; the value comes back as such a
-    pair, with a positive denominator but not in lowest terms."""
+    integer forms; the value comes back as a (numerator, denominator) pair
+    with a positive denominator but not in lowest terms."""
     if v0 == v1:
         return v0
     (an, ad), (bn, bd), (pn, pd), (qn, qd), (xn, xd) = v0, v1, x0, x1, x
@@ -99,26 +145,28 @@ def _lerp(x0, v0, x1, v1, x) -> tuple[int, int]:
 
 
 class PLFn(Frozen):
-    """Continuous piecewise-linear function on [0, 1] with values >= 0."""
+    """Continuous piecewise-linear function on [0, 1] with values >= 0,
+    stored as the forms of its breakpoints and of its values there."""
 
-    __slots__ = ("breakpoints", "values")
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
+    __slots__ = ("_bp", "_vals")
 
     def __init__(self, breakpoints, values):
-        bp = vector(breakpoints)
-        vals = vector(values)
+        self._init_forms(_forms(breakpoints), _forms(values))
+
+    def _init_forms(self, bp, vals):
         if len(bp) != len(vals) or len(bp) < 2:
             raise ValueError("need matching breakpoints and values, at least two")
-        ratios = _ratios(bp)
-        if ratios[0][0] != 0 or ratios[-1] != (1, 1):
+        if bp[0][0] != 0 or bp[-1] != (1, 1):
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if not _increasing(ratios):
+        if not _increasing(bp):
             raise ValueError("breakpoints must strictly increase")
-        if any(v.numerator < 0 for v in vals):
+        if any(n < 0 for n, _ in vals):
             raise ValueError("values must be non-negative")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_bp", bp)
+        object.__setattr__(self, "_vals", vals)
+
+    breakpoints = _fractions("_bp")
+    values = _fractions("_vals")
 
     @classmethod
     def constant(cls, c) -> "PLFn":
@@ -129,60 +177,56 @@ class PLFn(Frozen):
         return cls.constant(0)
 
     def __call__(self, x) -> Fraction:
-        x = frac(x)
-        if not 0 <= x <= 1:
-            raise ValueError("argument outside [0, 1]")
-        bp, vals = self.breakpoints, self.values
-        i = bisect_left(bp, x)
+        bp, vals = self._bp, self._vals
+        i, x = _locate(bp, x)
         if bp[i] == x:
-            return vals[i]
-        return Fraction(*_lerp(*_ratios((bp[i - 1], vals[i - 1], bp[i], vals[i], x))))
+            return Fraction(*vals[i])
+        return Fraction(*_lerp(bp[i - 1], vals[i - 1], bp[i], vals[i], x))
 
     def pointwise_max(self, other: "PLFn") -> "PLFn":
         """The pointwise maximum, in one walk over both breakpoint lists: the
         owner of each point is read, the other interpolated, and a crossing
         point goes in wherever the sign of the difference flips strictly.
 
-        The walk compares integer forms (see ``_ratios``): a read value is
-        kept as the owner's ``Fraction``, an interpolated one becomes a
-        ``Fraction`` only if it is the larger, and ``Fraction`` differences
-        are formed only at a crossing."""
-        xs, vs, ys, ws = self.breakpoints, self.values, other.breakpoints, other.values
-        xr, vr, yr, wr = _ratios(xs), _ratios(vs), _ratios(ys), _ratios(ws)
+        A read value is kept as the owner's form; an interpolated one is
+        reduced only if it is the larger, and a crossing is interpolated at
+        the integer ratio t of the two differences."""
+        xs, vs, ys, ws = self._bp, self._vals, other._bp, other._vals
         # the last point and v, w and the sign of v - w there; both start at 0
-        x0, a0, b0 = xs[0], vr[0], wr[0]
+        x0, a0, b0 = xs[0], vs[0], ws[0]
         s0 = a0[0] * b0[1] - b0[0] * a0[1]
-        pts, vals = [x0], [vs[0] if s0 >= 0 else ws[0]]
+        pts, vals = [x0], [a0 if s0 >= 0 else b0]
         i = j = 1
         while i < len(xs):  # both end at 1, so they run out together
-            (xn, xd), (yn, yd) = xr[i], yr[j]
+            (xn, xd), (yn, yd) = xs[i], ys[j]
             c = xn * yd - yn * xd  # the sign of xs[i] - ys[j]
-            x, p = (xs[i], xr[i]) if c <= 0 else (ys[j], yr[j])
-            a = vr[i] if c <= 0 else _lerp(xr[i - 1], vr[i - 1], xr[i], vr[i], p)
-            b = wr[j] if c >= 0 else _lerp(yr[j - 1], wr[j - 1], yr[j], wr[j], p)
+            x = xs[i] if c <= 0 else ys[j]
+            a = vs[i] if c <= 0 else _lerp(xs[i - 1], vs[i - 1], xs[i], vs[i], x)
+            b = ws[j] if c >= 0 else _lerp(ys[j - 1], ws[j - 1], ys[j], ws[j], x)
             s = a[0] * b[1] - b[0] * a[1]
-            if s0 * s < 0:  # the sign flips strictly inside
-                v0, w0, v, w = (Fraction(*r) for r in (a0, b0, a, b))
-                d0 = v0 - w0
-                t = d0 / (d0 - (v - w))
-                pts.append(x0 + (x - x0) * t)
-                vals.append(v0 + (v - v0) * t)
+            if s0 * s < 0:  # the sign flips strictly inside, at t = d0/(d0 - d)
+                # with d0 = s0/(a0d·b0d) and d = s/(ad·bd), of opposite signs
+                u, w = abs(s0) * a[1] * b[1], abs(s) * a0[1] * b0[1]
+                t = u, u + w
+                pts.append(_reduced(*_lerp((0, 1), x0, (1, 1), x, t)))
+                vals.append(_reduced(*_lerp((0, 1), a0, (1, 1), a, t)))
             pts.append(x)
             if s >= 0:
-                vals.append(vs[i] if c <= 0 else Fraction(*a))
+                vals.append(a if c <= 0 else _reduced(*a))
             else:
-                vals.append(ws[j] if c >= 0 else Fraction(*b))
+                vals.append(b if c >= 0 else _reduced(*b))
             i, j = i + (c <= 0), j + (c >= 0)
             x0, a0, b0, s0 = x, a, b, s
-        return PLFn(pts, vals)
+        return _from_forms(PLFn, tuple(pts), tuple(vals))
 
     def minus_clamped(self, eps) -> "PLFn":
         """(self - eps) clamped below at zero, exactly: max(self, eps) - eps."""
-        eps = frac(eps)
-        if eps < 0:
+        en, ed = _form(eps)
+        if en < 0:
             raise ValueError("eps must be non-negative")
         top = self.pointwise_max(PLFn.constant(eps))
-        return PLFn(top.breakpoints, tuple(v - eps for v in top.values))
+        cut = tuple([_reduced(n * ed - en * d, d * ed) for n, d in top._vals])
+        return _from_forms(PLFn, top._bp, cut)
 
     def cozero(self) -> OpenSet:
         """The exact set where the function is positive.
@@ -192,8 +236,8 @@ class PLFn(Frozen):
         iff it is at either end; a positive breakpoint has both of its
         pieces positive, which is what ``_components`` asks.
         """
-        pos = [v.numerator > 0 for v in self.values]
-        return _components(self.breakpoints, [a or b for a, b in zip(pos, pos[1:])], pos)
+        pos = [n > 0 for n, _ in self._vals]
+        return _components(self._bp, [a or b for a, b in zip(pos, pos[1:])], pos)
 
 
 # ---------------------------------------------------------------------------
@@ -206,51 +250,41 @@ class StepFn(Frozen):
     ``interval_values[i]`` is the value on the open interval between
     partition points i and i+1; ``point_values[i]`` is the value at
     partition point i.  Lower semicontinuity pins each point value at or
-    below the neighbouring interval values.
+    below the neighbouring interval values.  All three are stored as forms.
     """
 
-    __slots__ = ("partition", "interval_values", "point_values")
-    partition: tuple[Fraction, ...]
-    interval_values: tuple[Fraction, ...]
-    point_values: tuple[Fraction, ...]
+    __slots__ = ("_part", "_ivals", "_pvals")
 
     def __init__(self, partition, interval_values, point_values):
-        part = vector(partition)
-        ivals = vector(interval_values)
-        pvals = vector(point_values)
-        ratios = _ratios(part)
-        if len(part) < 2 or ratios[0][0] != 0 or ratios[-1] != (1, 1):
+        self._init_forms(_forms(partition), _forms(interval_values), _forms(point_values))
+
+    def _init_forms(self, part, ivals, pvals):
+        if len(part) < 2 or part[0][0] != 0 or part[-1] != (1, 1):
             raise ValueError("partition must run from 0 to 1")
-        if not _increasing(ratios):
+        if not _increasing(part):
             raise ValueError("partition must strictly increase")
         if len(ivals) != len(part) - 1 or len(pvals) != len(part):
             raise ValueError("value counts do not match the partition")
-        iv, pv = _ratios(ivals), _ratios(pvals)
-        if any(n < 0 for n, _ in iv) or any(n < 0 for n, _ in pv):
+        if any(n < 0 for n, _ in ivals) or any(n < 0 for n, _ in pvals):
             raise ValueError("values must be non-negative")
-        for i, (n, d) in enumerate(pv):
+        for i, (n, d) in enumerate(pvals):
             # the neighbouring interval values, ivals[i - 1] and ivals[i]
-            if any(n * md > mn * d for mn, md in iv[max(i - 1, 0) : i + 1]):
+            if any(n * md > mn * d for mn, md in ivals[max(i - 1, 0) : i + 1]):
                 raise ValueError(
-                    f"not lower semicontinuous at {part[i]}: point value {pvals[i]} "
-                    f"exceeds an adjacent interval value"
+                    f"not lower semicontinuous at {Fraction(*part[i])}: point value "
+                    f"{Fraction(n, d)} exceeds an adjacent interval value"
                 )
-        object.__setattr__(self, "partition", part)
-        object.__setattr__(self, "interval_values", ivals)
-        object.__setattr__(self, "point_values", pvals)
+        object.__setattr__(self, "_part", part)
+        object.__setattr__(self, "_ivals", ivals)
+        object.__setattr__(self, "_pvals", pvals)
+
+    partition = _fractions("_part")
+    interval_values = _fractions("_ivals")
+    point_values = _fractions("_pvals")
 
     def __call__(self, x) -> Fraction:
-        x = frac(x)
-        if not 0 <= x <= 1:
-            raise ValueError("argument outside [0, 1]")
-        i = bisect_left(self.partition, x)
-        if self.partition[i] == x:
-            return self.point_values[i]
-        return self.interval_values[i - 1]
-
-    @property
-    def sup(self) -> Fraction:
-        return max(self.interval_values)
+        i, x = _locate(self._part, x)
+        return Fraction(*(self._pvals[i] if self._part[i] == x else self._ivals[i - 1]))
 
 
 def step_witnesses(f: StepFn, g: StepFn, holds) -> list[Fraction]:
@@ -259,30 +293,31 @@ def step_witnesses(f: StepFn, g: StepFn, holds) -> list[Fraction]:
     Both functions are constant on each open piece between consecutive
     points of the union of their partitions, so checking every such point
     and every piece decides the relation on all of [0, 1]; a failing piece
-    is witnessed by its midpoint.  One walk reads both values off each piece;
-    it orders the partition points by their integer forms.
+    is witnessed by its midpoint.  One walk reads both values off each piece
+    and hands them to ``holds`` as integer forms.
     """
-    fp, gp = f.partition, g.partition
-    fr, gr = _ratios(fp), _ratios(gp)
+    fp, gp, fi, gi = f._part, g._part, f._ivals, g._ivals
     out, i, j = [], 0, 0
     while True:
-        (fn, fd), (gn, gd) = fr[i], gr[j]
+        (fn, fd), (gn, gd) = fp[i], gp[j]
         c = fn * gd - gn * fd  # the sign of fp[i] - gp[j]
         at_f, at_g = c <= 0, c >= 0
         x = fp[i] if at_f else gp[j]
-        fx = f.point_values[i] if at_f else f.interval_values[i - 1]
-        gx = g.point_values[j] if at_g else g.interval_values[j - 1]
+        fx = f._pvals[i] if at_f else fi[i - 1]
+        gx = g._pvals[j] if at_g else gi[j - 1]
         if not holds(fx, gx):
-            out.append(x)
+            out.append(Fraction(*x))
         if at_f and i == len(fp) - 1:  # x is 1, where both partitions end
             return out
         i, j = i + at_f, j + at_g  # the open piece after x ends at fp[i] or gp[j]
-        if not holds(f.interval_values[i - 1], g.interval_values[j - 1]):
-            out.append((x + min(fp[i], gp[j])) / 2)
+        if not holds(fi[i - 1], gi[j - 1]):
+            (xn, xd), (pn, pd), (qn, qd) = x, fp[i], gp[j]
+            yn, yd = fp[i] if pn * qd <= qn * pd else gp[j]
+            out.append(Fraction(xn * yd + yn * xd, 2 * xd * yd))
 
 
 def _components(points, on_piece, at_point) -> OpenSet:
-    """The open set made of the flagged pieces and points.
+    """The open set made of the flagged pieces and points, given as forms.
 
     ``on_piece[i]`` flags the open piece between ``points[i]`` and
     ``points[i + 1]``, and ``at_point[i]`` flags ``points[i]``; a flagged
@@ -301,7 +336,7 @@ def _components(points, on_piece, at_point) -> OpenSet:
             closed_left = start == 0 and at_point[0]
             pieces.append((points[start], points[i + 1], closed_left, at_point[i + 1]))
             start = None
-    return OpenSet(pieces)
+    return _from_forms(OpenSet, tuple(pieces))
 
 
 def superlevel(f: StepFn, q) -> OpenSet:
@@ -311,17 +346,21 @@ def superlevel(f: StepFn, q) -> OpenSet:
     above q has both of its pieces above q, as ``_components`` asks.
     ``realize`` reads it on stage approximants only, at their own levels.
     """
-    qn, qd = frac(q).as_integer_ratio()
-    on_piece = [n * qd > qn * d for n, d in _ratios(f.interval_values)]
-    at_point = [n * qd > qn * d for n, d in _ratios(f.point_values)]
-    return _components(f.partition, on_piece, at_point)
+    qn, qd = _form(q)
+    on_piece = [n * qd > qn * d for n, d in f._ivals]
+    at_point = [n * qd > qn * d for n, d in f._pvals]
+    return _components(f._part, on_piece, at_point)
+
+
+def _grid_form(t: Form, n: int) -> Form:
+    p, q = t
+    return _reduced(max(1, -(-n * p // q)) - 1, n)
 
 
 def grid_below(t, n: int) -> Fraction:
     """(max(1, ceil(n·t)) - 1)/n: the largest k/n strictly below t > 0, and 0
     for t <= 0.  The ceiling is taken on the integers of t."""
-    p, q = t.as_integer_ratio()
-    return Fraction(max(1, -(-n * p // q)) - 1, n)
+    return Fraction(*_grid_form(t.as_integer_ratio(), n))
 
 
 def step_approximant(f: StepFn, n: int) -> StepFn:
@@ -334,12 +373,14 @@ def step_approximant(f: StepFn, n: int) -> StepFn:
     n = int(n)
     if n < 1:
         raise ValueError("grid size must be positive")
-    if f.sup > 1:  # lower semicontinuity keeps every point value at or below the sup
+    # lower semicontinuity keeps every point value at or below the sup
+    if any(p > q for p, q in f._ivals):
         raise ValueError("realization targets take values in [0, 1]")
-    return StepFn(
-        f.partition,
-        tuple([grid_below(t, n) for t in f.interval_values]),
-        tuple([grid_below(t, n) for t in f.point_values]),
+    return _from_forms(
+        StepFn,
+        f._part,
+        tuple([_grid_form(t, n) for t in f._ivals]),
+        tuple([_grid_form(t, n) for t in f._pvals]),
     )
 
 
@@ -382,27 +423,27 @@ def dim_profile(a: DiagonalElement) -> StepFn:
     """
     distinct = {id(e): e for e in a.entries}
     weight = Counter(id(e) for e in a.entries)
-    cozeros = [(e.cozero(), weight[key]) for key, e in distinct.items()]
-    # endpoints keyed by their integer forms, which hash faster than a Fraction
-    ends = {(0, 1): Fraction(0), (1, 1): Fraction(1)}
-    for opens, _ in cozeros:
-        for iv in opens.intervals:
-            ends[iv.left.as_integer_ratio()] = iv.left
-            ends[iv.right.as_integer_ratio()] = iv.right
-    part = sorted(ends.values())
-    index = {x.as_integer_ratio(): i for i, x in enumerate(part)}
+    cozeros = [(e.cozero()._ivs, weight[key]) for key, e in distinct.items()]
+    ends = {(0, 1), (1, 1)}
+    for ivs, _ in cozeros:
+        for left, right, _, _ in ivs:
+            ends.add(left)
+            ends.add(right)
+    # over one common denominator the numerators order the points exactly
+    common = lcm(*(d for _, d in ends))
+    part = sorted(ends, key=lambda x: x[0] * (common // x[1]))
+    index = {x: i for i, x in enumerate(part)}
     # position 2i is partition point i, position 2i + 1 the open piece after it
     diff = [0] * (2 * len(part))
-    for opens, w in cozeros:
-        for iv in opens.intervals:
-            lo = 2 * index[iv.left.as_integer_ratio()]
-            hi = 2 * index[iv.right.as_integer_ratio()]
-            diff[lo if iv.left_closed else lo + 1] += w
-            diff[hi + 1 if iv.right_closed else hi] -= w
+    for ivs, w in cozeros:
+        for left, right, left_closed, right_closed in ivs:
+            lo, hi = 2 * index[left], 2 * index[right]
+            diff[lo if left_closed else lo + 1] += w
+            diff[hi + 1 if right_closed else hi] -= w
     counts = list(accumulate(diff[:-1]))
-    value = {c: Fraction(c, a.size) for c in set(counts)}  # one per distinct count
+    value = {c: _reduced(c, a.size) for c in set(counts)}  # one per distinct count
     values = [value[c] for c in counts]
-    return StepFn(part, values[1::2], values[::2])
+    return _from_forms(StepFn, tuple(part), tuple(values[1::2]), tuple(values[::2]))
 
 
 # ---------------------------------------------------------------------------
@@ -413,28 +454,28 @@ def bump_on(opens: OpenSet, height) -> PLFn:
     """A piecewise-linear bump of the given height whose cozero set is exactly
     the given open set: tents on interior components, ramps against an
     included endpoint, constant when the set is all of [0, 1]."""
-    height = frac(height)
-    if height.numerator <= 0:
+    height = _form(height)
+    if height[0] <= 0:
         raise ValueError("height must be positive")
-    zero = Fraction(0)
-    knots, last = [(zero, zero)], (0, 1)  # last: the last knot's integer form
+    zero = (0, 1)
+    knots, last = [(zero, zero)], zero  # last: the last knot
     # Components are sorted and disjoint, so the knots come in order.  A left
     # endpoint equal to the last knot is 0 or an endpoint shared by two
     # components, which is 0 on both.  Midpoints lie strictly inside.
-    for iv in opens.intervals:
-        if iv.left_closed and iv.right_closed:
-            return PLFn.constant(height)
-        (ln, ld), (rn, rd) = iv.left.as_integer_ratio(), iv.right.as_integer_ratio()
-        if (ln, ld) == last:
+    for left, right, left_closed, right_closed in opens._ivs:
+        if left_closed and right_closed:
+            return _from_forms(PLFn, (zero, (1, 1)), (height, height))
+        if left == last:
             knots.pop()
-        knots.append((iv.left, height if iv.left_closed else zero))
-        if not (iv.left_closed or iv.right_closed):
-            knots.append((Fraction(ln * rd + rn * ld, 2 * ld * rd), height))
-        knots.append((iv.right, height if iv.right_closed else zero))
-        last = rn, rd
+        knots.append((left, height if left_closed else zero))
+        if not (left_closed or right_closed):
+            (ln, ld), (rn, rd) = left, right
+            knots.append((_reduced(ln * rd + rn * ld, 2 * ld * rd), height))
+        knots.append((right, height if right_closed else zero))
+        last = right
     if last != (1, 1):
-        knots.append((Fraction(1), zero))
-    return PLFn(*zip(*knots))
+        knots.append(((1, 1), zero))
+    return _from_forms(PLFn, *zip(*knots))
 
 
 class RealizationSchedule(Frozen):
@@ -491,14 +532,14 @@ def _merge_slots(prev: Sequence[PLFn], n: int) -> list[PLFn]:
     return [prev[0], *(e for e in prev[1:] for _ in range(r)), *[prev[0]] * (r - 1)]
 
 
-def _increment(old: PLFn, new: PLFn) -> tuple[Fraction, bool]:
-    """sup |new - old|, and whether new >= old everywhere, for a ``new``
-    whose breakpoints contain old's.  Both are linear between new's
-    breakpoints, so those decide both: old is read at its own breakpoints
-    and interpolated in between, all on integer forms."""
-    xs, vs, i = _ratios(old.breakpoints), _ratios(old.values), 0
+def _increment(old: PLFn, new: PLFn) -> tuple[Form, bool]:
+    """sup |new - old| as a (numerator, denominator) pair, not reduced, and
+    whether new >= old everywhere, for a ``new`` whose breakpoints contain
+    old's.  Both are linear between new's breakpoints, so those decide both:
+    old is read at its own breakpoints and interpolated in between."""
+    xs, vs, i = old._bp, old._vals, 0
     top_n, top_d, rose = 0, 1, True
-    for x, (nn, nd) in zip(_ratios(new.breakpoints), _ratios(new.values)):
+    for x, (nn, nd) in zip(new._bp, new._vals):
         if x == xs[i]:
             (wn, wd), i = vs[i], i + 1
         else:
@@ -509,7 +550,7 @@ def _increment(old: PLFn, new: PLFn) -> tuple[Fraction, bool]:
         rose = rose and gap >= 0
     if i != len(xs):
         raise RuntimeError("a merged entry lost a breakpoint of the old entry")
-    return Fraction(top_n, top_d), rose
+    return (top_n, top_d), rose
 
 
 def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> RealizationResult:
@@ -536,9 +577,9 @@ def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> Realizatio
         # slot m takes {f > m/n} = {approximant > (m - 1)/n}: slots low + 1 ..
         # high share {approximant > low/n} between consecutive levels low/n <
         # high/n, and the slots above the top level take the zero entry
-        values = {*approximant.interval_values, *approximant.point_values}
+        values = {*approximant._ivals, *approximant._pvals}
         fresh, low = [zero], 0
-        for high in sorted(int(n * v) for v in values if v):
+        for high in sorted(n // q * p for p, q in values if p):
             opens = superlevel(approximant, Fraction(low, n))
             fresh += [bump_on(opens, height)] * (high - low)
             low = high
@@ -546,13 +587,15 @@ def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> Realizatio
         embedded = _merge_slots(prev_entries, n)
         # slots share entries, so each distinct (old, bump) pair is merged once
         merged: dict[tuple[int, int], PLFn] = {}
-        entries, increment, monotone = [], Fraction(0), True
+        entries, (top_n, top_d), monotone = [], (0, 1), True
         for old, bump in zip(embedded, fresh):
             key = id(old), id(bump)
             if key not in merged:
                 new = merged[key] = old.pointwise_max(bump)
-                step, rose = _increment(old, new)
-                increment, monotone = max(increment, step), monotone and rose
+                (sn, sd), rose = _increment(old, new)
+                if sn * top_d > top_n * sd:
+                    top_n, top_d = sn, sd
+                monotone = monotone and rose
             entries.append(merged[key])
         records.append(
             RealizationStage(
@@ -560,7 +603,7 @@ def realize(f: StepFn, schedule: RealizationSchedule, stages: int) -> Realizatio
                 size=n,
                 element=DiagonalElement(n, tuple(entries)),
                 approximant=approximant,
-                sup_increment=increment,
+                sup_increment=Fraction(top_n, top_d),
                 monotone=monotone,
             )
         )

@@ -1141,8 +1141,9 @@ def test_gap_check_on_integer_forms_matches_the_fraction_test(monkeypatch):
         av = [Fraction(rng.randint(0, 99), rng.randint(1, 99)) for _ in range(300)]
         cases = [(a, a + d) for a in av for d in (0, gap, -tiny, tiny, gap - tiny, gap + tiny)]
         cases += [(a, b) for a, b in zip(av, reversed(av))]
-        for a, fv in cases:
-            assert holds(fv, a) == (0 <= fv - a <= gap), (n, fv, a)
+        for a, fv in cases:  # step_witnesses hands the predicate integer forms
+            got = holds(fv.as_integer_ratio(), a.as_integer_ratio())
+            assert got == (0 <= fv - a <= gap), (n, fv, a)
 
 
 def test_oracle_states_equal_the_fraction_matrix_vector_product():

@@ -1,6 +1,7 @@
 """Diagonal elements over C[0,1]: exact cozero sets, dimension values,
 and the stagewise realization of step targets."""
 
+import math
 import operator
 import random
 from collections import Counter
@@ -22,6 +23,7 @@ from support import (
     w_of_z,
 )
 
+from cuntzcalc import goodearl
 from cuntzcalc.goodearl import (
     DiagonalElement,
     Iv,
@@ -357,7 +359,9 @@ class TestStepFn:
         assert f("1/2") == fr("1/2")
         assert f("3/4") == 1
         assert f(1) == 1
-        assert f.sup == 1
+        for x in ("-1/2", "3/2"):
+            with pytest.raises(ValueError, match=r"argument outside \[0, 1\]"):
+                f(x)
 
 
 # superlevel sets {f > q}: the complements of the sublevel sets {f <= q}
@@ -457,8 +461,12 @@ def test_step_witnesses_match_evaluation_at_points_and_midpoints():
         points = [part[0]]
         for a, b in zip(part, part[1:]):
             points += [(a + b) / 2, b]
-        for holds in relations:
-            want = [x for x in points if not holds(f(x), g(x))]
+        for relation in relations:
+            want = [x for x in points if not relation(f(x), g(x))]
+
+            def holds(a, b, relation=relation):  # the walk hands over integer forms
+                return relation(Fraction(*a), Fraction(*b))
+
             assert step_witnesses(f, g, holds) == want
     assert step_witnesses(two_level(), two_level(), operator.eq) == []
     assert step_witnesses(two_level(), constant_step("1/2"), operator.eq) == [
@@ -962,6 +970,35 @@ def test_merges_make_no_fraction_comparison(monkeypatch):
     assert counts == Counter(__lt__=1)
 
 
+def test_realize_converts_no_value_between_walks(monkeypatch):
+    """Every value is stored as its integer form, so the walks read and build
+    forms: over the pinned 5-stage target, ``realize`` and the exact check
+    build 22 ``Fraction``s in all (a height and a sup increment per stage,
+    and a level per bump; storing ``Fraction``s and converting them in
+    each walk built 189) and convert 28 rationals to forms (the zero entry's
+    four, and a level and a height per bump)."""
+    built, converted = Counter(), Counter()
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built["Fraction"] += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    def frac(x, real=goodearl.frac):
+        converted["frac"] += 1
+        return real(x)
+
+    f = StepFn((0, "1/3", "3/5", 1), ("1/4", "7/8", "1/2"), ("1/4", "1/4", "1/2", "1/2"))
+    monkeypatch.setattr(goodearl, "Fraction", Counting)
+    monkeypatch.setattr(goodearl, "frac", frac)
+    result = realize(f, RealizationSchedule.dyadic(5), 5)
+    assert dimension_discrepancies(result) == []
+    assert (built, converted) == ({"Fraction": 22}, {"frac": 28})
+    assert [stage.sup_increment for stage in result.stages] == [
+        Fraction(1, 2**i) for i in range(1, 6)
+    ]
+
+
 def test_realize_refuses_a_merge_that_drops_an_old_breakpoint(monkeypatch):
     # a "maximum" that returns the bump alone loses the old entry's knot at
     # 1/2 in stage 2, where the bump on {f > 1/4} = [0, 1] is constant
@@ -998,6 +1035,83 @@ def test_schedule_validation():
         RealizationSchedule((4, 4))
     with pytest.raises(ValueError):
         RealizationSchedule(())
+
+
+# ---------------------------------------------------------------------------
+# the stored integer forms
+
+
+def stored_forms(value) -> list:
+    """Every (numerator, denominator) pair a value of goodearl stores."""
+    out = []
+    for name in type(value)._fields:
+        for item in getattr(value, name):
+            out += [item] if isinstance(item[1], int) else [p for p in item[:2]]
+    return out
+
+
+def test_values_written_two_ways_are_equal_and_hash_equal():
+    one_ways = (1, "1", Fraction(1), "4/4")
+    for one in one_ways:
+        pairs = (
+            (PLFn((0, "2/4", one), (one, "3/6", 0)), PLFn((0, "1/2", 1), (1, "1/2", 0))),
+            (StepFn(("0/7", "2/4", one), ("2/4", one), ("1/2", "1/2", one)), two_level()),
+            (OpenSet((("2/4", one, False, True),)), OpenSet((("1/2", 1, False, True),))),
+        )
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+            assert stored_forms(a) == stored_forms(b)
+    assert PLFn((0, 1), ("1/3", 0)) != PLFn((0, 1), ("1/3", "1/99991"))
+
+
+def test_every_accessor_gives_a_tuple_of_fractions():
+    g = PLFn((0, "2/4", 1), (1, "3/6", 0))
+    f = StepFn((0, "2/4", 1), ("2/4", 1), ("1/2", "1/2", "4/4"))
+    opens = OpenSet(((0, "1/3", True, False), ("2/4", 1, False, True)))
+    fields = {
+        "breakpoints": (g.breakpoints, (0, fr("1/2"), 1)),
+        "values": (g.values, (1, fr("1/2"), 0)),
+        "partition": (f.partition, (0, fr("1/2"), 1)),
+        "interval_values": (f.interval_values, (fr("1/2"), 1)),
+        "point_values": (f.point_values, (fr("1/2"), fr("1/2"), 1)),
+    }
+    for name, (got, want) in fields.items():
+        assert type(got) is tuple and got == want, name
+        assert all(type(x) is Fraction for x in got), name
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(g if name in ("breakpoints", "values") else f, name, want)
+    ivs = opens.intervals
+    assert type(ivs) is tuple and ivs == (
+        Iv(fr(0), fr("1/3"), True, False), Iv(fr("1/2"), fr(1), False, True)
+    )
+    assert all(type(iv) is Iv for iv in ivs)
+    assert all(type(x) is Fraction for iv in ivs for x in iv[:2])
+    assert all(type(x) is bool for iv in ivs for x in iv[2:])
+    for read in (g("1/4"), g("1/2"), f("1/4"), f("1/2")):
+        assert type(read) is Fraction
+
+
+def test_every_form_the_walks_build_is_in_lowest_terms():
+    # targets over mixed denominators, and merges of random entries, most of
+    # them with crossing points
+    rng = random.Random(35)
+    seen = crossings = 0
+    for _ in range(12):
+        f = random_step_target(rng)
+        for schedule in (RealizationSchedule.dyadic(4), RealizationSchedule((3, 6, 12))):
+            result = realize(f, schedule, len(schedule.sizes))
+            values = [stage.approximant for stage in result.stages]
+            values += [dim_profile(stage.element) for stage in result.stages]
+            values += [e for stage in result.stages for e in stage.element.entries]
+            values += [e.cozero() for e in values if isinstance(e, PLFn)]
+            g, h = random_plfn(rng), random_plfn(rng)
+            top = g.pointwise_max(h)
+            crossings += len(top.breakpoints) > len(set(g.breakpoints) | set(h.breakpoints))
+            values += [g.minus_clamped(rng.choice(g.values) / 2), top]
+            for n, d in (form for value in values for form in stored_forms(value)):
+                assert d > 0 and math.gcd(n, d) == 1, (n, d)
+                seen += 1
+    assert seen > 5000 and crossings > 10, (seen, crossings)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from cuntzcalc.goodearl import (
     _increment,
     _lerp,
     _merge_slots,
-    _ratios,
     bump_on,
     dimension_discrepancies,
     realize,
@@ -86,7 +85,7 @@ def test_order_and_sign_match_fraction_comparisons():
     for _ in range(2000):
         a = rational(rng)
         b = nearby(a, rng)
-        (an, ad), (bn, bd) = _ratios((a, b))
+        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
         assert ad > 0 and bd > 0 and math.gcd(an, ad) == 1
         assert (an * bd < bn * ad) == (a < b)
         assert ((an, ad) == (bn, bd)) == (a == b)
@@ -95,7 +94,8 @@ def test_order_and_sign_match_fraction_comparisons():
         assert (an < 0, an == 0) == (a < 0, a == 0)
         assert (an <= ad, an == ad) == (a <= 1, a == 1)
         xs = [a, b, *(nearby(b, rng) for _ in range(rng.randint(0, 3)))]
-        assert _increasing(_ratios(xs)) == all(x < y for x, y in zip(xs, xs[1:]))
+        forms = [x.as_integer_ratio() for x in xs]
+        assert _increasing(forms) == all(x < y for x, y in zip(xs, xs[1:]))
 
 
 def test_lerp_matches_the_fraction_expression():
@@ -110,7 +110,7 @@ def test_lerp_matches_the_fraction_expression():
         v0 = rational(rng)
         v1 = nearby(v0, rng)
         want = v0 if v0 == v1 else v0 + (v1 - v0) * (x - x0) / (x1 - x0)
-        n, d = _lerp(*_ratios((x0, v0, x1, v1, x)))
+        n, d = _lerp(*(r.as_integer_ratio() for r in (x0, v0, x1, v1, x)))
         assert d > 0 and Fraction(n, d) == want
 
 
@@ -341,8 +341,8 @@ def test_increments_match_pointwise_evaluation():
         # at, a hair off or away from old's value, now and then below it
         values = [max(nearby(old(x), rng), Fraction(0)) for x in points]
         new = PLFn([rewritten(x, rng) for x in points], values)
-        step, rose = _increment(old, new)
-        assert step == max(abs(new(x) - old(x)) for x in points)
+        (n, d), rose = _increment(old, new)
+        assert d > 0 and Fraction(n, d) == max(abs(new(x) - old(x)) for x in points)
         assert rose == all(new(x) >= old(x) for x in points)
         lost = [x for x in old.breakpoints[1:-1] if x not in extra]
         if lost:
@@ -371,5 +371,6 @@ def test_realizations_of_large_targets_check_out_pointwise():
                     diffs += [new(x) - old(x) for x in common]
                 assert stage.sup_increment == max(map(abs, diffs))
                 assert stage.monotone == (min(diffs) >= 0)
-                assert step_witnesses(stage.approximant, f, lambda a, b: a <= b) == []
+                below = lambda a, b: a[0] * b[1] <= b[0] * a[1]  # on integer forms
+                assert step_witnesses(stage.approximant, f, below) == []
                 previous = stage.element.entries
