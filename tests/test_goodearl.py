@@ -1046,7 +1046,7 @@ def stored_forms(value) -> list:
     out = []
     for name in type(value)._fields:
         for item in getattr(value, name):
-            out += [item] if isinstance(item[1], int) else [p for p in item[:2]]
+            out += [item] if isinstance(item[1], int) else item[:2]  # an interval's ends
     return out
 
 

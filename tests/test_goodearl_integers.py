@@ -352,6 +352,11 @@ def test_increments_match_pointwise_evaluation():
                 _increment(old, PLFn(missing, [new(x) for x in missing]))
 
 
+def at_or_below(a, b) -> bool:
+    """a <= b for integer forms, as ``step_witnesses`` hands them over."""
+    return a[0] * b[1] <= b[0] * a[1]
+
+
 def test_realizations_of_large_targets_check_out_pointwise():
     rng = random.Random(2208)
     for _ in range(8):
@@ -371,6 +376,5 @@ def test_realizations_of_large_targets_check_out_pointwise():
                     diffs += [new(x) - old(x) for x in common]
                 assert stage.sup_increment == max(map(abs, diffs))
                 assert stage.monotone == (min(diffs) >= 0)
-                below = lambda a, b: a[0] * b[1] <= b[0] * a[1]  # on integer forms
-                assert step_witnesses(stage.approximant, f, below) == []
+                assert step_witnesses(stage.approximant, f, at_or_below) == []
                 previous = stage.element.entries
