@@ -225,6 +225,12 @@ DOCS = {
         "states": [[f"{k}/8", f"{8 - k}/8"] for k in range(1, 8)],
         "unit": [1, 1],
     },
+    # rank 5, walked: e1 and (0, 1, 1, 1, 1) span a cone that both searches
+    # test point by point, about 170,000 membership questions at --bound 10
+    "gen5": pogroup(
+        5, {"type": "generated", "generators": [[1, 0, 0, 0, 0], [0, 1, 1, 1, 1]]},
+        [1, 1, 1, 1, 1],
+    ),
 }
 
 SUITES = (
@@ -360,6 +366,8 @@ CASES["soften-coprime-rows"] = ["soften", "@m357", "@m357_p211"]
 for _doc in ("states7", "m7"):
     CASES[f"check-{_doc}-weak-unperforation"] = ["check", "@" + _doc, "weak-unperforation"]
     CASES[f"check-{_doc}-archimedean"] = ["check", "@" + _doc, "archimedean"]
+for _suite in ("weak-unperforation", "archimedean"):
+    CASES[f"check-gen5-{_suite}"] = ["check", "@gen5", _suite, "--bound", "10"]
 CASES["check-m357-strict-cone"] = ["check", "@m357", "strict-cone", "--bound", "60"]
 
 
