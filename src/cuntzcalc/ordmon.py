@@ -13,10 +13,10 @@ an explicit witness above rank 1.
 
 On the other cones the checkers are bounded-scale falsifiers, not provers: a
 counterexample is definitive, while "holds on sample" only says the search
-space was clean.  Searches that cannot certify a negative return
-``Membership.BOUND_EXCEEDED`` instead of guessing.  The candidate box of each
-rank (``box_bound``, ``box_size``) and ``SEARCH_WORK_CAP`` are kept here too; the
-cap refuses a walk before its first candidate, never a cone decided by theorem.
+space was clean.  A generated cone reads membership off its table of sums
+and answers ``Membership.BOUND_EXCEEDED`` where no certificate decides.  The
+candidate box of each rank (``box_bound``, ``box_size``) and ``SEARCH_WORK_CAP``
+are kept here too; the cap refuses a walk before its first candidate.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ import enum
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .linalg import (
     Frozen,
-    all_nonnegative,
     identity,
     int_vector,
     is_zero,
@@ -150,23 +149,30 @@ class StrictStateCone(PositiveCone):
 
 
 # Most coefficient vectors, C(coeff_bound + g, g) for g generators, that a
-# generated cone's search may try: coeff_bound 88 at g = 2, 27 at g = 3.
+# generated cone's table may stand for: coeff_bound 89 at g = 2, 27 at g = 3.
 COEFF_VECTORS_CAP = 4096
+
+# Most 64-bit words a generated cone's table of sums may take, estimated
+# before it is built: rank entries per coefficient vector, each a signed
+# integer no larger than coeff_bound * max |generator entry|.  The all-ones
+# cone of rank 20,000 at coeff_bound 24 takes exactly 25 * 20,000 words.
+SUMS_WORDS_CAP = 500_000
 
 
 class GeneratedCone(PositiveCone):
     """Non-negative integer span of finitely many integer generators.
 
-    Membership is decided by exhaustive search over coefficient vectors with
-    coefficient sum at most ``coeff_bound``.  When every generator has a
-    positive coordinate sum the search can certify a definite NO (any longer
-    combination has a larger coordinate sum than the target); otherwise an
-    unsuccessful search reports BOUND_EXCEEDED.
+    ``sums`` holds every sum of at most ``coeff_bound`` generators, built once,
+    and x lies in the cone when it is one of them.  Otherwise, when every
+    generator has a positive coordinate sum, the answer is a definite NO if
+    coeff_bound + 1 generators already exceed x's coordinate sum (any longer
+    combination has a larger coordinate sum than x); else BOUND_EXCEEDED.
     """
 
-    __slots__ = ("generators", "coeff_bound")
+    __slots__ = ("generators", "coeff_bound", "sums")
     generators: tuple[tuple[int, ...], ...]
     coeff_bound: int
+    sums: frozenset[tuple[int, ...]]
 
     def __init__(self, generators, coeff_bound: int = 24):
         gens = tuple(int_vector(g) for g in generators)
@@ -180,39 +186,32 @@ class GeneratedCone(PositiveCone):
         if bound < 0 or math.comb(bound + len(gens), len(gens)) > COEFF_VECTORS_CAP:
             raise ValueError(f"coeff_bound must be non-negative and allow at most "
                              f"{COEFF_VECTORS_CAP} coefficient vectors")
+        entries = math.comb(bound + len(gens), len(gens)) * len(gens[0])
+        largest = bound * max(abs(e) for g in gens for e in g)
+        if entries * (largest.bit_length() // 64 + 1) > SUMS_WORDS_CAP:
+            raise ValueError(f"the table of sums of at most {bound} generators would "
+                             f"take more than {SUMS_WORDS_CAP} words")
+        # a point first reached with k + 1 generators is one first reached
+        # with k, plus a generator, so each round extends only the last one
+        layer = {(0,) * len(gens[0])}
+        sums = set(layer)
+        for _ in range(bound):
+            layer = {q for p in layer for g in gens
+                     if (q := tuple(map(add, p, g))) not in sums}
+            sums |= layer
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "coeff_bound", bound)
+        object.__setattr__(self, "sums", frozenset(sums))
 
     @property
     def width(self) -> int:
         return len(self.generators[0])
 
     def member(self, x):
-        gens = self.generators
-        bound = self.coeff_bound
-        nonneg = all(all_nonnegative(g) for g in gens)
-
-        def search(target, idx, budget):
-            if is_zero(target):
-                return True
-            if idx == len(gens) or budget == 0:
-                return False
-            if nonneg and any(t < 0 for t in target):
-                return False
-            g = gens[idx]
-            # try coefficients for generator idx from high to low
-            for c in range(budget, -1, -1):
-                rest = tuple(t - c * gi for t, gi in zip(target, g))
-                if search(rest, idx + 1, budget - c):
-                    return True
-            return False
-
-        if search(x, 0, bound):
+        if tuple(x) in self.sums:
             return YES
-        sums = [sum(g) for g in gens]
-        if min(sums) >= 1 and (bound + 1) * min(sums) > sum(x):
-            # any combination longer than the bound has coordinate sum
-            # exceeding the target's, so the exhaustive part was complete
+        low = min(map(sum, self.generators))
+        if low >= 1 and (self.coeff_bound + 1) * low > sum(x):
             return NO
         return BOUND_EXCEEDED
 

@@ -1,7 +1,9 @@
 """Test support: the fixtures and oracles that no ``cuntzcalc`` command reaches.
 
-- Small fixed models and invariants shared by several test files, and
-  ``Delegating``, a cone that hides its type from the order searches.
+- Small fixed models and invariants shared by several test files,
+  ``Delegating``, a cone that hides its type from the order searches, and
+  ``searched_member``, the recursive coefficient search that generated-cone
+  membership is checked against.
 - Seeded random models, invariants and model morphisms for the acceptance
   criteria and the functor tests.  The sampling suites of ``check`` draw
   their classes through ``cuntzcalc.sampling`` alone.
@@ -23,8 +25,24 @@ from fractions import Fraction
 
 from cuntzcalc.elliott import AbelianGroupData, ElliottInvariant, WModelMorphism
 from cuntzcalc.goodearl import DiagonalElement, OpenSet, PLFn, dim_fn
-from cuntzcalc.linalg import Frozen, frac, identity, matmul, transpose, vector
-from cuntzcalc.ordmon import PositiveCone
+from cuntzcalc.linalg import (
+    Frozen,
+    all_nonnegative,
+    frac,
+    identity,
+    is_zero,
+    matmul,
+    transpose,
+    vector,
+)
+from cuntzcalc.ordmon import (
+    BOUND_EXCEEDED,
+    NO,
+    YES,
+    GeneratedCone,
+    Membership,
+    PositiveCone,
+)
 from cuntzcalc.wmodel import K0Model, WModel
 
 # ---------------------------------------------------------------------------
@@ -58,6 +76,40 @@ class Delegating(PositiveCone):
 
     def member(self, x):
         return self.inner.member(x)
+
+
+def searched_member(cone: GeneratedCone, x) -> Membership:
+    """Membership in a generated cone by exhaustive search over coefficient
+    vectors with coefficient sum at most ``coeff_bound``, then the
+    coordinate-sum certificate: the answer ``GeneratedCone.member`` gives
+    from its table of sums, found by an independent route."""
+    gens = cone.generators
+    bound = cone.coeff_bound
+    nonneg = all(all_nonnegative(g) for g in gens)
+
+    def search(target, idx, budget):
+        if is_zero(target):
+            return True
+        if idx == len(gens) or budget == 0:
+            return False
+        if nonneg and any(t < 0 for t in target):
+            return False
+        g = gens[idx]
+        # try coefficients for generator idx from high to low
+        for c in range(budget, -1, -1):
+            rest = tuple(t - c * gi for t, gi in zip(target, g))
+            if search(rest, idx + 1, budget - c):
+                return True
+        return False
+
+    if search(x, 0, bound):
+        return YES
+    sums = [sum(g) for g in gens]
+    if min(sums) >= 1 and (bound + 1) * min(sums) > sum(x):
+        # any combination longer than the bound has coordinate sum
+        # exceeding the target's, so the exhaustive part was complete
+        return NO
+    return BOUND_EXCEEDED
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,13 @@ from cuntzcalc.cli import (
     main,
 )
 from cuntzcalc.goodearl import RealizationSchedule
-from cuntzcalc.ordmon import COEFF_VECTORS_CAP, SEARCH_WORK_CAP, box_bound, box_size
+from cuntzcalc.ordmon import (
+    COEFF_VECTORS_CAP,
+    SEARCH_WORK_CAP,
+    SUMS_WORDS_CAP,
+    box_bound,
+    box_size,
+)
 from cuntzcalc.wmodel import K0Model, WModel
 
 STEP_TARGET = {
@@ -249,6 +255,40 @@ def test_search_refusal_at_rank_20000_is_quick(stubbed, put, run, suite):
     assert out == ""
     assert (f"the search on rank 20000 with multiplier 10 would try more than "
             f"{SEARCH_WORK_CAP} candidate multiples") in err
+
+
+def big_entry_group(bits: int) -> dict:
+    """A rank-5 cone with one generator of entries 2^bits at coeff_bound 999:
+    1,000 sums of 5 entries, each up to 999 * 2^bits, of bits + 10 bits."""
+    return generated_group([[2**bits] * 5], 999)
+
+
+SUMS_TABLE_ERROR = (f"error: invalid pogroup document: the table of sums of at most "
+                    f"{{}} generators would take more than {SUMS_WORDS_CAP} words")
+
+
+@pytest.mark.parametrize(
+    "doc, first_line",
+    [
+        # 25 sums of 20,000 entries, each up to 24 and so one word
+        (walked_group(20_000), f"error: the search on rank 20000 with multiplier 10 "
+                               f"would try more than {SEARCH_WORK_CAP} candidate multiples"),
+        (walked_group(20_001), SUMS_TABLE_ERROR.format(24)),
+        # 6,390 bits and a sign fill 100 words, 6,400 and a sign 101
+        (big_entry_group(6_380), "error: " + STUB_MESSAGE),
+        (big_entry_group(6_390), SUMS_TABLE_ERROR.format(999)),
+    ],
+    ids=["rank-20000-at-the-cap", "rank-20001-past-the-cap", "big-entries-at-the-cap",
+         "big-entries-past-the-cap"],
+)
+def test_table_of_sums_is_capped_by_its_words(stubbed, put, run, doc, first_line):
+    model = put("m.json", doc)
+    start = time.perf_counter()
+    code, out, err = run("check", model, "weak-unperforation")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.splitlines()[0] == first_line
 
 
 @pytest.mark.parametrize(

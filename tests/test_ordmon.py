@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from support import Delegating, w_of_z
+from support import Delegating, searched_member, w_of_z
 
 from cuntzcalc import ordmon
 from cuntzcalc.linalg import identity, vneg, vscale, vsub
@@ -20,6 +20,7 @@ from cuntzcalc.ordmon import (
     BOUND_EXCEEDED,
     NO,
     YES,
+    COEFF_VECTORS_CAP,
     GeneratedCone,
     LexicographicCone,
     OrderStructure,
@@ -85,6 +86,77 @@ def test_generated_cone_mixed_signs_cannot_certify_no():
     model = PoGroupModel(2, GeneratedCone(((1, -1), (0, 1)), coeff_bound=6), (1, 0))
     assert cone_member(model, (1, 0)) is YES
     assert cone_member(model, (-1, 0)) is BOUND_EXCEEDED
+    # outside the cone, yet with a generator of coordinate sum 0 no bound
+    # certifies it, at the default bound too
+    cone = GeneratedCone(((1, -1), (0, 1)))
+    for x in ((-1, 0), (0, -1), (3, -5)):
+        assert cone.member(x) is BOUND_EXCEEDED
+
+
+def test_generated_cone_table_holds_the_sums_up_to_the_bound():
+    cone = GeneratedCone(((2,), (3,)))
+    assert cone.sums == {(0,)} | {(k,) for k in range(2, 73)}
+    assert cone.member((1,)) is NO
+    assert cone.member((72,)) is YES
+    assert cone.member([72]) is YES  # any integer sequence, as before
+    # 73 = 2 + 2 + ... + 3 takes 36 generators, past the bound 24, and the
+    # coordinate sums certify NO only below 25 * 2 = 50
+    assert cone.member((73,)) is BOUND_EXCEEDED
+    assert GeneratedCone(((2,), (3,)), coeff_bound=0).sums == {(0,)}
+
+
+def test_archimedean_walk_on_two_three_still_reads_its_bound():
+    # at n = 72 every difference y + 72 with y <= 12 is past the table's 72
+    # and above the certificate's 49, so no pair can be decided
+    model = PoGroupModel(1, GeneratedCone(((2,), (3,))), (2,))
+    assert archimedean_witness(model, n_max=71) == ((-1,), (1,))
+    assert archimedean_witness(model, n_max=72) is None
+
+
+def _top_bound(g: int) -> int:
+    """The largest coeff_bound that g generators admit."""
+    bound = 0
+    while math.comb(bound + 1 + g, g) <= COEFF_VECTORS_CAP:
+        bound += 1
+    return bound
+
+
+def _combination(rng, gens, count: int) -> tuple:
+    """The sum of ``count`` generators drawn with repetition."""
+    return tuple(map(sum, zip((0,) * len(gens[0]), *rng.choices(gens, k=count))))
+
+
+def test_table_of_sums_agrees_with_the_coefficient_search():
+    # ranks 1-3, 1-4 generators with negative entries; the bound is the
+    # largest g generators admit on every eighth cone, log-uniform below it
+    # on the rest.  Points: a sum of at most the bound generators, the same
+    # sum one step off along a coordinate, and a sum of up to three more
+    # generators than the bound.  Every entry of a table of at most 40
+    # points must be a YES of the search, and 8 sampled entries of a larger one.
+    rng = random.Random(36)
+    for i in range(32):
+        rank = rng.randint(1, 3)
+        g = 1 + i // 8 if i % 8 == 0 else rng.randint(1, 4)
+        gens = []
+        while len(gens) < g:
+            v = tuple(rng.randint(-3, 3) for _ in range(rank))
+            if any(v):
+                gens.append(v)
+        top = _top_bound(g)
+        bound = top if i % 8 == 0 else min(top, int(top ** rng.random()))
+        cone = GeneratedCone(gens, bound)
+        for _ in range(3):
+            inside = _combination(rng, gens, rng.randint(0, bound))
+            k = rng.randrange(rank)
+            step = tuple(c + (j == k) * rng.choice((-1, 1)) for j, c in enumerate(inside))
+            beyond = _combination(rng, gens, bound + rng.randint(1, 3))
+            for x in (inside, step, beyond):
+                assert cone.member(x) is searched_member(cone, x), (gens, bound, x)
+        entries = sorted(cone.sums)
+        if len(entries) > 40:
+            entries = rng.sample(entries, 8)
+        for x in entries:
+            assert searched_member(cone, x) is YES, (gens, bound, x)
 
 
 def test_lexicographic_membership():
