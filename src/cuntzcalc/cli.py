@@ -485,13 +485,13 @@ def _render_table(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_OPTIONAL = {"nargs": "?", "default": None}
+_REALIZE = (("target", {}), ("schedule", {"nargs": "?"}), ("--stages", {"type": int}))
 
-# command -> the key of its report whose document --out writes
+# command -> the key of its report whose document --out writes; only these take --out
 OUT_KEYS = {"add": "result", "scale": "result", "soften": "result", "complement": "z",
             "functor": "model"}
 
-# command -> (handler, positionals as (name, add_argument keywords))
+# command -> (handler, its positionals and options as (name, add_argument keywords))
 COMMANDS = {
     "compare": (cmd_compare, (("model", {}), ("x", {}), ("y", {}))),
     "add": (cmd_add, (("model", {}), ("x", {}), ("y", {}))),
@@ -503,11 +503,13 @@ COMMANDS = {
         cmd_order_unit,
         (("model", {}), ("values", {"help": "comma-separated rationals, e.g. 3/10,0"})),
     ),
-    "check": (cmd_check, (("model", {}), ("suite", {"choices": SUITES}))),
-    "functor": (cmd_functor, (("invariant", {}), ("morphism", _OPTIONAL))),
+    "check": (cmd_check, (
+        ("model", {}), ("suite", {"choices": SUITES}),
+        ("--seed", {"type": int, "default": DEFAULT_SEED}), ("--bound", {"type": int}))),
+    "functor": (cmd_functor, (("invariant", {}), ("morphism", {"nargs": "?"}))),
     "morphism-check": (cmd_morphism_check, (("morphism", {}),)),
-    "realize": (cmd_realize, (("target", {}), ("schedule", _OPTIONAL))),
-    "goodearl": (cmd_realize, (("target", {}), ("schedule", _OPTIONAL))),
+    "realize": (cmd_realize, _REALIZE),
+    "goodearl": (cmd_realize, _REALIZE),
 }
 
 
@@ -519,7 +521,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     names every command in its usage line, so its errors read the same.
     """
     parser = argparse.ArgumentParser(
-        prog="cuntzcalc",
+        prog="cuntzcalc", allow_abbrev=False,
         description="Exact computations in ordered-semigroup models.",
     )
     one = command in COMMANDS
@@ -529,15 +531,13 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         metavar="{%s}" % ",".join(COMMANDS) if one else None,
     )
     for name in (command,) if one else COMMANDS:
-        func, positionals = COMMANDS[name]
-        p = sub.add_parser(name)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--bound", type=int, default=None)
-        p.add_argument("--stages", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
+        func, arguments = COMMANDS[name]
+        p = sub.add_parser(name, allow_abbrev=False)
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
+        if name in OUT_KEYS:
+            p.add_argument("--out")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        for pos, kwargs in positionals:
-            p.add_argument(pos, **kwargs)
         p.set_defaults(func=func)
     return parser
 
@@ -549,7 +549,7 @@ def main(argv=None) -> int:
     try:
         report = {"command": args.command, **args.func(args)}
         key = OUT_KEYS.get(args.command)
-        if args.out and key in report:
+        if key in report and args.out:
             Path(args.out).write_text(docs.dump_document(report[key]), encoding="utf-8")
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

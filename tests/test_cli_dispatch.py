@@ -2,9 +2,11 @@
 
 ``main`` builds only the subparser its first argument names.  Here that
 parser is held to the full one on every golden argv and on the usual
-mistakes: the same namespace, or the same exit with the same output.  A
-hypothesis fuzz then runs ``main`` on command names, option orders and junk
-tokens over the golden documents, and every run must exit 0 or 2.
+mistakes: the same namespace, or the same exit with the same output.  Each
+command takes ``--format`` and only the options its handler reads, spelled
+in full; any other option, or an abbreviation, exits 2 before any handler
+runs.  A hypothesis fuzz then runs ``main`` on command names, option orders
+and junk tokens over the golden documents, and every run must exit 0 or 2.
 """
 
 import argparse
@@ -29,7 +31,58 @@ from cuntzcalc.cli import (
     main,
 )
 
-CORPUS = [list(argv) for _, argv in sorted(CASES.items())] + [
+# command -> the options its handler reads, besides --format
+OWN_OPTIONS = {
+    "compare": (),
+    "add": ("--out",),
+    "scale": ("--out",),
+    "soften": ("--out",),
+    "complement": ("--out",),
+    "k0star": (),
+    "order-unit": (),
+    "check": ("--seed", "--bound"),
+    "functor": ("--out",),
+    "morphism-check": (),
+    "realize": ("--stages",),
+    "goodearl": ("--stages",),
+}
+# a value each option accepts, and the value it parses to
+OPTION_VALUES = {
+    "--seed": ("3", 3),
+    "--bound": ("4", 4),
+    "--stages": ("2", 2),
+    "--out": ("o.json", "o.json"),
+    "--format": ("table", "table"),
+}
+
+
+def _required(command):
+    """The command and words for its required positionals, with no option."""
+    _, arguments = COMMANDS[command]
+    words = [SUITES[0] if arg == "suite" else f"{arg}.json"
+             for arg, kwargs in arguments if not arg.startswith("--") and not kwargs.get("nargs")]
+    return [command, *words]
+
+
+def _with(command, option, value):
+    return [*_required(command), option, value]
+
+
+REFUSED = [
+    # every option that a command does not read
+    *(_with(name, option, value)
+      for name in COMMANDS
+      for option, (value, _) in OPTION_VALUES.items()
+      if option not in (*OWN_OPTIONS[name], "--format")),
+    # an abbreviation of each option, on a command that takes the option
+    _with("check", "--se", "3"),
+    _with("check", "--bo", "4"),
+    _with("realize", "--st", "2"),
+    _with("compare", "--fo", "table"),
+    _with("add", "--ou", "o.json"),
+]
+
+CORPUS = [list(argv) for _, argv in sorted(CASES.items())] + REFUSED + [
     [],
     ["--help"],
     ["-h"],
@@ -84,9 +137,56 @@ def test_the_corpus_reaches_the_errors_of_the_top_level_parser():
     assert "unrecognized arguments: extra.json" in err
 
 
-def _commands(parser: argparse.ArgumentParser) -> list[str]:
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return list(sub.choices)
+    return sub.choices
+
+
+def _commands(parser: argparse.ArgumentParser) -> list[str]:
+    return list(_subparsers(parser))
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    return {s for action in parser._actions for s in action.option_strings}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_takes_format_and_only_the_options_it_reads(command, full_parser):
+    want = {"-h", "--help", "--format", *OWN_OPTIONS[command]}
+    assert _option_strings(_subparsers(build_parser(command))[command]) == want
+    assert _option_strings(_subparsers(full_parser)[command]) == want
+
+
+def test_the_commands_have_21_settable_values_and_no_abbreviations(full_parser):
+    subparsers = _subparsers(full_parser).values()
+    assert sum(len(_option_strings(p)) - 2 for p in subparsers) == 21
+    assert not full_parser.allow_abbrev
+    assert not any(p.allow_abbrev for p in subparsers)
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+def test_an_option_the_command_does_not_read_exits_2_before_any_handler(
+        argv, monkeypatch, capsys):
+    reached = []
+    for name, (_, arguments) in COMMANDS.items():
+        monkeypatch.setitem(COMMANDS, name, (reached.append, arguments))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_INVALID and out == "" and not reached
+    assert err.endswith(f"cuntzcalc: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
+@pytest.mark.parametrize("command, option", [
+    (name, option) for name in COMMANDS for option in (*OWN_OPTIONS[name], "--format")
+])
+def test_each_option_parses_spelled_apart_or_with_an_equals_sign(command, option, full_parser):
+    value, parsed = OPTION_VALUES[option]
+    apart = _with(command, option, value)
+    joined = [*_required(command), f"{option}={value}"]
+    for parser in (build_parser(command), full_parser):
+        assert parser.parse_args(apart) == parser.parse_args(joined)
+        assert getattr(parser.parse_args(joined), option[2:]) == parsed
 
 
 def test_a_named_command_gets_only_its_subparser():
@@ -194,15 +294,18 @@ def guarded():
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(NAMES))
-    _, positionals = COMMANDS.get(command, (None, ()))
+    _, arguments = COMMANDS.get(command, (None, ()))
     tokens = [
         [draw(st.sampled_from(TOKENS if draw(st.integers(0, 4)) == 4 else WORDS[name]))]
-        for name, kwargs in positionals
-        if not kwargs.get("nargs") or draw(st.booleans())
+        for name, kwargs in arguments
+        if not name.startswith("--") and (not kwargs.get("nargs") or draw(st.booleans()))
     ]
     if draw(st.integers(0, 3)) == 3:
         tokens.append([draw(st.sampled_from(TOKENS))])
-    names = draw(st.lists(st.sampled_from(sorted(OPTIONS)), max_size=3))
+    # options mostly from the command's own, now and then one it refuses
+    own = sorted({*OWN_OPTIONS.get(command, OPTIONS), "--format"})
+    names = [draw(st.sampled_from(own if draw(st.integers(0, 5)) else sorted(OPTIONS)))
+             for _ in range(draw(st.integers(0, 3)))]
     options = [[o, draw(st.sampled_from(OPTIONS[o]))] for o in names]
     # now and then an option goes before the command
     before = min(len(options), draw(st.integers(0, 3)) // 3)
