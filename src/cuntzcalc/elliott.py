@@ -130,8 +130,7 @@ def validate_invariant(inv: ElliottInvariant) -> list[str]:
     problems = []
     if not inv.k0.cone_member(inv.k0.unit):
         problems.append("unit outside the K0 cone")
-    for i, row in enumerate(inv.k0.state_matrix):
-        value = sum(r * u for r, u in zip(row, inv.k0.unit))
+    for i, value in enumerate(matvec(inv.k0.state_matrix, inv.k0.unit)):
         if value != 1:
             problems.append(f"state {i} takes value {value} on the unit")
     return problems

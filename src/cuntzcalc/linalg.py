@@ -9,7 +9,7 @@ an order decision.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 
@@ -136,14 +136,21 @@ def vscale(c, a: Sequence) -> tuple:
 
 
 def matvec(m: Sequence[Sequence], v: Sequence) -> tuple:
-    return tuple(sum(r * x for r, x in zip(row, v, strict=True)) for row in m)
+    """M·v: the package's one product of rows with a vector."""
+    n, out = len(v), []
+    for row in m:
+        if len(row) != n:  # map stops silently at the shorter one
+            raise ValueError(f"cannot multiply a row of length {len(row)} "
+                             f"by a vector of length {n}")
+        out.append(sum(map(mul, row, v)))
+    return tuple(out)
 
 
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix shape mismatch")
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(matvec(bt, row) for row in a)
 
 
 def transpose(m: Sequence[Sequence]) -> tuple[tuple, ...]:

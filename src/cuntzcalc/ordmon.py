@@ -25,7 +25,7 @@ import enum
 import itertools
 import math
 from fractions import Fraction
-from operator import add, mul
+from operator import add
 from typing import Callable, Iterator, Optional, Sequence
 
 from .linalg import (
@@ -34,7 +34,7 @@ from .linalg import (
     int_vector,
     is_zero,
     matrix,
-    matvec,  # unused here; perfbench/tracing.py wraps this module's binding
+    matvec,
     vneg,
     vscale,
     vsub,
@@ -91,11 +91,6 @@ class PositiveCone(Frozen):
             raise ValueError("order unit must lie in the positive cone")
 
 
-def row_image(rows, x) -> tuple[int, ...]:
-    """R·x for integer rows R."""
-    return tuple(sum(map(mul, row, x)) for row in rows)
-
-
 class SimplicialCone(PositiveCone):
     """Coordinatewise non-negative vectors of rank ``width``."""
 
@@ -137,14 +132,11 @@ class StrictStateCone(PositiveCone):
         return len(self.states[0])
 
     def member(self, x):
-        for row in self.rows:
-            if sum(map(mul, row, x)) < 1:
-                return NO if any(x) else YES
-        return YES
+        return YES if min(matvec(self.rows, x)) >= 1 or not any(x) else NO
 
     def check_unit(self, unit):
         # a unit on which every state is 1 lies in the cone: R·u = scale
-        if any(sum(map(mul, row, unit)) != self.scale for row in self.rows):
+        if any(value != self.scale for value in matvec(self.rows, unit)):
             raise ValueError("every state must take the value 1 on the order unit")
 
 

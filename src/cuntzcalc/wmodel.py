@@ -44,7 +44,7 @@ from .linalg import (
     frac,
     int_vector,
     is_zero,
-    matvec,  # unused here; perfbench/tracing.py wraps this module's binding
+    matvec,
     vadd,
     vector,
     vsub,
@@ -55,7 +55,6 @@ from .ordmon import (
     PoGroupModel,
     StrictStateCone,
     cone_member,
-    row_image,
 )
 
 
@@ -170,7 +169,7 @@ class WModel(Frozen):
             return x.values
         if len(x.values) != self.k0.rank:
             raise ValueError("projection payload has the wrong K0 rank")
-        image = row_image(self.k0.cone.rows, x.values)
+        image = matvec(self.k0.cone.rows, x.values)
         if min(image) < 1 and any(x.values):
             raise ValueError("projection payload must lie in the K0 cone")
         return image

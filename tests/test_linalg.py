@@ -91,6 +91,43 @@ def test_vadd_and_vsub_refuse_unequal_lengths_in_either_order(op, a, b):
         op(a, b)
 
 
+@pytest.mark.parametrize(
+    "m, v",
+    [
+        (((1, 2), (3, 4)), (1, 2, 3)),
+        (((1, 2), (3, 4)), (1,)),
+        (((1, 2), (3,)), (1, 2)),
+    ],
+    ids=["longer vector", "shorter vector", "ragged row"],
+)
+def test_matvec_refuses_a_row_and_vector_of_unequal_lengths(m, v):
+    # map stops at the shorter sequence; the length check must refuse the pair
+    with pytest.raises(ValueError, match="length"):
+        matvec(m, v)
+
+
+def test_matmul_refuses_a_ragged_left_factor():
+    with pytest.raises(ValueError, match="length"):
+        matmul(((1, 2), (3,)), identity(2))
+
+
+@pytest.mark.parametrize(
+    "m, v, want",
+    [
+        (((2, -3), (-1, 4)), (-5, 2), (-16, 13)),
+        (((Fraction(1, 2), Fraction(1, 3)), (Fraction(-3, 4), 1)), (2, 3),
+         (Fraction(2), Fraction(3, 2))),
+        (((1, 2, 3),), (4, 5, 6), (32,)),
+        (((2,), (-3,), (5,)), (7,), (14, -21, 35)),
+        ((), (1, 2), ()),
+        (((), ()), (), (0, 0)),
+    ],
+    ids=["negative ints", "fraction rows", "1 x n", "n x 1", "empty matrix", "empty rows"],
+)
+def test_matvec_against_hand_products(m, v, want):
+    assert matvec(m, v) == want
+
+
 def test_all_nonnegative_reads_signs_of_ints_and_fractions():
     assert all_nonnegative((0, Fraction(0), Fraction(1, 8), 3))
     assert all_nonnegative(())
