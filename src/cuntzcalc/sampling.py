@@ -7,17 +7,18 @@ coordinates with numerator and denominator at most ``FRACTION_MAX`` = 8
 are each at least 1/8.  The seeded models, invariants and morphisms that
 only tests draw live in ``tests/support.py``.
 
-The draws the sampling suites make per sample (pool indices, and the
-coordinates of ``random_class``) go through ``randbelow``, which
-reproduces the stream of ``rng.randrange(n)``: ``choice``, ``randint`` and
-``randrange`` all draw ``n.bit_length()`` random bits until the result is
-below n, and so does ``randbelow``, without their argument checks and
-method layers.  The suites' reports name the classes they drew, so a seed
-must keep drawing the same classes; ``randbelow`` keeps every draw as it
-was, at less than half the cost of a ``choice``.  ``random_fraction``
-makes its two draws the same way and reads the fraction off a table of
-the 64 values built at import, so a soft coordinate costs no ``Fraction``
-construction.
+Every integer the sampling suites draw (pool indices, and the coordinates
+of ``random_class``) comes from ``draws``, which returns the next values of
+``rng.randrange(n)`` as a list: ``choice``, ``randint`` and ``randrange``
+all draw ``n.bit_length()`` random bits until the result is below n, and
+so does ``draws``, in one loop per run of values, without their argument
+checks and method layers.  The suites' reports name the classes they
+drew, so a seed must keep drawing the same classes; ``draws`` keeps every
+value and leaves the generator in the state the single draws would.  A
+projection candidate is one run of ``rank`` coordinates.  A soft class is
+one run of its numerator and denominator indices, numerator first, read
+off a table of the 64 fractions built at import, so a soft coordinate
+costs no ``Fraction`` construction.
 """
 
 from __future__ import annotations
@@ -32,20 +33,22 @@ def rng_for(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def randbelow(rng: random.Random, n: int) -> int:
-    """``rng.randrange(n)`` for n >= 1, drawn the way ``random.Random`` draws it.
+def draws(rng: random.Random, n: int, count: int) -> list[int]:
+    """The next ``count`` values of ``rng.randrange(n)``, for n >= 1, drawn
+    the way ``random.Random`` draws them; ``rng`` ends in the state that
+    ``count`` single draws leave."""
+    if n < 1:
+        raise ValueError(f"cannot draw below {n}: the range is empty")
+    getrandbits, k = rng.getrandbits, n.bit_length()
+    values = []
+    for _ in range(count):
+        while (r := getrandbits(k)) >= n:
+            pass
+        values.append(r)
+    return values
 
-    The same value from the same state as ``rng.choice(range(n))`` and
-    ``rng.randint(0, n - 1)``; one plus it is ``rng.randint(1, n)``.
-    """
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
 
-
-# numerators and denominators of random_fraction run over 1..FRACTION_MAX
+# numerators and denominators of soft coordinates run over 1..FRACTION_MAX
 FRACTION_MAX = 8
 
 # _FRACTIONS[a][b] is Fraction(a + 1, b + 1)
@@ -55,22 +58,18 @@ _FRACTIONS = tuple(
 )
 
 
-def random_fraction(rng: random.Random) -> Fraction:
-    """A strictly positive fraction with small numerator and denominator:
-    ``Fraction(rng.randint(1, 8), rng.randint(1, 8))``, numerator drawn first."""
-    return _FRACTIONS[randbelow(rng, FRACTION_MAX)][randbelow(rng, FRACTION_MAX)]
-
-
 def random_soft_class(rng: random.Random, model: WModel) -> CuntzClass:
-    n = model.k0.trace_count
-    return CuntzClass.soft([random_fraction(rng) for _ in range(n)])
+    """Coordinates ``Fraction(rng.randint(1, 8), rng.randint(1, 8))``, each
+    numerator drawn before its denominator."""
+    indices = iter(draws(rng, FRACTION_MAX, 2 * model.k0.trace_count))
+    return CuntzClass.soft([_FRACTIONS[a][b] for a, b in zip(indices, indices)])
 
 
 def random_proj_class(rng: random.Random, model: WModel) -> CuntzClass:
     """A projection class, found by rejection; the unit always qualifies."""
     rank = model.k0.rank
     for _ in range(32):
-        v = tuple([randbelow(rng, 4) for _ in range(rank)])
+        v = tuple(draws(rng, 4, rank))
         if model.k0.cone_member(v):
             return CuntzClass.proj(v)
     return CuntzClass.proj(model.k0.unit)

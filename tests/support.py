@@ -7,6 +7,10 @@
 - Seeded random models, invariants and model morphisms for the acceptance
   criteria and the functor tests.  The sampling suites of ``check`` draw
   their classes through ``cuntzcalc.sampling`` alone.
+- The three sampling suites of ``check`` written one draw at a time through
+  ``random.Random``'s own methods, deciding every draw afresh, as the
+  reference their seeded reports are checked against, and the broken rules
+  that make each suite list what it drew.
 - The general-measure layer over [0, 1]: probability measures as a
   piecewise-constant density plus finitely many atoms, their exact values on
   open sets, cutdowns, spectra and the comparison lemma.  Criteria 10 and 11
@@ -23,6 +27,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from cuntzcalc import cli
+from cuntzcalc.documents import rationals
 from cuntzcalc.elliott import AbelianGroupData, ElliottInvariant, WModelMorphism
 from cuntzcalc.goodearl import DiagonalElement, OpenSet, PLFn, dim_fn
 from cuntzcalc.linalg import (
@@ -34,6 +40,9 @@ from cuntzcalc.linalg import (
     matmul,
     transpose,
     vector,
+    vneg,
+    vscale,
+    vsub,
 )
 from cuntzcalc.ordmon import (
     BOUND_EXCEEDED,
@@ -43,7 +52,7 @@ from cuntzcalc.ordmon import (
     Membership,
     PositiveCone,
 )
-from cuntzcalc.wmodel import K0Model, WModel
+from cuntzcalc.wmodel import CuntzClass, K0Model, WModel, element_leq
 
 # ---------------------------------------------------------------------------
 # Fixed models and cones
@@ -122,6 +131,12 @@ def random_k0model(
     """A lattice with strictly positive states normalized on a random unit."""
     rank = rng.randint(1, max_rank)
     n = rng.randint(1, max_traces)
+    return shaped_k0model(rng, rank, n)
+
+
+def shaped_k0model(rng: random.Random, rank: int, n: int) -> K0Model:
+    """A lattice of the given rank with n strictly positive states,
+    normalized on a random unit."""
     unit = tuple(rng.randint(1, 4) for _ in range(rank))
     rows = []
     for _ in range(n):
@@ -169,6 +184,142 @@ def random_collapse_morphism(
     state_matrix = matmul(transpose(gamma), source.k0.state_matrix)
     target = WModel(K0Model(source.k0.rank, state_matrix, source.k0.unit))
     return WModelMorphism(source, target, identity(source.k0.rank), gamma)
+
+
+# ---------------------------------------------------------------------------
+# The sampling suites of ``check``, one draw at a time
+
+
+def mixed_sign_model() -> WModel:
+    """Two traces, one state row with a negative entry, so
+    ``random_proj_class`` rejects some of its candidate vectors."""
+    return WModel(K0Model(3, (("1/2", "1/4", "1/4"), ("1", "1/2", "-1/2")), (1, 1, 1)))
+
+
+def reference_random_class(rng: random.Random, model: WModel) -> CuntzClass:
+    """``sampling.random_class`` through ``random.Random``'s own ``randrange``
+    and ``randint``, one value at a time."""
+    if rng.random() < 0.5:
+        for _ in range(32):
+            v = tuple(rng.randrange(4) for _ in range(model.k0.rank))
+            if model.k0.cone_member(v):
+                return CuntzClass.proj(v)
+        return CuntzClass.proj(model.k0.unit)
+    return CuntzClass.soft(tuple(Fraction(rng.randint(1, 8), rng.randint(1, 8))
+                                 for _ in range(model.k0.trace_count)))
+
+
+def reference_oracle_leq(x: CuntzClass, y: CuntzClass, sx, sy) -> bool:
+    """``cli._oracle_leq`` with one generator per rule."""
+    if x.is_proj and y.is_proj:
+        if x.values == y.values:
+            return True
+        return all(a < b for a, b in zip(sx, sy))
+    if x.is_proj:  # strict rule
+        if all(v == 0 for v in x.values):
+            return True
+        return all(s < f for s, f in zip(sx, y.values))
+    if y.is_proj:  # non-strict rule
+        return all(f <= s for f, s in zip(x.values, sy))
+    return all(f <= g for f, g in zip(x.values, y.values))
+
+
+def _reference_pool(model: WModel, rng: random.Random, count: int) -> list:
+    return [model.zero_class, model.unit_class] + [
+        reference_random_class(rng, model) for _ in range(count)
+    ]
+
+
+def reference_order_axioms(model: WModel, rng: random.Random, bound: int) -> dict:
+    """``order-axioms`` drawing each pool index when it needs it and deciding
+    every draw afresh, through ``cli.element_leq``."""
+    pool = _reference_pool(model, rng, bound)
+    _, elements = model.elements(pool)
+    n = len(pool)
+
+    def leq(i, j):
+        return cli.element_leq(elements[i], elements[j])
+
+    failures = []
+    for i, x in enumerate(pool):
+        if not leq(i, i):
+            failures.append(f"not reflexive at {x!r}")
+    for _ in range(400):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if leq(i, j) and leq(j, i) and pool[i] != pool[j]:
+            failures.append(f"antisymmetry: {pool[i]!r} vs {pool[j]!r}")
+    for _ in range(1200):
+        i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        if not leq(i, j):
+            continue
+        if leq(j, k) and not leq(i, k):
+            failures.append(f"transitivity: {pool[i]!r}, {pool[j]!r}, {pool[k]!r}")
+        sums = (model.element_sum(elements[i], elements[k]),
+                model.element_sum(elements[j], elements[k]))
+        if not cli.element_leq(*sums):
+            failures.append(f"add-compatibility: {pool[i]!r}, {pool[j]!r}, {pool[k]!r}")
+    return {"checked": n, "failures": failures}
+
+
+def reference_strict_cone(model: WModel, rng: random.Random, bound: int) -> dict:
+    """``strict-cone`` on the ``Fraction`` difference of the two images."""
+    violations = []
+    for _ in range(bound):
+        x, y = reference_random_class(rng, model), reference_random_class(rng, model)
+        d = vsub(model.gamma(x), model.gamma(y))
+        in_cone = all_nonnegative(d)
+        if not in_cone and model.compare(y, x):
+            violations.append(rationals(d))
+        elif in_cone and any(d) and all_nonnegative(vneg(d)):
+            violations.append(rationals(d))
+    return {"checked": bound, "failures": violations}
+
+
+def reference_oracle_agreement(
+    model: WModel, rng: random.Random, bound: int, oracle=reference_oracle_leq
+) -> dict:
+    """``oracle-agreement`` drawing each pool index when it needs it and
+    deciding every draw afresh, ``cli.element_leq`` against ``oracle``."""
+    pool = _reference_pool(model, rng, 30)
+    _, elements = model.elements(pool)
+    states = [cli._oracle_states(model, c.values) if c.is_proj else None for c in pool]
+    n = len(pool)
+    mismatches = []
+    for _ in range(bound):
+        i, j = rng.randrange(n), rng.randrange(n)
+        leq = cli.element_leq(elements[i], elements[j])
+        if leq != oracle(pool[i], pool[j], states[i], states[j]):
+            mismatches.append([repr(pool[i]), repr(pool[j])])
+    return {"checked": bound, "failures": mismatches}
+
+
+# Rules broken so that each suite reports the classes it drew
+
+
+def cut_order(x: tuple, y: tuple) -> bool:
+    """The model order cut to y <= 2x: not transitive."""
+    return element_leq(x, y) and all(b <= 2 * a for a, b in zip(x[1], y[1]))
+
+
+def broken_gamma(gamma):
+    """gamma doubled on soft classes and negated on projections."""
+
+    def broken(self, x):
+        image = gamma(self, x)
+        return vscale(2, image) if x.is_soft else vneg(image)
+
+    return broken
+
+
+def lax_oracle(oracle):
+    """The oracle with the non-strict rule for a projection below a soft class."""
+
+    def lax(x, y, sx, sy):
+        if x.is_proj and not y.is_proj:
+            return all(s <= f for s, f in zip(sx, y.values))
+        return oracle(x, y, sx, sy)
+
+    return lax
 
 
 # ---------------------------------------------------------------------------

@@ -14,47 +14,23 @@ random fractions.
 import json
 
 import pytest
+from support import broken_gamma, cut_order, lax_oracle, mixed_sign_model
 
-from cuntzcalc import cli, wmodel
+from cuntzcalc import cli
 from cuntzcalc import documents as docs
 from cuntzcalc.cli import DEFAULT_SEED, EXIT_OK, main
-from cuntzcalc.linalg import vneg, vscale
-from cuntzcalc.wmodel import K0Model, WModel
+from cuntzcalc.wmodel import WModel
 
-MODEL = WModel(K0Model(3, (("1/2", "1/4", "1/4"), ("1", "1/2", "-1/2")), (1, 1, 1)))
-
-
-def _cut_order(x, y):
-    """The model order cut to y <= 2x: not transitive."""
-    return wmodel.element_leq(x, y) and all(b <= 2 * a for a, b in zip(x[1], y[1]))
-
-
-def _broken_gamma(gamma):
-    def broken(self, x):
-        image = gamma(self, x)
-        return vscale(2, image) if x.is_soft else vneg(image)
-
-    return broken
-
-
-def _lax_oracle(oracle):
-    """The oracle with the non-strict rule for a projection below a soft class."""
-
-    def lax(x, y, sx, sy):
-        if x.is_proj and not y.is_proj:
-            return all(s <= f for s, f in zip(sx, y.values))
-        return oracle(x, y, sx, sy)
-
-    return lax
+MODEL = mixed_sign_model()
 
 
 def _break(monkeypatch, suite):
     if suite == "order-axioms":
-        monkeypatch.setattr(cli, "element_leq", _cut_order)
+        monkeypatch.setattr(cli, "element_leq", cut_order)
     elif suite == "strict-cone":
-        monkeypatch.setattr(WModel, "gamma", _broken_gamma(WModel.gamma))
+        monkeypatch.setattr(WModel, "gamma", broken_gamma(WModel.gamma))
     else:
-        monkeypatch.setattr(cli, "_oracle_leq", _lax_oracle(cli._oracle_leq))
+        monkeypatch.setattr(cli, "_oracle_leq", lax_oracle(cli._oracle_leq))
 
 
 PINS = [

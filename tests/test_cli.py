@@ -7,13 +7,27 @@ stdout must be byte-identical across runs with the same inputs.
 """
 
 import collections
+import functools
 import json
 import random
 import time
 from fractions import Fraction
 
 import pytest
-from support import integers_invariant, two_trace_model, w_of_z
+from support import (
+    broken_gamma,
+    cut_order,
+    integers_invariant,
+    lax_oracle,
+    mixed_sign_model,
+    reference_oracle_agreement,
+    reference_oracle_leq,
+    reference_order_axioms,
+    reference_strict_cone,
+    shaped_k0model,
+    two_trace_model,
+    w_of_z,
+)
 
 from cuntzcalc import cli, wmodel
 from cuntzcalc import documents as docs
@@ -1173,3 +1187,48 @@ def test_oracle_states_equal_the_fraction_matrix_vector_product():
             assert all(type(s) is Fraction for s in states), (rows, v)
     assert any(q < 0 for q in entries)
     assert any(q.denominator % 2 and q.denominator > 1 for q in entries)
+
+
+# (K0 rank, traces) of the models the benchmark's order-checks workload draws
+ORDER_SHAPES = ((1, 1), (2, 2), (3, 2), (3, 3), (4, 4))
+DIFFERENTIAL_MODELS = [
+    WModel(shaped_k0model(random.Random(index), rank, traces))
+    for index, (rank, traces) in enumerate(ORDER_SHAPES)
+] + [mixed_sign_model()]
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["sound", "broken"])
+@pytest.mark.parametrize("suite", ["order-axioms", "strict-cone", "oracle-agreement"])
+def test_sampling_suites_report_what_one_draw_at_a_time_reports(
+    monkeypatch, suite, broken
+):
+    # each suite draws its integers in runs and decides a pool pair once; the
+    # reference draws each value through random.Random's own methods and
+    # decides every draw afresh.  Their whole reports and the generators'
+    # final states must agree, also with the rule each suite reads broken
+    # so that its failures name what it drew.
+    reference = {
+        "order-axioms": reference_order_axioms,
+        "strict-cone": reference_strict_cone,
+        "oracle-agreement": reference_oracle_agreement,
+    }[suite]
+    if broken and suite == "order-axioms":
+        monkeypatch.setattr(cli, "element_leq", cut_order)
+    elif broken and suite == "strict-cone":
+        monkeypatch.setattr(WModel, "gamma", broken_gamma(WModel.gamma))
+    elif broken:
+        monkeypatch.setattr(cli, "_oracle_leq", lax_oracle(cli._oracle_leq))
+        reference = functools.partial(
+            reference_oracle_agreement, oracle=lax_oracle(reference_oracle_leq)
+        )
+    runner = cli.SUITE_TABLE[suite][0]
+    failing = 0
+    for model in DIFFERENTIAL_MODELS:
+        for seed in range(8):
+            for bound in (1, 2, 400):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                details = runner(model, ours, bound)
+                assert details == reference(model, theirs, bound), (model, seed, bound)
+                assert ours.getstate() == theirs.getstate(), (model, seed, bound)
+                failing += bool(details["failures"])
+    assert bool(failing) == broken

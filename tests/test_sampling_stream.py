@@ -1,22 +1,23 @@
-"""``sampling.randbelow`` and ``random_fraction`` draw the stream of
+"""``sampling.draws`` and ``random_soft_class`` draw the stream of
 ``random.Random``'s own draws.
 
 The sampling suites' reports name the classes they drew, so a seed must
-draw the same classes on every supported Python.  ``randbelow`` replaces
-``choice``, ``randint`` and ``randrange`` in the hot draws; here it runs
-next to them on two generators from one seed, interleaved with
+draw the same classes on every supported Python.  ``draws`` replaces
+``choice``, ``randint`` and ``randrange`` in every integer draw; here it
+runs next to them on two generators from one seed, interleaved with
 ``random()``, and must return every value they return and leave the same
-state.  ``random_fraction``, which reads a table, must likewise return
-the fraction of two ``randint(1, 8)`` draws, and ``random_proj_class``
-must fall back to the unit after exactly its 32 rejected draws.  The body
-uses only the standard library, so it also runs without pytest:
+state, whether it draws one value or a run of them.  ``random_soft_class``,
+which reads a table, must likewise return the fractions of two
+``randint(1, 8)`` draws per trace, and ``random_proj_class`` must fall
+back to the unit after exactly its 32 rejected draws.  The body uses only
+the standard library, so it also runs without pytest:
 ``PYTHONPATH=src python tests/test_sampling_stream.py``.
 """
 
 import random
 from fractions import Fraction
 
-from cuntzcalc.sampling import random_fraction, random_proj_class, randbelow
+from cuntzcalc.sampling import draws, random_proj_class, random_soft_class
 from cuntzcalc.wmodel import CuntzClass, K0Model, WModel
 
 SEEDS = range(40)
@@ -25,31 +26,72 @@ SEEDS = range(40)
 SIZES = (*range(1, 130), 255, 256, 257, 4096, 100_002)
 
 
-def test_randbelow_reproduces_choice_and_randint():
+def test_draws_reproduce_choice_and_randint():
     for seed in SEEDS:
         ours, theirs = random.Random(seed), random.Random(seed)
         for n in SIZES:
             for _ in range(3):
-                assert randbelow(ours, n) == theirs.choice(range(n)), (seed, n)
-                assert 1 + randbelow(ours, n) == theirs.randint(1, n), (seed, n)
-                assert randbelow(ours, n) == theirs.randint(0, n - 1), (seed, n)
+                assert draws(ours, n, 1) == [theirs.choice(range(n))], (seed, n)
+                assert 1 + draws(ours, n, 1)[0] == theirs.randint(1, n), (seed, n)
+                assert draws(ours, n, 1) == [theirs.randint(0, n - 1)], (seed, n)
                 assert ours.random() == theirs.random(), (seed, n)
         assert ours.getstate() == theirs.getstate(), seed
 
 
-def test_random_fraction_reproduces_two_randints():
-    # random_fraction reads a table of the 64 values; its draws and values
-    # must be those of building the Fraction from two randints
+def test_one_run_of_draws_is_its_single_draws():
+    # a run of k values is k single draws, and k randrange draws
+    for seed in SEEDS:
+        ours, singles, theirs = (random.Random(seed) for _ in range(3))
+        for n in SIZES:
+            for k in (2, 3, 8, 33):
+                run = draws(ours, n, k)
+                assert run == [draws(singles, n, 1)[0] for _ in range(k)], (seed, n, k)
+                assert run == [theirs.randrange(n) for _ in range(k)], (seed, n, k)
+                assert ours.random() == singles.random() == theirs.random(), (seed, n)
+        assert ours.getstate() == singles.getstate() == theirs.getstate(), seed
+
+
+def test_draws_of_no_values_draw_nothing():
+    for seed in SEEDS:
+        ours = random.Random(seed)
+        state = ours.getstate()
+        for n in SIZES:
+            assert draws(ours, n, 0) == [], (seed, n)
+        assert ours.getstate() == state, seed
+
+
+def test_draws_refuse_an_empty_range():
+    # getrandbits(0) is 0, which is never below 0: the rejection loop would
+    # never end, so n < 1 is refused before any bit is drawn
+    ours = random.Random(0)
+    state = ours.getstate()
+    for n in (0, -1, -100_002):
+        for count in (0, 1, 5):
+            try:
+                draws(ours, n, count)
+            except ValueError as error:
+                assert str(error) == f"cannot draw below {n}: the range is empty"
+            else:
+                raise AssertionError(f"draws below {n} returned")
+    assert ours.getstate() == state
+
+
+def test_random_soft_class_reproduces_two_randints_per_trace():
+    # random_soft_class reads a table of the 64 values; its draws and values
+    # must be those of building each Fraction from two randints
+    model = WModel(K0Model(1, (("1",), ("1",)), (1,)))  # two traces
     seen = set()
     for seed in SEEDS:
         ours, theirs = random.Random(seed), random.Random(seed)
-        for _ in range(200):
-            q = random_fraction(ours)
-            assert type(q) is Fraction, seed
-            # the numerator is drawn first
-            assert q == Fraction(theirs.randint(1, 8), theirs.randint(1, 8)), seed
+        for _ in range(100):
+            values = random_soft_class(ours, model).values
+            assert all(type(q) is Fraction for q in values), seed
+            # each numerator is drawn before its denominator
+            assert values == tuple(
+                Fraction(theirs.randint(1, 8), theirs.randint(1, 8)) for _ in range(2)
+            ), seed
             assert ours.random() == theirs.random(), seed
-            seen.add(q)
+            seen.update(values)
         assert ours.getstate() == theirs.getstate(), seed
     assert seen == {Fraction(a, b) for a in range(1, 9) for b in range(1, 9)}
 
@@ -64,13 +106,17 @@ def test_random_proj_class_falls_back_to_the_unit():
     ours, theirs = random.Random(0), random.Random(0)
     assert random_proj_class(ours, model) == CuntzClass.proj(model.k0.unit)
     for _ in range(32 * rank):
-        randbelow(theirs, 4)
+        theirs.randrange(4)
     assert ours.getstate() == theirs.getstate()
 
 
 if __name__ == "__main__":
-    test_randbelow_reproduces_choice_and_randint()
-    test_random_fraction_reproduces_two_randints()
+    test_draws_reproduce_choice_and_randint()
+    test_one_run_of_draws_is_its_single_draws()
+    test_draws_of_no_values_draw_nothing()
+    test_draws_refuse_an_empty_range()
+    test_random_soft_class_reproduces_two_randints_per_trace()
     test_random_proj_class_falls_back_to_the_unit()
-    print("randbelow and random_fraction reproduce choice and randint, and "
-          "random_proj_class falls back after 32 draws")
+    print("draws reproduce choice, randint and randrange in runs and alone, "
+          "refuse an empty range, random_soft_class reproduces two randints "
+          "per trace, and random_proj_class falls back after 32 draws")
