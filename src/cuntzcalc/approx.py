@@ -2,9 +2,9 @@
 
 Two constructions on positive rational n-vectors:
 
-* a dyadic staircase g_i with coordinates (floor(2^i f) - 1) / 2^i, strictly
-  increasing in i, strictly below f, with sup gap at most 2^(1-i), whose
-  increments form a summable telescope;
+* ``summable_decomposition``, a dyadic staircase g_i with coordinates
+  (floor(2^i f) - 1) / 2^i from ``first_stage(f)`` on, strictly increasing,
+  strictly below f, with sup gap at most 2^(1-i) and summable increments;
 * a sup-realization by vectors over a divisibility chain of denominators,
   a ``goodearl.RealizationSchedule`` (the chain a step realization takes
   as matrix sizes), non-decreasing and strictly below f with gap at most
@@ -45,21 +45,6 @@ def first_stage(f) -> int:
     return max(map(least, _positive_profile(f)))
 
 
-def dyadic_below(f, i: int) -> tuple[Fraction, ...]:
-    """Stage i of the dyadic staircase under f.
-
-    Coordinates are (floor(2^i f_j) - 1) / 2^i; requires i at or past the
-    first stage with all coordinates positive.  floor(2^i f_j) does not
-    decrease in i, so that is the same as every coordinate being positive.
-    """
-    scale = 1 << max(i, 0)
-    level = tuple(Fraction(math.floor(scale * v) - 1, scale)
-                  for v in _positive_profile(f))
-    if i < 0 or min(level) <= 0:
-        raise ValueError(f"stage {i} is below the first positive stage")
-    return level
-
-
 class DecompositionStage(Frozen):
     __slots__ = ("index", "level", "increment", "sup_gap")
     index: int
@@ -80,6 +65,7 @@ class DecompositionReport(Frozen):
 def summable_decomposition(f, i_max: int) -> DecompositionReport:
     """Stages first_stage(f) .. i_max with their increments and gap bounds.
 
+    Stage i is (floor(2^i f) - 1) / 2^i, positive as i >= first_stage(f).
     The increments h_i satisfy g_i = g_{i-1} + h_i (the first stage is its
     own increment) and their sup norms total at most sup(f) + 2.
     """
@@ -91,7 +77,8 @@ def summable_decomposition(f, i_max: int) -> DecompositionReport:
     prev = (0,) * len(prof)  # so the first stage is its own increment
     total = Fraction(0)
     for i in range(start, i_max + 1):
-        level = dyadic_below(prof, i)
+        scale = 1 << i
+        level = tuple(Fraction(math.floor(scale * v) - 1, scale) for v in prof)
         increment = tuple(a - b for a, b in zip(level, prev))
         sup_gap = max(a - b for a, b in zip(prof, level))
         total += max(increment)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 import time
@@ -567,7 +566,7 @@ def main(argv=None) -> int:
     if args.format == "table":
         sys.stdout.write(_render_table(report))
     else:
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(docs.dump_document(report))
     return EXIT_OK
 
 

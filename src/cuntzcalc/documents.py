@@ -84,26 +84,49 @@ def rationals(values) -> list[str]:
     return [rational_str(q) for q in values]
 
 
-def _parse_vector(values) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(v) for v in values)
+_JSON_TYPES = ((dict, "an object"), (list, "an array"), (str, "a string"),
+               (bool, "a boolean"), (int, "a number"), (type(None), "null"))
 
 
-def _parse_int_vector(values) -> tuple[int, ...]:
-    return tuple(parse_int(v) for v in values)
+def _json_type(value) -> str:
+    return next(name for cls, name in _JSON_TYPES if isinstance(value, cls))
 
 
-def _parse_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(_parse_vector(r) for r in rows)
+def _array(values, name: str) -> list:
+    """``values`` if it is a JSON array: a string or an object would
+    otherwise be read element by element, as characters or keys."""
+    if not isinstance(values, list):
+        raise DocumentError(f"{name} must be an array, not {_json_type(values)}")
+    return values
 
 
-def _parse_int_matrix(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(_parse_int_vector(r) for r in rows)
+def _parse_vector(values, name: str) -> tuple[Fraction, ...]:
+    return tuple(parse_rational(v) for v in _array(values, name))
+
+
+def _parse_int_vector(values, name: str) -> tuple[int, ...]:
+    return tuple(parse_int(v) for v in _array(values, name))
+
+
+def _parse_matrix(rows, name: str) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(_parse_vector(r, f"{name}[{i}]") for i, r in enumerate(_array(rows, name)))
+
+
+def _parse_int_matrix(rows, name: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(_parse_int_vector(r, f"{name}[{i}]") for i, r in enumerate(_array(rows, name)))
 
 
 def _field(payload: dict, key: str):
     if key not in payload:
         raise DocumentError(f"missing field {key!r}")
     return payload[key]
+
+
+def _object(payload: dict, key: str) -> dict:
+    value = _field(payload, key)
+    if not isinstance(value, dict):
+        raise DocumentError(f"{key} must be an object, not {_json_type(value)}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +146,8 @@ def _decode_k0(k0_doc: dict, labels) -> K0Model:
     state rows pair with (the defaults tau1, ..., taun when absent, null or
     empty)."""
     rank = parse_int(_field(k0_doc, "rank"))
-    states = _parse_matrix(_field(k0_doc, "states"))
-    unit = _parse_int_vector(_field(k0_doc, "unit"))
+    states = _parse_matrix(_field(k0_doc, "states"), "states")
+    unit = _parse_int_vector(_field(k0_doc, "unit"), "unit")
     if labels is not None and not (
         isinstance(labels, list) and all(isinstance(t, str) for t in labels)
     ):
@@ -153,15 +176,15 @@ def decode_wmodel(payload: dict) -> WModel:
 
 
 def decode_pogroup(payload: dict) -> PoGroupModel:
-    cone_doc = _field(payload, "cone")
+    cone_doc = _object(payload, "cone")
     ctype = _field(cone_doc, "type")
     if ctype == "simplicial":
         cone: Any = None  # its width is the rank, read below
     elif ctype == "strict-states":
-        cone = StrictStateCone(_parse_matrix(_field(cone_doc, "states")))
+        cone = StrictStateCone(_parse_matrix(_field(cone_doc, "states"), "states"))
     elif ctype == "generated":
         cone = GeneratedCone(
-            _parse_int_matrix(_field(cone_doc, "generators")),
+            _parse_int_matrix(_field(cone_doc, "generators"), "generators"),
             parse_int(cone_doc.get("coeff_bound", 24)),
         )
     elif ctype == "lexicographic":
@@ -172,7 +195,7 @@ def decode_pogroup(payload: dict) -> PoGroupModel:
     return PoGroupModel(
         rank,
         SimplicialCone(rank) if cone is None else cone,
-        _parse_int_vector(_field(payload, "unit")),
+        _parse_int_vector(_field(payload, "unit"), "unit"),
     )
 
 
@@ -183,7 +206,7 @@ def _encode_group(group: AbelianGroupData) -> dict:
 def _decode_group(payload: dict) -> AbelianGroupData:
     return AbelianGroupData(
         parse_int(_field(payload, "free_rank")),
-        _parse_int_vector(payload.get("torsion", ())),
+        _parse_int_vector(payload.get("torsion", []), "torsion"),
     )
 
 
@@ -198,26 +221,26 @@ def encode_invariant(inv: ElliottInvariant) -> dict:
 
 def decode_invariant(payload: dict) -> ElliottInvariant:
     return ElliottInvariant(
-        _decode_k0(_field(payload, "k0"), payload.get("trace_labels")),
-        _decode_group(_field(payload, "k1")),
+        _decode_k0(_object(payload, "k0"), payload.get("trace_labels")),
+        _decode_group(_object(payload, "k1")),
     )
 
 
 def decode_morphism(
     payload: dict,
 ) -> tuple[InvariantMorphism, ElliottInvariant, ElliottInvariant]:
-    source = decode_invariant(_field(payload, "source"))
-    target = decode_invariant(_field(payload, "target"))
-    theta1_doc = _field(payload, "theta1")
+    source = decode_invariant(_object(payload, "source"))
+    target = decode_invariant(_object(payload, "target"))
+    theta1_doc = _object(payload, "theta1")
     theta1 = AbelianGroupHom(
-        _decode_group(_field(theta1_doc, "source")),
-        _decode_group(_field(theta1_doc, "target")),
-        _parse_int_matrix(_field(theta1_doc, "matrix")),
+        _decode_group(_object(theta1_doc, "source")),
+        _decode_group(_object(theta1_doc, "target")),
+        _parse_int_matrix(_field(theta1_doc, "matrix"), "matrix"),
     )
     mor = InvariantMorphism(
-        _parse_int_matrix(_field(payload, "theta0")),
+        _parse_int_matrix(_field(payload, "theta0"), "theta0"),
         theta1,
-        _parse_matrix(_field(payload, "gamma")),
+        _parse_matrix(_field(payload, "gamma"), "gamma"),
     )
     return mor, source, target
 
@@ -232,9 +255,9 @@ def decode_class(payload: dict) -> CuntzClass:
     ctype = _field(payload, "type")
     values = _field(payload, "values")
     if ctype == "proj":
-        return CuntzClass.proj(_parse_int_vector(values))
+        return CuntzClass.proj(_parse_int_vector(values, "values"))
     if ctype == "soft":
-        return CuntzClass.soft(_parse_vector(values))
+        return CuntzClass.soft(_parse_vector(values, "values"))
     raise DocumentError(f"unknown class type {_clip(repr(ctype))}")
 
 
@@ -244,12 +267,12 @@ TargetPayload = Union[tuple[Fraction, ...], StepFn]
 def decode_target(payload: dict) -> tuple[str, TargetPayload]:
     ttype = _field(payload, "type")
     if ttype == "vector":
-        return "vector", _parse_vector(_field(payload, "values"))
+        return "vector", _parse_vector(_field(payload, "values"), "values")
     if ttype == "step":
         return "step", StepFn(
-            _parse_vector(_field(payload, "partition")),
-            _parse_vector(_field(payload, "interval_values")),
-            _parse_vector(_field(payload, "point_values")),
+            _parse_vector(_field(payload, "partition"), "partition"),
+            _parse_vector(_field(payload, "interval_values"), "interval_values"),
+            _parse_vector(_field(payload, "point_values"), "point_values"),
         )
     raise DocumentError(f"unknown target type {_clip(repr(ttype))}")
 
@@ -269,7 +292,7 @@ def decode_schedule(payload: dict) -> tuple[str, RealizationSchedule]:
     if has_sizes == ("denominators" in payload):
         raise DocumentError("schedule needs exactly one of sizes/denominators")
     spelling = "sizes" if has_sizes else "denominators"
-    chain = RealizationSchedule(_parse_int_vector(payload[spelling]))
+    chain = RealizationSchedule(_parse_int_vector(payload[spelling], spelling))
     if spelling == "denominators" and chain.sizes[-1] > MAX_DENOMINATOR:
         raise ValueError(f"denominators must be at most {MAX_DENOMINATOR}")
     return spelling, chain

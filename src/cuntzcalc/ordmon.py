@@ -2,8 +2,8 @@
 
 This module provides positive cones in Z^rank that decide their own
 membership, partially ordered group models built on them, integer Smith
-reduction, and falsifiers for order properties (almost unperforation of a
-sampled ordered monoid, weak unperforation, the Archimedean property).
+reduction, and falsifiers for two order properties (weak unperforation and
+the Archimedean property).
 A simplicial cone decides membership from the signs of x; a strict-state
 cone keeps its state rows once as integers R at one scale and decides from
 the image R·x.  On both, weak unperforation and the Archimedean property are
@@ -26,7 +26,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import add
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .linalg import (
     Frozen,
@@ -55,12 +55,6 @@ class Membership(enum.Enum):
     def __bool__(self) -> bool:
         if self is Membership.BOUND_EXCEEDED:
             raise ValueError("membership search exceeded its bound; no definite answer")
-        return self is Membership.YES
-
-    @property
-    def definite(self) -> Optional[bool]:
-        if self is Membership.BOUND_EXCEEDED:
-            return None
         return self is Membership.YES
 
 
@@ -307,46 +301,6 @@ def smith_diagonal(columns: Sequence[Sequence[int]], m: int):
 # Order-property falsifiers
 
 
-class OrderStructure(Frozen):
-    """A sampled ordered monoid: enumeration, addition, and order."""
-
-    __slots__ = ("elements", "add", "leq")
-    elements: Callable[[int], Sequence]
-    add: Callable
-    leq: Callable
-
-
-def _definite(answer) -> Optional[bool]:
-    if isinstance(answer, Membership):
-        return answer.definite
-    return bool(answer)
-
-
-def is_almost_unperforated(
-    structure: OrderStructure, n_max: int, enumeration_bound: int
-):
-    """Search for x, y with (n+1)x <= ny but x !<= y.
-
-    Returns None when the sample is clean, else the counterexample
-    ``(x, y, n)``.  Inconclusive order answers are skipped.
-    """
-    elems = list(structure.elements(enumeration_bound))
-    for x in elems:
-        for y in elems:
-            lhs = x
-            rhs = None
-            for n in range(1, n_max + 1):
-                lhs = structure.add(lhs, x)  # lhs = (n+1) x
-                rhs = y if rhs is None else structure.add(rhs, y)  # rhs = n y
-                premise = _definite(structure.leq(lhs, rhs))
-                if premise is not True:
-                    continue
-                conclusion = _definite(structure.leq(x, y))
-                if conclusion is False:
-                    return (x, y, n)
-    return None
-
-
 # Largest walk of the two searches below, box_size times n_max: at the default
 # boxes n_max goes up to 119 at rank 5, 16 at rank 6, 2 at rank 7, 0 from 8.
 SEARCH_WORK_CAP = 2_000_000
@@ -411,10 +365,10 @@ def is_weakly_unperforated(model: PoGroupModel, n_max: int, enumeration_bound=No
                         "could be tested")
     for x in _int_vectors_by_norm(model.rank, bound):
         # x is nonzero, so every nx is too
-        if cone_member(model, x).definite is not False:
+        if cone_member(model, x) is not NO:
             continue
         for n in range(2, n_max + 1):
-            if cone_member(model, vscale(n, x)).definite is True:
+            if cone_member(model, vscale(n, x)) is YES:
                 return (x, n)
     return None
 
@@ -470,15 +424,13 @@ def archimedean_witness(model: PoGroupModel, n_max: int, enumeration_bound=None)
     ys = list(_int_vectors_by_norm(model.rank, min(bound, n_max - 1)))
     tested = 0
     for x in _int_vectors_by_norm(model.rank, bound):
-        if cone_member(model, vneg(x)).definite is not False:
+        if cone_member(model, vneg(x)) is not NO:
             continue
         multiples = [vscale(n, x) for n in (n_max, *range(1, n_max))]
         for y in ys:
             if tested == ARCHIMEDEAN_PAIR_BUDGET:
                 return None
             tested += 1
-            if all(
-                cone_member(model, vsub(y, nx)).definite is True for nx in multiples
-            ):
+            if all(cone_member(model, vsub(y, nx)) is YES for nx in multiples):
                 return (x, y)
     return None

@@ -4,6 +4,9 @@
   ``Delegating``, a cone that hides its type from the order searches, and
   ``searched_member``, the recursive coefficient search that generated-cone
   membership is checked against.
+- ``OrderStructure`` and ``is_almost_unperforated``, a sampled
+  almost-unperforation falsifier over any ordered monoid given by its
+  enumeration, addition and order.
 - Seeded random models, invariants and model morphisms for the acceptance
   criteria and the functor tests.  The sampling suites of ``check`` draw
   their classes through ``cuntzcalc.sampling`` alone.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Callable, Sequence
 
 from cuntzcalc import cli
 from cuntzcalc.documents import rationals
@@ -119,6 +123,46 @@ def searched_member(cone: GeneratedCone, x) -> Membership:
         # exceeding the target's, so the exhaustive part was complete
         return NO
     return BOUND_EXCEEDED
+
+
+# ---------------------------------------------------------------------------
+# Almost unperforation of a sampled ordered monoid
+
+
+class OrderStructure(Frozen):
+    """A sampled ordered monoid: enumeration, addition, and order."""
+
+    __slots__ = ("elements", "add", "leq")
+    elements: Callable[[int], Sequence]
+    add: Callable
+    leq: Callable
+
+
+def is_almost_unperforated(
+    structure: OrderStructure, n_max: int, enumeration_bound: int
+):
+    """Search for x, y with (n+1)x <= ny but x !<= y.
+
+    Returns None when the sample is clean, else the counterexample
+    ``(x, y, n)``.  ``leq`` answers a bool or a ``Membership``; inconclusive
+    order answers are skipped.
+    """
+    def definite(answer):
+        return None if answer is BOUND_EXCEEDED else bool(answer)
+
+    elems = list(structure.elements(enumeration_bound))
+    for x in elems:
+        for y in elems:
+            lhs = x
+            rhs = None
+            for n in range(1, n_max + 1):
+                lhs = structure.add(lhs, x)  # lhs = (n+1) x
+                rhs = y if rhs is None else structure.add(rhs, y)  # rhs = n y
+                if definite(structure.leq(lhs, rhs)) is not True:
+                    continue
+                if definite(structure.leq(x, y)) is False:
+                    return (x, y, n)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,8 @@ from cuntzcalc.goodearl import (
 )
 from cuntzcalc.linalg import identity, matmul, transpose, vneg, vscale, vsub
 from cuntzcalc.ordmon import (
+    NO,
+    YES,
     GeneratedCone,
     LexicographicCone,
     PoGroupModel,
@@ -278,9 +280,9 @@ def _verified_witness(group, found, n_max):
     if found is None:
         return False
     x, y = found
-    ok = cone_member(group, vneg(x)).definite is False
+    ok = cone_member(group, vneg(x)) is NO
     for n in range(1, n_max + 1):
-        ok = ok and cone_member(group, vsub(y, vscale(n, x))).definite is True
+        ok = ok and cone_member(group, vsub(y, vscale(n, x))) is YES
     return ok
 
 

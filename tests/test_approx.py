@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuntzcalc.approx import (
-    dyadic_below,
     first_stage,
     projection_sup_realization,
     summable_decomposition,
@@ -50,19 +49,26 @@ def test_first_stage_rejects_bad_profiles():
         first_stage((1, 0))
 
 
-def test_dyadic_below_formula():
-    assert dyadic_below((1,), 2) == (Fraction(3, 4),)
-    assert dyadic_below((Fraction(1, 3), 1), 3) == (Fraction(1, 8), Fraction(7, 8))
+def last_level(f, i):
+    """Stage i of the dyadic staircase under f, the last one reported."""
+    stage = summable_decomposition(f, i).stages[-1]
+    assert stage.index == i
+    return stage.level
 
 
-def test_dyadic_below_rejects_early_stages():
+def test_dyadic_stage_formula():
+    assert last_level((1,), 2) == (Fraction(3, 4),)
+    assert last_level((Fraction(1, 3), 1), 3) == (Fraction(1, 8), Fraction(7, 8))
+
+
+def test_dyadic_stages_refuse_early_stages():
     with pytest.raises(ValueError):
-        dyadic_below((Fraction(1, 3), 1), 2)
+        last_level((Fraction(1, 3), 1), 2)
 
 
 def test_dyadic_gap_vanishes_for_dyadic_targets():
     for i in range(1, 8):
-        (g,) = dyadic_below((1,), i)
+        (g,) = last_level((1,), i)
         assert 1 - g == Fraction(1, 2**i)
 
 
@@ -72,12 +78,12 @@ def positive_profiles():
 
 
 @given(positive_profiles(), st.integers(-2, 12))
-def test_dyadic_below_refuses_exactly_the_stages_before_the_first(f, i):
+def test_dyadic_stages_refuse_exactly_the_stages_before_the_first(f, i):
     if i < first_stage(f):
-        with pytest.raises(ValueError, match="below the first positive stage"):
-            dyadic_below(f, i)
+        with pytest.raises(ValueError, match=f"need at least stage {first_stage(f)}"):
+            last_level(f, i)
     else:
-        assert min(dyadic_below(f, i)) > 0
+        assert min(last_level(f, i)) > 0
 
 
 class TestSummableDecomposition:

@@ -1103,6 +1103,38 @@ DOCUMENT_CHECKS = {
         step_target(["0", "1/2", "1"], ["1/2", "3/2"], ["1/2", "1/2", "3/2"]),
         "error: realization targets take values in [0, 1]",
     ),
+    # a string or an object where an array belongs is refused, not read by
+    # characters or keys, and one where an object belongs is refused by name
+    "string-vector-values": (
+        ("realize", "DOC", "--stages", "2"),
+        {"kind": "target", "type": "vector", "values": "12"},
+        "error: values must be an array, not a string",
+    ),
+    "string-denominators": (
+        ("realize", "TARGET", "DOC", "--stages", "2"),
+        {"kind": "schedule", "denominators": "36"},
+        "error: denominators must be an array, not a string",
+    ),
+    "string-state-rows": (
+        ("compare", "DOC", "DOC", "DOC"),
+        {**TWO_TRACE_DOC, "states": ["10", "01"], "unit": "11"},
+        "error: states[0] must be an array, not a string",
+    ),
+    "object-unit": (
+        ("k0star", "DOC"),
+        {**TWO_TRACE_DOC, "unit": {"1": 1, "2": 1}},
+        "error: unit must be an array, not an object",
+    ),
+    "string-cone": (
+        ("check", "DOC", "archimedean"),
+        {**simplicial_group(2, [1, 1]), "cone": "type"},
+        "error: cone must be an object, not a string",
+    ),
+    "empty-array-k0": (
+        ("functor", "DOC"),
+        {**collapse_pair()["source"], "k0": []},
+        "error: k0 must be an object, not an array",
+    ),
     # K0Model refuses such a state when the document is decoded
     "invariant-state-not-one-on-the-unit": (
         ("functor", "DOC"),

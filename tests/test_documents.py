@@ -1,4 +1,5 @@
-"""JSON documents: decoding, round-trips and the no-floats rule.
+"""JSON documents: decoding, round-trips, the no-floats rule, and the refusal
+by name of a field that holds the wrong JSON type.
 
 The CLI writes only wmodel, invariant and class documents, so only those
 have encoders and round-trip through them.  Every other kind is decoded
@@ -8,6 +9,7 @@ field by field with objects built by hand.
 
 import copy
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from support import two_trace_model
 from test_cli_golden import DOCS
 
+from cuntzcalc.cli import EXIT_INVALID, main
 from cuntzcalc.documents import (
     KINDS,
     DocumentError,
@@ -349,3 +352,70 @@ def test_mutated_golden_documents_decode_or_raise_document_errors(data):
         load_document(json.dumps(doc))
     except ValueError:  # DocumentError is one
         pass
+
+
+# ---------------------------------------------------------------------------
+# array and object fields of the golden documents swapped for other JSON types
+
+# kind -> argv that decodes a document of that kind at "DOC"; "@name" stands
+# for the path of DOCS[name]
+SWAP_COMMANDS = {
+    "wmodel": ("k0star", "DOC"),
+    "pogroup": ("check", "DOC", "archimedean"),
+    "invariant": ("functor", "DOC"),
+    "morphism": ("morphism-check", "DOC"),
+    "class": ("compare", "@m2", "DOC", "DOC"),
+    "target": ("realize", "DOC", "--stages", "2"),
+    "schedule": ("realize", "@step2", "DOC", "--stages", "2"),
+}
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _container_fields(doc) -> list:
+    """The path of every array or object that is the value of an object key."""
+    return [path for path in _paths(doc) if path and isinstance(path[-1], str)
+            and isinstance(_at(doc, path), (list, dict))]
+
+
+def _swaps(value, rng: random.Random) -> list:
+    """A digit string, a number, null, and an object for an array or an
+    array (the object's own keys) for an object."""
+    digits = str(rng.randint(10, 99))
+    other = {digits: 1, str(rng.randint(1, 9)): 0} if isinstance(value, list) else sorted(value)
+    return [digits, rng.randint(0, 99), None, other]
+
+
+def test_swap_commands_cover_every_kind():
+    assert set(SWAP_COMMANDS) == set(KINDS)
+
+
+SWAPPED = sorted(n for n in DOCS
+                 if DOCS[n]["kind"] in SWAP_COMMANDS and _container_fields(DOCS[n]))
+
+
+@pytest.mark.parametrize("name", SWAPPED)
+def test_swapped_array_and_object_fields_are_refused_by_name(tmp_path, capsys, name):
+    doc_path = tmp_path / "doc.json"
+    argv = []
+    for arg in SWAP_COMMANDS[DOCS[name]["kind"]]:
+        if arg.startswith("@"):
+            other = tmp_path / "other.json"
+            other.write_text(dump_document(DOCS[arg[1:]]))
+            arg = str(other)
+        argv.append(str(doc_path) if arg == "DOC" else arg)
+    rng = random.Random(f"swap {name}")
+    for field in _container_fields(DOCS[name]):
+        for value in _swaps(_at(DOCS[name], field), rng):
+            if field[-1] == "trace_labels" and value is None:
+                continue  # null stands for the default labels
+            doc = _mutate(copy.deepcopy(DOCS[name]), field, "retype", value)
+            doc_path.write_text(json.dumps(doc))
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert (code, out) == (EXIT_INVALID, ""), (field, value)
+            assert err.splitlines()[0].startswith(f"error: {field[-1]} must be "), (field, value)

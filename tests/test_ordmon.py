@@ -12,7 +12,13 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from support import Delegating, searched_member, w_of_z
+from support import (
+    Delegating,
+    OrderStructure,
+    is_almost_unperforated,
+    searched_member,
+    w_of_z,
+)
 
 from cuntzcalc import ordmon
 from cuntzcalc.linalg import identity, vneg, vscale, vsub
@@ -23,14 +29,12 @@ from cuntzcalc.ordmon import (
     COEFF_VECTORS_CAP,
     GeneratedCone,
     LexicographicCone,
-    OrderStructure,
     PoGroupModel,
     SimplicialCone,
     StrictStateCone,
     archimedean_witness,
     box_bound,
     cone_member,
-    is_almost_unperforated,
     is_weakly_unperforated,
     smith_diagonal,
 )
@@ -41,12 +45,9 @@ from cuntzcalc.wmodel import CuntzClass, K0Model, WModel
 # three-valued membership
 
 
-def test_membership_bool_and_definite():
+def test_membership_bool():
     assert bool(YES) is True
     assert bool(NO) is False
-    assert YES.definite is True
-    assert NO.definite is False
-    assert BOUND_EXCEEDED.definite is None
     with pytest.raises(ValueError):
         bool(BOUND_EXCEEDED)
 
@@ -688,7 +689,7 @@ def test_archimedean_fails_lexicographically():
     witness = archimedean_witness(model, n_max=4, enumeration_bound=2)
     assert witness == ((0, 1), (1, 1))
     x, y = witness
-    assert cone_member(model, tuple(-c for c in x)).definite is False
+    assert cone_member(model, tuple(-c for c in x)) is NO
     for n in range(1, 5):
         gap = tuple(b - n * a for a, b in zip(x, y))
         assert cone_member(model, gap) is YES

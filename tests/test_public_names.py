@@ -32,7 +32,6 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 # public names without a package caller -> why they stay
 ALLOWED = {
     "ordmon.smith_diagonal": "isomorphism lattices (ROADMAP direction 5)",
-    "ordmon.is_almost_unperforated": "almost-unperforation check (ROADMAP direction 1)",
     "elliott.identity_morphism": "functor laws and iso certificates (ROADMAP direction 5)",
     "elliott.compose_morphisms": "functor laws and iso certificates (ROADMAP direction 5)",
     "elliott.compose_w_morphisms": "functor laws and iso certificates (ROADMAP direction 5)",

@@ -1,5 +1,5 @@
 """Value semantics of the package's immutable classes, which they take from
-``linalg.Frozen``, and of the three that moved to ``tests/support.py``; and
+``linalg.Frozen``, and of the four that moved to ``tests/support.py``; and
 the start-up guard that keeps ``dataclasses`` and ``inspect`` out of
 ``import cuntzcalc.cli`` and the test support out of every package module."""
 
@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from support import ClosedSet, MeasureSpec, StepDensity
+from support import ClosedSet, MeasureSpec, OrderStructure, StepDensity
 
 import cuntzcalc
 from cuntzcalc.approx import DecompositionReport, DecompositionStage
@@ -38,7 +38,6 @@ from cuntzcalc.linalg import Frozen
 from cuntzcalc.ordmon import (
     GeneratedCone,
     LexicographicCone,
-    OrderStructure,
     PoGroupModel,
     PositiveCone,
     SimplicialCone,
@@ -129,16 +128,17 @@ def fields_of(value) -> list:
     return [getattr(value, name) for name in type(value)._fields]
 
 
-# value classes of the test support: the measure layer, with its samples kept
-SUPPORT_CLASSES = {ClosedSet, MeasureSpec, StepDensity}
+# value classes of the test support: the measure layer and the sampled
+# ordered monoid, with their samples kept
+SUPPORT_CLASSES = {ClosedSet, MeasureSpec, OrderStructure, StepDensity}
 
 
 def test_every_value_class_has_samples():
     assert set(CLASSES) == package_classes() | SUPPORT_CLASSES
     # the 28 former dataclasses, PositiveCone and PurelyInfiniteModel, less
-    # the measure layer's three, DenseSubgroupSpec, now a RealizationSchedule,
-    # and K0Star, now the model's group_rank
-    assert len(package_classes()) == 25
+    # the measure layer's three, OrderStructure, DenseSubgroupSpec, now a
+    # RealizationSchedule, and K0Star, now the model's group_rank
+    assert len(package_classes()) == 24
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
