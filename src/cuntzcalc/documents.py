@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from .elliott import (
     AbelianGroupData,
@@ -19,7 +19,6 @@ from .elliott import (
     ElliottInvariant,
     InvariantMorphism,
 )
-from .goodearl import RealizationSchedule, StepFn
 from .ordmon import (
     GeneratedCone,
     LexicographicCone,
@@ -34,6 +33,9 @@ from .wmodel import (
     WModel,
     purely_infinite,
 )
+
+if TYPE_CHECKING:  # goodearl is imported by the first step target or schedule
+    from .goodearl import RealizationSchedule, StepFn
 
 
 class DocumentError(ValueError):
@@ -100,12 +102,29 @@ def _array(values, name: str) -> list:
     return values
 
 
-def _parse_vector(values, name: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(v) for v in _array(values, name))
+def _named(parse, value, name: str):
+    """``parse(value)``, refused with the field ``name`` in front."""
+    try:
+        return parse(value)
+    except DocumentError as exc:
+        raise DocumentError(f"{name}: {exc}") from exc
+
+
+def _parse_vector(values, name: str, parse=parse_rational) -> tuple:
+    """``parse`` of each element; a refusal names the element, as in
+    ``unit[1]``, by a name built only then."""
+    parsed = []
+    values = _array(values, name)
+    try:
+        for v in values:
+            parsed.append(parse(v))
+    except DocumentError as exc:
+        raise DocumentError(f"{name}[{len(parsed)}]: {exc}") from exc
+    return tuple(parsed)
 
 
 def _parse_int_vector(values, name: str) -> tuple[int, ...]:
-    return tuple(parse_int(v) for v in _array(values, name))
+    return _parse_vector(values, name, parse_int)
 
 
 def _parse_matrix(rows, name: str) -> tuple[tuple[Fraction, ...], ...]:
@@ -145,7 +164,7 @@ def _decode_k0(k0_doc: dict, labels) -> K0Model:
     """K0 data, with ``labels``, a list of strings, naming the traces its
     state rows pair with (the defaults tau1, ..., taun when absent, null or
     empty)."""
-    rank = parse_int(_field(k0_doc, "rank"))
+    rank = _named(parse_int, _field(k0_doc, "rank"), "rank")
     states = _parse_matrix(_field(k0_doc, "states"), "states")
     unit = _parse_int_vector(_field(k0_doc, "unit"), "unit")
     if labels is not None and not (
@@ -185,13 +204,13 @@ def decode_pogroup(payload: dict) -> PoGroupModel:
     elif ctype == "generated":
         cone = GeneratedCone(
             _parse_int_matrix(_field(cone_doc, "generators"), "generators"),
-            parse_int(cone_doc.get("coeff_bound", 24)),
+            _named(parse_int, cone_doc.get("coeff_bound", 24), "coeff_bound"),
         )
     elif ctype == "lexicographic":
         cone = LexicographicCone()
     else:
         raise DocumentError(f"unknown cone type {_clip(repr(ctype))}")
-    rank = parse_int(_field(payload, "rank"))
+    rank = _named(parse_int, _field(payload, "rank"), "rank")
     return PoGroupModel(
         rank,
         SimplicialCone(rank) if cone is None else cone,
@@ -205,7 +224,7 @@ def _encode_group(group: AbelianGroupData) -> dict:
 
 def _decode_group(payload: dict) -> AbelianGroupData:
     return AbelianGroupData(
-        parse_int(_field(payload, "free_rank")),
+        _named(parse_int, _field(payload, "free_rank"), "free_rank"),
         _parse_int_vector(payload.get("torsion", []), "torsion"),
     )
 
@@ -261,7 +280,7 @@ def decode_class(payload: dict) -> CuntzClass:
     raise DocumentError(f"unknown class type {_clip(repr(ctype))}")
 
 
-TargetPayload = Union[tuple[Fraction, ...], StepFn]
+TargetPayload = Union[tuple[Fraction, ...], "StepFn"]
 
 
 def decode_target(payload: dict) -> tuple[str, TargetPayload]:
@@ -269,6 +288,8 @@ def decode_target(payload: dict) -> tuple[str, TargetPayload]:
     if ttype == "vector":
         return "vector", _parse_vector(_field(payload, "values"), "values")
     if ttype == "step":
+        from .goodearl import StepFn
+
         return "step", StepFn(
             _parse_vector(_field(payload, "partition"), "partition"),
             _parse_vector(_field(payload, "interval_values"), "interval_values"),
@@ -288,6 +309,8 @@ def decode_schedule(payload: dict) -> tuple[str, RealizationSchedule]:
     stages or the denominators of a vector target's.  Only denominators are
     capped here; ``cli`` caps the sizes a realization uses.
     """
+    from .goodearl import RealizationSchedule
+
     has_sizes = "sizes" in payload
     if has_sizes == ("denominators" in payload):
         raise DocumentError("schedule needs exactly one of sizes/denominators")

@@ -894,14 +894,15 @@ class TestOutputPlumbing:
 
     @pytest.mark.parametrize("ctype, values, factor, first_line", [
         ("soft", '["' + "x" * 5000 + '", "1"]', "2",
-         "error: bad rational string '" + "x" * 39 + "... (5002 characters)"),
+         "error: values[0]: bad rational string '" + "x" * 39 + "... (5002 characters)"),
         ("soft", '["1e' + "9" * 5000 + '", "1"]', "2",
-         "error: exponents are not accepted in rationals: '1e" + "9" * 37
+         "error: values[0]: exponents are not accepted in rationals: '1e" + "9" * 37
          + "... (5004 characters)"),
         ("soft", "[" + json.dumps(["1"] * 3000) + ', "1"]', "2",
-         "error: expected a rational, got [" + "'1', " * 7 + "'1',... (15000 characters)"),
+         "error: values[0]: expected a rational, got [" + "'1', " * 7
+         + "'1',... (15000 characters)"),
         ("proj", '["1/' + "3" * 3000 + '", 1]', "2",
-         "error: expected an integer, got 1/" + "3" * 38 + "... (3002 characters)"),
+         "error: values[0]: expected an integer, got 1/" + "3" * 38 + "... (3002 characters)"),
         ("soft", "[1." + "0" * 5000 + ", 1]", "2",
          "error: floats are not accepted in documents: 1." + "0" * 38
          + "... (5002 characters)"),
@@ -967,7 +968,24 @@ DOCUMENT_CHECKS = {
     "non-integer-unit": (
         ("k0star", "DOC"),
         {**TWO_TRACE_DOC, "unit": ["1/2", 1]},
-        "error: expected an integer, got 1/2",
+        "error: unit[0]: expected an integer, got 1/2",
+    ),
+    # a scalar of the wrong JSON type is refused by its field, and an element
+    # by its index
+    "array-rank": (
+        ("k0star", "DOC"),
+        {**TWO_TRACE_DOC, "rank": [2]},
+        "error: rank: expected a rational, got [2]",
+    ),
+    "array-in-unit": (
+        ("k0star", "DOC"),
+        {**TWO_TRACE_DOC, "unit": [[1], 1]},
+        "error: unit[0]: expected a rational, got [1]",
+    ),
+    "array-in-state-row": (
+        ("k0star", "DOC"),
+        {**TWO_TRACE_DOC, "states": [[["1"], "1/2"], ["1/4", "3/4"]]},
+        "error: states[0][0]: expected a rational, got ['1']",
     ),
     "repeated-trace-labels": (
         ("k0star", "DOC"),
@@ -1254,13 +1272,15 @@ def test_sampling_suites_report_what_one_draw_at_a_time_reports(
             reference_oracle_agreement, oracle=lax_oracle(reference_oracle_leq)
         )
     runner = cli.SUITE_TABLE[suite][0]
+    cases = [(model, seed, bound) for model in DIFFERENTIAL_MODELS
+             for seed in range(8) for bound in (1, 2, 400)]
+    if suite == "oracle-agreement":  # two full runs of draws and part of a third
+        cases.append((DIFFERENTIAL_MODELS[3], 5, 2 * cli.PAIRS_PER_RUN + 3))
     failing = 0
-    for model in DIFFERENTIAL_MODELS:
-        for seed in range(8):
-            for bound in (1, 2, 400):
-                ours, theirs = random.Random(seed), random.Random(seed)
-                details = runner(model, ours, bound)
-                assert details == reference(model, theirs, bound), (model, seed, bound)
-                assert ours.getstate() == theirs.getstate(), (model, seed, bound)
-                failing += bool(details["failures"])
+    for model, seed, bound in cases:
+        ours, theirs = random.Random(seed), random.Random(seed)
+        details = runner(model, ours, bound)
+        assert details == reference(model, theirs, bound), (model, seed, bound)
+        assert ours.getstate() == theirs.getstate(), (model, seed, bound)
+        failing += bool(details["failures"])
     assert bool(failing) == broken

@@ -87,8 +87,30 @@ def test_parse_rational_refuses_underscores_on_every_python():
         with pytest.raises(DocumentError, match=f"^bad rational string '{bad}'$"):
             parse_rational(bad)
     doc = '{"kind": "class", "type": "soft", "values": ["1_0", "1"]}'
-    with pytest.raises(DocumentError, match="^bad rational string '1_0'$"):
+    with pytest.raises(DocumentError, match=r"^values\[0\]: bad rational string '1_0'$"):
         load_document(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "pogroup", "rank": "x", "unit": [1], "cone": {"type": "simplicial"}},
+     "rank: bad rational string 'x'"),
+    ({"kind": "pogroup", "rank": 2, "unit": [1, 1],
+      "cone": {"type": "generated", "generators": [[1, 0], [0, 1]], "coeff_bound": True}},
+     "coeff_bound: booleans are not rationals"),
+    ({"kind": "invariant", "k0": {"rank": 1, "states": [["1"]], "unit": [1]},
+      "k1": {"free_rank": "1/2"}},
+     "free_rank: expected an integer, got 1/2"),
+    ({"kind": "class", "type": "soft", "values": ["1", "2", None]},
+     "values[2]: expected a rational, got None"),
+    ({"kind": "schedule", "sizes": [2, 4, "8/3"]}, "sizes[2]: expected an integer, got 8/3"),
+    ({"kind": "pogroup", "rank": 2, "unit": [1, 1],
+      "cone": {"type": "generated", "generators": [[1, 0], [0, "1e3"]]}},
+     "generators[1][1]: exponents are not accepted in rationals: '1e3'"),
+], ids=["rank", "coeff_bound", "free_rank", "values", "sizes", "generators"])
+def test_a_refused_value_names_its_field_and_index(doc, message):
+    with pytest.raises(DocumentError) as info:
+        load_document(json.dumps(doc))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("doc", [

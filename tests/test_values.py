@@ -1,10 +1,12 @@
 """Value semantics of the package's immutable classes, which they take from
 ``linalg.Frozen``, and of the four that moved to ``tests/support.py``; and
-the start-up guard that keeps ``dataclasses`` and ``inspect`` out of
-``import cuntzcalc.cli`` and the test support out of every package module."""
+the start-up guard that keeps ``dataclasses``, ``inspect``, ``goodearl`` and
+``approx`` out of ``import cuntzcalc.cli`` and the test support out of every
+package module."""
 
 import copy
 import importlib
+import json
 import operator
 import os
 import pickle
@@ -222,23 +224,57 @@ def test_repr_lists_the_fields_in_order():
     assert repr(CuntzClass(False, (HALF,))) == "Soft(1/2)"  # its own __repr__ wins
 
 
-def test_cli_imports_neither_dataclasses_nor_inspect():
+# the commands the start-up guard runs, in this order in one interpreter, and
+# the deferred modules loaded after each: goodearl comes with the first step
+# realization, approx (which imports goodearl) with the first vector one
+GUARDED_RUNS = (
+    (("compare", "@model", "@x", "@x"), []),
+    (("check", "@model", "order-axioms"), []),
+    (("realize", "@step", "--stages", "2"), ["cuntzcalc.goodearl"]),
+    (("realize", "@vector", "--stages", "2"), ["cuntzcalc.approx", "cuntzcalc.goodearl"]),
+)
+GUARDED_DOCS = {
+    "model": {"kind": "wmodel", "rank": 1, "states": [["1"]], "unit": [1]},
+    "x": {"kind": "class", "type": "proj", "values": [1]},
+    "step": {"kind": "target", "type": "step", "partition": ["0", "1"],
+             "interval_values": ["1/2"], "point_values": ["1/2", "1/2"]},
+    "vector": {"kind": "target", "type": "vector", "values": ["2/3"]},
+}
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect(tmp_path):
     # -S: site-packages' start-up hooks are not the package's imports.  Run
-    # from src/ with only src/ on the path, then import every module of the
-    # package: none may reach the test support, which is not importable there
+    # from src/ with only src/ on the path.  import cuntzcalc.cli loads
+    # neither dataclasses nor inspect, nor goodearl or approx, which only the
+    # realizations run: compare and check leave them out, and each
+    # realization loads its own.  Then import every module of the package:
+    # none may reach the test support, which is not importable there
+    paths = {}
+    for name, doc in GUARDED_DOCS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths["@" + name] = str(path)
+    runs = [[paths.get(a, a) for a in argv] for argv, _ in GUARDED_RUNS]
     code = (
-        "import sys; import cuntzcalc.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
-        "import importlib, pkgutil, cuntzcalc; "
-        "names = [m.name for m in pkgutil.iter_modules(cuntzcalc.__path__)]; "
-        "[importlib.import_module('cuntzcalc.' + n) for n in names]; "
-        "print(len(names), 'support' in sys.modules)"
+        "import sys; import cuntzcalc.cli\n"
+        "WATCHED = {'dataclasses', 'inspect', 'cuntzcalc.approx', 'cuntzcalc.goodearl'}\n"
+        "print(sorted(WATCHED & set(sys.modules)))\n"
+        "import contextlib, io, json\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        exit_code = cuntzcalc.cli.main(argv)\n"
+        "    print(exit_code, sorted({'cuntzcalc.approx', 'cuntzcalc.goodearl'} & set(sys.modules)))\n"
+        "import importlib, pkgutil, cuntzcalc\n"
+        "names = [m.name for m in pkgutil.iter_modules(cuntzcalc.__path__)]\n"
+        "[importlib.import_module('cuntzcalc.' + n) for n in names]\n"
+        "print(len(names), 'support' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, cwd=SRC, check=True,
+        [sys.executable, "-S", "-c", code, json.dumps(runs)], env=env, cwd=SRC, check=True,
         capture_output=True, text=True, timeout=60,
     ).stdout
     modules = len([name for name in os.listdir(os.path.join(SRC, "cuntzcalc"))
                    if name.endswith(".py") and name != "__init__.py"])
-    assert out == f"[]\n{modules} False\n"
+    loaded = "".join(f"0 {after}\n" for _, after in GUARDED_RUNS)
+    assert out == f"[]\n{loaded}{modules} False\n"
