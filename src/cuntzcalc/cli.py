@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import islice
-from operator import le, lt
+from operator import le, lt, mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -35,7 +35,7 @@ from .ordmon import (
     archimedean_witness,
     is_weakly_unperforated,
 )
-from .sampling import draws, random_class, rng_for
+from .sampling import draws, keep, random_class, rng_for
 from .wmodel import CuntzClass, PurelyInfiniteModel, WModel, element_leq
 
 if TYPE_CHECKING:
@@ -65,6 +65,11 @@ PAIRS_PER_RUN = 4096
 # stage, so --stages 12 without a schedule); realize time doubles with it.
 STEP_SIZE_CAP = 4096
 
+# Most work of a step realization, its target's pieces times the rows of all
+# its stages (the sum of the stage sizes), checked before it runs; realize
+# time grows with it, to about 0.7 s at the cap (2 cores, Python 3.11).
+STEP_WORK_CAP = 1_000_000
+
 # Largest --stages of a vector realization.
 VECTOR_STAGES_CAP = 1000
 
@@ -93,40 +98,38 @@ def _rule_label(model: WModel, x: CuntzClass, y: CuntzClass) -> str:
     return "proj-soft (strict pointwise)"
 
 
-def _oracle_states(model: WModel, v) -> list[Fraction]:
-    """Trace vector of a projection payload, read off the raw state matrix.
+def _oracle_states(model: WModel, pool) -> tuple[int, list[tuple[int, ...]]]:
+    """The pool's trace vectors, as integers over one oracle denominator q.
 
-    Each row's entries are brought to the lcm q of that row's denominators,
-    so a state is one integer sum over q.
+    q is the lcm of every state-row denominator and every soft denominator
+    in the pool.  A projection's vector is q·(state rows)·v, read off the
+    raw state matrix; a soft class's is q times its values.
     """
-    states = []
-    for row in model.k0.state_matrix:
-        q = math.lcm(*[r.denominator for r in row])
-        states.append(Fraction(sum([r.numerator * (q // r.denominator) * c
-                                    for r, c in zip(row, v)]), q))
-    return states
+    rows = model.k0.state_matrix
+    q = math.lcm(*[r.denominator for row in rows for r in row],
+                 *[s.denominator for c in pool if not c.is_proj for s in c.values])
+    rows = [[r.numerator * (q // r.denominator) for r in row] for row in rows]
+    return q, [
+        tuple([sum(map(mul, row, c.values)) for row in rows]) if c.is_proj
+        else tuple([s.numerator * (q // s.denominator) for s in c.values])
+        for c in pool
+    ]
 
 
 def _oracle_leq(x: CuntzClass, y: CuntzClass, sx, sy) -> bool:
     """Rule-unrolling order oracle, coded separately from the model method.
 
-    ``sx`` and ``sy`` are the ``_oracle_states`` of x and y where they are
-    projections.  Projection payloads are compared by membership of the
-    difference in the strict-state cone, whose states are sy - sx by
-    linearity; mixed pairs by comparing trace vectors with the strictness
-    dictated by which side is the projection.
+    ``sx`` and ``sy`` are the ``_oracle_states`` of x and y.  Projection
+    payloads are compared by membership of the difference in the
+    strict-state cone, whose states are sy - sx by linearity; a projection
+    below a soft class by the strict rule, zero below everything; a soft
+    class below a projection or a soft class by the non-strict rule.
     """
     if x.is_proj and y.is_proj:
-        if x.values == y.values:
-            return True
-        return all(map(lt, sx, sy))
+        return x.values == y.values or all(map(lt, sx, sy))
     if x.is_proj:  # strict rule
-        if all(v == 0 for v in x.values):
-            return True
-        return all(map(lt, sx, y.values))
-    if y.is_proj:  # non-strict rule
-        return all(map(le, x.values, sy))
-    return all(map(le, x.values, y.values))
+        return not any(x.values) or all(map(lt, sx, sy))
+    return all(map(le, sx, sy))  # non-strict rule
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +220,8 @@ def cmd_order_unit(args) -> dict:
 def _class_pool(model: WModel, rng, count: int) -> list[CuntzClass]:
     pool = [model.zero_class, model.unit_class]
     if not isinstance(model, PurelyInfiniteModel):
-        pool.extend(random_class(rng, model) for _ in range(count))
+        table: dict = {}
+        pool.extend(random_class(rng, model, table) for _ in range(count))
     return pool
 
 
@@ -251,17 +255,39 @@ def _suite_order_axioms(model: WModel, rng, bound: int) -> dict:
 def _suite_strict_cone(model: WModel, rng, bound: int) -> dict:
     # the difference cone of Q^n is the coordinatewise non-negative vectors;
     # d, on integers, has the signs of gamma(x) - gamma(y) coordinate by
-    # coordinate, and the difference itself is formed only to report it
+    # coordinate, and the difference itself is formed only to report it.
+    # The table hands a repeated projection back as the same object, so the
+    # memos key projections by id: gamma once per projection, y <= x once per
+    # ordered pair of projections.  A soft class is drawn afresh each time.
+    # Each memo entry holds the classes it keys, so no id is reused while it
+    # lives, and like the table a memo stops growing at TABLE_CAP entries.
+    table: dict = {}
+    images: dict = {}
+    below: dict = {}
+
+    def image(x):  # x and gamma(x)
+        found = x, model.gamma(x)
+        return keep(images, id(x), found) if x.is_proj else found
+
+    def leq(y, x):  # y, x and y <= x, for two projections
+        return keep(below, (id(y), id(x)), (y, x, model.compare(y, x)))
+
     violations = []
     for _ in range(bound):
-        x, y = random_class(rng, model), random_class(rng, model)
-        gx, gy = model.gamma(x), model.gamma(y)
+        x, y = random_class(rng, model, table), random_class(rng, model, table)
+        _, gx = images.get(id(x)) or image(x)
+        _, gy = images.get(id(y)) or image(y)
         d = [a.numerator * b.denominator - b.numerator * a.denominator
              for a, b in zip(gx, gy)]
         in_cone = all_nonnegative(d)
-        if not in_cone and model.compare(y, x):  # gamma must preserve the order
-            violations.append(docs.rationals(vsub(gx, gy)))
-        elif in_cone and any(d) and all_nonnegative(vneg(d)):
+        if not in_cone:
+            if x.is_proj and y.is_proj:
+                _, _, y_leq_x = below.get((id(y), id(x))) or leq(y, x)
+            else:
+                y_leq_x = model.compare(y, x)
+            if y_leq_x:  # gamma must preserve the order
+                violations.append(docs.rationals(vsub(gx, gy)))
+        elif any(d) and all_nonnegative(vneg(d)):
             violations.append(docs.rationals(vsub(gx, gy)))
     return {"checked": bound, "failures": violations}
 
@@ -296,7 +322,7 @@ def _suite_archimedean(target, rng, bound: int) -> dict:
 def _suite_oracle_agreement(model: WModel, rng, bound: int) -> dict:
     pool = _class_pool(model, rng, 30)
     _, elements = model.elements(pool)
-    states = [_oracle_states(model, c.values) if c.is_proj else None for c in pool]
+    _, states = _oracle_states(model, pool)
 
     @functools.cache
     def agree(i, j):
@@ -449,8 +475,12 @@ def _step_realize_report(f: StepFn, schedule, stages: int, command: str) -> dict
 
     if schedule is None:  # dyadic sizes 2, 4, ..., up to the first past the cap
         schedule = RealizationSchedule.dyadic(min(stages, STEP_SIZE_CAP.bit_length()))
-    if schedule.sizes[:stages][-1] > STEP_SIZE_CAP:
+    sizes = schedule.sizes[:stages]
+    if sizes[-1] > STEP_SIZE_CAP:
         raise DocumentError(f"{command} takes stage sizes at most {STEP_SIZE_CAP}")
+    if (work := f.pieces * sum(sizes)) > STEP_WORK_CAP:
+        raise DocumentError(f"{command} work estimate {f.pieces} pieces × {sum(sizes)} "
+                            f"stage rows = {work} exceeds the cap {STEP_WORK_CAP}")
     result = realize(f, schedule, stages)
     bad = dimension_discrepancies(result)
     rows = []

@@ -9,6 +9,7 @@ indentation, trailing newline.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Union
@@ -206,6 +207,11 @@ def decode_pogroup(payload: dict) -> PoGroupModel:
             _parse_int_matrix(_field(cone_doc, "generators"), "generators"),
             _named(parse_int, cone_doc.get("coeff_bound", 24), "coeff_bound"),
         )
+        # in rank 1, generators of both signs span a subgroup dZ, not a cone
+        if cone.width == 1 and len({g > 0 for g, in cone.generators}) == 2:
+            d = math.gcd(*[g for g, in cone.generators])
+            raise ValueError(f"rank-1 generators of both signs span the subgroup {d}Z, "
+                             "not a positive cone")
     elif ctype == "lexicographic":
         cone = LexicographicCone()
     else:

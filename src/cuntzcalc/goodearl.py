@@ -282,6 +282,11 @@ class StepFn(Frozen):
     interval_values = _fractions("_ivals")
     point_values = _fractions("_pvals")
 
+    @property
+    def pieces(self) -> int:
+        """The number of open intervals of the partition."""
+        return len(self._ivals)
+
     def __call__(self, x) -> Fraction:
         i, x = _locate(self._part, x)
         return Fraction(*(self._pvals[i] if self._part[i] == x else self._ivals[i - 1]))

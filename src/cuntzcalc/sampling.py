@@ -19,6 +19,19 @@ projection candidate is one run of ``rank`` coordinates.  A soft class is
 one run of its numerator and denominator indices, numerator first, read
 off a table of the 64 fractions built at import, so a soft coordinate
 costs no ``Fraction`` construction.
+
+A suite passes one class table to all its projection draws.  The table
+keeps the class of each projection candidate (or ``False`` when the cone
+rejects it), keyed by the candidate's tuple, and the unit that a draw
+falls back to after 32 rejections, keyed by the unit's tuple.  Each
+candidate is tested and its class made once per table, every value is
+still drawn, and a repeated projection comes back as the same object.  A
+soft class is made afresh on every draw: it costs one table read per
+coordinate, and its index runs, 64 per trace, rarely repeat, so keeping
+them would cost more than it saves.  The table takes at most
+``TABLE_CAP`` entries; past that, a candidate it does not hold is tested
+and made afresh, so that a large ``--bound`` keeps its memory bounded.
+Without a table each call starts an empty one.
 """
 
 from __future__ import annotations
@@ -48,6 +61,20 @@ def draws(rng: random.Random, n: int, count: int) -> list[int]:
     return values
 
 
+# Most entries a class table, or a memo that a suite keys by its classes,
+# takes: more than the 4^4 candidates of a rank-4 model; strict-cone at
+# --bound 100000 on eight traces holds about 1.4 MB more than without them.
+TABLE_CAP = 1024
+
+
+def keep(table: dict, key, x):
+    """x, kept in the table under key while it has fewer than ``TABLE_CAP``
+    entries."""
+    if len(table) < TABLE_CAP:
+        table[key] = x
+    return x
+
+
 # numerators and denominators of soft coordinates run over 1..FRACTION_MAX
 FRACTION_MAX = 8
 
@@ -65,17 +92,21 @@ def random_soft_class(rng: random.Random, model: WModel) -> CuntzClass:
     return CuntzClass.soft([_FRACTIONS[a][b] for a, b in zip(indices, indices)])
 
 
-def random_proj_class(rng: random.Random, model: WModel) -> CuntzClass:
+def random_proj_class(rng: random.Random, model: WModel, table=None) -> CuntzClass:
     """A projection class, found by rejection; the unit always qualifies."""
-    rank = model.k0.rank
+    table = {} if table is None else table
+    k0 = model.k0
     for _ in range(32):
-        v = tuple(draws(rng, 4, rank))
-        if model.k0.cone_member(v):
-            return CuntzClass.proj(v)
-    return CuntzClass.proj(model.k0.unit)
+        v = tuple(draws(rng, 4, k0.rank))
+        if (x := table.get(v)) is None:
+            x = keep(table, v, k0.cone_member(v) and CuntzClass.proj(v))
+        if x:
+            return x
+    # the unit lies in the cone, so a candidate equal to it keys the same class
+    return table.get(k0.unit) or keep(table, k0.unit, CuntzClass.proj(k0.unit))
 
 
-def random_class(rng: random.Random, model: WModel) -> CuntzClass:
+def random_class(rng: random.Random, model: WModel, table=None) -> CuntzClass:
     if rng.random() < 0.5:
-        return random_proj_class(rng, model)
+        return random_proj_class(rng, model, table)
     return random_soft_class(rng, model)

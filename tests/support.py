@@ -42,6 +42,7 @@ from cuntzcalc.linalg import (
     identity,
     is_zero,
     matmul,
+    matvec,
     transpose,
     vector,
     vneg,
@@ -254,7 +255,8 @@ def reference_random_class(rng: random.Random, model: WModel) -> CuntzClass:
 
 
 def reference_oracle_leq(x: CuntzClass, y: CuntzClass, sx, sy) -> bool:
-    """``cli._oracle_leq`` with one generator per rule."""
+    """``cli._oracle_leq`` with one generator per rule, on the trace vectors
+    sx and sy of both sides."""
     if x.is_proj and y.is_proj:
         if x.values == y.values:
             return True
@@ -262,10 +264,10 @@ def reference_oracle_leq(x: CuntzClass, y: CuntzClass, sx, sy) -> bool:
     if x.is_proj:  # strict rule
         if all(v == 0 for v in x.values):
             return True
-        return all(s < f for s, f in zip(sx, y.values))
+        return all(s < f for s, f in zip(sx, sy))
     if y.is_proj:  # non-strict rule
-        return all(f <= s for f, s in zip(x.values, sy))
-    return all(f <= g for f, g in zip(x.values, y.values))
+        return all(f <= s for f, s in zip(sx, sy))
+    return all(f <= g for f, g in zip(sx, sy))
 
 
 def _reference_pool(model: WModel, rng: random.Random, count: int) -> list:
@@ -323,10 +325,13 @@ def reference_oracle_agreement(
     model: WModel, rng: random.Random, bound: int, oracle=reference_oracle_leq
 ) -> dict:
     """``oracle-agreement`` drawing each pool index when it needs it and
-    deciding every draw afresh, ``cli.element_leq`` against ``oracle``."""
+    deciding every draw afresh, ``cli.element_leq`` against ``oracle``, on
+    the plain ``Fraction`` trace vectors: state matrix times payload for a
+    projection, the values of a soft class."""
     pool = _reference_pool(model, rng, 30)
     _, elements = model.elements(pool)
-    states = [cli._oracle_states(model, c.values) if c.is_proj else None for c in pool]
+    states = [matvec(model.k0.state_matrix, c.values) if c.is_proj else c.values
+              for c in pool]
     n = len(pool)
     mismatches = []
     for _ in range(bound):
@@ -360,7 +365,7 @@ def lax_oracle(oracle):
 
     def lax(x, y, sx, sy):
         if x.is_proj and not y.is_proj:
-            return all(s <= f for s, f in zip(sx, y.values))
+            return all(s <= f for s, f in zip(sx, sy))
         return oracle(x, y, sx, sy)
 
     return lax

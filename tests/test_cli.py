@@ -9,6 +9,7 @@ stdout must be byte-identical across runs with the same inputs.
 import collections
 import functools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -29,7 +30,7 @@ from support import (
     w_of_z,
 )
 
-from cuntzcalc import cli, wmodel
+from cuntzcalc import cli, sampling, wmodel
 from cuntzcalc import documents as docs
 from cuntzcalc.cli import (
     DEFAULT_SEED,
@@ -42,6 +43,7 @@ from cuntzcalc.cli import (
 from cuntzcalc.elliott import functor_g_obj
 from cuntzcalc.goodearl import RealizationSchedule, StepFn
 from cuntzcalc.linalg import matvec
+from cuntzcalc.ordmon import StrictStateCone
 from cuntzcalc.wmodel import (
     CuntzClass,
     K0Model,
@@ -401,6 +403,75 @@ class TestCheckSuites:
         assert conversions == [26]
         assert len(rules) <= 26**2 + 1200
         assert compares == []
+
+    def test_strict_cone_asks_each_question_once(self, monkeypatch):
+        # the class table tests each candidate once, and the suite's memos,
+        # keyed by the drawn objects, form each image once and ask each
+        # ordered pair once; the wrappers keep every object they see, so no
+        # id is reused while they count.  A projection repeats as the same
+        # object, so each distinct one is imaged once and each ordered pair
+        # of them compared once; a soft class is drawn afresh each time.
+        model = mixed_sign_model()
+        candidates, images, compares = [], [], []
+        member, gamma, compare = K0Model.cone_member, WModel.gamma, WModel.compare
+
+        def tested(self, v):
+            candidates.append(tuple(v))
+            return member(self, v)
+
+        def imaged(self, x):
+            images.append(x)
+            return gamma(self, x)
+
+        def compared(self, x, y):
+            compares.append((x, y))
+            return compare(self, x, y)
+
+        monkeypatch.setattr(K0Model, "cone_member", tested)
+        monkeypatch.setattr(WModel, "gamma", imaged)
+        monkeypatch.setattr(WModel, "compare", compared)
+        # 400 pairs draw fewer classes and candidates than the table takes
+        details = cli._suite_strict_cone(model, random.Random(DEFAULT_SEED), 400)
+        assert details == {"checked": 400, "failures": []}
+        assert len(set(candidates)) == len(candidates) <= 4**3
+        assert len({id(x) for x in images}) == len(images)
+        projections = [x.values for x in images if x.is_proj]
+        assert len(set(projections)) == len(projections) < 4**3
+        assert len({(id(x), id(y)) for x, y in compares}) == len(compares)
+        pairs = [(x.values, y.values) for x, y in compares if x.is_proj and y.is_proj]
+        assert pairs and len(set(pairs)) == len(pairs)
+        assert len(images) < 2 * 400 and len(compares) < 400
+
+    def test_oracle_agreement_converts_once_and_reads_the_raw_states(self, monkeypatch):
+        # one conversion of the pool; the oracle's vectors come from the
+        # state matrix, never from the cone's integer rows that the model's
+        # own elements read
+        model = mixed_sign_model()
+        conversions, reads, inside = [], [], []
+        elements, states, rows = WModel.elements, cli._oracle_states, StrictStateCone.rows
+
+        def converted(self, classes):
+            conversions.append(len(classes))
+            return elements(self, classes)
+
+        def oracle_states(model, pool):
+            inside.append(True)
+            try:
+                return states(model, pool)
+            finally:
+                inside.pop()
+
+        def read_rows(cone):
+            reads.append(bool(inside))
+            return rows.__get__(cone)
+
+        monkeypatch.setattr(WModel, "elements", converted)
+        monkeypatch.setattr(cli, "_oracle_states", oracle_states)
+        monkeypatch.setattr(StrictStateCone, "rows", property(read_rows))
+        details = cli._suite_oracle_agreement(model, random.Random(DEFAULT_SEED), 2000)
+        assert details == {"checked": 2000, "failures": []}
+        assert conversions == [32]
+        assert reads and not any(reads)
 
     def test_order_axioms_memos_stay_lazy_on_a_large_pool(
         self, workspace, run, monkeypatch
@@ -1041,6 +1112,21 @@ DOCUMENT_CHECKS = {
         generated_group([[1, 0], [0, 0]]),
         "error: invalid pogroup document: zero generator is redundant, drop it",
     ),
+    **{
+        f"rank-1-generators-of-both-signs-{suite}": (
+            ("check", "DOC", suite),
+            {**generated_group([[2], [-3]]), "rank": 1, "unit": [2]},
+            "error: invalid pogroup document: rank-1 generators of both signs span the "
+            "subgroup 1Z, not a positive cone",
+        )
+        for suite in ("weak-unperforation", "archimedean")
+    },
+    "rank-1-generators-of-both-signs-4Z": (
+        ("check", "DOC", "archimedean"),
+        {**generated_group([[4], [8], [-12]]), "rank": 1, "unit": [4]},
+        "error: invalid pogroup document: rank-1 generators of both signs span the "
+        "subgroup 4Z, not a positive cone",
+    ),
     "rank-zero-group": (
         ("check", "DOC", "archimedean"),
         simplicial_group(0, []),
@@ -1211,10 +1297,11 @@ def test_gap_check_on_integer_forms_matches_the_fraction_test(monkeypatch):
 
 
 def test_oracle_states_equal_the_fraction_matrix_vector_product():
-    # the oracle sums integer numerators over each row's lcm denominator;
-    # the states must be the plain Fraction product, entry by entry, on rows
-    # with negative and non-dyadic entries, and each must be a Fraction
-    # (the failing-report pins compare them with soft values)
+    # the oracle brings the state rows and the pool's soft values to one
+    # denominator q and sums integer products; on rows with negative and
+    # non-dyadic entries, each vector must be q times the plain Fraction
+    # product (or the soft values), every entry an int, and q the least
+    # denominator that clears every state entry and soft value
     rng = random.Random(32)
     entries = set()
     for _ in range(200):
@@ -1230,11 +1317,21 @@ def test_oracle_states_equal_the_fraction_matrix_vector_product():
             rows.append(tuple(Fraction(w, total) for w in weights))
         entries.update(q for row in rows for q in row)
         model = WModel(K0Model(rank, tuple(rows), unit))
-        for _ in range(5):
-            v = tuple(rng.randint(-6, 6) for _ in range(rank))
-            states = cli._oracle_states(model, v)
-            assert states == list(matvec(model.k0.state_matrix, v)), (rows, v)
-            assert all(type(s) is Fraction for s in states), (rows, v)
+        pool = [CuntzClass.proj(tuple(rng.randint(-6, 6) for _ in range(rank)))
+                for _ in range(5)]
+        pool += [CuntzClass.soft(tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                                       for _ in range(n)))
+                 for _ in range(rng.randint(0, 3))]
+        q, states = cli._oracle_states(model, pool)
+        assert len(states) == len(pool)
+        for c, s in zip(pool, states):
+            exact = matvec(model.k0.state_matrix, c.values) if c.is_proj else c.values
+            assert s == tuple(q * e for e in exact), (rows, c)
+            assert all(type(e) is int for e in s), (rows, c)
+        cleared = [e for row in rows for e in row]
+        cleared += [v for c in pool if c.is_soft for v in c.values]
+        # the least positive integer that clears every one is their lcm
+        assert q == math.lcm(*[e.denominator for e in cleared]), (rows, pool)
     assert any(q < 0 for q in entries)
     assert any(q.denominator % 2 and q.denominator > 1 for q in entries)
 
@@ -1245,6 +1342,10 @@ DIFFERENTIAL_MODELS = [
     WModel(shaped_k0model(random.Random(index), rank, traces))
     for index, (rank, traces) in enumerate(ORDER_SHAPES)
 ] + [mixed_sign_model()]
+# the states -I reject every candidate in {0, ..., 3}^3 but 0, so its
+# rejections fill a small class table and later classes are made afresh
+REJECTING_MODEL = WModel(K0Model(
+    3, tuple(tuple(-int(i == j) for j in range(3)) for i in range(3)), (-1, -1, -1)))
 
 
 @pytest.mark.parametrize("broken", [False, True], ids=["sound", "broken"])
@@ -1272,15 +1373,21 @@ def test_sampling_suites_report_what_one_draw_at_a_time_reports(
             reference_oracle_agreement, oracle=lax_oracle(reference_oracle_leq)
         )
     runner = cli.SUITE_TABLE[suite][0]
-    cases = [(model, seed, bound) for model in DIFFERENTIAL_MODELS
+    cap = sampling.TABLE_CAP
+    cases = [(model, seed, bound, cap) for model in DIFFERENTIAL_MODELS
              for seed in range(8) for bound in (1, 2, 400)]
     if suite == "oracle-agreement":  # two full runs of draws and part of a third
-        cases.append((DIFFERENTIAL_MODELS[3], 5, 2 * cli.PAIRS_PER_RUN + 3))
+        cases.append((DIFFERENTIAL_MODELS[3], 5, 2 * cli.PAIRS_PER_RUN + 3, cap))
+    # the class table and the memos full after three entries: later classes
+    # are made, imaged and compared afresh, and a memo keeps what it keys
+    cases += [(model, seed, 400, 3) for model in DIFFERENTIAL_MODELS for seed in range(2)]
+    cases += [(REJECTING_MODEL, seed, 100, 3) for seed in range(2)]
     failing = 0
-    for model, seed, bound in cases:
+    for model, seed, bound, cap in cases:
+        monkeypatch.setattr(sampling, "TABLE_CAP", cap)
         ours, theirs = random.Random(seed), random.Random(seed)
         details = runner(model, ours, bound)
-        assert details == reference(model, theirs, bound), (model, seed, bound)
-        assert ours.getstate() == theirs.getstate(), (model, seed, bound)
+        assert details == reference(model, theirs, bound), (model, seed, bound, cap)
+        assert ours.getstate() == theirs.getstate(), (model, seed, bound, cap)
         failing += bool(details["failures"])
     assert bool(failing) == broken

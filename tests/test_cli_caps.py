@@ -22,6 +22,7 @@ from cuntzcalc.cli import (
     EXIT_OK,
     SAMPLE_BOUND_CAP,
     STEP_SIZE_CAP,
+    STEP_WORK_CAP,
     VECTOR_STAGES_CAP,
     main,
 )
@@ -151,6 +152,47 @@ def test_step_sizes_within_the_cap_reach_realize(stubbed, put, run, extra):
     }
     target = put("t.json", STEP_TARGET)
     code, _, err = run("realize", target, *[paths.get(a, a) for a in extra])
+    assert code == EXIT_INVALID
+    assert STUB_MESSAGE in err
+
+
+def step_target_of(pieces: int) -> dict:
+    """A step target with ``pieces`` equal open intervals."""
+    partition = ["0", *(f"{i}/{pieces}" for i in range(1, pieces)), "1"]
+    return {"kind": "target", "type": "step", "partition": partition,
+            "interval_values": ["1/2"] * pieces, "point_values": ["1/2"] * (pieces + 1)}
+
+
+@pytest.mark.parametrize("command", ["realize", "goodearl"])
+def test_step_work_past_the_cap_is_refused(stubbed, put, run, command):
+    # 500 pieces over stages of 2 and 2,000 rows: 500 × 2,002 > 1,000,000
+    assert STEP_WORK_CAP == 500 * 2000
+    target = put("t.json", step_target_of(500))
+    schedule = put("s.json", {"kind": "schedule", "sizes": [2, 2000]})
+    code, out, err = run(command, target, schedule, "--stages", "2")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.splitlines()[0] == (
+        f"error: {command} work estimate 500 pieces × 2002 stage rows = 1001000 "
+        "exceeds the cap 1000000")
+    assert STUB_MESSAGE not in err
+
+
+@pytest.mark.parametrize(
+    "pieces, sizes, stages",
+    [
+        (500, [2000], 1),  # exactly the cap
+        (500, [2, 2000], 1),  # only the stages asked for count
+        (61, [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192], 12),
+    ],
+)
+def test_step_work_within_the_cap_reaches_realize(
+    stubbed, put, run, pieces, sizes, stages
+):
+    assert pieces * sum(sizes[:stages]) <= STEP_WORK_CAP
+    target = put("t.json", step_target_of(pieces))
+    schedule = put("s.json", {"kind": "schedule", "sizes": sizes})
+    code, _, err = run("realize", target, schedule, "--stages", str(stages))
     assert code == EXIT_INVALID
     assert STUB_MESSAGE in err
 

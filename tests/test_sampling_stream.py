@@ -9,7 +9,10 @@ runs next to them on two generators from one seed, interleaved with
 state, whether it draws one value or a run of them.  ``random_soft_class``,
 which reads a table, must likewise return the fractions of two
 ``randint(1, 8)`` draws per trace, and ``random_proj_class`` must fall
-back to the unit after exactly its 32 rejected draws.  The body uses only
+back to the unit after exactly its 32 rejected draws.  A class table
+passed to ``random_class`` must not change what is drawn, must hand a
+repeated projection candidate back as the same object, keep no soft
+class, and stop growing at ``TABLE_CAP`` entries.  The body uses only
 the standard library, so it also runs without pytest:
 ``PYTHONPATH=src python tests/test_sampling_stream.py``.
 """
@@ -17,7 +20,14 @@ the standard library, so it also runs without pytest:
 import random
 from fractions import Fraction
 
-from cuntzcalc.sampling import draws, random_proj_class, random_soft_class
+from cuntzcalc import sampling
+from cuntzcalc.sampling import (
+    FRACTION_MAX,
+    draws,
+    random_class,
+    random_proj_class,
+    random_soft_class,
+)
 from cuntzcalc.wmodel import CuntzClass, K0Model, WModel
 
 SEEDS = range(40)
@@ -110,6 +120,68 @@ def test_random_proj_class_falls_back_to_the_unit():
     assert ours.getstate() == theirs.getstate()
 
 
+def _key(rng: random.Random, model: WModel):
+    """The table key of ``random_class``'s next draw, drawn the same way: the
+    accepted candidate's tuple, or the unit's after 32 rejections; None for
+    a soft class, which the table does not keep."""
+    if rng.random() < 0.5:
+        for _ in range(32):
+            v = tuple(draws(rng, 4, model.k0.rank))
+            if model.k0.cone_member(v):
+                return v
+        return model.k0.unit
+    draws(rng, FRACTION_MAX, 2 * model.k0.trace_count)
+    return None
+
+
+TABLE_MODELS = (
+    # two traces and rank 1
+    WModel(K0Model(1, (("1",), ("1",)), (1,))),
+    # a negative state entry, so some candidates are rejected
+    WModel(K0Model(3, (("1/2", "1/4", "1/4"), ("1", "1/2", "-1/2")), (1, 1, 1))),
+    # every candidate but 0 rejected, so most projections are the unit fallback
+    WModel(K0Model(3, tuple(tuple(-int(i == j) for j in range(3)) for i in range(3)),
+                   (-1, -1, -1))),
+)
+
+
+def test_a_class_table_keeps_the_stream_and_makes_each_class_once():
+    for model in TABLE_MODELS:
+        for seed in SEEDS[:8]:
+            tabled, plain, keys = (random.Random(seed) for _ in range(3))
+            table, first = {}, {}
+            for _ in range(200):
+                x = random_class(tabled, model, table)
+                assert x == random_class(plain, model), (model, seed)
+                key = _key(keys, model)
+                if key is None:  # a soft class is made afresh, never kept
+                    assert x.is_soft and all(c is not x for c in table.values())
+                else:
+                    assert table[key] is x, (model, seed, key)
+                    assert first.setdefault(key, x) is x, (model, seed, key)
+            assert tabled.getstate() == plain.getstate() == keys.getstate(), (model, seed)
+            # the table holds the drawn projections and False for each rejected candidate
+            assert all(c is False or c in first.values() for c in table.values())
+            assert set(first) <= set(table)
+
+
+def test_a_full_class_table_takes_no_more_and_keeps_the_stream():
+    cap = sampling.TABLE_CAP
+    sampling.TABLE_CAP = 5
+    try:
+        for model in TABLE_MODELS:
+            for seed in SEEDS[:8]:
+                tabled, plain = random.Random(seed), random.Random(seed)
+                table = {}
+                for _ in range(200):
+                    assert random_class(tabled, model, table) == random_class(plain, model)
+                # the rank-1 model has only four candidates
+                assert len(table) == min(5, 4**model.k0.rank), (model, seed)
+                assert tabled.getstate() == plain.getstate(), (model, seed)
+    finally:
+        sampling.TABLE_CAP = cap
+
+
 if __name__ == "__main__":
     test_draws_reproduce_choice_and_randint()
     test_one_run_of_draws_is_its_single_draws()
@@ -117,6 +189,10 @@ if __name__ == "__main__":
     test_draws_refuse_an_empty_range()
     test_random_soft_class_reproduces_two_randints_per_trace()
     test_random_proj_class_falls_back_to_the_unit()
+    test_a_class_table_keeps_the_stream_and_makes_each_class_once()
+    test_a_full_class_table_takes_no_more_and_keeps_the_stream()
     print("draws reproduce choice, randint and randrange in runs and alone, "
           "refuse an empty range, random_soft_class reproduces two randints "
-          "per trace, and random_proj_class falls back after 32 draws")
+          "per trace, random_proj_class falls back after 32 draws, and a "
+          "class table keeps the stream, hands each projection out once "
+          "and takes at most TABLE_CAP entries")

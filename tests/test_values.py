@@ -2,7 +2,7 @@
 ``linalg.Frozen``, and of the four that moved to ``tests/support.py``; and
 the start-up guard that keeps ``dataclasses``, ``inspect``, ``goodearl`` and
 ``approx`` out of ``import cuntzcalc.cli`` and the test support out of every
-package module."""
+package module; and the guard that no module or class holds a cache."""
 
 import copy
 import importlib
@@ -278,3 +278,22 @@ def test_cli_imports_neither_dataclasses_nor_inspect(tmp_path):
                    if name.endswith(".py") and name != "__init__.py"])
     loaded = "".join(f"0 {after}\n" for _, after in GUARDED_RUNS)
     assert out == f"[]\n{loaded}{modules} False\n"
+
+
+def test_no_module_or_class_holds_a_cache():
+    # every table and memo of the package is a local of one call, so nothing
+    # carries answers from one request to the next.  Import every module,
+    # goodearl and approx too, and scan module and class dicts the way the
+    # benchmark runner's program_caches does: none may hold an object with a
+    # cache_clear, such as a functools cache
+    names = [m.name for m in pkgutil.iter_modules(cuntzcalc.__path__)]
+    assert {"goodearl", "approx"} <= set(names)
+    modules = [importlib.import_module(f"cuntzcalc.{name}") for name in names]
+    cached = [
+        f"{owner.__name__}.{key}"
+        for module in [cuntzcalc, *modules]
+        for owner in [module, *[v for v in vars(module).values() if isinstance(v, type)]]
+        for key, value in vars(owner).items()
+        if callable(getattr(value, "cache_clear", None))
+    ]
+    assert cached == []
