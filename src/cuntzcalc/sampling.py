@@ -27,8 +27,8 @@ falls back to after 32 rejections, keyed by the unit's tuple.  Each
 candidate is tested and its class made once per table, every value is
 still drawn, and a repeated projection comes back as the same object.  A
 soft class is made afresh on every draw: it costs one table read per
-coordinate, and its index runs, 64 per trace, rarely repeat, so keeping
-them would cost more than it saves.  The table takes at most
+coordinate, and its index runs, 64^n of them at n traces, rarely repeat,
+so keeping them would cost more than it saves.  The table takes at most
 ``TABLE_CAP`` entries; past that, a candidate it does not hold is tested
 and made afresh, so that a large ``--bound`` keeps its memory bounded.
 Without a table each call starts an empty one.
