@@ -17,7 +17,6 @@ import time
 from fractions import Fraction
 from itertools import islice
 from operator import le, lt, mul
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from . import documents as docs
@@ -75,7 +74,8 @@ VECTOR_STAGES_CAP = 1000
 
 
 def _read(path: str, *kinds: str):
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
     kind, obj = docs.load_document(text)
     if kind not in kinds:
         raise DocumentError(f"{path}: expected a {'/'.join(kinds)} document, got {kind}")
@@ -614,7 +614,9 @@ def main(argv=None) -> int:
         report = {"command": args.command, **args.func(args)}
         key = OUT_KEYS.get(args.command)
         if key in report and args.out:
-            Path(args.out).write_text(docs.dump_document(report[key]), encoding="utf-8")
+            text = docs.dump_document(report[key])
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -2,8 +2,25 @@
 
 Rationals travel as strings like "3/4" (integers may stay bare JSON
 numbers); floats are rejected at parse time so nothing inexact can reach
-an order decision.  ``dump_document`` is deterministic: sorted keys, fixed
-indentation, trailing newline.
+an order decision.
+
+``parse_rational`` reads the common spellings, an ASCII ``[-]digits`` or
+``[-]digits/digits`` with a nonzero denominator, as ``Fraction(int(n),
+int(d))``.  Every other string (whitespace, ``+``, decimals, exponents,
+underscores, non-ASCII digits, a zero denominator, more digits than
+``sys.get_int_max_str_digits()``) takes the ``Fraction(str)`` path, which
+accepts and refuses exactly as before, with the same messages.
+
+Every document is decoded by one ``json.JSONDecoder`` built at import.  It
+keeps nothing between documents: its scanner clears its key memo after
+every call, a refused one included, so a document decodes the same whatever
+was decoded before it.  ``parse_document`` makes the one check that
+``json.loads`` adds to ``decode``, the refusal of a leading UTF-8 BOM.
+
+``dump_document`` writes exactly the bytes of ``json.dumps(doc,
+sort_keys=True, indent=2) + "\\n"``, without the pure-Python encoder that
+``indent`` selects.  It takes dicts with str keys, lists, tuples, str, int,
+bool and None, and raises ``TypeError`` on anything else, floats included.
 """
 
 from __future__ import annotations
@@ -20,6 +37,7 @@ from .elliott import (
     ElliottInvariant,
     InvariantMorphism,
 )
+from .linalg import vneg
 from .ordmon import (
     GeneratedCone,
     LexicographicCone,
@@ -62,6 +80,12 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     if not isinstance(value, str):
         raise DocumentError(f"expected a rational, got {_clip(repr(value))}")
+    num, slash, den = value.partition("/")
+    if value.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+        try:
+            return Fraction(int(num), int(den or 1))
+        except (ValueError, ZeroDivisionError):  # past the digit limit, or a zero denominator
+            pass  # refused below as Fraction(value) refuses it
     if "e" in value.lower():  # Fraction would expand "1e999999999" in full
         raise DocumentError(f"exponents are not accepted in rationals: {_clip(repr(value))}")
     if "_" not in value:  # Fraction takes "1_000" from Python 3.11 on, not before
@@ -73,6 +97,8 @@ def parse_rational(value) -> Fraction:
 
 
 def parse_int(value) -> int:
+    if type(value) is int:  # not a bool
+        return value
     q = parse_rational(value)
     if q.denominator != 1:
         raise DocumentError(f"expected an integer, got {_clip(str(q))}")
@@ -80,7 +106,7 @@ def parse_int(value) -> int:
 
 
 def rational_str(q) -> str:
-    return str(Fraction(q))
+    return str(q if isinstance(q, Fraction) else Fraction(q))
 
 
 def rationals(values) -> list[str]:
@@ -196,6 +222,15 @@ def decode_wmodel(payload: dict) -> WModel:
 
 
 def decode_pogroup(payload: dict) -> PoGroupModel:
+    """A pogroup, refusing a generated cone that is not a positive cone.
+
+    In rank 1, generators of both signs span the subgroup dZ, d their gcd.
+    In any rank, if the table of sums holds -g for a generator g, that is,
+    -g is in NG, then g and -g both lie in the cone, so the cone contains
+    the line Zg.  The table holds only sums of at most ``coeff_bound``
+    generators, so a line reached only by longer sums passes; deciding that
+    needs a linear program.
+    """
     cone_doc = _object(payload, "cone")
     ctype = _field(cone_doc, "type")
     if ctype == "simplicial":
@@ -212,6 +247,10 @@ def decode_pogroup(payload: dict) -> PoGroupModel:
             d = math.gcd(*[g for g, in cone.generators])
             raise ValueError(f"rank-1 generators of both signs span the subgroup {d}Z, "
                              "not a positive cone")
+        for g in cone.generators:
+            if vneg(g) in cone.sums:
+                raise ValueError(f"the cone holds the generator {list(g)} and its negation, "
+                                 "so it contains a line, not a positive cone")
     elif ctype == "lexicographic":
         cone = LexicographicCone()
     else:
@@ -339,12 +378,15 @@ _DECODERS = {
 KINDS = tuple(_DECODERS)
 
 
+_JSON = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_float)
+
+
 def parse_document(text: str) -> tuple[str, dict]:
     """Raw parse: returns (kind, payload) with floats rejected."""
     try:
-        payload = json.loads(
-            text, parse_float=_reject_float, parse_constant=_reject_float
-        )
+        if text.startswith("\ufeff"):  # json.loads refuses it before decode
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        payload = _JSON.decode(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise DocumentError(f"invalid JSON: {exc}") from exc
     except DocumentError:  # from _reject_float
@@ -372,6 +414,33 @@ def load_document(text: str):
         raise DocumentError(f"invalid {kind} document: {exc}") from exc
 
 
+_quote = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _dump(value, indent: str) -> str:
+    """``value`` as ``json.dumps(sort_keys=True, indent=2)`` writes it at
+    the depth whose lines start with ``indent``."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{inner}{_quote(k)}: {_dump(value[k], inner)}" for k in sorted(value)]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[\n" + ",\n".join([inner + _dump(v, inner) for v in value]) + f"\n{indent}]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def dump_document(doc: dict) -> str:
-    """Deterministic serialization of an already-encoded document."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Deterministic serialization of an already-encoded document: the bytes
+    of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``."""
+    return _dump(doc, "") + "\n"

@@ -930,6 +930,16 @@ class TestOutputPlumbing:
         assert code == EXIT_INVALID
         assert "invalid JSON" in err
 
+    def test_bom_led_document_is_refused_as_json_loads_refuses_it(self, workspace, run):
+        model = workspace("m.json", docs.encode_wmodel(w_of_z()))
+        x = workspace.dir / "bom.json"
+        x.write_text("\ufeff" + json.dumps(proj_doc(1)), encoding="utf-8")
+        code, out, err = run("compare", model, str(x), str(x))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.splitlines()[0] == ("error: invalid JSON: Unexpected UTF-8 BOM (decode "
+                                       "using utf-8-sig): line 1 column 1 (char 0)")
+
     def test_missing_file_is_invalid(self, workspace, run):
         model = workspace("m.json", docs.encode_wmodel(w_of_z()))
         code, _, err = run("compare", model, "/nonexistent/x.json", model)
@@ -1126,6 +1136,22 @@ DOCUMENT_CHECKS = {
         {**generated_group([[4], [8], [-12]]), "rank": 1, "unit": [4]},
         "error: invalid pogroup document: rank-1 generators of both signs span the "
         "subgroup 4Z, not a positive cone",
+    ),
+    # -g in the table of sums puts g and -g both in the cone: it holds a line
+    **{
+        f"generators-spanning-a-line-{suite}": (
+            ("check", "DOC", suite),
+            {**generated_group([[1, 0], [-1, 0], [0, 1]]), "unit": [0, 1]},
+            "error: invalid pogroup document: the cone holds the generator [1, 0] and its "
+            "negation, so it contains a line, not a positive cone",
+        )
+        for suite in ("weak-unperforation", "archimedean")
+    },
+    "negation-a-sum-of-two-generators": (
+        ("check", "DOC", "archimedean"),
+        generated_group([[1, 0], [-1, 1], [0, -1]]),
+        "error: invalid pogroup document: the cone holds the generator [1, 0] and its "
+        "negation, so it contains a line, not a positive cone",
     ),
     "rank-zero-group": (
         ("check", "DOC", "archimedean"),

@@ -28,6 +28,7 @@ from cuntzcalc.documents import (
     encode_wmodel,
     load_document,
     parse_document,
+    parse_int,
     parse_rational,
     rational_str,
 )
@@ -129,6 +130,91 @@ def test_a_long_unknown_name_is_shown_by_prefix_and_length(doc):
 def test_rational_str_is_lowest_terms():
     assert rational_str(Fraction(2, 4)) == "1/2"
     assert rational_str(Fraction(4)) == "4"
+    assert rational_str(-3) == "-3"
+
+
+def _reference_clip(text: str) -> str:
+    return text if len(text) <= 60 else f"{text[:40]}... ({len(text)} characters)"
+
+
+def reference_parse_rational(value) -> Fraction:
+    """parse_rational as it read every string through Fraction(str)."""
+    if isinstance(value, bool):
+        raise DocumentError("booleans are not rationals")
+    if isinstance(value, int):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise DocumentError(f"expected a rational, got {_reference_clip(repr(value))}")
+    if "e" in value.lower():
+        raise DocumentError(
+            f"exponents are not accepted in rationals: {_reference_clip(repr(value))}")
+    if "_" not in value:
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DocumentError(f"bad rational string {_reference_clip(repr(value))}")
+
+
+def reference_parse_int(value) -> int:
+    q = reference_parse_rational(value)
+    if q.denominator != 1:
+        raise DocumentError(f"expected an integer, got {_reference_clip(str(q))}")
+    return int(q)
+
+
+def _outcome(parse, value):
+    try:
+        result = parse(value)
+    except DocumentError as exc:
+        return "refused", str(exc)
+    return type(result), result
+
+
+_LONG = {n: "7" * n for n in (4300, 4301, 5000)}
+RATIONAL_CORPUS = (
+    "3/4", "-3/6", "007/010", "-0", "0/5", "3/0", "0/0", "1/-2", "+3", " 3/4", "3/4 ",
+    "1.5", "1_000", "1e3", "٣", "３", "²", "1/٣", "", "/", "1/", "/2", "-", "--3", "-/2",
+    "12345678901234567890/98765432109876543210", "-1/1",
+    *_LONG.values(), *(f"-{s}" for s in _LONG.values()), *(f"1/{s}" for s in _LONG.values()),
+    *(f"{s}/3" for s in _LONG.values()),
+    True, False, 0, -5, 10**40, None, [1], {"n": 1},
+)
+
+
+@pytest.mark.parametrize("value", RATIONAL_CORPUS, ids=lambda v: repr(v)[:24])
+def test_parse_rational_matches_the_fraction_str_reference(value):
+    # the fast path for [-]digits[/digits] must give Fraction(str)'s value,
+    # and every other input its refusal, word for word
+    assert _outcome(parse_rational, value) == _outcome(reference_parse_rational, value)
+
+
+@pytest.mark.parametrize("value", (0, 3, -7, 10**40, True, False, "3/1", "3/2", "-6/3", None))
+def test_parse_int_matches_the_reference(value):
+    assert _outcome(parse_int, value) == _outcome(reference_parse_int, value)
+
+
+def test_a_bom_led_document_is_refused_as_json_loads_refuses_it():
+    text = "\ufeff" + json.dumps({"kind": "class", "type": "proj", "values": [1]})
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(text)
+    with pytest.raises(DocumentError) as info:
+        parse_document(text)
+    assert str(info.value) == f"invalid JSON: {expected.value}" == (
+        "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)")
+
+
+@pytest.mark.parametrize("refused", [
+    '{"kind": "class", "type": "soft", "values": ["1", 1.5, "2"], "x": {"kind": 1}}',
+    '{"kind": "class", "type": "soft", "values": ["1", "2"',
+], ids=["float-mid-object", "truncated"])
+def test_a_refused_document_leaves_the_shared_decoder_as_it_was(refused):
+    good = dump_document(encode_wmodel(two_trace_model()))
+    first = parse_document(good)
+    with pytest.raises(DocumentError):
+        parse_document(refused)
+    assert parse_document(good) == first
+    assert first == ("wmodel", json.loads(good))
 
 
 # ---------------------------------------------------------------------------
