@@ -74,8 +74,12 @@ VECTOR_STAGES_CAP = 1000
 
 
 def _read(path: str, *kinds: str):
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
+    # the text that open(path, encoding="utf-8").read() gives, universal
+    # newlines and all, from one unbuffered read and one decode
+    with open(path, "rb", buffering=0) as f:
+        text = f.readall().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     kind, obj = docs.load_document(text)
     if kind not in kinds:
         raise DocumentError(f"{path}: expected a {'/'.join(kinds)} document, got {kind}")
@@ -201,7 +205,7 @@ def cmd_k0star(args) -> dict:
 def cmd_order_unit(args) -> dict:
     # the order units of Q^n's difference cone are the positive d, margin min(d)
     n = _read(args.model, "wmodel").group_rank
-    d = tuple(docs.parse_rational(v) for v in args.values.split(","))
+    d = docs._parse_vector(args.values.split(","), "values")
     if len(d) != n:
         raise DocumentError("vector has the wrong length for this group")
     if not all_nonnegative(d):
@@ -225,11 +229,12 @@ def _class_pool(model: WModel, rng, count: int) -> list[CuntzClass]:
     return pool
 
 
-def _suite_order_axioms(model: WModel, rng, bound: int) -> dict:
+def _suite_order_axioms(model: WModel, seed: int, bound: int) -> dict:
     # the pool indices of the 400 pairs, then of the 1,200 triples, come from
     # one run of draws after the pool; the pool is converted to elements
     # once, and each pool pair is compared and each pool sum formed once, on
     # integers, when a draw first needs it
+    rng = rng_for(seed)
     pool = _class_pool(model, rng, bound)
     _, elements = model.elements(pool)
     leq = functools.cache(lambda i, j: element_leq(elements[i], elements[j]))
@@ -252,7 +257,7 @@ def _suite_order_axioms(model: WModel, rng, bound: int) -> dict:
     return {"checked": len(pool), "failures": failures}
 
 
-def _suite_strict_cone(model: WModel, rng, bound: int) -> dict:
+def _suite_strict_cone(model: WModel, seed: int, bound: int) -> dict:
     # the difference cone of Q^n is the coordinatewise non-negative vectors;
     # d, on integers, has the signs of gamma(x) - gamma(y) coordinate by
     # coordinate, and the difference itself is formed only to report it.
@@ -261,6 +266,7 @@ def _suite_strict_cone(model: WModel, rng, bound: int) -> dict:
     # ordered pair of projections.  A soft class is drawn afresh each time.
     # Each memo entry holds the classes it keys, so no id is reused while it
     # lives, and like the table a memo stops growing at TABLE_CAP entries.
+    rng = rng_for(seed)
     table: dict = {}
     images: dict = {}
     below: dict = {}
@@ -303,7 +309,7 @@ def _search_group(target) -> PoGroupModel:
     return PoGroupModel(n, SimplicialCone(n), (1,) * n)
 
 
-def _suite_weak_unperforation(target, rng, bound: int) -> dict:
+def _suite_weak_unperforation(target, seed: int, bound: int) -> dict:
     witness = is_weakly_unperforated(_search_group(target), n_max=bound)
     if witness is None:
         return {"verdict": "holds-on-sample", "failures": []}
@@ -311,7 +317,7 @@ def _suite_weak_unperforation(target, rng, bound: int) -> dict:
     return {"verdict": "counterexample", "failures": [{"x": list(x), "n": n}]}
 
 
-def _suite_archimedean(target, rng, bound: int) -> dict:
+def _suite_archimedean(target, seed: int, bound: int) -> dict:
     witness = archimedean_witness(_search_group(target), n_max=bound)
     if witness is None:
         return {"verdict": "none", "failures": []}
@@ -319,7 +325,8 @@ def _suite_archimedean(target, rng, bound: int) -> dict:
     return {"verdict": "witness", "failures": [{"x": list(x), "y": list(y)}]}
 
 
-def _suite_oracle_agreement(model: WModel, rng, bound: int) -> dict:
+def _suite_oracle_agreement(model: WModel, seed: int, bound: int) -> dict:
+    rng = rng_for(seed)
     pool = _class_pool(model, rng, 30)
     _, elements = model.elements(pool)
     _, states = _oracle_states(model, pool)
@@ -338,9 +345,10 @@ def _suite_oracle_agreement(model: WModel, rng, bound: int) -> dict:
     return {"checked": bound, "failures": mismatches}
 
 
-# suite -> (runner(target, rng, bound), the documents it takes, default --bound,
-# largest --bound).  --bound is the pool size of order-axioms, the sample count
-# of strict-cone and oracle-agreement, and the multiplier n_max of the searches.
+# suite -> (runner(target, seed, bound), the documents it takes, default
+# --bound, largest --bound).  --bound is the pool size of order-axioms, the
+# sample count of strict-cone and oracle-agreement, and the multiplier n_max of
+# the searches.  Only the three sampling suites seed a generator.
 SUITE_TABLE = {
     "order-axioms": (_suite_order_axioms, "wmodel", 24, SAMPLE_BOUND_CAP),
     "strict-cone": (_suite_strict_cone, "finite wmodel", 500, SAMPLE_BOUND_CAP),
@@ -365,7 +373,7 @@ def cmd_check(args) -> dict:
         raise DocumentError(f"suite {args.suite!r} needs a wmodel document")
     if isinstance(target, PurelyInfiniteModel) and takes == "finite wmodel":
         raise DocumentError(f"{args.suite} needs a finite model")
-    details = runner(target, rng_for(args.seed), bound)
+    details = runner(target, args.seed, bound)
     if "verdict" not in details:
         details["verdict"] = "fail" if details["failures"] else "pass"
     details["failures"] = details["failures"][:5]
@@ -589,7 +597,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         description="Exact computations in ordered-semigroup models.",
     )
     one = command in COMMANDS
+    # prog is the prefix of each subparser's usage line; argparse would derive
+    # the same "cuntzcalc" by formatting a usage line of this parser
     sub = parser.add_subparsers(
+        prog=parser.prog,
         dest="command",
         required=True,
         metavar="{%s}" % ",".join(COMMANDS) if one else None,

@@ -280,6 +280,13 @@ class TestStarCommands:
         assert out == ""
         assert err.splitlines()[0] == "error: vector has the wrong length for this group"
 
+    def test_order_unit_names_the_refused_value(self, workspace, run):
+        model = workspace("m.json", docs.encode_wmodel(two_trace_model()))
+        code, out, err = run("order-unit", model, "1,x")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.splitlines()[0] == "error: values[1]: bad rational string 'x'"
+
 
 class TestCheckSuites:
     def test_order_axioms_pass_on_the_integer_model(self, workspace, run):
@@ -431,7 +438,7 @@ class TestCheckSuites:
         monkeypatch.setattr(WModel, "gamma", imaged)
         monkeypatch.setattr(WModel, "compare", compared)
         # 400 pairs draw fewer classes and candidates than the table takes
-        details = cli._suite_strict_cone(model, random.Random(DEFAULT_SEED), 400)
+        details = cli._suite_strict_cone(model, DEFAULT_SEED, 400)
         assert details == {"checked": 400, "failures": []}
         assert len(set(candidates)) == len(candidates) <= 4**3
         assert len({id(x) for x in images}) == len(images)
@@ -468,7 +475,7 @@ class TestCheckSuites:
         monkeypatch.setattr(WModel, "elements", converted)
         monkeypatch.setattr(cli, "_oracle_states", oracle_states)
         monkeypatch.setattr(StrictStateCone, "rows", property(read_rows))
-        details = cli._suite_oracle_agreement(model, random.Random(DEFAULT_SEED), 2000)
+        details = cli._suite_oracle_agreement(model, DEFAULT_SEED, 2000)
         assert details == {"checked": 2000, "failures": []}
         assert conversions == [32]
         assert reads and not any(reads)
@@ -649,6 +656,36 @@ class TestCheckSuites:
         else:
             assert out == ""
             assert err.splitlines()[0] == first_line
+
+    @pytest.mark.parametrize("suite, document, seedings", [
+        ("weak-unperforation", "pogroup", 0),
+        ("weak-unperforation", "finite", 0),
+        ("archimedean", "pogroup", 0),
+        ("archimedean", "finite", 0),
+        ("order-axioms", "finite", 1),
+        ("strict-cone", "finite", 1),
+        ("oracle-agreement", "finite", 1),
+    ])
+    def test_only_the_sampling_suites_seed_a_generator(
+        self, workspace, run, monkeypatch, suite, document, seedings
+    ):
+        seeds = []
+
+        def seeding(seed):
+            seeds.append(seed)
+            return random.Random(seed)
+
+        monkeypatch.setattr(cli, "rng_for", seeding)
+        doc = {
+            "pogroup": {"kind": "pogroup", "rank": 1, "cone": {"type": "simplicial"},
+                        "unit": [1]},
+            "finite": docs.encode_wmodel(two_trace_model()),
+        }[document]
+        path = workspace(f"{document}.json", doc)
+        code, out, _ = run("check", path, suite, "--seed", "5")
+        assert code == EXIT_OK
+        assert report_of(out)["seed"] == 5
+        assert seeds == [5] * seedings
 
     def test_unknown_suite_is_a_parser_error(self, workspace, run):
         model = workspace("m.json", docs.encode_wmodel(w_of_z()))
@@ -1383,7 +1420,8 @@ def test_sampling_suites_report_what_one_draw_at_a_time_reports(
     # reference draws each value through random.Random's own methods and
     # decides every draw afresh.  Their whole reports and the generators'
     # final states must agree, also with the rule each suite reads broken
-    # so that its failures name what it drew.
+    # so that its failures name what it drew.  The suite takes a seed, and
+    # cli.rng_for hands it the generator whose final state is read.
     reference = {
         "order-axioms": reference_order_axioms,
         "strict-cone": reference_strict_cone,
@@ -1412,7 +1450,8 @@ def test_sampling_suites_report_what_one_draw_at_a_time_reports(
     for model, seed, bound, cap in cases:
         monkeypatch.setattr(sampling, "TABLE_CAP", cap)
         ours, theirs = random.Random(seed), random.Random(seed)
-        details = runner(model, ours, bound)
+        monkeypatch.setattr(cli, "rng_for", {seed: ours}.__getitem__)
+        details = runner(model, seed, bound)
         assert details == reference(model, theirs, bound), (model, seed, bound, cap)
         assert ours.getstate() == theirs.getstate(), (model, seed, bound, cap)
         failing += bool(details["failures"])

@@ -15,9 +15,19 @@ import inspect
 import io
 
 import pytest
+from cli_corpus import (
+    CORPUS,
+    DOCS,
+    OPTION_VALUES,
+    OWN_OPTIONS,
+    REFUSED,
+    parse,
+    required,
+    run_case,
+    with_option,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_cli_golden import CASES, DOCS, run_case
 
 from cuntzcalc import cli
 from cuntzcalc.cli import (
@@ -31,89 +41,6 @@ from cuntzcalc.cli import (
     main,
 )
 
-# command -> the options its handler reads, besides --format
-OWN_OPTIONS = {
-    "compare": (),
-    "add": ("--out",),
-    "scale": ("--out",),
-    "soften": ("--out",),
-    "complement": ("--out",),
-    "k0star": (),
-    "order-unit": (),
-    "check": ("--seed", "--bound"),
-    "functor": ("--out",),
-    "morphism-check": (),
-    "realize": ("--stages",),
-    "goodearl": ("--stages",),
-}
-# a value each option accepts, and the value it parses to
-OPTION_VALUES = {
-    "--seed": ("3", 3),
-    "--bound": ("4", 4),
-    "--stages": ("2", 2),
-    "--out": ("o.json", "o.json"),
-    "--format": ("table", "table"),
-}
-
-
-def _required(command):
-    """The command and words for its required positionals, with no option."""
-    _, arguments = COMMANDS[command]
-    words = [SUITES[0] if arg == "suite" else f"{arg}.json"
-             for arg, kwargs in arguments if not arg.startswith("--") and not kwargs.get("nargs")]
-    return [command, *words]
-
-
-def _with(command, option, value):
-    return [*_required(command), option, value]
-
-
-REFUSED = [
-    # every option that a command does not read
-    *(_with(name, option, value)
-      for name in COMMANDS
-      for option, (value, _) in OPTION_VALUES.items()
-      if option not in (*OWN_OPTIONS[name], "--format")),
-    # an abbreviation of each option, on a command that takes the option
-    _with("check", "--se", "3"),
-    _with("check", "--bo", "4"),
-    _with("realize", "--st", "2"),
-    _with("compare", "--fo", "table"),
-    _with("add", "--ou", "o.json"),
-]
-
-CORPUS = [list(argv) for _, argv in sorted(CASES.items())] + REFUSED + [
-    [],
-    ["--help"],
-    ["-h"],
-    *([name, "--help"] for name in COMMANDS),
-    ["nonsense", "m.json"],
-    ["Check", "m.json", "archimedean"],
-    ["check", "m.json", "bogus-suite"],
-    ["check", "m.json"],
-    ["compare", "m.json", "x.json"],
-    ["k0star"],
-    ["k0star", "m.json", "extra.json"],
-    ["realize", "t.json", "s.json", "extra.json", "--stages", "2"],
-    ["--seed", "3", "k0star", "m.json"],
-    ["--format", "table", "compare", "m.json", "x.json", "y.json"],
-    ["compare", "m.json", "x.json", "y.json", "--format", "xml"],
-    ["realize", "t.json", "--stages", "two"],
-    ["scale", "m.json", "x.json", "--bogus", "2"],
-    ["check", "m.json", "archimedean", "--bo", "3"],
-]
-
-
-def _parse(parser: argparse.ArgumentParser, argv):
-    """The namespace, or the exit code; with all that was printed."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            result = parser.parse_args(argv)
-        except SystemExit as exc:
-            result = ("exit", exc.code)
-    return result, out.getvalue(), err.getvalue()
-
 
 @pytest.fixture(scope="module")
 def full_parser():
@@ -123,14 +50,14 @@ def full_parser():
 @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
 def test_one_command_parser_agrees_with_the_full_one(argv, full_parser):
     one = build_parser(argv[0] if argv else None)
-    assert _parse(one, argv) == _parse(full_parser, argv)
+    assert parse(one, argv) == parse(full_parser, argv)
 
 
 def test_the_corpus_reaches_the_errors_of_the_top_level_parser():
     # an extra positional is refused by the top-level parser, whose usage
     # line names every command even when it holds one subparser
     argv = ["k0star", "m.json", "extra.json"]
-    result, out, err = _parse(build_parser("k0star"), argv)
+    result, out, err = parse(build_parser("k0star"), argv)
     assert result == ("exit", EXIT_INVALID) and out == ""
     assert err.startswith("usage: cuntzcalc [-h]")
     assert "{" + ",".join(COMMANDS) + "}" in err
@@ -182,8 +109,8 @@ def test_an_option_the_command_does_not_read_exits_2_before_any_handler(
 ])
 def test_each_option_parses_spelled_apart_or_with_an_equals_sign(command, option, full_parser):
     value, parsed = OPTION_VALUES[option]
-    apart = _with(command, option, value)
-    joined = [*_required(command), f"{option}={value}"]
+    apart = with_option(command, option, value)
+    joined = [*required(command), f"{option}={value}"]
     for parser in (build_parser(command), full_parser):
         assert parser.parse_args(apart) == parser.parse_args(joined)
         assert getattr(parser.parse_args(joined), option[2:]) == parsed

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import two_trace_model
-from test_cli_golden import DOCS
+from cli_corpus import DOCS
 
 from cuntzcalc.cli import EXIT_INVALID, main
 from cuntzcalc.documents import (
